@@ -16,7 +16,6 @@ from .errors import (
     ExclusionMismatch,
     HermsympError,
     LagrangianValidationError,
-    NonComplex,
     NonIntegerSum,
     OutOfArc,
     RankAmbiguity,
@@ -25,15 +24,12 @@ from .errors import (
     ValidationError,
 )
 from .spaces import (
-    EPS_ALG,
-    EPS_EIG,
-    EPS_INT,
-    EPS_RANK,
     EigenSplitting,
     HermitianSymplecticSpace,
     InvariantCheck,
     Lagrangian,
     SpaceReport,
+    Tolerances,
     direct_sum,
     eigensplit,
     gamma_image,

@@ -12,7 +12,7 @@ transversality; the routines only flag numerical (not geometric) degeneracy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,8 +20,6 @@ from . import linalg
 from .errors import RankCollapse, ValidationError
 from .linalg import as_complex_matrix, gram_mgs
 from .spaces import (
-    EPS_ALG,
-    EPS_RANK,
     HermitianSymplecticSpace,
     Lagrangian,
     direct_sum,
@@ -53,16 +51,15 @@ class BordismRelation:
 
 
 def relation_from_graph(
-    source: HermitianSymplecticSpace,
-    target: HermitianSymplecticSpace,
-    basis,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
+    source: HermitianSymplecticSpace, target: HermitianSymplecticSpace, basis
 ) -> BordismRelation:
-    """Build and validate a relation from a spanning matrix of its graph."""
+    """Build and validate a relation from a spanning matrix of its graph.
+
+    ``source`` and ``target`` must carry the same tolerances; the product space
+    of the graph carries them too.
+    """
     prod = direct_sum(negated(source), target)
-    graph = lagrangian_from_basis(prod, basis, eps_alg=eps_alg, eps_rank=eps_rank)
+    graph = lagrangian_from_basis(prod, basis)
     return BordismRelation(source=source, target=target, graph=graph)
 
 
@@ -74,12 +71,7 @@ def identity_relation(space: HermitianSymplecticSpace) -> BordismRelation:
 
 
 def relation_from_map(
-    source: HermitianSymplecticSpace,
-    target: HermitianSymplecticSpace,
-    matrix,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
+    source: HermitianSymplecticSpace, target: HermitianSymplecticSpace, matrix
 ) -> BordismRelation:
     """Relation given by the graph of a symplectic-form-preserving map.
 
@@ -92,24 +84,17 @@ def relation_from_map(
             f"matrix must have shape ({target.dim}, {source.dim}), got {mat.shape}"
         )
     basis = np.vstack([np.eye(source.dim, dtype=np.complex128), mat])
-    return relation_from_graph(source, target, basis, eps_alg=eps_alg, eps_rank=eps_rank)
+    return relation_from_graph(source, target, basis)
 
 
 def lagrangian_relation(target_lagrangian: Lagrangian) -> BordismRelation:
     """Relation out of the zero space: a bare Lagrangian in the target."""
-    src = zero_space()
-    return relation_from_graph(
-        src, target_lagrangian.space, target_lagrangian.basis
-    )
+    target = target_lagrangian.space
+    src = replace(zero_space(), tol=target.tol)
+    return relation_from_graph(src, target, target_lagrangian.basis)
 
 
-def reduce(
-    rel: BordismRelation,
-    w: Lagrangian,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
-) -> Lagrangian:
+def reduce(rel: BordismRelation, w: Lagrangian) -> Lagrangian:
     """Propagate a source Lagrangian across the relation.
 
     Computes the projection onto the target factor of the intersection of the
@@ -126,23 +111,18 @@ def reduce(
     coisotropic = np.zeros((d0 + d1, kw + d1), dtype=np.complex128)
     coisotropic[:d0, :kw] = w.basis
     coisotropic[d0:, kw:] = np.eye(d1)
-    inter = linalg.span_intersection(rel.graph.basis, coisotropic, eps_rank)
+    tau = rel.target.tol.rank
+    inter = linalg.span_intersection(rel.graph.basis, coisotropic, tau)
     projected = inter[d0:, :]
-    q = gram_mgs(rel.target.gram, projected, drop_tol=eps_rank)
+    q = gram_mgs(rel.target.gram, projected, drop_tol=tau)
     if q.shape[1] != k1:
         raise RankCollapse(
             f"reduced span has dimension {q.shape[1]}, expected {k1}"
         )
-    return lagrangian_from_basis(rel.target, q, eps_alg=eps_alg, eps_rank=eps_rank)
+    return lagrangian_from_basis(rel.target, q)
 
 
-def compose(
-    rel1: BordismRelation,
-    rel2: BordismRelation,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
-) -> BordismRelation:
+def compose(rel1: BordismRelation, rel2: BordismRelation) -> BordismRelation:
     """Set-theoretic composition: pairs (x, z) admitting a matching middle y.
 
     ``rel1`` maps H0 to H1 and ``rel2`` maps H1 to H2; the result maps H0 to
@@ -155,30 +135,22 @@ def compose(
     d2 = rel2.target.dim
     b1 = rel1.graph.basis
     b2 = rel2.graph.basis
+    prod = direct_sum(negated(rel1.source), rel2.target)
     match = np.hstack([b1[d0:, :], -b2[:d1, :]])
-    null = linalg.nullspace(match, eps_rank)
+    null = linalg.nullspace(match, prod.tol.rank)
     c1 = null[: b1.shape[1], :]
     c2 = null[b1.shape[1] :, :]
     candidate = np.vstack([b1[:d0, :] @ c1, b2[d1:, :] @ c2])
-    prod = direct_sum(negated(rel1.source), rel2.target)
-    q = gram_mgs(prod.gram, candidate, drop_tol=eps_rank)
+    q = gram_mgs(prod.gram, candidate, drop_tol=prod.tol.rank)
     expected = (d0 + d2) // 2
     if q.shape[1] != expected:
         raise RankCollapse(
             f"composed relation has dimension {q.shape[1]}, expected {expected}"
         )
-    return relation_from_graph(
-        rel1.source, rel2.target, q, eps_alg=eps_alg, eps_rank=eps_rank
-    )
+    return relation_from_graph(rel1.source, rel2.target, q)
 
 
-def glued_boundary_lagrangian(
-    w: Lagrangian,
-    rel: BordismRelation,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
-) -> Lagrangian:
+def glued_boundary_lagrangian(w: Lagrangian, rel: BordismRelation) -> Lagrangian:
     """gamma0(W) (+) reduce(rel, W) as a Lagrangian of the unflipped product.
 
     This is the boundary condition induced on the whole boundary of the
@@ -187,11 +159,11 @@ def glued_boundary_lagrangian(
     """
     if not same_space(w.space, rel.source):
         raise ValidationError("Lagrangian does not live in the relation's source")
-    gw = gamma_image(w, eps_alg=eps_alg, eps_rank=eps_rank)
-    lw = reduce(rel, w, eps_alg=eps_alg, eps_rank=eps_rank)
+    gw = gamma_image(w)
+    lw = reduce(rel, w)
     basis = linalg.block_diag(gw.basis, lw.basis)
     prod = direct_sum(rel.source, rel.target)
-    return lagrangian_from_basis(prod, basis, eps_alg=eps_alg, eps_rank=eps_rank)
+    return lagrangian_from_basis(prod, basis)
 
 
 def relation_distance(a: BordismRelation, b: BordismRelation) -> float:

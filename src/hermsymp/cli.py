@@ -44,7 +44,7 @@ from .knotcalc import (
     trefoil_arc_point,
 )
 from .maslov import m_details, triple_index
-from .spaces import EPS_ALG, EPS_RANK, validate_space
+from .spaces import Tolerances, validate_space
 from .torus import torus_m_sweep
 
 SWEEP_TOL = 1e-9
@@ -77,9 +77,13 @@ def _emit(args, payload: dict, plain_lines: list[str]) -> None:
             print(line)
 
 
+def _tolerances(args) -> Tolerances:
+    return Tolerances(alg=args.tol_alg, rank=args.tol_rank)
+
+
 def _cmd_validate(args) -> int:
-    space = serialization.space_from_dict(_load_json(args.space))
-    report = validate_space(space, eps_alg=args.tol_alg)
+    space = serialization.space_from_dict(_load_json(args.space), _tolerances(args))
+    report = validate_space(space)
     payload = {
         "dim": space.dim,
         "signature": report.signature,
@@ -100,24 +104,17 @@ def _cmd_validate(args) -> int:
 
 
 def _load_space_and_lagrangians(args, names):
-    space = serialization.space_from_dict(_load_json(args.space))
-    report = validate_space(space, eps_alg=args.tol_alg)
-    if not report.passed:
+    space = serialization.space_from_dict(_load_json(args.space), _tolerances(args))
+    if not validate_space(space).passed:
         raise ValidationError("space fails validation; run the validate command")
-    out = []
-    for name in names:
-        doc = _load_json(getattr(args, name))
-        out.append(
-            serialization.lagrangian_from_dict(
-                space, doc, eps_alg=args.tol_alg, eps_rank=args.tol_rank
-            )
-        )
+    out = [serialization.lagrangian_from_dict(space, _load_json(getattr(args, name)))
+           for name in names]
     return space, out
 
 
 def _cmd_m(args) -> int:
     _, (v, w) = _load_space_and_lagrangians(args, ("v", "w"))
-    details = m_details(v, w, eps_rank=args.tol_rank)
+    details = m_details(v, w)
     eigen_strs = [f"{_fmt(z.real)}{'%+.15g' % z.imag}i" for z in details.eigenvalues]
     payload = {
         "m": details.value,
@@ -135,32 +132,24 @@ def _cmd_m(args) -> int:
 
 def _cmd_triple(args) -> int:
     _, (u, v, w) = _load_space_and_lagrangians(args, ("u", "v", "w"))
-    value = triple_index(u, v, w, eps_rank=args.tol_rank)
+    value = triple_index(u, v, w)
     _emit(args, {"triple_index": value}, [f"triple_index = {value}"])
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    rel = serialization.relation_from_dict(
-        _load_json(args.relation), eps_alg=args.tol_alg, eps_rank=args.tol_rank
-    )
-    doc = _load_json(args.w)
-    w = serialization.lagrangian_from_dict(
-        rel.source, doc, eps_alg=args.tol_alg, eps_rank=args.tol_rank
-    )
-    result = reduce_relation(rel, w, eps_alg=args.tol_alg, eps_rank=args.tol_rank)
+    rel = serialization.relation_from_dict(_load_json(args.relation), _tolerances(args))
+    w = serialization.lagrangian_from_dict(rel.source, _load_json(args.w))
+    result = reduce_relation(rel, w)
     print(json.dumps(serialization.lagrangian_to_dict(result), sort_keys=True))
     return 0
 
 
 def _cmd_compose(args) -> int:
-    rel1 = serialization.relation_from_dict(
-        _load_json(args.rel1), eps_alg=args.tol_alg, eps_rank=args.tol_rank
-    )
-    rel2 = serialization.relation_from_dict(
-        _load_json(args.rel2), eps_alg=args.tol_alg, eps_rank=args.tol_rank
-    )
-    result = compose_relations(rel1, rel2, eps_alg=args.tol_alg, eps_rank=args.tol_rank)
+    tol = _tolerances(args)
+    rel1 = serialization.relation_from_dict(_load_json(args.rel1), tol)
+    rel2 = serialization.relation_from_dict(_load_json(args.rel2), tol)
+    result = compose_relations(rel1, rel2)
     print(json.dumps(serialization.relation_to_dict(result), sort_keys=True))
     return 0
 
@@ -197,7 +186,7 @@ def _cmd_torus_sweep(args) -> int:
 def _cmd_trefoil(args) -> int:
     rep = trefoil_arc_point(args.t)
     f = DEFAULT_MONODROMY
-    cohomology = torus_twisted_cohomology(rep, eps_rank=args.tol_rank, eps_alg=args.tol_alg)
+    cohomology = torus_twisted_cohomology(rep)
     condition = mapping_torus_condition(rep, f)
     constraint = holonomy_constraint(rep, f)
     winding = cs_winding(rep, f)
@@ -245,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         "Chern-Simons arithmetic.",
         allow_abbrev=False,
     )
-    parser.add_argument("--tol-alg", type=float, default=EPS_ALG, dest="tol_alg",
+    parser.add_argument("--tol-alg", type=float, default=Tolerances.alg, dest="tol_alg",
                         help="tolerance for algebraic identities (default %(default)g)")
-    parser.add_argument("--tol-rank", type=float, default=EPS_RANK, dest="tol_rank",
+    parser.add_argument("--tol-rank", type=float, default=Tolerances.rank, dest="tol_rank",
                         help="singular-value threshold for rank decisions (default %(default)g)")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON object on stdout instead of plain text")

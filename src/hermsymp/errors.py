@@ -56,7 +56,3 @@ class OutOfArc(ValidationError):
 
 class ConditionFailed(ValidationError):
     """Holonomy parameters do not extend over the mapping torus."""
-
-
-class NonComplex(HermsympError):
-    """Differentials failed the chain-complex identity (diagnostic only)."""

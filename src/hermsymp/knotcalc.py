@@ -1,9 +1,8 @@
 """Exact arithmetic for flat connections on torus bundles.
 
 Everything here is rational: holonomy parameters are stored as fractions and
-all mod-Z statements are computed exactly, so results are bit-reproducible.
-Only the twisted cohomology ranks use complex floats (unitaries of rational
-angle), since a rank, not a value, is being measured.
+all mod-Z statements and cohomology ranks are computed exactly, so results are
+bit-reproducible.
 
 The pipeline: a point on the representation arc of the trefoil-complement
 boundary gives diagonal holonomy parameters (phi, psi); their twisted torus
@@ -17,15 +16,12 @@ returned by :func:`rho_difference_mod_z`, are used as invariants.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConditionFailed, NonComplex, OutOfArc, ValidationError
-from .linalg import max_abs
-from .spaces import EPS_ALG, EPS_RANK
+from .errors import ConditionFailed, OutOfArc, ValidationError
 
 
 def _rational(value, name: str = "value") -> Fraction:
@@ -110,33 +106,18 @@ def trefoil_arc_point(t) -> RepPoint:
     return RepPoint(phi=t, psi=-6 * t + Fraction(1, 2))
 
 
-def _diag_holonomy(x: Fraction) -> np.ndarray:
-    angle = 2.0 * math.pi * float(x)
-    z = complex(math.cos(angle), math.sin(angle))
-    return np.diag([z, z.conjugate()]).astype(np.complex128)
-
-
-def torus_twisted_cohomology(
-    rep: RepPoint, *, eps_rank: float = EPS_RANK, eps_alg: float = EPS_ALG
-) -> tuple[int, int, int]:
+def torus_twisted_cohomology(rep: RepPoint) -> tuple[int, int, int]:
     """Cohomology dimensions (h0, h1, h2) of the torus twisted by ``rep``.
 
-    Built from the presentation differentials of the rank-two free abelian
-    group: d0 stacks (hol(mu) - I; hol(lambda) - I) and d1 is the row
-    (I - hol(lambda), hol(mu) - I).  Ranks are measured with ``eps_rank``;
-    the chain identity d1 d0 = 0 is verified as a diagnostic.
+    The holonomies are diagonal, so the twisted complex splits into two lines
+    on which the generators act by e^{+-2 pi i phi} and e^{+-2 pi i psi}.  A
+    line with a non-trivial character is acyclic; an untwisted line has the
+    cohomology (1, 2, 1) of the torus.  Both characters are trivial exactly
+    when phi and psi are integers, which is decided on the fractions.
     """
-    hol_mu = _diag_holonomy(rep.phi)
-    hol_la = _diag_holonomy(rep.psi)
-    ident = np.eye(2, dtype=np.complex128)
-    d0 = np.vstack([hol_mu - ident, hol_la - ident])
-    d1 = np.hstack([ident - hol_la, hol_mu - ident])
-    residual = max_abs(d1 @ d0)
-    if residual > eps_alg:
-        raise NonComplex(f"d1 d0 = 0 fails with residual {residual:.3e}")
-    r0 = int(np.sum(np.linalg.svd(d0, compute_uv=False) > eps_rank))
-    r1 = int(np.sum(np.linalg.svd(d1, compute_uv=False) > eps_rank))
-    return (2 - r0, 4 - r0 - r1, 2 - r1)
+    if rep.phi.denominator == 1 and rep.psi.denominator == 1:
+        return (2, 4, 2)
+    return (0, 0, 0)
 
 
 def holonomy_constraint(rep: RepPoint, f: GluingMatrix) -> tuple[Fraction, Fraction]:

@@ -130,11 +130,3 @@ def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0] :, a.shape[1] :] = b
     return out
-
-
-def wrap_angle(theta: float) -> float:
-    """Reduce an angle into the branch interval (-pi, pi]."""
-    w = math.remainder(theta, 2.0 * math.pi)
-    if w <= -math.pi:
-        w = math.pi
-    return w

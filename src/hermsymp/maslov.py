@@ -25,18 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenvalueAmbiguity, ExclusionMismatch, NonIntegerSum
-from .spaces import (
-    EPS_EIG,
-    EPS_INT,
-    EPS_RANK,
-    EigenSplitting,
-    Lagrangian,
-    _require_same_space,
-    eigensplit,
-    gamma_image,
-    intersection_dim,
-    phi_of,
-)
+from .spaces import Lagrangian, _require_same_space, gamma_image, intersection_dim, phi_of
 
 
 @dataclass(frozen=True)
@@ -49,36 +38,26 @@ class PairSpectrum:
     eigenvalues: tuple[complex, ...]
 
 
-def m_details(
-    v: Lagrangian,
-    w: Lagrangian,
-    *,
-    splitting: EigenSplitting | None = None,
-    eps_eig: float = EPS_EIG,
-    eps_rank: float = EPS_RANK,
-) -> PairSpectrum:
+def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
     """Pair invariant of (V, W) with eigenvalues sorted by angle."""
     _require_same_space(v.space, w.space)
-    if splitting is None and v.space.half_dim:
-        splitting = eigensplit(v.space)
-    phi_v = phi_of(v, splitting)
-    phi_w = phi_of(w, splitting)
-    eigs = np.linalg.eigvals(-phi_v @ phi_w.conj().T)
+    tau = v.space.tol.eig
+    eigs = np.linalg.eigvals(-phi_of(v) @ phi_of(w).conj().T)
     excluded = 0
     total = 0.0
     for lam in eigs:
         dist = abs(lam + 1.0)
-        if dist <= eps_eig:
+        if dist <= tau:
             excluded += 1
             continue
-        if dist < 100.0 * eps_eig:
+        if dist < 100.0 * tau:
             raise EigenvalueAmbiguity(
                 f"eigenvalue {lam:.12g} lies {dist:.3e} from -1, inside the "
-                f"ambiguity band (eps_eig={eps_eig:.0e}); the invariant is "
+                f"ambiguity band (tol.eig={tau:.0e}); the invariant is "
                 "discontinuous here"
             )
         total += math.atan2(lam.imag, lam.real)
-    idim = intersection_dim(v, w, eps_rank=eps_rank)
+    idim = intersection_dim(v, w)
     if excluded != idim:
         raise ExclusionMismatch(
             f"{excluded} eigenvalues excluded at -1 but dim(V & W) = {idim}"
@@ -97,39 +76,20 @@ def m_details(
     )
 
 
-def m_invariant(
-    v: Lagrangian,
-    w: Lagrangian,
-    *,
-    splitting: EigenSplitting | None = None,
-    eps_eig: float = EPS_EIG,
-    eps_rank: float = EPS_RANK,
-) -> float:
-    return m_details(v, w, splitting=splitting, eps_eig=eps_eig, eps_rank=eps_rank).value
+def m_invariant(v: Lagrangian, w: Lagrangian) -> float:
+    return m_details(v, w).value
 
 
-def triple_index(
-    u: Lagrangian,
-    v: Lagrangian,
-    w: Lagrangian,
-    *,
-    splitting: EigenSplitting | None = None,
-    eps_int: float = EPS_INT,
-    eps_eig: float = EPS_EIG,
-    eps_rank: float = EPS_RANK,
-) -> int:
+def triple_index(u: Lagrangian, v: Lagrangian, w: Lagrangian) -> int:
     """Integer triple index m(U,V) + m(V,W) + m(W,U).
 
-    Raises :class:`NonIntegerSum` if the real sum is farther than ``eps_int``
-    from an integer, which signals numerical breakdown or invalid inputs.
+    Raises :class:`NonIntegerSum` if the real sum is farther than
+    ``space.tol.int`` from an integer, which signals numerical breakdown or
+    invalid inputs.
     """
-    total = (
-        m_invariant(u, v, splitting=splitting, eps_eig=eps_eig, eps_rank=eps_rank)
-        + m_invariant(v, w, splitting=splitting, eps_eig=eps_eig, eps_rank=eps_rank)
-        + m_invariant(w, u, splitting=splitting, eps_eig=eps_eig, eps_rank=eps_rank)
-    )
+    total = m_invariant(u, v) + m_invariant(v, w) + m_invariant(w, u)
     nearest = round(total)
-    if abs(total - nearest) > eps_int:
+    if abs(total - nearest) > u.space.tol.int:
         raise NonIntegerSum(
             f"triple index sum {total!r} is {abs(total - nearest):.3e} from an integer"
         )
@@ -141,11 +101,6 @@ def eta_correction_rhs(
     vy: Lagrangian,
     wx: Lagrangian,
     wy: Lagrangian,
-    *,
-    splitting: EigenSplitting | None = None,
-    eps_int: float = EPS_INT,
-    eps_eig: float = EPS_EIG,
-    eps_rank: float = EPS_RANK,
 ) -> tuple[float, int]:
     """Finite-dimensional correction for cutting and pasting with arbitrary
     boundary Lagrangians.
@@ -154,23 +109,17 @@ def eta_correction_rhs(
     WX, WY))``: the real pair invariant plus the integer defect by which the
     glued quantity differs from the sum of the pieces.  Internally verifies
     the equivalent chain ``m(VX,VY) - m(gamma VX, WX) + m(gamma VY, WY) -
-    m(WX,WY)`` against the integer within ``eps_int``.
+    m(WX,WY)`` against the integer within ``space.tol.int``.
     """
-    kw = dict(splitting=splitting, eps_eig=eps_eig, eps_rank=eps_rank)
     g_vx = gamma_image(vx)
     g_vy = gamma_image(vy)
     g_wy = gamma_image(wy)
-    first = triple_index(vx, vy, g_wy, eps_int=eps_int, **kw)
-    second = triple_index(g_vx, wx, wy, eps_int=eps_int, **kw)
+    first = triple_index(vx, vy, g_wy)
+    second = triple_index(g_vx, wx, wy)
     integer = first - second
-    m_wx_wy = m_invariant(wx, wy, **kw)
-    chain = (
-        m_invariant(vx, vy, **kw)
-        - m_invariant(g_vx, wx, **kw)
-        + m_invariant(g_vy, wy, **kw)
-        - m_wx_wy
-    )
-    if abs(chain - integer) > eps_int:
+    m_wx_wy = m_invariant(wx, wy)
+    chain = m_invariant(vx, vy) - m_invariant(g_vx, wx) + m_invariant(g_vy, wy) - m_wx_wy
+    if abs(chain - integer) > vx.space.tol.int:
         raise NonIntegerSum(
             f"correction chain {chain!r} disagrees with integer part {integer}"
         )

@@ -12,11 +12,9 @@ import numpy as np
 from .bordism import BordismRelation, relation_from_graph
 from .errors import ValidationError
 from .spaces import (
-    EigenSplitting,
     HermitianSymplecticSpace,
     Lagrangian,
     direct_sum,
-    eigensplit,
     lagrangian_from_graph,
     negated,
     standard_space,
@@ -58,21 +56,14 @@ def random_space(
     return HermitianSymplecticSpace(gram, gamma)
 
 
-def random_lagrangian(
-    space: HermitianSymplecticSpace,
-    rng: np.random.Generator,
-    splitting: EigenSplitting | None = None,
-) -> Lagrangian:
-    if splitting is None:
-        splitting = eigensplit(space)
-    return lagrangian_from_graph(space, random_unitary(space.half_dim, rng), splitting)
+def random_lagrangian(space: HermitianSymplecticSpace, rng: np.random.Generator) -> Lagrangian:
+    return lagrangian_from_graph(space, random_unitary(space.half_dim, rng))
 
 
 def random_lagrangian_pair(
     space: HermitianSymplecticSpace,
     rng: np.random.Generator,
     intersection: int,
-    splitting: EigenSplitting | None = None,
 ) -> tuple[Lagrangian, Lagrangian]:
     """Pair (V, W) with dim(V & W) equal to ``intersection``, engineered by
     making the two graph unitaries agree on exactly that many eigenvectors
@@ -80,17 +71,12 @@ def random_lagrangian_pair(
     k = space.half_dim
     if not 0 <= intersection <= k:
         raise ValidationError(f"intersection must lie in [0, {k}], got {intersection}")
-    if splitting is None:
-        splitting = eigensplit(space)
     u_v = random_unitary(k, rng)
     frame = random_unitary(k, rng)
     angles = rng.uniform(0.4, 1.4, k - intersection)
     eigs = np.concatenate([np.ones(intersection), np.exp(1j * angles)])
     u_w = u_v @ frame @ np.diag(eigs) @ frame.conj().T
-    return (
-        lagrangian_from_graph(space, u_v, splitting),
-        lagrangian_from_graph(space, u_w, splitting),
-    )
+    return lagrangian_from_graph(space, u_v), lagrangian_from_graph(space, u_w)
 
 
 def form_preserving_map(form: np.ndarray, rng: np.random.Generator, *, scale: float = 0.4) -> np.ndarray:
@@ -127,7 +113,7 @@ def matched_omega_spaces(
     gram = s.conj().T @ base.gram @ s
     gram = (gram + gram.conj().T) / 2.0
     gamma = np.linalg.solve(s, base.gamma @ s)
-    return base, HermitianSymplecticSpace(gram, gamma)
+    return base, HermitianSymplecticSpace(gram, gamma, base.tol)
 
 
 def random_bordism_relation(

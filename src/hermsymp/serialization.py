@@ -19,13 +19,7 @@ import numpy as np
 from .bordism import BordismRelation, relation_from_graph
 from .errors import ValidationError
 from .linalg import max_abs
-from .spaces import (
-    EPS_ALG,
-    EPS_RANK,
-    HermitianSymplecticSpace,
-    Lagrangian,
-    lagrangian_from_basis,
-)
+from .spaces import HermitianSymplecticSpace, Lagrangian, Tolerances, lagrangian_from_basis
 
 
 def complex_to_obj(z: complex) -> dict:
@@ -73,7 +67,8 @@ def space_to_dict(space: HermitianSymplecticSpace) -> dict:
     }
 
 
-def space_from_dict(data) -> HermitianSymplecticSpace:
+def space_from_dict(data, tol: Tolerances = Tolerances()) -> HermitianSymplecticSpace:
+    """Parse a space document; the space carries ``tol``."""
     if not isinstance(data, dict):
         raise ValidationError("space document must be a JSON object")
     dim = _int_field(data, "dim")
@@ -81,24 +76,18 @@ def space_from_dict(data) -> HermitianSymplecticSpace:
         raise ValidationError('"dim" must be non-negative')
     gram = obj_to_matrix(data.get("gram"), dim, dim, "gram")
     gamma = obj_to_matrix(data.get("gamma"), dim, dim, "gamma")
-    return HermitianSymplecticSpace(gram, gamma)
+    return HermitianSymplecticSpace(gram, gamma, tol)
 
 
 def lagrangian_to_dict(lagr: Lagrangian) -> dict:
     return {"basis": matrix_to_obj(lagr.basis)}
 
 
-def lagrangian_from_dict(
-    space: HermitianSymplecticSpace,
-    data,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
-) -> Lagrangian:
+def lagrangian_from_dict(space: HermitianSymplecticSpace, data) -> Lagrangian:
     if not isinstance(data, dict) or "basis" not in data:
         raise ValidationError('Lagrangian document must be an object with "basis"')
     basis = obj_to_matrix(data["basis"], space.dim, space.half_dim, "basis")
-    return lagrangian_from_basis(space, basis, eps_alg=eps_alg, eps_rank=eps_rank)
+    return lagrangian_from_basis(space, basis)
 
 
 def relation_to_dict(rel: BordismRelation) -> dict:
@@ -110,28 +99,24 @@ def relation_to_dict(rel: BordismRelation) -> dict:
     }
 
 
-def relation_from_dict(
-    data,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
-) -> BordismRelation:
+def relation_from_dict(data, tol: Tolerances = Tolerances()) -> BordismRelation:
+    """Parse a relation document; its source, target and graph carry ``tol``."""
     if not isinstance(data, dict):
         raise ValidationError("relation document must be a JSON object")
     d0 = _int_field(data, "source_dim")
     d1 = _int_field(data, "target_dim")
     if d0 < 0 or d1 < 0:
         raise ValidationError("factor dimensions must be non-negative")
-    prod = space_from_dict(data.get("space"))
+    prod = space_from_dict(data.get("space"), tol)
     if prod.dim != d0 + d1:
         raise ValidationError(
             f"product space dim {prod.dim} does not equal source_dim + target_dim = {d0 + d1}"
         )
     for name, mat in (("gram", prod.gram), ("gamma", prod.gamma)):
         off = max(max_abs(mat[:d0, d0:]), max_abs(mat[d0:, :d0]))
-        if off > eps_alg * max(1.0, max_abs(mat)):
+        if off > tol.alg * max(1.0, max_abs(mat)):
             raise ValidationError(f"product {name} must be block diagonal across the factors")
-    source = HermitianSymplecticSpace(prod.gram[:d0, :d0], -prod.gamma[:d0, :d0])
-    target = HermitianSymplecticSpace(prod.gram[d0:, d0:], prod.gamma[d0:, d0:])
+    source = HermitianSymplecticSpace(prod.gram[:d0, :d0], -prod.gamma[:d0, :d0], tol)
+    target = HermitianSymplecticSpace(prod.gram[d0:, d0:], prod.gamma[d0:, d0:], tol)
     basis = obj_to_matrix(data.get("basis"), d0 + d1, (d0 + d1) // 2, "basis")
-    return relation_from_graph(source, target, basis, eps_alg=eps_alg, eps_rank=eps_rank)
+    return relation_from_graph(source, target, basis)

@@ -14,12 +14,17 @@ Every Lagrangian is the graph of a unique unitary from the +i eigenspace of
 deterministic eigenbases produced by :func:`eigensplit`.
 
 Coordinates are never assumed orthonormal: each space carries an explicit Gram
-matrix and all orthonormalizations are performed relative to it.  All types
-are immutable after construction and all operations are pure functions.
+matrix and all orthonormalizations are performed relative to it.  Each space
+also carries the :class:`Tolerances` of every numerical decision made on it or
+on anything derived from it.  All types are immutable after construction and
+all operations are pure functions of them, so the splitting of a space and the
+graph unitary of a Lagrangian are computed once, on first use, and memoized on
+the object.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,12 +38,22 @@ from .errors import (
 )
 from .linalg import as_complex_matrix, gram_mgs, max_abs
 
-# Default tolerances.  Problems handled here are tiny (dims below ~50), so
-# double precision leaves wide margins around each threshold.
-EPS_ALG = 1e-10   # algebraic identities
-EPS_RANK = 1e-8   # singular-value threshold for rank decisions
-EPS_EIG = 1e-8    # eigenvalue matching
-EPS_INT = 1e-6    # integrality guard
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Decision thresholds of a space and of everything derived from it.
+
+    ``alg`` bounds the residuals of algebraic identities, ``rank`` is the
+    singular-value threshold of rank decisions, ``eig`` the distance at which
+    an eigenvalue counts as -1, and ``int`` the integrality guard.  Problems
+    handled here are tiny (dims below ~50), so double precision leaves wide
+    margins around each default.
+    """
+
+    alg: float = 1e-10
+    rank: float = 1e-8
+    eig: float = 1e-8
+    int: float = 1e-6
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -53,15 +68,18 @@ class HermitianSymplecticSpace:
 
     ``gram`` is the Hermitian positive-definite matrix of the inner product in
     the chosen coordinate basis; ``gamma`` is the matrix of the complex
-    structure in the same basis.  Construction performs the structural checks
-    (square, even-dimensional, Hermitian positive-definite gram); the three
-    algebraic invariants are measured by :func:`validate_space`.
+    structure in the same basis; ``tol`` holds the thresholds used by every
+    decision on the space, its Lagrangians and the spaces derived from it.
+    Construction performs the structural checks (square, even-dimensional,
+    Hermitian positive-definite gram); the three algebraic invariants are
+    measured by :func:`validate_space`.
 
     Dimension zero is allowed and carries the unique empty Lagrangian.
     """
 
     gram: np.ndarray
     gamma: np.ndarray
+    tol: Tolerances = Tolerances()
 
     def __post_init__(self) -> None:
         gram = as_complex_matrix(self.gram, "gram")
@@ -98,10 +116,38 @@ class HermitianSymplecticSpace:
         """Matrix of the symplectic form: omega(x, y) = x^H @ omega() @ y."""
         return self.gram @ self.gamma
 
+    @cached_property
+    def _splitting(self) -> EigenSplitting:
+        # Lazy: most spaces built by reduction and composition never need it.
+        n, k = self.dim, self.half_dim
+        gm, tol = self.gamma, self.tol
+        ident = np.eye(n, dtype=np.complex128)
+        plus = gram_mgs(self.gram, (ident - 1j * gm) / 2.0, drop_tol=tol.rank)
+        minus = gram_mgs(self.gram, (ident + 1j * gm) / 2.0, drop_tol=tol.rank)
+        if plus.shape[1] != k or minus.shape[1] != k:
+            raise EigensplitError(
+                f"eigenspace dimensions ({plus.shape[1]}, {minus.shape[1]}) differ from "
+                f"({k}, {k}); the space does not split evenly into +i/-i eigenspaces"
+            )
+        if k:
+            plus = _phase_fixed(plus)
+            minus = _phase_fixed(minus)
+        scale = max(1.0, max_abs(gm))
+        r_plus = max_abs(gm @ plus - 1j * plus)
+        r_minus = max_abs(gm @ minus + 1j * minus)
+        r_cross = max_abs(plus.conj().T @ self.gram @ minus)
+        if max(r_plus, r_minus, r_cross) > tol.alg * scale:
+            raise EigensplitError(
+                f"eigenspaces not separated within tolerance: residuals "
+                f"plus={r_plus:.3e} minus={r_minus:.3e} cross={r_cross:.3e}"
+            )
+        return EigenSplitting(plus_basis=_frozen(plus), minus_basis=_frozen(minus))
+
 
 def same_space(a: HermitianSymplecticSpace, b: HermitianSymplecticSpace) -> bool:
     return a is b or (
         a.dim == b.dim
+        and a.tol == b.tol
         and np.array_equal(a.gram, b.gram)
         and np.array_equal(a.gamma, b.gamma)
     )
@@ -134,14 +180,16 @@ def negated(space: HermitianSymplecticSpace) -> HermitianSymplecticSpace:
     Models the opposite boundary orientation; the symplectic form changes
     sign while all validity invariants are preserved.
     """
-    return HermitianSymplecticSpace(space.gram, -space.gamma)
+    return replace(space, gamma=-space.gamma)
 
 
 def direct_sum(
     a: HermitianSymplecticSpace, b: HermitianSymplecticSpace
 ) -> HermitianSymplecticSpace:
+    if a.tol != b.tol:
+        raise ValidationError("operands carry different tolerances")
     return HermitianSymplecticSpace(
-        linalg.block_diag(a.gram, b.gram), linalg.block_diag(a.gamma, b.gamma)
+        linalg.block_diag(a.gram, b.gram), linalg.block_diag(a.gamma, b.gamma), a.tol
     )
 
 
@@ -165,7 +213,7 @@ class SpaceReport:
         return all(c.passed for c in self.checks)
 
 
-def validate_space(space: HermitianSymplecticSpace, *, eps_alg: float = EPS_ALG) -> SpaceReport:
+def validate_space(space: HermitianSymplecticSpace) -> SpaceReport:
     """Measure the three algebraic invariants of a space.
 
     Checks, with measured residuals: ``gamma @ gamma = -I``; unitarity of
@@ -173,7 +221,7 @@ def validate_space(space: HermitianSymplecticSpace, *, eps_alg: float = EPS_ALG)
     Hermitian form ``<x, i gamma y>`` (equal numbers of positive and negative
     eigenvalues, none indistinguishable from zero).
     """
-    g, gm = space.gram, space.gamma
+    g, gm, tol = space.gram, space.gamma, space.tol
     n = space.dim
     ident = np.eye(n, dtype=np.complex128)
     r_square = max_abs(gm @ gm + ident)
@@ -185,14 +233,14 @@ def validate_space(space: HermitianSymplecticSpace, *, eps_alg: float = EPS_ALG)
     form = 1j * (g @ gm)
     form = (form + form.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(form) if n else np.zeros(0)
-    tau = EPS_RANK * max(max_abs(eigs), 1.0)
+    tau = tol.rank * max(max_abs(eigs), 1.0)
     n_pos = int(np.sum(eigs > tau))
     n_neg = int(np.sum(eigs < -tau))
     n_null = n - n_pos - n_neg
     signature = n_pos - n_neg
     checks = (
-        InvariantCheck("gamma_squares_to_minus_identity", r_square, r_square <= eps_alg),
-        InvariantCheck("gamma_gram_unitary", r_unitary, r_unitary <= eps_alg),
+        InvariantCheck("gamma_squares_to_minus_identity", r_square, r_square <= tol.alg),
+        InvariantCheck("gamma_gram_unitary", r_unitary, r_unitary <= tol.alg),
         InvariantCheck(
             "igamma_signature_zero",
             float(abs(signature) + n_null),
@@ -229,41 +277,15 @@ def _phase_fixed(basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigensplit(
-    space: HermitianSymplecticSpace,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
-) -> EigenSplitting:
+def eigensplit(space: HermitianSymplecticSpace) -> EigenSplitting:
     """Split a valid space into the +i/-i eigenspaces of ``gamma``.
 
     Uses the exact spectral projectors (I -/+ i gamma)/2, which are
     gram-orthogonal idempotents whenever the space invariants hold, so no
-    eigenvalue clustering heuristics are involved.
+    eigenvalue clustering heuristics are involved.  Computed on first use and
+    memoized on the space.
     """
-    n, k = space.dim, space.half_dim
-    gm = space.gamma
-    ident = np.eye(n, dtype=np.complex128)
-    plus = gram_mgs(space.gram, (ident - 1j * gm) / 2.0, drop_tol=eps_rank)
-    minus = gram_mgs(space.gram, (ident + 1j * gm) / 2.0, drop_tol=eps_rank)
-    if plus.shape[1] != k or minus.shape[1] != k:
-        raise EigensplitError(
-            f"eigenspace dimensions ({plus.shape[1]}, {minus.shape[1]}) differ from "
-            f"({k}, {k}); the space does not split evenly into +i/-i eigenspaces"
-        )
-    if k:
-        plus = _phase_fixed(plus)
-        minus = _phase_fixed(minus)
-    scale = max(1.0, max_abs(gm))
-    r_plus = max_abs(gm @ plus - 1j * plus)
-    r_minus = max_abs(gm @ minus + 1j * minus)
-    r_cross = max_abs(plus.conj().T @ space.gram @ minus)
-    if max(r_plus, r_minus, r_cross) > eps_alg * scale:
-        raise EigensplitError(
-            f"eigenspaces not separated within tolerance: residuals "
-            f"plus={r_plus:.3e} minus={r_minus:.3e} cross={r_cross:.3e}"
-        )
-    return EigenSplitting(plus_basis=_frozen(plus), minus_basis=_frozen(minus))
+    return space._splitting
 
 
 @dataclass(frozen=True)
@@ -282,19 +304,37 @@ class Lagrangian:
     def half_dim(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def _phi(self) -> np.ndarray:
+        space = self.space
+        k, tol = space.half_dim, space.tol
+        if k == 0:
+            return _frozen(np.zeros((0, 0)))
+        splitting = eigensplit(space)
+        gl = space.gram @ self.basis
+        a = splitting.plus_basis.conj().T @ gl
+        c = splitting.minus_basis.conj().T @ gl
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[-1] <= tol.rank:
+            raise LagrangianValidationError(
+                "projection onto the +i eigenspace is singular; input is not a "
+                f"valid Lagrangian (smallest singular value {s[-1]:.3e})"
+            )
+        phi = c @ np.linalg.inv(a)
+        residual = max_abs(phi.conj().T @ phi - np.eye(k))
+        if residual > tol.alg:
+            raise LagrangianValidationError(
+                f"graph map is not unitary: residual {residual:.3e}"
+            )
+        return _frozen(phi)
 
-def lagrangian_from_basis(
-    space: HermitianSymplecticSpace,
-    basis,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
-) -> Lagrangian:
+
+def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
     """Validate a spanning matrix and wrap it as a Lagrangian.
 
     The basis is replaced by its gram-orthonormalization (modified
     Gram-Schmidt, columns in input order).  Rejects rank-deficient input and
-    spans on which the symplectic form does not vanish within ``eps_alg``.
+    spans on which the symplectic form does not vanish within ``space.tol.alg``.
     """
     mat = as_complex_matrix(basis, "basis")
     k = space.half_dim
@@ -302,7 +342,7 @@ def lagrangian_from_basis(
         raise LagrangianValidationError(
             f"basis must have shape ({space.dim}, {k}), got {mat.shape}"
         )
-    q = gram_mgs(space.gram, mat, drop_tol=eps_rank)
+    q = gram_mgs(space.gram, mat, drop_tol=space.tol.rank)
     if q.shape[1] != k:
         raise LagrangianValidationError(
             f"basis is rank deficient: numerical rank {q.shape[1]} < {k}"
@@ -310,101 +350,64 @@ def lagrangian_from_basis(
     # omega(u, v) is bounded by 1 on gram-unit vectors, so the residual of a
     # true Lagrangian sits at roundoff level regardless of the gram's scale.
     residual = max_abs(q.conj().T @ space.omega() @ q)
-    if residual > eps_alg:
+    if residual > space.tol.alg:
         raise LagrangianValidationError(
             f"symplectic form does not vanish on the span: residual {residual:.3e}"
         )
     return Lagrangian(space=space, basis=_frozen(q))
 
 
-def gamma_image(lagr: Lagrangian, *, eps_alg: float = EPS_ALG, eps_rank: float = EPS_RANK) -> Lagrangian:
+def gamma_image(lagr: Lagrangian) -> Lagrangian:
     """The Lagrangian gamma(W), which equals the gram-orthogonal complement of W."""
-    return lagrangian_from_basis(
-        lagr.space, lagr.space.gamma @ lagr.basis, eps_alg=eps_alg, eps_rank=eps_rank
-    )
+    return lagrangian_from_basis(lagr.space, lagr.space.gamma @ lagr.basis)
 
 
-def intersection_dim(v: Lagrangian, w: Lagrangian, *, eps_rank: float = EPS_RANK) -> int:
+def intersection_dim(v: Lagrangian, w: Lagrangian) -> int:
     """dim(V & W) as ``dim - rank([basis_V | basis_W])``.
 
     Raises :class:`RankAmbiguity` when a singular value falls inside the guard
-    band ``(eps_rank/10, 10 eps_rank)``, where the rank decision would be
-    numerically arbitrary.
+    band ``(tol.rank/10, 10 tol.rank)`` of the space's tolerances, where the
+    rank decision would be numerically arbitrary.
     """
     _require_same_space(v.space, w.space)
+    tau = v.space.tol.rank
     s = linalg.singular_values(np.hstack([v.basis, w.basis]))
-    band = s[(s > eps_rank / 10.0) & (s < eps_rank * 10.0)]
+    band = s[(s > tau / 10.0) & (s < tau * 10.0)]
     if band.size:
         raise RankAmbiguity(
-            f"singular value {band[0]:.3e} inside the rank guard band around {eps_rank:.0e}"
+            f"singular value {band[0]:.3e} inside the rank guard band around {tau:.0e}"
         )
-    rank = int(np.sum(s > eps_rank))
+    rank = int(np.sum(s > tau))
     return v.space.dim - rank
 
 
-def phi_of(
-    lagr: Lagrangian,
-    splitting: EigenSplitting | None = None,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
-) -> np.ndarray:
+def phi_of(lagr: Lagrangian) -> np.ndarray:
     """Matrix of the unitary whose graph is the Lagrangian.
 
-    In the bases of ``splitting`` (computed from the space if omitted), every
-    column w of the Lagrangian decomposes as w = w+ + w- with w- = phi(w+);
-    the returned half_dim x half_dim matrix is unitary within ``eps_alg``.
-    Fails only if the projection of the span to the +i eigenspace is singular,
-    which signals an invalid input that slipped past validation.
+    In the bases of :func:`eigensplit`, every column w of the Lagrangian
+    decomposes as w = w+ + w- with w- = phi(w+); the returned read-only
+    half_dim x half_dim matrix is unitary within ``space.tol.alg``.  Fails only
+    if the projection of the span to the +i eigenspace is singular, which
+    signals an invalid input that slipped past validation.  Computed on first
+    use and memoized on the Lagrangian.
     """
-    space = lagr.space
-    k = space.half_dim
-    if k == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if splitting is None:
-        splitting = eigensplit(space, eps_alg=eps_alg, eps_rank=eps_rank)
-    gl = space.gram @ lagr.basis
-    a = splitting.plus_basis.conj().T @ gl
-    c = splitting.minus_basis.conj().T @ gl
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= eps_rank:
-        raise LagrangianValidationError(
-            "projection onto the +i eigenspace is singular; input is not a "
-            f"valid Lagrangian (smallest singular value {s[-1]:.3e})"
-        )
-    phi = c @ np.linalg.inv(a)
-    residual = max_abs(phi.conj().T @ phi - np.eye(k))
-    if residual > eps_alg:
-        raise LagrangianValidationError(
-            f"graph map is not unitary: residual {residual:.3e}"
-        )
-    return phi
+    return lagr._phi
 
 
-def lagrangian_from_graph(
-    space: HermitianSymplecticSpace,
-    unitary,
-    splitting: EigenSplitting | None = None,
-    *,
-    eps_alg: float = EPS_ALG,
-    eps_rank: float = EPS_RANK,
-) -> Lagrangian:
+def lagrangian_from_graph(space: HermitianSymplecticSpace, unitary) -> Lagrangian:
     """Lagrangian with the given graph unitary; inverse of :func:`phi_of`."""
-    if splitting is None:
-        splitting = eigensplit(space, eps_alg=eps_alg, eps_rank=eps_rank)
+    splitting = eigensplit(space)
     u = as_complex_matrix(unitary, "unitary")
     k = space.half_dim
     if u.shape != (k, k):
         raise ValidationError(f"unitary must have shape ({k}, {k}), got {u.shape}")
     basis = splitting.plus_basis + splitting.minus_basis @ u
-    return lagrangian_from_basis(space, basis, eps_alg=eps_alg, eps_rank=eps_rank)
+    return lagrangian_from_basis(space, basis)
 
 
-def orthogonal_complement_basis(
-    space: HermitianSymplecticSpace, basis, *, eps_rank: float = EPS_RANK
-) -> np.ndarray:
+def orthogonal_complement_basis(space: HermitianSymplecticSpace, basis) -> np.ndarray:
     """Gram-orthonormal basis of the gram-orthogonal complement of a span."""
-    return linalg.gram_complement(space.gram, as_complex_matrix(basis), eps_rank)
+    return linalg.gram_complement(space.gram, as_complex_matrix(basis), space.tol.rank)
 
 
 def subspace_distance(v: Lagrangian, w: Lagrangian) -> float:

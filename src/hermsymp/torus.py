@@ -16,25 +16,21 @@ has a closed form whose value genuinely moves with t, exhibiting the metric
 dependence of the invariant.  The closed form and the generic spectral
 algorithm are independent computations of the same number, and keeping both
 is the central oracle of this module.
+
+A :class:`TorusModel` space carries the default :class:`~hermsymp.spaces.Tolerances`.
+Its eigensplitting is computed on first use and memoized on the space, so all
+Lagrangians of one model share it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import BranchCut, ValidationError
 from .maslov import m_invariant
-from .spaces import (
-    EPS_EIG,
-    EigenSplitting,
-    HermitianSymplecticSpace,
-    Lagrangian,
-    eigensplit,
-    lagrangian_from_basis,
-)
+from .spaces import HermitianSymplecticSpace, Lagrangian, Tolerances, lagrangian_from_basis
 
 TORUS_AREA = 4.0 * math.pi ** 2  # both circles have circumference 2 pi
 
@@ -100,10 +96,6 @@ class TorusModel:
             self, "space", HermitianSymplecticSpace(torus_gram(t), torus_gamma(t))
         )
 
-    @cached_property
-    def splitting(self) -> EigenSplitting:
-        return eigensplit(self.space)
-
     def lagrangian(self, a, b=None) -> Lagrangian:
         """Lagrangian spanned by the constants and a dx + b dy."""
         pair = a if isinstance(a, IntegerPairLagrangian) else IntegerPairLagrangian(a, b)
@@ -114,7 +106,7 @@ class TorusModel:
         return lagrangian_from_basis(self.space, basis)
 
 
-def torus_m_closed_form(a: int, b: int, A: int, B: int, t: float, *, eps_eig: float = EPS_EIG) -> float:
+def torus_m_closed_form(a: int, b: int, A: int, B: int, t: float) -> float:
     """Closed form of the pair invariant for two integer-line Lagrangians.
 
     Evaluates, on the branch (-pi, pi],
@@ -125,7 +117,9 @@ def torus_m_closed_form(a: int, b: int, A: int, B: int, t: float, *, eps_eig: fl
 
     with dim(V_X & V_Y) = 1 + 1 when (a, b) and (A, B) are parallel (equal
     spans, detected exactly on the integers, all eigenvalues excluded, value
-    0) and 1 + 0 otherwise.
+    0) and 1 + 0 otherwise.  The branch point is guarded with the default
+    ``Tolerances.eig``, the threshold the generic route applies to the torus
+    space.
     """
     first = IntegerPairLagrangian(a, b)
     second = IntegerPairLagrangian(A, B)
@@ -139,9 +133,10 @@ def torus_m_closed_form(a: int, b: int, A: int, B: int, t: float, *, eps_eig: fl
     za = complex(b, t * a) / complex(-b, t * a)     # (i t a + b) / (i t a - b)
     zb = complex(-B, t * A) / complex(B, t * A)     # (i t A - B) / (i t A + B)
     arg = -(za * zb)
-    if abs(arg + 1.0) <= eps_eig:
+    tau = Tolerances.eig
+    if abs(arg + 1.0) <= tau:
         raise BranchCut(
-            f"log argument {arg:.12g} is within {eps_eig:.0e} of -1 for "
+            f"log argument {arg:.12g} is within {tau:.0e} of -1 for "
             "non-parallel input; the invariant is discontinuous here"
         )
     return -math.atan2(arg.imag, arg.real) / math.pi
@@ -195,7 +190,7 @@ def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
         model = TorusModel(t)
         vx = model.lagrangian(a, b)
         vy = model.lagrangian(A, B)
-        generic = m_invariant(vx, vy, splitting=model.splitting)
+        generic = m_invariant(vx, vy)
         closed = torus_m_closed_form(a, b, A, B, model.t)
         rows.append(SweepRow(t=model.t, m_closed=closed, m_generic=generic))
     return SweepResult(rows=tuple(rows))

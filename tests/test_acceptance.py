@@ -11,7 +11,7 @@ import numpy as np
 
 import hermsymp as hs
 from hermsymp import bordism, cli, sampling
-from hermsymp.spaces import direct_sum, eigensplit, lagrangian_from_graph, negated
+from hermsymp.spaces import direct_sum, lagrangian_from_graph, negated
 from hermsymp.torus import TorusModel, torus_m_closed_form, torus_m_sweep
 
 
@@ -58,7 +58,7 @@ def test_criterion_2_torus_oracle_equivalence():
         t = float(rng.uniform(0.1, 10.0))
         model = TorusModel(t)
         generic = hs.m_invariant(
-            model.lagrangian(a, b), model.lagrangian(A, B), splitting=model.splitting
+            model.lagrangian(a, b), model.lagrangian(A, B)
         )
         closed = torus_m_closed_form(a, b, A, B, t)
         worst = max(worst, abs(closed - generic))
@@ -68,7 +68,6 @@ def test_criterion_2_torus_oracle_equivalence():
     spot_generic = hs.m_invariant(
         spot_model.lagrangian(1, 1),
         spot_model.lagrangian(1, 0),
-        splitting=spot_model.splitting,
     )
     spot_closed = torus_m_closed_form(1, 1, 1, 0, 1.0)
     assert abs(spot_generic + 0.5) < 1e-10
@@ -96,15 +95,14 @@ def test_criterion_4_triple_index_integrality():
     for half_dim in (1, 2, 3, 4):
         for _ in range(5):
             space = sampling.random_space(half_dim, rng)
-            split = eigensplit(space)
             for _ in range(50):
                 u, v, w = (
-                    sampling.random_lagrangian(space, rng, split) for _ in range(3)
+                    sampling.random_lagrangian(space, rng) for _ in range(3)
                 )
                 raw = (
-                    hs.m_invariant(u, v, splitting=split)
-                    + hs.m_invariant(v, w, splitting=split)
-                    + hs.m_invariant(w, u, splitting=split)
+                    hs.m_invariant(u, v)
+                    + hs.m_invariant(v, w)
+                    + hs.m_invariant(w, u)
                 )
                 defect = abs(raw - round(raw))
                 worst = max(worst, defect)
@@ -121,29 +119,27 @@ def test_criterion_5_pair_invariant_identities():
     pair_count = 0
     for half_dim in (1, 2, 3, 4):
         space = sampling.random_space(half_dim, rng)
-        split = eigensplit(space)
         for _ in range(125):
-            v, w = sampling.random_lagrangian_pair(space, rng, 0, split)
-            forward = hs.m_invariant(v, w, splitting=split)
-            backward = hs.m_invariant(w, v, splitting=split)
+            v, w = sampling.random_lagrangian_pair(space, rng, 0)
+            forward = hs.m_invariant(v, w)
+            backward = hs.m_invariant(w, v)
             assert abs(forward + backward) < 1e-9
             flipped = hs.m_invariant(
-                hs.gamma_image(v), hs.gamma_image(w), splitting=split
+                hs.gamma_image(v), hs.gamma_image(w)
             )
             assert abs(flipped - forward) < 1e-9
             pair_count += 1
-        lagr = sampling.random_lagrangian(space, rng, split)
-        assert hs.m_invariant(lagr, lagr, splitting=split) == 0.0
+        lagr = sampling.random_lagrangian(space, rng)
+        assert hs.m_invariant(lagr, lagr) == 0.0
     assert pair_count >= 500
 
     exclusion_count = 0
     for half_dim in (2, 3, 4):
         space = sampling.random_space(half_dim, rng)
-        split = eigensplit(space)
         for target in (0, 1, 2):
             for _ in range(60):
-                v, w = sampling.random_lagrangian_pair(space, rng, target, split)
-                details = hs.m_details(v, w, splitting=split)
+                v, w = sampling.random_lagrangian_pair(space, rng, target)
+                details = hs.m_details(v, w)
                 assert details.excluded == target
                 assert details.intersection_dim == target
                 exclusion_count += 1
@@ -162,33 +158,31 @@ def test_criterion_6_bordism_laws():
     rng = np.random.default_rng(106)
     start = time.perf_counter()
 
-    def build_relation(h0, h1, split_cache):
+    def build_relation(h0, h1, prod_cache):
         key = (id(h0), id(h1))
-        if key not in split_cache:
-            prod = direct_sum(negated(h0), h1)
-            split_cache[key] = (prod, eigensplit(prod))
-        prod, split = split_cache[key]
+        if key not in prod_cache:
+            prod_cache[key] = direct_sum(negated(h0), h1)
+        prod = prod_cache[key]
         graph = lagrangian_from_graph(
-            prod, sampling.random_unitary(prod.half_dim, rng), split
+            prod, sampling.random_unitary(prod.half_dim, rng)
         )
         return bordism.BordismRelation(source=h0, target=h1, graph=graph)
 
     instances = 0
     dims = [(1, 2, 1), (2, 2, 2), (3, 2, 3), (4, 4, 4), (2, 4, 3), (4, 3, 2)]
     spaces = {}
-    split_cache = {}
+    prod_cache = {}
     for k0, k1, k2 in dims:
         for key in (k0, k1, k2):
             if key not in spaces:
                 spaces[key] = sampling.random_space(key, rng)
-    source_splits = {k: eigensplit(s) for k, s in spaces.items()}
     per_combo = 34
     for k0, k1, k2 in dims:
         h0, h1, h2 = spaces[k0], spaces[k1], spaces[k2]
         for _ in range(per_combo):
-            rel1 = build_relation(h0, h1, split_cache)
-            rel2 = build_relation(h1, h2, split_cache)
-            lagr = sampling.random_lagrangian(h0, rng, source_splits[k0])
+            rel1 = build_relation(h0, h1, prod_cache)
+            rel2 = build_relation(h1, h2, prod_cache)
+            lagr = sampling.random_lagrangian(h0, rng)
 
             reduced = bordism.reduce(rel1, lagr)
             residual = np.max(
@@ -216,15 +210,14 @@ def test_criterion_7_triple_index_depends_only_on_omega():
     for half_dim in (1, 2, 3):
         for _ in range(4):
             s1, s2 = sampling.matched_omega_spaces(half_dim, rng)
-            sp1, sp2 = eigensplit(s1), eigensplit(s2)
             for _ in range(9):
                 bases = [
-                    sampling.random_lagrangian(s1, rng, sp1).basis for _ in range(3)
+                    sampling.random_lagrangian(s1, rng).basis for _ in range(3)
                 ]
                 first = [hs.lagrangian_from_basis(s1, b) for b in bases]
                 second = [hs.lagrangian_from_basis(s2, b) for b in bases]
-                assert hs.triple_index(*first, splitting=sp1) == hs.triple_index(
-                    *second, splitting=sp2
+                assert hs.triple_index(*first) == hs.triple_index(
+                    *second
                 )
                 triples += 1
     assert triples >= 100
@@ -239,22 +232,21 @@ def test_criterion_8_correction_chain_algebra():
     worst = 0.0
     for half_dim in (1, 2, 3):
         space = sampling.random_space(half_dim, rng)
-        split = eigensplit(space)
         for _ in range(70):
             vx, vy, wx, wy = (
-                sampling.random_lagrangian(space, rng, split) for _ in range(4)
+                sampling.random_lagrangian(space, rng) for _ in range(4)
             )
             g_vx = hs.gamma_image(vx)
             g_vy = hs.gamma_image(vy)
             g_wy = hs.gamma_image(wy)
             chain = (
-                hs.m_invariant(vx, vy, splitting=split)
-                - hs.m_invariant(g_vx, wx, splitting=split)
-                + hs.m_invariant(g_vy, wy, splitting=split)
-                - hs.m_invariant(wx, wy, splitting=split)
+                hs.m_invariant(vx, vy)
+                - hs.m_invariant(g_vx, wx)
+                + hs.m_invariant(g_vy, wy)
+                - hs.m_invariant(wx, wy)
             )
-            integer = hs.triple_index(vx, vy, g_wy, splitting=split) - hs.triple_index(
-                g_vx, wx, wy, splitting=split
+            integer = hs.triple_index(vx, vy, g_wy) - hs.triple_index(
+                g_vx, wx, wy
             )
             defect = abs(chain - integer)
             worst = max(worst, defect)

@@ -46,6 +46,19 @@ def test_validate_pass_and_fail(capsys, tmp_path, standard_files):
     assert "result = FAIL" in out
 
 
+def test_validate_honours_tol_rank(capsys):
+    # A rank threshold above every eigenvalue of i*gamma leaves them all null.
+    code, out, _ = run_cli(
+        capsys, ["--tol-rank", "1e3", "validate", str(FIXTURES / "space.json")]
+    )
+    assert code == 2
+    assert "igamma_signature_zero" in out
+    assert any(
+        line.startswith("igamma_signature_zero") and line.endswith("FAIL")
+        for line in out.splitlines()
+    )
+
+
 def test_m_equal_lagrangians(capsys, standard_files):
     code, out, _ = run_cli(
         capsys, ["m", standard_files["space"], standard_files["v"], standard_files["v"]]
@@ -126,9 +139,8 @@ def test_dimension_mismatch_exits_2(capsys, tmp_path, standard_files):
 
 def test_eigenvalue_ambiguity_exits_3(capsys, tmp_path):
     space = hs.standard_space(1)
-    split = hs.eigensplit(space)
-    v = hs.lagrangian_from_graph(space, [[1.0]], split)
-    w = hs.lagrangian_from_graph(space, [[np.exp(1e-7j)]], split)
+    v = hs.lagrangian_from_graph(space, [[1.0]])
+    w = hs.lagrangian_from_graph(space, [[np.exp(1e-7j)]])
     files = [
         write_json(tmp_path / "s.json", ser.space_to_dict(space)),
         write_json(tmp_path / "v.json", ser.lagrangian_to_dict(v)),

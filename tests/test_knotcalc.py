@@ -1,6 +1,8 @@
 """Exact rational pipeline: arc, cohomology, extension condition, cs values."""
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,29 @@ def test_cohomology_vanishes_on_arc_points():
     assert torus_twisted_cohomology(trefoil_arc_point("2/5")) == (0, 0, 0)
 
 
+def float_twisted_cohomology(rep, eps_rank=1e-8, eps_alg=1e-10):
+    """Reference ranks from the presentation differentials in floating point.
+
+    d0 stacks (hol(mu) - I; hol(lambda) - I) and d1 is the row
+    (I - hol(lambda), hol(mu) - I); their ranks are counted by SVD after
+    checking the chain identity d1 d0 = 0.
+    """
+
+    def hol(x):
+        angle = 2.0 * math.pi * float(x)
+        z = complex(math.cos(angle), math.sin(angle))
+        return np.diag([z, z.conjugate()])
+
+    hol_mu, hol_la = hol(rep.phi), hol(rep.psi)
+    ident = np.eye(2)
+    d0 = np.vstack([hol_mu - ident, hol_la - ident])
+    d1 = np.hstack([ident - hol_la, hol_mu - ident])
+    assert np.max(np.abs(d1 @ d0)) <= eps_alg
+    r0 = int(np.sum(np.linalg.svd(d0, compute_uv=False) > eps_rank))
+    r1 = int(np.sum(np.linalg.svd(d1, compute_uv=False) > eps_rank))
+    return (2 - r0, 4 - r0 - r1, 2 - r1)
+
+
 def test_cohomology_of_trivial_parameters():
     assert torus_twisted_cohomology(RepPoint(0, 0)) == (2, 4, 2)
     assert torus_twisted_cohomology(RepPoint(3, -2)) == (2, 4, 2)
@@ -74,6 +99,7 @@ def test_cohomology_vanishing_rule(phi, psi):
     # both integers.
     expected = (2, 4, 2) if (phi.denominator == 1 and psi.denominator == 1) else (0, 0, 0)
     assert torus_twisted_cohomology(RepPoint(phi, psi)) == expected
+    assert float_twisted_cohomology(RepPoint(phi, psi)) == expected
 
 
 def test_holonomy_constraint_values():

@@ -1,4 +1,5 @@
 """Spaces, eigensplittings, Lagrangians, and the graph unitary."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from hermsymp import sampling
 from hermsymp.errors import (
     EigensplitError,
     LagrangianValidationError,
+    RankAmbiguity,
     SpaceValidationError,
+    ValidationError,
 )
 from hermsymp.torus import TorusModel
 
@@ -127,9 +130,8 @@ def test_wrong_shape_rejected():
 def test_phi_of_standard_line():
     # (1, 0) = (1, -i)/2 + (1, i)/2, so the graph map is the identity phase.
     space = hs.standard_space(1)
-    split = hs.eigensplit(space)
     lagr = hs.lagrangian_from_basis(space, [[1.0], [0.0]])
-    phi = hs.phi_of(lagr, split)
+    phi = hs.phi_of(lagr)
     assert abs(phi[0, 0] - 1.0) < 1e-12
 
 
@@ -138,8 +140,8 @@ def test_phi_unitary_and_graph_reconstruction(rng, half_dim):
     space = sampling.random_space(half_dim, rng)
     split = hs.eigensplit(space)
     for _ in range(5):
-        lagr = sampling.random_lagrangian(space, rng, split)
-        phi = hs.phi_of(lagr, split)
+        lagr = sampling.random_lagrangian(space, rng)
+        phi = hs.phi_of(lagr)
         assert np.max(np.abs(phi.conj().T @ phi - np.eye(half_dim))) < 1e-10
         rebuilt = hs.lagrangian_from_basis(
             space, split.plus_basis + split.minus_basis @ phi
@@ -149,10 +151,9 @@ def test_phi_unitary_and_graph_reconstruction(rng, half_dim):
 
 def test_phi_graph_roundtrip(rng):
     space = sampling.random_space(3, rng)
-    split = hs.eigensplit(space)
     unitary = sampling.random_unitary(3, rng)
-    lagr = hs.lagrangian_from_graph(space, unitary, split)
-    assert np.max(np.abs(hs.phi_of(lagr, split) - unitary)) < 1e-10
+    lagr = hs.lagrangian_from_graph(space, unitary)
+    assert np.max(np.abs(hs.phi_of(lagr) - unitary)) < 1e-10
 
 
 def test_plus_projection_is_isometry_up_to_sqrt2(rng):
@@ -160,17 +161,16 @@ def test_plus_projection_is_isometry_up_to_sqrt2(rng):
     # A^H A = I/2, so the projection is an isomorphism with margin.
     space = sampling.random_space(3, rng)
     split = hs.eigensplit(space)
-    lagr = sampling.random_lagrangian(space, rng, split)
+    lagr = sampling.random_lagrangian(space, rng)
     a = split.plus_basis.conj().T @ space.gram @ lagr.basis
     assert np.max(np.abs(a.conj().T @ a - np.eye(3) / 2.0)) < 1e-12
 
 
 def test_phi_of_gamma_image_flips_sign(rng):
     space = sampling.random_space(2, rng)
-    split = hs.eigensplit(space)
-    lagr = sampling.random_lagrangian(space, rng, split)
-    phi = hs.phi_of(lagr, split)
-    phi_flipped = hs.phi_of(hs.gamma_image(lagr), split)
+    lagr = sampling.random_lagrangian(space, rng)
+    phi = hs.phi_of(lagr)
+    phi_flipped = hs.phi_of(hs.gamma_image(lagr))
     assert np.max(np.abs(phi_flipped + phi)) < 1e-10
 
 
@@ -214,6 +214,34 @@ def test_intersection_dim_torus_oracle():
     oracle_rank = np.linalg.matrix_rank(spans, tol=1e-10)
     assert 4 - oracle_rank == 1
     assert hs.intersection_dim(vx, vy) == 1
+
+
+def test_rank_ambiguity_follows_space_tolerance():
+    # Graph unitaries 1 and e^{2e-8 i} put the smallest singular value of
+    # [basis_V | basis_W] at about 7e-9, inside the default guard band
+    # (1e-9, 1e-7); a space with rank threshold 1e-12 resolves it as 0.
+    for tol, expected in ((hs.Tolerances(), None), (hs.Tolerances(rank=1e-12), 0)):
+        space = dataclasses.replace(hs.standard_space(1), tol=tol)
+        v = hs.lagrangian_from_graph(space, [[1.0]])
+        w = hs.lagrangian_from_graph(space, [[np.exp(2e-8j)]])
+        if expected is None:
+            with pytest.raises(RankAmbiguity):
+                hs.intersection_dim(v, w)
+        else:
+            assert hs.intersection_dim(v, w) == expected
+
+
+def test_mixed_tolerances_rejected():
+    space = hs.standard_space(1)
+    other = dataclasses.replace(space, tol=hs.Tolerances(rank=1e-12))
+    assert not hs.same_space(space, other)
+    assert hs.negated(other).tol == other.tol
+    assert hs.direct_sum(other, other).tol == other.tol
+    with pytest.raises(ValidationError):
+        hs.direct_sum(space, other)
+    line = [[1.0], [0.0]]
+    with pytest.raises(ValidationError):
+        hs.m_invariant(hs.lagrangian_from_basis(space, line), hs.lagrangian_from_basis(other, line))
 
 
 def test_signature_zero_for_sampled_spaces(rng):
