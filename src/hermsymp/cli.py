@@ -2,8 +2,9 @@
 
 Commands: validate, m, triple, reduce, compose, torus-sweep, trefoil,
 rho-diff.  All outputs are deterministic: identical inputs produce
-byte-identical stdout.  Rationals are read and written as "p/q" strings and
-floats are printed with 15 significant digits.
+byte-identical stdout.  Rationals are read and written as "p/q" strings.
+Plain output prints floats with 15 significant digits; ``--json`` output and
+the JSON that reduce and compose print use Python's shortest round-trip repr.
 
 Exit codes:
     0  success

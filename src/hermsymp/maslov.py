@@ -80,6 +80,15 @@ def m_invariant(v: Lagrangian, w: Lagrangian) -> float:
     return m_details(v, w).value
 
 
+def _rounded(total: float, tol: float) -> int:
+    nearest = round(total)
+    if abs(total - nearest) > tol:
+        raise NonIntegerSum(
+            f"triple index sum {total!r} is {abs(total - nearest):.3e} from an integer"
+        )
+    return int(nearest)
+
+
 def triple_index(u: Lagrangian, v: Lagrangian, w: Lagrangian) -> int:
     """Integer triple index m(U,V) + m(V,W) + m(W,U).
 
@@ -88,12 +97,7 @@ def triple_index(u: Lagrangian, v: Lagrangian, w: Lagrangian) -> int:
     invalid inputs.
     """
     total = m_invariant(u, v) + m_invariant(v, w) + m_invariant(w, u)
-    nearest = round(total)
-    if abs(total - nearest) > u.space.tol.int:
-        raise NonIntegerSum(
-            f"triple index sum {total!r} is {abs(total - nearest):.3e} from an integer"
-        )
-    return int(nearest)
+    return _rounded(total, u.space.tol.int)
 
 
 def eta_correction_rhs(
@@ -109,17 +113,18 @@ def eta_correction_rhs(
     WX, WY))``: the real pair invariant plus the integer defect by which the
     glued quantity differs from the sum of the pieces.  Internally verifies
     the equivalent chain ``m(VX,VY) - m(gamma VX, WX) + m(gamma VY, WY) -
-    m(WX,WY)`` against the integer within ``space.tol.int``.
+    m(WX,WY)`` against the integer within ``space.tol.int``.  Each of the 7
+    distinct pair invariants is evaluated once.
     """
-    g_vx = gamma_image(vx)
-    g_vy = gamma_image(vy)
-    g_wy = gamma_image(wy)
-    first = triple_index(vx, vy, g_wy)
-    second = triple_index(g_vx, wx, wy)
+    tol = vx.space.tol.int
+    g_vx, g_vy, g_wy = gamma_image(vx), gamma_image(vy), gamma_image(wy)
+    m_vx_vy = m_invariant(vx, vy)
+    first = _rounded(m_vx_vy + m_invariant(vy, g_wy) + m_invariant(g_wy, vx), tol)
+    m_gvx_wx, m_wx_wy = m_invariant(g_vx, wx), m_invariant(wx, wy)
+    second = _rounded(m_gvx_wx + m_wx_wy + m_invariant(wy, g_vx), tol)
     integer = first - second
-    m_wx_wy = m_invariant(wx, wy)
-    chain = m_invariant(vx, vy) - m_invariant(g_vx, wx) + m_invariant(g_vy, wy) - m_wx_wy
-    if abs(chain - integer) > vx.space.tol.int:
+    chain = m_vx_vy - m_gvx_wx + m_invariant(g_vy, wy) - m_wx_wy
+    if abs(chain - integer) > tol:
         raise NonIntegerSum(
             f"correction chain {chain!r} disagrees with integer part {integer}"
         )

@@ -130,8 +130,7 @@ class HermitianSymplecticSpace:
                 f"({k}, {k}); the space does not split evenly into +i/-i eigenspaces"
             )
         if k:
-            plus = _phase_fixed(plus)
-            minus = _phase_fixed(minus)
+            plus, minus = _phase_fixed(plus), _phase_fixed(minus)
         scale = max(1.0, max_abs(gm))
         r_plus = max_abs(gm @ plus - 1j * plus)
         r_minus = max_abs(gm @ minus + 1j * minus)
@@ -225,10 +224,7 @@ def validate_space(space: HermitianSymplecticSpace) -> SpaceReport:
     n = space.dim
     ident = np.eye(n, dtype=np.complex128)
     r_square = max_abs(gm @ gm + ident)
-    if n:
-        gram_adjoint = np.linalg.solve(g, gm.conj().T @ g)
-    else:
-        gram_adjoint = gm
+    gram_adjoint = np.linalg.solve(g, gm.conj().T @ g)
     r_unitary = max_abs(gram_adjoint @ gm - ident)
     form = 1j * (g @ gm)
     form = (form + form.conj().T) / 2.0
@@ -266,15 +262,11 @@ class EigenSplitting:
 
 
 def _phase_fixed(basis: np.ndarray) -> np.ndarray:
-    out = basis.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        big = float(mags.max())
-        idx = int(np.argmax(mags > 1e-8 * big))
-        pivot = col[idx]
-        out[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return out
+    mags = np.abs(basis)
+    rows = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    pivots = basis[rows, np.arange(basis.shape[1])]
+    # hypot rounds like the scalar abs(pivot); np.abs of a complex array may not
+    return basis * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))
 
 
 def eigensplit(space: HermitianSymplecticSpace) -> EigenSplitting:
@@ -332,9 +324,10 @@ class Lagrangian:
 def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
     """Validate a spanning matrix and wrap it as a Lagrangian.
 
-    The basis is replaced by its gram-orthonormalization (modified
-    Gram-Schmidt, columns in input order).  Rejects rank-deficient input and
-    spans on which the symplectic form does not vanish within ``space.tol.alg``.
+    The basis is replaced by its gram-orthonormalization (Cholesky-whitened
+    classical Gram-Schmidt with reorthogonalization, columns in input order).
+    Rejects rank-deficient input and spans on which the symplectic form does
+    not vanish within ``space.tol.alg``.
     """
     mat = as_complex_matrix(basis, "basis")
     k = space.half_dim

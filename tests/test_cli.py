@@ -1,6 +1,9 @@
 """Command-line surface: outputs, exit codes, determinism, golden fixture."""
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -291,3 +294,13 @@ def test_json_flag_outputs_parse(capsys, standard_files):
     code, out, _ = run_cli(capsys, ["--json", "rho-diff", "--t1", "1/5", "--t2", "2/5"])
     assert code == 0
     assert json.loads(out)["rho_diff"] == "3/5"
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy's import time would land on every CLI command.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    code = "import hermsymp.cli, sys; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,142 @@
+"""gram_mgs against the modified Gram-Schmidt loop it replaced."""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hermsymp import sampling
+from hermsymp.linalg import gram_mgs
+from hermsymp.torus import TorusModel
+
+DROP_TOL = 1e-8
+
+
+def gram_norm(gram, v):
+    return math.sqrt(max(float(np.real(np.conj(v) @ gram @ v)), 0.0))
+
+
+def reference_mgs(gram, basis, drop_tol):
+    """Modified Gram-Schmidt in the Gram inner product, two passes per column."""
+    basis = np.asarray(basis, dtype=np.complex128)
+    n = basis.shape[0]
+    kept = []
+    for j in range(basis.shape[1]):
+        v = basis[:, j].copy()
+        orig = gram_norm(gram, v)
+        for _ in range(2):
+            for q in kept:
+                v = v - q * (np.conj(q) @ gram @ v)
+        nrm = gram_norm(gram, v)
+        if nrm <= drop_tol * max(1.0, orig):
+            continue
+        kept.append(v / nrm)
+    if not kept:
+        return np.zeros((n, 0), dtype=np.complex128)
+    return np.column_stack(kept)
+
+
+def assert_matches_reference(gram, basis):
+    expected = reference_mgs(gram, basis, DROP_TOL)
+    got = gram_mgs(gram, basis, DROP_TOL)
+    assert got.shape == expected.shape
+    if got.shape[1] == 0:
+        return
+    cond = np.linalg.cond(gram)
+    # Gram norm of each column difference: independent of the gram's scale.
+    diff = got - expected
+    worst = math.sqrt(max(np.real(np.einsum("ij,ik,kj->j", diff.conj(), gram, diff))))
+    assert worst < 1e-10 * math.sqrt(cond)
+    # Forming Q^H G Q in these coordinates rounds at about eps * cond(gram) (the
+    # reference loop reaches 4e-9 at cond 1e8), so the bound grows past 1e3.
+    orth = np.abs(got.conj().T @ gram @ got - np.eye(got.shape[1])).max()
+    assert orth < 1e-12 * max(1.0, cond / 1e3)
+
+
+def random_gram(n, rng, cond):
+    """Hermitian positive-definite gram, eigenvalues log-uniform in [1, cond]."""
+    u = sampling.random_unitary(n, rng)
+    eigs = np.exp(rng.uniform(0.0, math.log(cond), n))
+    eigs[0], eigs[-1] = 1.0, cond
+    gram = u @ np.diag(eigs) @ u.conj().T
+    return (gram + gram.conj().T) / 2.0
+
+
+def random_basis(rows, cols, rng):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 16),
+    cols=st.integers(0, 20),
+    log_cond=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_grams_match_reference(n, cols, log_cond, seed):
+    rng = np.random.default_rng(seed)
+    gram = random_gram(n, rng, 10.0**log_cond)
+    assert_matches_reference(gram, random_basis(n, cols, rng))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 12),
+    independent=st.integers(1, 6),
+    log_cond=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dependent_and_zero_columns_match_reference(n, independent, log_cond, seed):
+    rng = np.random.default_rng(seed)
+    gram = random_gram(n, rng, 10.0**log_cond)
+    independent = min(independent, n)
+    base = random_basis(n, independent, rng)
+    combos = base @ random_basis(independent, 3, rng)
+    cols = [base[:, :1], base[:, :1], np.zeros((n, 1)), combos, base, np.zeros((n, 2))]
+    basis = np.hstack(cols)[:, rng.permutation(sum(c.shape[1] for c in cols))]
+    assert_matches_reference(gram, basis)
+    assert gram_mgs(gram, basis, DROP_TOL).shape[1] == independent
+
+
+def test_repeated_column_does_not_drop_the_next():
+    gram = np.diag([1.0, 4.0]).astype(np.complex128)
+    basis = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.complex128)
+    got = gram_mgs(gram, basis, DROP_TOL)
+    assert got.shape == (2, 2)
+    assert np.allclose(got, [[1, 0], [0, 0.5]])
+
+
+def test_more_columns_than_rows_and_empty_inputs():
+    rng = np.random.default_rng(3)
+    gram = random_gram(4, rng, 1e3)
+    assert_matches_reference(gram, random_basis(4, 11, rng))
+    assert gram_mgs(gram, random_basis(4, 11, rng), DROP_TOL).shape == (4, 4)
+    assert gram_mgs(gram, np.zeros((4, 0)), DROP_TOL).shape == (4, 0)
+    assert gram_mgs(gram, np.zeros((4, 3)), DROP_TOL).shape == (4, 0)
+    assert gram_mgs(np.zeros((0, 0)), np.zeros((0, 2)), DROP_TOL).shape == (0, 0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 8),
+    spread=st.sampled_from([1.0, 4.0, 1e2, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigensplit_projectors_match_reference(k, spread, seed):
+    space = sampling.random_space(k, np.random.default_rng(seed), spread=spread)
+    ident = np.eye(space.dim)
+    for sign in (-1.0, 1.0):
+        projector = (ident + sign * 1j * space.gamma) / 2.0
+        assert_matches_reference(space.gram, projector)
+        assert gram_mgs(space.gram, projector, DROP_TOL).shape[1] == k
+
+
+def test_torus_grams_at_extreme_stretch_match_reference():
+    rng = np.random.default_rng(7)
+    for t in (1e-3, 1e3):
+        space = TorusModel(t).space
+        ident = np.eye(space.dim)
+        for sign in (-1.0, 1.0):
+            assert_matches_reference(space.gram, (ident + sign * 1j * space.gamma) / 2.0)
+        assert_matches_reference(space.gram, random_basis(4, 2, rng))
+        assert_matches_reference(space.gram, np.array([[1, 0], [0, 3], [0, -2], [0, 0]]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hermsymp as hs
-from hermsymp import sampling
+from hermsymp import maslov, sampling
 from hermsymp.errors import EigenvalueAmbiguity, NonIntegerSum
 from hermsymp.torus import TorusModel
 
@@ -192,6 +192,29 @@ def test_eta_correction_second_triple_vanishes_for_wx_gamma_vx(rng):
     second = hs.triple_index(hs.gamma_image(vx), wx, wy)
     assert second == 0
     assert integer == first
+
+
+def test_eta_correction_evaluates_each_distinct_pair_once(rng, monkeypatch):
+    space = sampling.random_space(2, rng)
+    vx, vy, wx, wy = (sampling.random_lagrangian(space, rng) for _ in range(4))
+    g_vx, g_vy, g_wy = (hs.gamma_image(x) for x in (vx, vy, wy))
+    first = hs.m_invariant(vx, vy) + hs.m_invariant(vy, g_wy) + hs.m_invariant(g_wy, vx)
+    second = hs.m_invariant(g_vx, wx) + hs.m_invariant(wx, wy) + hs.m_invariant(wy, g_vx)
+    expected = (hs.m_invariant(wx, wy), round(first) - round(second))
+    pairs = []
+    real_m_details = maslov.m_details
+
+    def counting(v, w):
+        pairs.append((v, w))
+        return real_m_details(v, w)
+
+    monkeypatch.setattr(maslov, "m_details", counting)
+    assert hs.eta_correction_rhs(vx, vy, wx, wy) == expected
+    assert len(pairs) == 7
+    # First triple, then second triple, then the one pair only the chain uses.
+    assert pairs[0] == (vx, vy) and pairs[1][0] is vy and pairs[2][1] is vx
+    assert pairs[3][1] is wx and pairs[4] == (wx, wy) and pairs[5][0] is wy
+    assert pairs[6][1] is wy
 
 
 def test_different_spaces_rejected(rng):

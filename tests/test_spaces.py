@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hermsymp as hs
 from hermsymp import sampling
@@ -14,6 +16,8 @@ from hermsymp.errors import (
     SpaceValidationError,
     ValidationError,
 )
+from hermsymp.linalg import gram_mgs
+from hermsymp.spaces import _phase_fixed
 from hermsymp.torus import TorusModel
 
 
@@ -266,3 +270,43 @@ def test_matched_omega_spaces_share_form(rng):
     assert hs.validate_space(s1).passed
     assert hs.validate_space(s2).passed
     assert not np.allclose(s1.gram, s2.gram)
+
+
+def phase_fixed_loop(basis):
+    """The per-column loop that the vectorized _phase_fixed replaced."""
+    out = basis.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        mags = np.abs(col)
+        big = float(mags.max())
+        idx = int(np.argmax(mags > 1e-8 * big))
+        pivot = col[idx]
+        out[:, j] = col * (np.conj(pivot) / abs(pivot))
+    return out
+
+
+# Eigenbases have 2k >= 2 rows; on a 1 x 1 input the two can differ in the
+# last bit of the product.
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(2, 32),
+    cols=st.integers(1, 16),
+    tiny_rows=st.integers(0, 31),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_fixed_is_bit_identical_to_loop(rows, cols, tiny_rows, seed):
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    basis *= np.exp(rng.uniform(-20.0, 20.0, (rows, cols)))
+    basis[: min(tiny_rows, rows - 1)] *= 1e-12  # pivot below the leading rows
+    assert np.array_equal(_phase_fixed(basis), phase_fixed_loop(basis))
+
+
+def test_eigensplit_bases_are_phase_fixed_by_the_loop(rng):
+    for spread in (4.0, 1e2):
+        space = sampling.random_space(3, rng, spread=spread)
+        split = hs.eigensplit(space)
+        ident = np.eye(space.dim)
+        for basis, sign in ((split.plus_basis, -1.0), (split.minus_basis, 1.0)):
+            raw = gram_mgs(space.gram, (ident + sign * 1j * space.gamma) / 2.0, 1e-8)
+            assert np.array_equal(basis, phase_fixed_loop(raw))
