@@ -19,7 +19,6 @@ from .errors import (
     NonIntegerSum,
     OutOfArc,
     RankAmbiguity,
-    RankCollapse,
     SpaceValidationError,
     ValidationError,
 )

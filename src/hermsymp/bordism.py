@@ -9,6 +9,8 @@ laws below fail.
 
 Relation composition is defined set-theoretically and never requires
 transversality; the routines only flag numerical (not geometric) degeneracy.
+Both intersect spans with :func:`linalg.span_intersection` and orthonormalize
+the result once, in :func:`lagrangian_from_basis`.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .errors import RankCollapse, ValidationError
-from .linalg import as_complex_matrix, gram_mgs
+from .errors import ValidationError
+from .linalg import as_complex_matrix
 from .spaces import (
     HermitianSymplecticSpace,
     Lagrangian,
@@ -99,27 +101,16 @@ def reduce(rel: BordismRelation, w: Lagrangian) -> Lagrangian:
 
     Computes the projection onto the target factor of the intersection of the
     graph with ``W (+) H1`` (symplectic reduction, which takes Lagrangians to
-    Lagrangians), then re-orthonormalizes.  Raises :class:`RankCollapse` when
-    the projected span does not have the Lagrangian dimension, which signals a
-    numerically degenerate intersection.
+    Lagrangians): the target parts of the graph columns whose source part lies
+    in ``W``.  Raises :class:`LagrangianValidationError` when they do not span
+    a Lagrangian, which signals a numerically degenerate intersection.
     """
     if not same_space(w.space, rel.source):
         raise ValidationError("Lagrangian does not live in the relation's source")
-    d0, d1 = rel.source.dim, rel.target.dim
-    k1 = rel.target.half_dim
-    kw = w.basis.shape[1]
-    coisotropic = np.zeros((d0 + d1, kw + d1), dtype=np.complex128)
-    coisotropic[:d0, :kw] = w.basis
-    coisotropic[d0:, kw:] = np.eye(d1)
-    tau = rel.target.tol.rank
-    inter = linalg.span_intersection(rel.graph.basis, coisotropic, tau)
-    projected = inter[d0:, :]
-    q = gram_mgs(rel.target.gram, projected, drop_tol=tau)
-    if q.shape[1] != k1:
-        raise RankCollapse(
-            f"reduced span has dimension {q.shape[1]}, expected {k1}"
-        )
-    return lagrangian_from_basis(rel.target, q)
+    d0 = rel.source.dim
+    graph = rel.graph.basis
+    _, c = linalg.span_intersection(w.basis, graph[:d0], rel.target.tol.rank)
+    return lagrangian_from_basis(rel.target, graph[d0:] @ c)
 
 
 def compose(rel1: BordismRelation, rel2: BordismRelation) -> BordismRelation:
@@ -127,27 +118,17 @@ def compose(rel1: BordismRelation, rel2: BordismRelation) -> BordismRelation:
 
     ``rel1`` maps H0 to H1 and ``rel2`` maps H1 to H2; the result maps H0 to
     H2 and reduces through ``rel2`` after ``rel1`` on every Lagrangian.
+    Raises :class:`LagrangianValidationError` when the outer parts of the
+    matching graph columns do not span a Lagrangian of the product.
     """
     if not same_space(rel1.target, rel2.source):
         raise ValidationError("relations are not composable: middle spaces differ")
-    d0 = rel1.source.dim
-    d1 = rel1.target.dim
-    d2 = rel2.target.dim
-    b1 = rel1.graph.basis
-    b2 = rel2.graph.basis
+    d0, d1 = rel1.source.dim, rel1.target.dim
+    b1, b2 = rel1.graph.basis, rel2.graph.basis
     prod = direct_sum(negated(rel1.source), rel2.target)
-    match = np.hstack([b1[d0:, :], -b2[:d1, :]])
-    null = linalg.nullspace(match, prod.tol.rank)
-    c1 = null[: b1.shape[1], :]
-    c2 = null[b1.shape[1] :, :]
-    candidate = np.vstack([b1[:d0, :] @ c1, b2[d1:, :] @ c2])
-    q = gram_mgs(prod.gram, candidate, drop_tol=prod.tol.rank)
-    expected = (d0 + d2) // 2
-    if q.shape[1] != expected:
-        raise RankCollapse(
-            f"composed relation has dimension {q.shape[1]}, expected {expected}"
-        )
-    return relation_from_graph(rel1.source, rel2.target, q)
+    c1, c2 = linalg.span_intersection(b1[d0:], b2[:d1], prod.tol.rank)
+    graph = lagrangian_from_basis(prod, np.vstack([b1[:d0] @ c1, b2[d1:] @ c2]))
+    return BordismRelation(source=rel1.source, target=rel2.target, graph=graph)
 
 
 def glued_boundary_lagrangian(w: Lagrangian, rel: BordismRelation) -> Lagrangian:

@@ -315,8 +315,6 @@ def main(argv=None) -> int:
         return _fail(3, exc)
     except NonIntegerSum as exc:
         return _fail(4, exc)
-    except ValidationError as exc:
-        return _fail(2, exc)
     except HermsympError as exc:
         return _fail(2, exc)
 

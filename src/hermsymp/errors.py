@@ -41,10 +41,6 @@ class NonIntegerSum(HermsympError):
     """A quantity guaranteed to be an integer failed the integrality guard."""
 
 
-class RankCollapse(HermsympError):
-    """Symplectic reduction or relation composition lost rank numerically."""
-
-
 class BranchCut(HermsympError):
     """The closed-form logarithm argument is too close to the branch endpoint
     -1 without the inputs being exactly parallel."""

@@ -79,26 +79,18 @@ def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def normalized_columns(mat: np.ndarray, drop_tol: float = 1e-14) -> np.ndarray:
-    """Columns scaled to unit Euclidean norm; (near-)zero columns dropped."""
-    mat = as_complex_matrix(mat)
-    if mat.shape[1] == 0:
-        return mat
-    norms = np.linalg.norm(mat, axis=0)
-    scale = max(float(norms.max()), 1.0)
-    keep = norms > drop_tol * scale
-    return mat[:, keep] / norms[keep]
+def span_intersection(
+    a: np.ndarray, b: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient blocks ``(x, y)`` of the null space of ``[a | -b]``.
 
-
-def span_intersection(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Spanning set (possibly redundant columns) of span(a) & span(b)."""
-    a_n = normalized_columns(a)
-    b_n = normalized_columns(b)
-    n = a_n.shape[0]
-    if a_n.shape[1] == 0 or b_n.shape[1] == 0:
-        return np.zeros((n, 0), dtype=np.complex128)
-    null = nullspace(np.hstack([a_n, -b_n]), tol)
-    return a_n @ null[: a_n.shape[1], :]
+    The stacked columns of ``[x; y]`` are an orthonormal basis of the right
+    null space, taking singular values at most ``tol`` as zero, so the columns
+    of ``a @ x`` (equal to ``b @ y``) span ``span(a) & span(b)``.  They may be
+    linearly dependent, or zero, when ``a`` or ``b`` has dependent columns.
+    """
+    null = nullspace(np.hstack([a, -b]), tol)
+    return null[: a.shape[1]], null[a.shape[1] :]
 
 
 def subspace_distance(gram: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> float:

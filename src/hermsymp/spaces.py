@@ -90,6 +90,8 @@ class HermitianSymplecticSpace:
             raise SpaceValidationError(
                 f"gamma shape {gamma.shape} does not match gram shape {gram.shape}"
             )
+        if not (np.isfinite(gram).all() and np.isfinite(gamma).all()):
+            raise SpaceValidationError("gram and gamma must have finite entries")
         n = gram.shape[0]
         if n % 2 != 0:
             raise SpaceValidationError(f"dimension must be even, got {n}")
@@ -322,23 +324,29 @@ class Lagrangian:
 
 
 def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
-    """Validate a spanning matrix and wrap it as a Lagrangian.
+    """Validate a spanning matrix and wrap its span as a Lagrangian.
 
-    The basis is replaced by its gram-orthonormalization (Cholesky-whitened
-    classical Gram-Schmidt with reorthogonalization, columns in input order).
-    Rejects rank-deficient input and spans on which the symplectic form does
-    not vanish within ``space.tol.alg``.
+    ``basis`` may have any number of columns, dependent or zero ones included,
+    but must have ``space.dim`` rows and finite entries.  It is replaced by its
+    gram-orthonormalization (Cholesky-whitened classical Gram-Schmidt with
+    reorthogonalization, columns in input order), which must keep exactly
+    ``space.half_dim`` columns.  Rejects every other span, and spans on which
+    the symplectic form does not vanish within ``space.tol.alg``, with
+    :class:`LagrangianValidationError`.  This is the one place where a span
+    becomes a Lagrangian.
     """
     mat = as_complex_matrix(basis, "basis")
     k = space.half_dim
-    if mat.shape != (space.dim, k):
+    if mat.shape[0] != space.dim:
         raise LagrangianValidationError(
-            f"basis must have shape ({space.dim}, {k}), got {mat.shape}"
+            f"basis must have {space.dim} rows, got shape {mat.shape}"
         )
+    if not np.isfinite(mat).all():
+        raise LagrangianValidationError("basis has non-finite entries")
     q = gram_mgs(space.gram, mat, drop_tol=space.tol.rank)
     if q.shape[1] != k:
         raise LagrangianValidationError(
-            f"basis is rank deficient: numerical rank {q.shape[1]} < {k}"
+            f"basis spans dimension {q.shape[1]}, expected {k}"
         )
     # omega(u, v) is bounded by 1 on gram-unit vectors, so the residual of a
     # true Lagrangian sits at roundoff level regardless of the gram's scale.

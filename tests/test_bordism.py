@@ -1,4 +1,6 @@
 """Linear canonical relations: reduction, composition, gluing."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,42 @@ def test_mismatched_spaces_rejected(rng):
         bordism.compose(rel1, rel2)
     with pytest.raises(hs.ValidationError):
         bordism.reduce(rel1, sampling.random_lagrangian(h2, rng))
+
+
+def test_reduce_and_compose_orthonormalize_once(rng, monkeypatch):
+    h0 = sampling.random_space(2, rng)
+    h1 = sampling.random_space(2, rng)
+    rel1 = sampling.random_bordism_relation(h0, h1, rng)
+    rel2 = sampling.random_bordism_relation(h1, h0, rng)
+    lagr = sampling.random_lagrangian(h0, rng)
+    calls = []
+    original = linalg.gram_mgs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # Rebind every module-level name bound to gram_mgs, as the bench tracer does.
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "hermsymp" or name.startswith("hermsymp.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    bordism.reduce(rel1, lagr)
+    assert len(calls) == 1
+    calls.clear()
+    bordism.compose(rel1, rel2)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("meet", [0, 1])
+def test_reduce_through_product_relation_gives_its_target_lagrangian(rng, meet):
+    # The graph L0 (+) L1 has pure-source and pure-target columns; reduction
+    # keeps L1 whether W is transverse to L0 or meets it in a line.
+    h0 = sampling.random_space(2, rng)
+    h1 = sampling.random_space(2, rng)
+    l0, w = sampling.random_lagrangian_pair(h0, rng, meet)
+    l1 = sampling.random_lagrangian(h1, rng)
+    rel = bordism.relation_from_graph(h0, h1, linalg.block_diag(l0.basis, l1.basis))
+    assert hs.intersection_dim(l0, w) == meet
+    assert hs.subspace_distance(bordism.reduce(rel, w), l1) < 1e-12

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism, golden fixture."""
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -95,6 +96,18 @@ def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, ["validate", "/nonexistent/space.json"])
     assert code == 2
     assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_space_exits_2(capsys, tmp_path, bad):
+    doc = json.loads((FIXTURES / "space.json").read_text())
+    doc["gram"][0][0]["re"] = bad
+    space = write_json(tmp_path / "space.json", doc)
+    v, w = str(FIXTURES / "v.json"), str(FIXTURES / "w.json")
+    for argv in (["validate", space], ["m", space, v, w]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert json.loads(err)["error"] == "SpaceValidationError"
 
 
 def test_triple_golden_fixture(capsys):

@@ -1,0 +1,42 @@
+"""Every error type is raised somewhere in the package and exported."""
+import ast
+import pathlib
+
+import hermsymp as hs
+from hermsymp import errors
+
+SRC = pathlib.Path(errors.__file__).parent
+
+
+def _error_types() -> set[str]:
+    tree = ast.parse((SRC / "errors.py").read_text())
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def is_error(name):
+        return name == "HermsympError" or any(is_error(b) for b in bases.get(name, ()))
+
+    return {name for name in bases if name != "HermsympError" and is_error(name)}
+
+
+def _raised_names() -> set[str]:
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return raised
+
+
+def test_every_error_type_is_raised_and_exported():
+    types = _error_types()
+    assert "ValidationError" in types
+    assert sorted(types - _raised_names()) == []
+    assert sorted(n for n in types if getattr(hs, n, None) is not getattr(errors, n)) == []

@@ -131,6 +131,47 @@ def test_wrong_shape_rejected():
         hs.lagrangian_from_basis(space, np.zeros((4, 3)))
 
 
+def test_spanning_matrix_with_repeated_column_gives_same_lagrangian(rng):
+    space = sampling.random_space(2, rng)
+    lagr = sampling.random_lagrangian(space, rng)
+    again = hs.lagrangian_from_basis(space, np.column_stack([lagr.basis, lagr.basis[:, 1]]))
+    assert again.basis.shape == (space.dim, space.half_dim)
+    assert hs.subspace_distance(again, lagr) < 1e-12
+
+
+def test_spanning_matrix_of_excess_rank_rejected(rng):
+    # gamma(L) is the orthogonal complement of L, so the extra column adds rank.
+    space = sampling.random_space(2, rng)
+    lagr = sampling.random_lagrangian(space, rng)
+    basis = np.column_stack([lagr.basis, space.gamma @ lagr.basis[:, 0]])
+    with pytest.raises(LagrangianValidationError):
+        hs.lagrangian_from_basis(space, basis)
+
+
+def test_basis_with_extra_row_rejected(rng):
+    space = sampling.random_space(2, rng)
+    lagr = sampling.random_lagrangian(space, rng)
+    basis = np.vstack([lagr.basis, np.zeros((1, space.half_dim))])
+    with pytest.raises(LagrangianValidationError):
+        hs.lagrangian_from_basis(space, basis)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["gram", "gamma"])
+def test_non_finite_space_rejected(field, bad):
+    space = hs.standard_space(1)
+    mats = {"gram": np.array(space.gram), "gamma": np.array(space.gamma)}
+    mats[field][0, 0] = bad
+    with pytest.raises(SpaceValidationError):
+        hs.HermitianSymplecticSpace(mats["gram"], mats["gamma"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_basis_rejected(bad):
+    with pytest.raises(LagrangianValidationError):
+        hs.lagrangian_from_basis(hs.standard_space(1), [[bad], [0.0]])
+
+
 def test_phi_of_standard_line():
     # (1, 0) = (1, -i)/2 + (1, i)/2, so the graph map is the identity phase.
     space = hs.standard_space(1)
