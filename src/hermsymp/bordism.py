@@ -5,7 +5,8 @@ modeled by a Lagrangian subspace of the product H0^- (+) H1, where H0^- is H0
 with its complex structure reversed.  The sign flip encodes the boundary
 orientation convention under which graphs of symplectic-form-preserving maps
 are Lagrangian; without it they are not, and the composition and reduction
-laws below fail.
+laws below fail.  :func:`_flipped_product` builds that product, and
+:class:`BordismRelation` checks a graph's space against its blocks.
 
 Relation composition is defined set-theoretically and never requires
 transversality; the routines only flag numerical (not geometric) degeneracy.
@@ -27,17 +28,28 @@ from .spaces import (
     direct_sum,
     gamma_image,
     lagrangian_from_basis,
-    negated,
     same_space,
     zero_space,
 )
+
+
+def _flipped_product(source, target) -> HermitianSymplecticSpace:
+    """H0^- (+) H1, built in one construction; the factors' tolerances must agree."""
+    if source.tol != target.tol:
+        raise ValidationError("operands carry different tolerances")
+    return HermitianSymplecticSpace(
+        linalg.block_diag(source.gram, target.gram),
+        linalg.block_diag(-source.gamma, target.gamma),
+        source.tol,
+    )
 
 
 @dataclass(frozen=True)
 class BordismRelation:
     """Linear canonical relation from ``source`` to ``target``.
 
-    ``graph`` is a Lagrangian in ``direct_sum(negated(source), target)``.
+    ``graph`` is a Lagrangian in ``_flipped_product(source, target)``; its space
+    must equal the flipped blocks and tolerances exactly, or construction raises.
     """
 
     source: HermitianSymplecticSpace
@@ -45,11 +57,13 @@ class BordismRelation:
     graph: Lagrangian
 
     def __post_init__(self) -> None:
-        prod = direct_sum(negated(self.source), self.target)
-        if not same_space(self.graph.space, prod):
-            raise ValidationError(
-                "graph must live in the flipped-source product space"
-            )
+        space, src, tgt = self.graph.space, self.source, self.target
+        if not (
+            space.tol == src.tol == tgt.tol
+            and np.array_equal(space.gram, linalg.block_diag(src.gram, tgt.gram))
+            and np.array_equal(space.gamma, linalg.block_diag(-src.gamma, tgt.gamma))
+        ):
+            raise ValidationError("graph must live in the flipped-source product space")
 
 
 def relation_from_graph(
@@ -58,10 +72,9 @@ def relation_from_graph(
     """Build and validate a relation from a spanning matrix of its graph.
 
     ``source`` and ``target`` must carry the same tolerances; the product space
-    of the graph carries them too.
+    of the graph, built once by :func:`_flipped_product`, carries them too.
     """
-    prod = direct_sum(negated(source), target)
-    graph = lagrangian_from_basis(prod, basis)
+    graph = lagrangian_from_basis(_flipped_product(source, target), basis)
     return BordismRelation(source=source, target=target, graph=graph)
 
 
@@ -117,18 +130,17 @@ def compose(rel1: BordismRelation, rel2: BordismRelation) -> BordismRelation:
     """Set-theoretic composition: pairs (x, z) admitting a matching middle y.
 
     ``rel1`` maps H0 to H1 and ``rel2`` maps H1 to H2; the result maps H0 to
-    H2 and reduces through ``rel2`` after ``rel1`` on every Lagrangian.
-    Raises :class:`LagrangianValidationError` when the outer parts of the
-    matching graph columns do not span a Lagrangian of the product.
+    H2 and reduces through ``rel2`` after ``rel1`` on every Lagrangian.  The
+    outer parts of the matching graph columns go to :func:`relation_from_graph`,
+    which raises :class:`LagrangianValidationError` unless they span a Lagrangian.
     """
     if not same_space(rel1.target, rel2.source):
         raise ValidationError("relations are not composable: middle spaces differ")
     d0, d1 = rel1.source.dim, rel1.target.dim
     b1, b2 = rel1.graph.basis, rel2.graph.basis
-    prod = direct_sum(negated(rel1.source), rel2.target)
-    c1, c2 = linalg.span_intersection(b1[d0:], b2[:d1], prod.tol.rank)
-    graph = lagrangian_from_basis(prod, np.vstack([b1[:d0] @ c1, b2[d1:] @ c2]))
-    return BordismRelation(source=rel1.source, target=rel2.target, graph=graph)
+    c1, c2 = linalg.span_intersection(b1[d0:], b2[:d1], rel1.target.tol.rank)
+    basis = np.vstack([b1[:d0] @ c1, b2[d1:] @ c2])
+    return relation_from_graph(rel1.source, rel2.target, basis)
 
 
 def glued_boundary_lagrangian(w: Lagrangian, rel: BordismRelation) -> Lagrangian:
@@ -138,13 +150,8 @@ def glued_boundary_lagrangian(w: Lagrangian, rel: BordismRelation) -> Lagrangian
     bordism by capping the source side with a piece carrying W; the product
     here carries the standard complex structure on both factors.
     """
-    if not same_space(w.space, rel.source):
-        raise ValidationError("Lagrangian does not live in the relation's source")
-    gw = gamma_image(w)
-    lw = reduce(rel, w)
-    basis = linalg.block_diag(gw.basis, lw.basis)
-    prod = direct_sum(rel.source, rel.target)
-    return lagrangian_from_basis(prod, basis)
+    basis = linalg.block_diag(gamma_image(w).basis, reduce(rel, w).basis)
+    return lagrangian_from_basis(direct_sum(rel.source, rel.target), basis)
 
 
 def relation_distance(a: BordismRelation, b: BordismRelation) -> float:

@@ -9,16 +9,9 @@ import math
 
 import numpy as np
 
-from .bordism import BordismRelation, relation_from_graph
+from .bordism import BordismRelation, _flipped_product
 from .errors import ValidationError
-from .spaces import (
-    HermitianSymplecticSpace,
-    Lagrangian,
-    direct_sum,
-    lagrangian_from_graph,
-    negated,
-    standard_space,
-)
+from .spaces import HermitianSymplecticSpace, Lagrangian, lagrangian_from_graph, standard_space
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,6 +114,5 @@ def random_bordism_relation(
     target: HermitianSymplecticSpace,
     rng: np.random.Generator,
 ) -> BordismRelation:
-    prod = direct_sum(negated(source), target)
-    graph = random_lagrangian(prod, rng)
-    return relation_from_graph(source, target, graph.basis)
+    graph = random_lagrangian(_flipped_product(source, target), rng)
+    return BordismRelation(source=source, target=target, graph=graph)

@@ -12,6 +12,7 @@ reversed complex structure.
 """
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -26,6 +27,15 @@ def complex_to_obj(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _double(part: numbers.Real) -> float:
+    # JSON integers are unbounded.  One beyond the double range reads as
+    # infinite, as JSON's 1e400 does, and fails the finiteness checks.
+    try:
+        return float(part)
+    except OverflowError:
+        return math.inf if part > 0 else -math.inf
+
+
 def obj_to_complex(obj, where: str = "entry") -> complex:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ValidationError(f'{where} must be an object {{"re": .., "im": ..}}')
@@ -33,7 +43,7 @@ def obj_to_complex(obj, where: str = "entry") -> complex:
     for part in (re, im):
         if isinstance(part, bool) or not isinstance(part, numbers.Real):
             raise ValidationError(f"{where}: re/im must be numbers")
-    return complex(float(re), float(im))
+    return complex(_double(re), _double(im))
 
 
 def matrix_to_obj(mat: np.ndarray) -> list:

@@ -23,7 +23,7 @@ the object.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,13 +47,22 @@ class Tolerances:
     singular-value threshold of rank decisions, ``eig`` the distance at which
     an eigenvalue counts as -1, and ``int`` the integrality guard.  Problems
     handled here are tiny (dims below ~50), so double precision leaves wide
-    margins around each default.
+    margins around each default.  Every field must be finite and positive;
+    any other value raises :class:`ValidationError` naming the field.
     """
 
     alg: float = 1e-10
     rank: float = 1e-8
     eig: float = 1e-8
     int: float = 1e-6
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not 0.0 < value < np.inf:
+                raise ValidationError(
+                    f"tolerance {field.name} must be finite and positive, got {value!r}"
+                )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

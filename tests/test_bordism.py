@@ -1,4 +1,5 @@
 """Linear canonical relations: reduction, composition, gluing."""
+import dataclasses
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import hermsymp as hs
 from hermsymp import bordism, linalg, sampling
+from hermsymp import serialization as ser
 
 
 def test_identity_relation_reduces_to_input(rng):
@@ -191,3 +193,63 @@ def test_reduce_through_product_relation_gives_its_target_lagrangian(rng, meet):
     rel = bordism.relation_from_graph(h0, h1, linalg.block_diag(l0.basis, l1.basis))
     assert hs.intersection_dim(l0, w) == meet
     assert hs.subspace_distance(bordism.reduce(rel, w), l1) < 1e-12
+
+
+def _unflipped_graph(h0, h1, rel, rng):
+    l0, l1 = sampling.random_lagrangian(h0, rng), sampling.random_lagrangian(h1, rng)
+    graph = hs.lagrangian_from_basis(hs.direct_sum(h0, h1), linalg.block_diag(l0.basis, l1.basis))
+    return bordism.BordismRelation(source=h0, target=h1, graph=graph)
+
+
+def _swapped(h0, h1, rel, rng):
+    return bordism.BordismRelation(source=h1, target=h0, graph=rel.graph)
+
+
+def _other_tolerances(h0, h1, rel, rng):
+    prod = dataclasses.replace(rel.graph.space, tol=hs.Tolerances(rank=1e-12))
+    graph = hs.lagrangian_from_basis(prod, rel.graph.basis)
+    return bordism.BordismRelation(source=h0, target=h1, graph=graph)
+
+
+def _mixed_factor_tolerances(h0, h1, rel, rng):
+    other = dataclasses.replace(h1, tol=hs.Tolerances(rank=1e-12))
+    return bordism.relation_from_graph(h0, other, rel.graph.basis)
+
+
+@pytest.mark.parametrize(
+    "build", [_unflipped_graph, _swapped, _other_tolerances, _mixed_factor_tolerances]
+)
+def test_relation_rejects_graph_outside_flipped_product(rng, build):
+    # Every graph here is a Lagrangian of its own space; only the space is wrong.
+    h0 = sampling.random_space(2, rng)
+    h1 = sampling.random_space(2, rng)
+    rel = sampling.random_bordism_relation(h0, h1, rng)
+    with pytest.raises(hs.ValidationError):
+        build(h0, h1, rel, rng)
+
+
+def test_each_relation_builds_its_product_space_once(rng, monkeypatch):
+    h0 = sampling.random_space(2, rng)
+    h1 = sampling.random_space(1, rng)
+    rel1 = sampling.random_bordism_relation(h0, h1, rng)
+    rel2 = sampling.random_bordism_relation(h1, h0, rng)
+    doc = ser.relation_to_dict(rel1)
+    calls = []
+    original = hs.HermitianSymplecticSpace.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(hs.HermitianSymplecticSpace, "__init__", counting)
+    cases = [
+        (lambda: bordism.compose(rel1, rel2), 1),
+        (lambda: bordism.relation_from_graph(h0, h1, rel1.graph.basis), 1),
+        (lambda: sampling.random_bordism_relation(h0, h1, rng), 1),
+        # the document's product space, its two factors and the graph's product
+        (lambda: ser.relation_from_dict(doc), 4),
+    ]
+    for build, expected in cases:
+        calls.clear()
+        build()
+        assert len(calls) == expected

@@ -98,7 +98,7 @@ def test_missing_file_exits_2(capsys):
     assert json.loads(err)["error"] == "ValidationError"
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10**330, id="huge-int")])
 def test_non_finite_space_exits_2(capsys, tmp_path, bad):
     doc = json.loads((FIXTURES / "space.json").read_text())
     doc["gram"][0][0]["re"] = bad
@@ -108,6 +108,26 @@ def test_non_finite_space_exits_2(capsys, tmp_path, bad):
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert json.loads(err)["error"] == "SpaceValidationError"
+
+
+@pytest.mark.parametrize(
+    "flag, value, command",
+    [
+        ("--tol-alg", "inf", "m"),
+        ("--tol-alg", "nan", "m"),
+        ("--tol-rank", "0", "m"),
+        ("--tol-rank", "-1", "validate"),
+    ],
+)
+def test_invalid_tolerance_flag_exits_2(capsys, flag, value, command):
+    files = [str(FIXTURES / f"{name}.json") for name in ("space", "u", "v")]
+    argv = [flag, value, command] + (files if command == "m" else files[:1])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValidationError"
+    assert f"tolerance {flag[len('--tol-'):]} " in error["message"]
 
 
 def test_triple_golden_fixture(capsys):
@@ -317,3 +337,41 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+MUTATIONS = {
+    "nan": lambda rows: rows[0][0].update(re=math.nan),
+    "huge-int": lambda rows: rows[0][0].update(re=10**330),
+    "string": lambda rows: rows[0][0].update(re="1"),
+    "bool": lambda rows: rows[0][0].update(re=True),
+    "nested-list": lambda rows: rows[0].__setitem__(0, [rows[0][0]]),
+    "short-row": lambda rows: rows[0].pop(),
+    "missing-key": lambda rows: rows[0][0].pop("im"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_mutated_documents_exit_2_with_json_error(capsys, tmp_path, rng, mutation):
+    # One entry of one document is broken per run; every command reading that
+    # document must reject it with exit code 2 and one JSON error object.
+    docs = {name: json.loads((FIXTURES / f"{name}.json").read_text()) for name in ("space", "v")}
+    source = ser.space_from_dict(docs["space"])
+    rel = sampling.random_bordism_relation(source, sampling.random_space(1, rng), rng)
+    docs["rel"] = ser.relation_to_dict(rel)
+    commands = [["validate", "space"], ["m", "space", "v", "v"], ["reduce", "rel", "v"]]
+    matrices = [("space", lambda d: d["gram"]), ("v", lambda d: d["basis"]),
+                ("rel", lambda d: d["basis"]), ("rel", lambda d: d["space"]["gamma"])]
+    runs = 0
+    for name, matrix in matrices:
+        broken = json.loads(json.dumps(docs[name]))
+        MUTATIONS[mutation](matrix(broken))
+        paths = {n: write_json(tmp_path / f"{n}.json", broken if n == name else doc)
+                 for n, doc in docs.items()}
+        for command in commands:
+            if name not in command:
+                continue
+            code, _, err = run_cli(capsys, [paths.get(arg, arg) for arg in command])
+            assert code == 2
+            assert set(json.loads(err)) == {"error", "message"}
+            runs += 1
+    assert runs == 6

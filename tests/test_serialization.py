@@ -57,6 +57,11 @@ def test_zero_dim_space_roundtrip():
             "gram": [[{"re": 1, "im": 0}, {"re": 0, "im": 0}]] * 2,
             "gamma": [[{"re": "x", "im": 0}, {"re": 0, "im": 0}]] * 2,
         },
+        {
+            "dim": 2,
+            "gram": [[{"re": 10**330, "im": 0}, {"re": 0, "im": 0}]] * 2,
+            "gamma": [[{"re": 0, "im": 0}] * 2] * 2,
+        },
     ],
 )
 def test_malformed_space_rejected(doc):

@@ -289,6 +289,13 @@ def test_mixed_tolerances_rejected():
         hs.m_invariant(hs.lagrangian_from_basis(space, line), hs.lagrangian_from_basis(other, line))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("field", ["alg", "rank", "eig", "int"])
+def test_tolerances_must_be_finite_and_positive(field, value):
+    with pytest.raises(ValidationError, match=f"tolerance {field} "):
+        hs.Tolerances(**{field: value})
+
+
 def test_signature_zero_for_sampled_spaces(rng):
     for half_dim in (1, 2, 3, 4):
         for _ in range(5):
