@@ -36,7 +36,6 @@ from .spaces import (
     lagrangian_from_basis,
     lagrangian_from_graph,
     negated,
-    orthogonal_complement_basis,
     phi_of,
     same_space,
     standard_space,

@@ -120,9 +120,9 @@ def reduce(rel: BordismRelation, w: Lagrangian) -> Lagrangian:
     """
     if not same_space(w.space, rel.source):
         raise ValidationError("Lagrangian does not live in the relation's source")
-    d0 = rel.source.dim
+    d0, upper = rel.source.dim, rel.source._upper
     graph = rel.graph.basis
-    _, c = linalg.span_intersection(w.basis, graph[:d0], rel.target.tol.rank)
+    _, c = linalg.span_intersection(upper @ w.basis, upper @ graph[:d0], rel.target.tol.rank)
     return lagrangian_from_basis(rel.target, graph[d0:] @ c)
 
 
@@ -136,9 +136,9 @@ def compose(rel1: BordismRelation, rel2: BordismRelation) -> BordismRelation:
     """
     if not same_space(rel1.target, rel2.source):
         raise ValidationError("relations are not composable: middle spaces differ")
-    d0, d1 = rel1.source.dim, rel1.target.dim
+    d0, d1, upper = rel1.source.dim, rel1.target.dim, rel1.target._upper
     b1, b2 = rel1.graph.basis, rel2.graph.basis
-    c1, c2 = linalg.span_intersection(b1[d0:], b2[:d1], rel1.target.tol.rank)
+    c1, c2 = linalg.span_intersection(upper @ b1[d0:], upper @ b2[:d1], rel1.target.tol.rank)
     basis = np.vstack([b1[:d0] @ c1, b2[d1:] @ c2])
     return relation_from_graph(rel1.source, rel2.target, basis)
 

@@ -109,13 +109,6 @@ def subspace_distance(gram: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> float
     return math.sqrt(max(0.0, float(lam[-1])))
 
 
-def gram_complement(gram: np.ndarray, basis: np.ndarray, tol: float) -> np.ndarray:
-    """Gram-orthonormal basis of the gram-orthogonal complement of a span."""
-    basis = as_complex_matrix(basis, "basis")
-    null = nullspace(basis.conj().T @ gram, tol)
-    return gram_mgs(gram, null, drop_tol=tol)
-
-
 def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)

@@ -18,7 +18,7 @@ import numbers
 import numpy as np
 
 from .bordism import BordismRelation, relation_from_graph
-from .errors import ValidationError
+from .errors import SpaceValidationError, ValidationError
 from .linalg import max_abs
 from .spaces import HermitianSymplecticSpace, Lagrangian, Tolerances, lagrangian_from_basis
 
@@ -77,16 +77,19 @@ def space_to_dict(space: HermitianSymplecticSpace) -> dict:
     }
 
 
-def space_from_dict(data, tol: Tolerances = Tolerances()) -> HermitianSymplecticSpace:
-    """Parse a space document; the space carries ``tol``."""
+def _space_matrices(data) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(data, dict):
         raise ValidationError("space document must be a JSON object")
     dim = _int_field(data, "dim")
     if dim < 0:
         raise ValidationError('"dim" must be non-negative')
     gram = obj_to_matrix(data.get("gram"), dim, dim, "gram")
-    gamma = obj_to_matrix(data.get("gamma"), dim, dim, "gamma")
-    return HermitianSymplecticSpace(gram, gamma, tol)
+    return gram, obj_to_matrix(data.get("gamma"), dim, dim, "gamma")
+
+
+def space_from_dict(data, tol: Tolerances = Tolerances()) -> HermitianSymplecticSpace:
+    """Parse a space document; the space carries ``tol``."""
+    return HermitianSymplecticSpace(*_space_matrices(data), tol)
 
 
 def lagrangian_to_dict(lagr: Lagrangian) -> dict:
@@ -110,23 +113,28 @@ def relation_to_dict(rel: BordismRelation) -> dict:
 
 
 def relation_from_dict(data, tol: Tolerances = Tolerances()) -> BordismRelation:
-    """Parse a relation document; its source, target and graph carry ``tol``."""
+    """Parse a relation document; its source, target and graph carry ``tol``.
+
+    Its product matrices must be finite and block diagonal within ``tol.alg``.
+    """
     if not isinstance(data, dict):
         raise ValidationError("relation document must be a JSON object")
     d0 = _int_field(data, "source_dim")
     d1 = _int_field(data, "target_dim")
     if d0 < 0 or d1 < 0:
         raise ValidationError("factor dimensions must be non-negative")
-    prod = space_from_dict(data.get("space"), tol)
-    if prod.dim != d0 + d1:
+    gram, gamma = _space_matrices(data.get("space"))
+    if len(gram) != d0 + d1:
         raise ValidationError(
-            f"product space dim {prod.dim} does not equal source_dim + target_dim = {d0 + d1}"
+            f"product space dim {len(gram)} does not equal source_dim + target_dim = {d0 + d1}"
         )
-    for name, mat in (("gram", prod.gram), ("gamma", prod.gamma)):
+    if not (np.isfinite(gram).all() and np.isfinite(gamma).all()):
+        raise SpaceValidationError("gram and gamma must have finite entries")
+    for name, mat in (("gram", gram), ("gamma", gamma)):
         off = max(max_abs(mat[:d0, d0:]), max_abs(mat[d0:, :d0]))
-        if off > tol.alg * max(1.0, max_abs(mat)):
+        if off > tol.alg * max_abs(mat):
             raise ValidationError(f"product {name} must be block diagonal across the factors")
-    source = HermitianSymplecticSpace(prod.gram[:d0, :d0], -prod.gamma[:d0, :d0], tol)
-    target = HermitianSymplecticSpace(prod.gram[d0:, d0:], prod.gamma[d0:, d0:], tol)
+    source = HermitianSymplecticSpace(gram[:d0, :d0], -gamma[:d0, :d0], tol)
+    target = HermitianSymplecticSpace(gram[d0:, d0:], gamma[d0:, d0:], tol)
     basis = obj_to_matrix(data.get("basis"), d0 + d1, (d0 + d1) // 2, "basis")
     return relation_from_graph(source, target, basis)

@@ -13,13 +13,15 @@ Every Lagrangian is the graph of a unique unitary from the +i eigenspace of
 ``gamma`` to the -i eigenspace; :func:`phi_of` computes its matrix in the
 deterministic eigenbases produced by :func:`eigensplit`.
 
-Coordinates are never assumed orthonormal: each space carries an explicit Gram
-matrix and all orthonormalizations are performed relative to it.  Each space
-also carries the :class:`Tolerances` of every numerical decision made on it or
-on anything derived from it.  All types are immutable after construction and
-all operations are pure functions of them, so the splitting of a space and the
-graph unitary of a Lagrangian are computed once, on first use, and memoized on
-the object.
+Coordinates are never assumed orthonormal: each space carries its Gram matrix
+``gram = U^H U`` and Cholesky factor ``U``, and decides everything in the
+whitened coordinates ``U x``: residuals against ``tol.alg`` times cond(U),
+singular values against ``tol.rank``, independent of the coordinates' units.
+Each space also carries the :class:`Tolerances` of every numerical decision
+made on it or on anything derived from it.  All types are immutable after
+construction and all operations are pure functions of them, so the splitting
+of a space and the graph unitary of a Lagrangian are computed once, on first
+use, and memoized on the object.
 """
 from __future__ import annotations
 
@@ -43,11 +45,11 @@ from .linalg import as_complex_matrix, gram_mgs, max_abs
 class Tolerances:
     """Decision thresholds of a space and of everything derived from it.
 
-    ``alg`` bounds the residuals of algebraic identities, ``rank`` is the
-    singular-value threshold of rank decisions, ``eig`` the distance at which
-    an eigenvalue counts as -1, and ``int`` the integrality guard.  Problems
-    handled here are tiny (dims below ~50), so double precision leaves wide
-    margins around each default.  Every field must be finite and positive;
+    ``alg`` bounds whitened residuals of algebraic identities, times cond(U),
+    ``rank`` whitened singular values of rank decisions, ``eig`` the distance
+    at which an eigenvalue counts as -1, and ``int`` the integrality guard.
+    Problems handled here are tiny (dims below ~50), so double precision leaves
+    wide margins around each default.  Every field must be finite and positive;
     any other value raises :class:`ValidationError` naming the field.
     """
 
@@ -80,8 +82,8 @@ class HermitianSymplecticSpace:
     structure in the same basis; ``tol`` holds the thresholds used by every
     decision on the space, its Lagrangians and the spaces derived from it.
     Construction performs the structural checks (square, even-dimensional,
-    Hermitian positive-definite gram); the three algebraic invariants are
-    measured by :func:`validate_space`.
+    Hermitian positive-definite gram) and keeps its Cholesky factor ``_upper``;
+    the three algebraic invariants are measured by :func:`validate_space`.
 
     Dimension zero is allowed and carries the unique empty Lagrangian.
     """
@@ -104,16 +106,15 @@ class HermitianSymplecticSpace:
         n = gram.shape[0]
         if n % 2 != 0:
             raise SpaceValidationError(f"dimension must be even, got {n}")
-        scale = max(max_abs(gram), 1.0)
-        if max_abs(gram - gram.conj().T) > 1e-12 * scale:
+        if max_abs(gram - gram.conj().T) > 1e-12 * max_abs(gram):
             raise SpaceValidationError("gram must be Hermitian")
-        if n:
-            try:
-                np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                raise SpaceValidationError("gram must be positive definite") from None
+        try:
+            upper = np.linalg.cholesky(gram).conj().T
+        except np.linalg.LinAlgError:
+            raise SpaceValidationError("gram must be positive definite") from None
         object.__setattr__(self, "gram", _frozen(gram))
         object.__setattr__(self, "gamma", _frozen(gamma))
+        object.__setattr__(self, "_upper", _frozen(upper))
 
     @property
     def dim(self) -> int:
@@ -126,6 +127,14 @@ class HermitianSymplecticSpace:
     def omega(self) -> np.ndarray:
         """Matrix of the symplectic form: omega(x, y) = x^H @ omega() @ y."""
         return self.gram @ self.gamma
+
+    @cached_property
+    def _cond(self) -> float:
+        return float(np.linalg.cond(self._upper))
+
+    def _exceeds_alg(self, residual: float) -> bool:
+        """The one rule for whitened residuals; cond(U) >= 1 spares the SVD below ``alg``."""
+        return residual > self.tol.alg and residual > self.tol.alg * self._cond
 
     @cached_property
     def _splitting(self) -> EigenSplitting:
@@ -142,11 +151,11 @@ class HermitianSymplecticSpace:
             )
         if k:
             plus, minus = _phase_fixed(plus), _phase_fixed(minus)
-        scale = max(1.0, max_abs(gm))
-        r_plus = max_abs(gm @ plus - 1j * plus)
-        r_minus = max_abs(gm @ minus + 1j * minus)
-        r_cross = max_abs(plus.conj().T @ self.gram @ minus)
-        if max(r_plus, r_minus, r_cross) > tol.alg * scale:
+        u_gamma, u_plus, u_minus = (self._upper @ m for m in (gm, plus, minus))
+        r_plus = max_abs(u_gamma @ plus - 1j * u_plus)
+        r_minus = max_abs(u_gamma @ minus + 1j * u_minus)
+        r_cross = max_abs(u_plus.conj().T @ u_minus)
+        if self._exceeds_alg(max(r_plus, r_minus, r_cross)):
             raise EigensplitError(
                 f"eigenspaces not separated within tolerance: residuals "
                 f"plus={r_plus:.3e} minus={r_minus:.3e} cross={r_cross:.3e}"
@@ -226,28 +235,24 @@ class SpaceReport:
 def validate_space(space: HermitianSymplecticSpace) -> SpaceReport:
     """Measure the three algebraic invariants of a space.
 
-    Checks, with measured residuals: ``gamma @ gamma = -I``; unitarity of
-    ``gamma`` with respect to the gram inner product; zero signature of the
-    Hermitian form ``<x, i gamma y>`` (equal numbers of positive and negative
-    eigenvalues, none indistinguishable from zero).
+    Measured on the whitened ``gamma_w = U gamma U^-1``: the residuals of
+    ``gamma_w^2 = -I`` and ``gamma_w^H gamma_w = I`` under the space's rule, and
+    the signature of ``i gamma_w``, congruent to the form ``<x, i gamma y>``,
+    which must be zero with no eigenvalue within ``tol.rank`` of zero.
     """
-    g, gm, tol = space.gram, space.gamma, space.tol
-    n = space.dim
+    upper, n = space._upper, space.dim
+    gamma_w = np.linalg.solve(upper.conj().T, (upper @ space.gamma).conj().T).conj().T
     ident = np.eye(n, dtype=np.complex128)
-    r_square = max_abs(gm @ gm + ident)
-    gram_adjoint = np.linalg.solve(g, gm.conj().T @ g)
-    r_unitary = max_abs(gram_adjoint @ gm - ident)
-    form = 1j * (g @ gm)
-    form = (form + form.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(form) if n else np.zeros(0)
-    tau = tol.rank * max(max_abs(eigs), 1.0)
-    n_pos = int(np.sum(eigs > tau))
-    n_neg = int(np.sum(eigs < -tau))
+    r_sq = max_abs(gamma_w @ gamma_w + ident)
+    r_unit = max_abs(gamma_w.conj().T @ gamma_w - ident)
+    eigs = np.linalg.eigvalsh(0.5j * (gamma_w - gamma_w.conj().T))
+    n_pos = int(np.sum(eigs > space.tol.rank))
+    n_neg = int(np.sum(eigs < -space.tol.rank))
     n_null = n - n_pos - n_neg
     signature = n_pos - n_neg
     checks = (
-        InvariantCheck("gamma_squares_to_minus_identity", r_square, r_square <= tol.alg),
-        InvariantCheck("gamma_gram_unitary", r_unitary, r_unitary <= tol.alg),
+        InvariantCheck("gamma_squares_to_minus_identity", r_sq, not space._exceeds_alg(r_sq)),
+        InvariantCheck("gamma_gram_unitary", r_unit, not space._exceeds_alg(r_unit)),
         InvariantCheck(
             "igamma_signature_zero",
             float(abs(signature) + n_null),
@@ -325,7 +330,7 @@ class Lagrangian:
             )
         phi = c @ np.linalg.inv(a)
         residual = max_abs(phi.conj().T @ phi - np.eye(k))
-        if residual > tol.alg:
+        if space._exceeds_alg(residual):
             raise LagrangianValidationError(
                 f"graph map is not unitary: residual {residual:.3e}"
             )
@@ -340,9 +345,9 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
     gram-orthonormalization (Cholesky-whitened classical Gram-Schmidt with
     reorthogonalization, columns in input order), which must keep exactly
     ``space.half_dim`` columns.  Rejects every other span, and spans on which
-    the symplectic form does not vanish within ``space.tol.alg``, with
-    :class:`LagrangianValidationError`.  This is the one place where a span
-    becomes a Lagrangian.
+    the symplectic form does not vanish within the space's threshold rule
+    (``tol.alg`` scaled by cond(U)), with :class:`LagrangianValidationError`.
+    This is the one place where a span becomes a Lagrangian.
     """
     mat = as_complex_matrix(basis, "basis")
     k = space.half_dim
@@ -357,10 +362,9 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
         raise LagrangianValidationError(
             f"basis spans dimension {q.shape[1]}, expected {k}"
         )
-    # omega(u, v) is bounded by 1 on gram-unit vectors, so the residual of a
-    # true Lagrangian sits at roundoff level regardless of the gram's scale.
+    # = (U q)^H gamma_w (U q) with U q orthonormal: a whitened residual
     residual = max_abs(q.conj().T @ space.omega() @ q)
-    if residual > space.tol.alg:
+    if space._exceeds_alg(residual):
         raise LagrangianValidationError(
             f"symplectic form does not vanish on the span: residual {residual:.3e}"
         )
@@ -373,7 +377,7 @@ def gamma_image(lagr: Lagrangian) -> Lagrangian:
 
 
 def intersection_dim(v: Lagrangian, w: Lagrangian) -> int:
-    """dim(V & W) as ``dim - rank([basis_V | basis_W])``.
+    """dim(V & W) as ``dim - rank(U [basis_V | basis_W])``, ``U`` the space's Cholesky factor.
 
     Raises :class:`RankAmbiguity` when a singular value falls inside the guard
     band ``(tol.rank/10, 10 tol.rank)`` of the space's tolerances, where the
@@ -381,7 +385,7 @@ def intersection_dim(v: Lagrangian, w: Lagrangian) -> int:
     """
     _require_same_space(v.space, w.space)
     tau = v.space.tol.rank
-    s = linalg.singular_values(np.hstack([v.basis, w.basis]))
+    s = linalg.singular_values(v.space._upper @ np.hstack([v.basis, w.basis]))
     band = s[(s > tau / 10.0) & (s < tau * 10.0)]
     if band.size:
         raise RankAmbiguity(
@@ -396,10 +400,10 @@ def phi_of(lagr: Lagrangian) -> np.ndarray:
 
     In the bases of :func:`eigensplit`, every column w of the Lagrangian
     decomposes as w = w+ + w- with w- = phi(w+); the returned read-only
-    half_dim x half_dim matrix is unitary within ``space.tol.alg``.  Fails only
-    if the projection of the span to the +i eigenspace is singular, which
-    signals an invalid input that slipped past validation.  Computed on first
-    use and memoized on the Lagrangian.
+    half_dim x half_dim matrix is unitary under the space's threshold rule.
+    Fails only if the projection of the span to the +i eigenspace is singular,
+    which signals an invalid input that slipped past validation.  Computed on
+    first use and memoized on the Lagrangian.
     """
     return lagr._phi
 
@@ -413,11 +417,6 @@ def lagrangian_from_graph(space: HermitianSymplecticSpace, unitary) -> Lagrangia
         raise ValidationError(f"unitary must have shape ({k}, {k}), got {u.shape}")
     basis = splitting.plus_basis + splitting.minus_basis @ u
     return lagrangian_from_basis(space, basis)
-
-
-def orthogonal_complement_basis(space: HermitianSymplecticSpace, basis) -> np.ndarray:
-    """Gram-orthonormal basis of the gram-orthogonal complement of a span."""
-    return linalg.gram_complement(space.gram, as_complex_matrix(basis), space.tol.rank)
 
 
 def subspace_distance(v: Lagrangian, w: Lagrangian) -> float:

@@ -246,8 +246,8 @@ def test_each_relation_builds_its_product_space_once(rng, monkeypatch):
         (lambda: bordism.compose(rel1, rel2), 1),
         (lambda: bordism.relation_from_graph(h0, h1, rel1.graph.basis), 1),
         (lambda: sampling.random_bordism_relation(h0, h1, rng), 1),
-        # the document's product space, its two factors and the graph's product
-        (lambda: ser.relation_from_dict(doc), 4),
+        # the document's two factors and the graph's product
+        (lambda: ser.relation_from_dict(doc), 3),
     ]
     for build, expected in cases:
         calls.clear()

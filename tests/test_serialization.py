@@ -88,6 +88,21 @@ def test_relation_requires_block_diagonal_product(rng):
         ser.relation_from_dict(doc)
 
 
+@pytest.mark.parametrize("scale, coupling", [(1e-12, 0.0), (1e-12, 0.5), (1.0, np.nan)])
+def test_relation_block_check_is_relative_and_finite(scale, coupling):
+    # The identity relation on the standard line, its product gram scaled and
+    # its two factors coupled at a fraction of the diagonal.
+    doc = ser.relation_to_dict(bordism.identity_relation(hs.standard_space(1)))
+    gram = scale * np.eye(4)
+    gram[0, 2] = gram[2, 0] = scale * coupling
+    doc["space"]["gram"] = ser.matrix_to_obj(gram)
+    if coupling == 0.0:
+        assert ser.relation_from_dict(doc).source.gram[0, 0] == scale
+        return
+    with pytest.raises(ValidationError):
+        ser.relation_from_dict(doc)
+
+
 def test_relation_dim_consistency(rng):
     source = sampling.random_space(1, rng)
     target = sampling.random_space(1, rng)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermsymp as hs
-from hermsymp import sampling
+from hermsymp import linalg, sampling
 from hermsymp.errors import (
     EigensplitError,
     LagrangianValidationError,
@@ -54,6 +54,14 @@ def test_structural_rejections():
         hs.HermitianSymplecticSpace(-np.eye(2), np.eye(2))  # not positive definite
     with pytest.raises(SpaceValidationError):
         hs.HermitianSymplecticSpace(np.array([[1, 1], [0, 1]]), np.eye(2))  # not Hermitian
+
+
+def test_hermitian_check_is_relative_to_the_gram_scale():
+    gamma = hs.standard_space(1).gamma
+    assert hs.validate_space(hs.HermitianSymplecticSpace(1e-14 * np.eye(2), gamma)).passed
+    skewed = 1e-14 * np.array([[1.0, 0.9], [0.0, 1.0]])  # 90% asymmetric
+    with pytest.raises(SpaceValidationError, match="Hermitian"):
+        hs.HermitianSymplecticSpace(skewed, gamma)
 
 
 def test_zero_dimensional_space():
@@ -232,9 +240,9 @@ def test_gamma_image_involution_and_complement(rng):
     image = hs.gamma_image(lagr)
     twice = hs.gamma_image(image)
     assert hs.subspace_distance(twice, lagr) < 1e-12
-    complement = hs.orthogonal_complement_basis(space, lagr.basis)
-    from hermsymp import linalg
-
+    # oracle: the gram-orthogonal complement is the null space of L^H gram
+    null = linalg.nullspace(lagr.basis.conj().T @ space.gram, 1e-8)
+    complement = gram_mgs(space.gram, null, 1e-8)
     assert linalg.subspace_distance(space.gram, image.basis, complement) < 1e-10
 
 
