@@ -29,6 +29,7 @@ from .spaces import (
     gamma_image,
     lagrangian_from_basis,
     same_space,
+    subspace_distance,
     zero_space,
 )
 
@@ -158,4 +159,4 @@ def relation_distance(a: BordismRelation, b: BordismRelation) -> float:
     """Subspace distance between the graphs of two parallel relations."""
     if not (same_space(a.source, b.source) and same_space(a.target, b.target)):
         raise ValidationError("relations do not share source and target")
-    return linalg.subspace_distance(a.graph.space.gram, a.graph.basis, b.graph.basis)
+    return subspace_distance(a.graph, b.graph)

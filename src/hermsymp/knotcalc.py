@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from numbers import Integral
 
 from .errors import ConditionFailed, OutOfArc, ValidationError
 
@@ -67,7 +66,7 @@ class GluingMatrix:
         for row in self.rows:
             fixed = []
             for x in row:
-                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                if isinstance(x, bool) or not isinstance(x, Integral):
                     raise ValidationError(f"gluing matrix entries must be integers, got {x!r}")
                 fixed.append(int(x))
             if len(fixed) != 2:

@@ -1,11 +1,9 @@
-"""Gram-aware dense linear algebra helpers.
+"""Dense linear algebra helpers in Euclidean coordinates.
 
-Subspace computations throughout the package are performed relative to an
-explicit Hermitian positive-definite Gram matrix, because the natural
-coordinate bases (e.g. cohomology bases of a curved torus) are not
-orthonormal.  Orthonormalization factors ``gram = U^H U`` (Cholesky) and runs
-classical Gram-Schmidt with one reorthogonalization in the whitened
-coordinates ``U x``, where the Gram inner product is the Euclidean one.
+No helper here sees a Gram matrix.  A :class:`~hermsymp.spaces.HermitianSymplecticSpace`
+owns its frame: it keeps the Cholesky factor ``U`` of its Gram matrix
+(``gram = U^H U``) and hands whitened blocks ``U x``, in which the Gram inner
+product is the Euclidean one, or the factor itself to :func:`gram_mgs`.
 """
 from __future__ import annotations
 
@@ -30,24 +28,26 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def gram_mgs(gram: np.ndarray, basis: np.ndarray, drop_tol: float) -> np.ndarray:
+def gram_mgs(upper: np.ndarray, basis: np.ndarray, drop_tol: float) -> np.ndarray:
     """Gram-orthonormal basis of the span of ``basis``, columns in input order.
 
-    Cholesky-whitened classical Gram-Schmidt with reorthogonalization: with
-    ``gram = U^H U``, each column of ``U @ basis`` gets two block projections
-    ``v -= Q (Q^H v)`` against the columns kept so far; one solve with ``U``
-    maps ``Q`` back.  Column j is dropped when its residual Gram norm is at
-    most ``drop_tol * max(1, its Gram norm)``, else kept as that residual
-    normalized.  The name predates the algorithm; the benchmark tracer wraps it.
+    ``upper`` is the upper Cholesky factor ``U`` of the Gram matrix
+    (``gram = U^H U``), as a space keeps it.  Classical Gram-Schmidt with
+    reorthogonalization in the whitened coordinates: each column of
+    ``U @ basis`` gets two block projections ``v -= Q (Q^H v)`` against the
+    columns kept so far; one solve with ``U`` maps ``Q`` back.  Column j is
+    dropped when its residual is at most ``drop_tol`` times its own whitened
+    norm ``|U b_j|``, a rule without units, else kept as that residual
+    normalized.  The name predates the algorithm; the benchmark tracer wraps
+    it and counts columns through ``basis``, the second argument.
     """
     basis = as_complex_matrix(basis, "basis")
     n, cols = basis.shape
-    upper = np.linalg.cholesky(gram).conj().T
     q = np.empty((n, cols), dtype=np.complex128)
     q_h = np.empty((cols, n), dtype=np.complex128)  # conjugate rows of q
     kept = 0
     for v in (upper @ basis).T:
-        limit = drop_tol * max(1.0, math.sqrt(np.vdot(v, v).real))
+        limit = drop_tol * math.sqrt(np.vdot(v, v).real)
         for _ in range(2 if kept else 0):
             v = v - q[:, :kept] @ (q_h[:kept] @ v)
         nrm = math.sqrt(np.vdot(v, v).real)
@@ -91,22 +91,6 @@ def span_intersection(
     """
     null = nullspace(np.hstack([a, -b]), tol)
     return null[: a.shape[1]], null[a.shape[1] :]
-
-
-def subspace_distance(gram: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> float:
-    """sin of the largest principal angle between two gram-orthonormal spans.
-
-    Computed from the projection residual rather than from the cosines, so
-    small angles are resolved down to roundoff instead of sqrt(roundoff).
-    """
-    if b1.shape[1] != b2.shape[1]:
-        return 1.0
-    if b1.shape[1] == 0:
-        return 0.0
-    resid = b2 - b1 @ (b1.conj().T @ gram @ b2)
-    m = resid.conj().T @ gram @ resid
-    lam = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return math.sqrt(max(0.0, float(lam[-1])))
 
 
 def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:

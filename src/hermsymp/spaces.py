@@ -142,8 +142,8 @@ class HermitianSymplecticSpace:
         n, k = self.dim, self.half_dim
         gm, tol = self.gamma, self.tol
         ident = np.eye(n, dtype=np.complex128)
-        plus = gram_mgs(self.gram, (ident - 1j * gm) / 2.0, drop_tol=tol.rank)
-        minus = gram_mgs(self.gram, (ident + 1j * gm) / 2.0, drop_tol=tol.rank)
+        plus = gram_mgs(self._upper, (ident - 1j * gm) / 2.0, drop_tol=tol.rank)
+        minus = gram_mgs(self._upper, (ident + 1j * gm) / 2.0, drop_tol=tol.rank)
         if plus.shape[1] != k or minus.shape[1] != k:
             raise EigensplitError(
                 f"eigenspace dimensions ({plus.shape[1]}, {minus.shape[1]}) differ from "
@@ -357,7 +357,7 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
         )
     if not np.isfinite(mat).all():
         raise LagrangianValidationError("basis has non-finite entries")
-    q = gram_mgs(space.gram, mat, drop_tol=space.tol.rank)
+    q = gram_mgs(space._upper, mat, drop_tol=space.tol.rank)
     if q.shape[1] != k:
         raise LagrangianValidationError(
             f"basis spans dimension {q.shape[1]}, expected {k}"
@@ -420,6 +420,12 @@ def lagrangian_from_graph(space: HermitianSymplecticSpace, unitary) -> Lagrangia
 
 
 def subspace_distance(v: Lagrangian, w: Lagrangian) -> float:
-    """sin of the largest principal angle between two Lagrangians."""
+    """sin of the largest principal angle between two Lagrangians of one space.
+
+    Measured on the whitened columns ``U v.basis`` and ``U w.basis``, which are
+    orthonormal: the norm of the residual of projecting the second onto the
+    first, so small angles resolve down to roundoff, not sqrt(roundoff).
+    """
     _require_same_space(v.space, w.space)
-    return linalg.subspace_distance(v.space.gram, v.basis, w.basis)
+    q1, q2 = v.space._upper @ v.basis, v.space._upper @ w.basis
+    return float(np.linalg.norm(q2 - q1 @ (q1.conj().T @ q2), 2))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class IntegerPairLagrangian:
     def __post_init__(self) -> None:
         for name in ("a", "b"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.a == 0 and self.b == 0:

@@ -38,8 +38,8 @@ def test_traced_names_resolve(layer):
             assert callable(obj), f"{layer}.{name} is not callable"
 
 
-def test_gram_mgs_takes_gram_then_basis():
+def test_gram_mgs_takes_factor_then_basis():
     # the tracer counts columns through the second positional argument
     from hermsymp.linalg import gram_mgs
 
-    assert list(inspect.signature(gram_mgs).parameters)[:2] == ["gram", "basis"]
+    assert list(inspect.signature(gram_mgs).parameters)[:2] == ["upper", "basis"]

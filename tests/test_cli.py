@@ -147,6 +147,23 @@ def test_triple_golden_fixture(capsys):
     assert out.strip() == "triple_index = 2"
 
 
+def test_tol_alg_reaches_m_and_triple(capsys, tmp_path):
+    # u moved off the Lagrangian by 1e-7 (symplectic residual about 3e-7):
+    # rejected at the default tol.alg, accepted under --tol-alg 1e-5.
+    doc = json.loads((FIXTURES / "u.json").read_text())
+    basis = ser.obj_to_matrix(doc["basis"], 4, 2)
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
+    u = write_json(tmp_path / "u.json", {"basis": ser.matrix_to_obj(basis + 1e-7 * noise)})
+    space, v, w = (str(FIXTURES / f"{name}.json") for name in ("space", "v", "w"))
+    for argv in (["m", space, u, v], ["triple", space, u, v, w]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "LagrangianValidationError"
+        code, out, err = run_cli(capsys, ["--tol-alg", "1e-5", *argv])
+        assert code == 0 and err == ""
+
+
 def test_triple_repeated_argument_zero(capsys, standard_files):
     code, out, _ = run_cli(
         capsys,

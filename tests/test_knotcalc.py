@@ -58,6 +58,15 @@ def test_gluing_matrix_det_and_inverse():
         GluingMatrix(((2, 0), (0, 1)))
 
 
+def test_gluing_matrix_entries_are_integral_but_not_bool():
+    f = GluingMatrix(((np.int64(1), np.int64(3)), (np.int64(2), np.int64(7))))
+    assert f == DEFAULT_MONODROMY
+    assert all(type(x) is int for row in f.rows for x in row)
+    for bad in (True, 1.0):
+        with pytest.raises(ValidationError):
+            GluingMatrix(((bad, 0), (0, 1)))
+
+
 def test_cohomology_vanishes_on_arc_points():
     assert torus_twisted_cohomology(trefoil_arc_point("1/5")) == (0, 0, 0)
     assert torus_twisted_cohomology(trefoil_arc_point("2/5")) == (0, 0, 0)

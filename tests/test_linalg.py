@@ -12,6 +12,11 @@ from hermsymp.torus import TorusModel
 DROP_TOL = 1e-8
 
 
+def factor(gram):
+    """Upper Cholesky factor U with gram = U^H U, the factor a space keeps."""
+    return np.linalg.cholesky(gram).conj().T
+
+
 def gram_norm(gram, v):
     return math.sqrt(max(float(np.real(np.conj(v) @ gram @ v)), 0.0))
 
@@ -28,7 +33,7 @@ def reference_mgs(gram, basis, drop_tol):
             for q in kept:
                 v = v - q * (np.conj(q) @ gram @ v)
         nrm = gram_norm(gram, v)
-        if nrm <= drop_tol * max(1.0, orig):
+        if nrm <= drop_tol * orig:
             continue
         kept.append(v / nrm)
     if not kept:
@@ -38,7 +43,7 @@ def reference_mgs(gram, basis, drop_tol):
 
 def assert_matches_reference(gram, basis):
     expected = reference_mgs(gram, basis, DROP_TOL)
-    got = gram_mgs(gram, basis, DROP_TOL)
+    got = gram_mgs(factor(gram), basis, DROP_TOL)
     assert got.shape == expected.shape
     if got.shape[1] == 0:
         return
@@ -95,13 +100,13 @@ def test_dependent_and_zero_columns_match_reference(n, independent, log_cond, se
     cols = [base[:, :1], base[:, :1], np.zeros((n, 1)), combos, base, np.zeros((n, 2))]
     basis = np.hstack(cols)[:, rng.permutation(sum(c.shape[1] for c in cols))]
     assert_matches_reference(gram, basis)
-    assert gram_mgs(gram, basis, DROP_TOL).shape[1] == independent
+    assert gram_mgs(factor(gram), basis, DROP_TOL).shape[1] == independent
 
 
 def test_repeated_column_does_not_drop_the_next():
     gram = np.diag([1.0, 4.0]).astype(np.complex128)
     basis = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.complex128)
-    got = gram_mgs(gram, basis, DROP_TOL)
+    got = gram_mgs(factor(gram), basis, DROP_TOL)
     assert got.shape == (2, 2)
     assert np.allclose(got, [[1, 0], [0, 0.5]])
 
@@ -110,10 +115,25 @@ def test_more_columns_than_rows_and_empty_inputs():
     rng = np.random.default_rng(3)
     gram = random_gram(4, rng, 1e3)
     assert_matches_reference(gram, random_basis(4, 11, rng))
-    assert gram_mgs(gram, random_basis(4, 11, rng), DROP_TOL).shape == (4, 4)
-    assert gram_mgs(gram, np.zeros((4, 0)), DROP_TOL).shape == (4, 0)
-    assert gram_mgs(gram, np.zeros((4, 3)), DROP_TOL).shape == (4, 0)
+    assert gram_mgs(factor(gram), random_basis(4, 11, rng), DROP_TOL).shape == (4, 4)
+    assert gram_mgs(factor(gram), np.zeros((4, 0)), DROP_TOL).shape == (4, 0)
+    assert gram_mgs(factor(gram), np.zeros((4, 3)), DROP_TOL).shape == (4, 0)
     assert gram_mgs(np.zeros((0, 0)), np.zeros((0, 2)), DROP_TOL).shape == (0, 0)
+
+
+def test_drop_rule_is_relative_to_each_column():
+    # Columns from 1e-20 to 1e12 in scale: three independent ones, a 1e-6
+    # near-duplicate and dependent combinations.  Only the direction of a
+    # column decides, so the same three are kept however the gram is scaled.
+    rng = np.random.default_rng(11)
+    base = random_basis(6, 3, rng) * np.array([1e-20, 1.0, 1e12])
+    near = 1e-6 * (base[:, 1:2] + 1e-13 * random_basis(6, 1, rng))
+    combos = base @ random_basis(3, 2, rng) * np.array([1e-9, 1e12])
+    basis = np.hstack([base, near, combos])
+    gram = random_gram(6, rng, 1e3)
+    for scaled in (gram, gram * 1e-16):
+        assert gram_mgs(factor(scaled), basis, DROP_TOL).shape == (6, 3)
+        assert_matches_reference(scaled, basis)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -128,7 +148,7 @@ def test_eigensplit_projectors_match_reference(k, spread, seed):
     for sign in (-1.0, 1.0):
         projector = (ident + sign * 1j * space.gamma) / 2.0
         assert_matches_reference(space.gram, projector)
-        assert gram_mgs(space.gram, projector, DROP_TOL).shape[1] == k
+        assert gram_mgs(space._upper, projector, DROP_TOL).shape[1] == k
 
 
 def test_torus_grams_at_extreme_stretch_match_reference():

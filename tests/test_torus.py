@@ -56,6 +56,14 @@ def test_invalid_parameters():
         IntegerPairLagrangian(1.5, 0)
 
 
+def test_integer_pair_entries_are_integral_but_not_bool():
+    pair = IntegerPairLagrangian(np.int64(2), np.int64(-3))
+    assert (pair.a, pair.b) == (2, -3) and type(pair.a) is int
+    for bad in (True, 1.0):
+        with pytest.raises(ValidationError):
+            IntegerPairLagrangian(bad, 1)
+
+
 @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
 def test_eigensplit_matches_known_eigenvectors(t):
     # (1 -/+ i t dx^dy) and (dx -/+ i t dy) span the +i/-i eigenspaces.

@@ -6,18 +6,19 @@ decisions use whitened singular values.  So the verdicts depend on the
 geometry of a space, not on the units or the conditioning of its coordinates.
 """
 import ast
+import inspect
 import pathlib
 
 import numpy as np
 import pytest
 
 import hermsymp as hs
-from hermsymp import sampling
+from hermsymp import linalg, sampling
 
 SRC = pathlib.Path(hs.__file__).parent
 
 
-@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e8, 1e12, 1e16])
+@pytest.mark.parametrize("scale", [1e-20, 1e-16, 1e-12, 1e-8, 1e8, 1e12, 1e16, 1e20])
 def test_decisions_are_invariant_under_gram_scaling(rng, scale):
     for draw in range(5):
         space = sampling.random_space(3, rng)
@@ -82,11 +83,8 @@ def _attribute_readers(attr: str, skip_owner: str | None = None) -> set[str]:
 
 
 def test_one_factorization_and_one_threshold_rule():
-    # The space factors its gram once; gram_mgs keeps its own factorization.
-    assert _attribute_readers("cholesky") == {
-        "spaces.HermitianSymplecticSpace.__post_init__",
-        "linalg.gram_mgs",
-    }
+    # The space factors its gram once; gram_mgs takes that factor.
+    assert _attribute_readers("cholesky") == {"spaces.HermitianSymplecticSpace.__post_init__"}
     # Residuals meet tol.alg only through the space's rule; the relation
     # document's block check is the one input check that reads it.  The CLI
     # reads the class default ``Tolerances.alg`` for its flag.
@@ -94,3 +92,10 @@ def test_one_factorization_and_one_threshold_rule():
         "spaces.HermitianSymplecticSpace._exceeds_alg",
         "serialization.relation_from_dict",
     }
+
+
+def test_linalg_never_sees_a_gram_matrix():
+    # The space owns its frame; linalg works in Euclidean coordinates only.
+    for name, fn in inspect.getmembers(linalg, inspect.isfunction):
+        if fn.__module__ == linalg.__name__:
+            assert "gram" not in inspect.signature(fn).parameters, name
