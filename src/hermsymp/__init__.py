@@ -43,7 +43,7 @@ from .spaces import (
     validate_space,
     zero_space,
 )
-from .maslov import PairSpectrum, eta_correction_rhs, m_details, m_invariant, triple_index
+from .maslov import PairSpectrum, eta_correction_rhs, m_details, m_invariant, m_stack, triple_index
 from .bordism import (
     BordismRelation,
     compose,

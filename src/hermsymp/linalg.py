@@ -21,6 +21,11 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes, of a matrix or a stack of them."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def max_abs(a) -> float:
     arr = np.asarray(a)
     if arr.size == 0:

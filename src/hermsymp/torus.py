@@ -19,37 +19,51 @@ is the central oracle of this module.
 
 A :class:`TorusModel` space carries the default :class:`~hermsymp.spaces.Tolerances`.
 Its eigensplitting is computed on first use and memoized on the space, so all
-Lagrangians of one model share it.
+Lagrangians of one model share it.  :func:`torus_m_sweep` builds no model: it
+stacks the matrices of a chunk of grid points and evaluates the generic route
+for all of them in one :func:`~hermsymp.maslov.m_stack` call, with the default
+tolerances and every check of the per-model route.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from numbers import Integral
 
 import numpy as np
 
-from .errors import BranchCut, ValidationError
-from .maslov import m_invariant
+from .errors import BranchCut, HermsympError, ValidationError
+from .maslov import m_stack
 from .spaces import HermitianSymplecticSpace, Lagrangian, Tolerances, lagrangian_from_basis
 
 TORUS_AREA = 4.0 * math.pi ** 2  # both circles have circumference 2 pi
+SWEEP_CHUNK = 1024  # grid points per m_stack call; bounds the sweep's temporaries
 
 
-def torus_gram(t: float) -> np.ndarray:
-    return TORUS_AREA * np.diag([t, t, 1.0 / t, 1.0 / t]).astype(np.complex128)
+def torus_gram(t) -> np.ndarray:
+    """Gram matrix at stretch t; a ``(T, 4, 4)`` stack for an array of T values."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.zeros(t.shape + (4, 4), dtype=np.complex128)
+    for i, scale in enumerate((t, t, 1.0 / t, 1.0 / t)):
+        out[..., i, i] = TORUS_AREA * scale
+    return out
 
 
-def torus_gamma(t: float) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, 0.0, 0.0, -1.0 / t],
-            [0.0, 0.0, -1.0 / t, 0.0],
-            [0.0, t, 0.0, 0.0],
-            [t, 0.0, 0.0, 0.0],
-        ],
-        dtype=np.complex128,
-    )
+def torus_gamma(t) -> np.ndarray:
+    """Hodge-star complex structure at stretch t; stacked like :func:`torus_gram`."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.zeros(t.shape + (4, 4), dtype=np.complex128)
+    out[..., 0, 3] = out[..., 1, 2] = -1.0 / t
+    out[..., 2, 1] = out[..., 3, 0] = t
+    return out
+
+
+def _stretch(t) -> float:
+    value = float(t)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValidationError(f"stretch parameter must be positive, got {t!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -73,6 +87,14 @@ class IntegerPairLagrangian:
         if self.a == 0 and self.b == 0:
             raise ValidationError("integer pair must not be (0, 0)")
 
+    def basis(self) -> np.ndarray:
+        """Columns 1 and a dx + b dy in the basis (1, dx, dy, dx^dy)."""
+        out = np.zeros((4, 2), dtype=np.complex128)
+        out[0, 0] = 1.0
+        out[1, 1] = self.a
+        out[2, 1] = self.b
+        return out
+
     def reduced(self) -> "IntegerPairLagrangian":
         g = math.gcd(self.a, self.b)
         return IntegerPairLagrangian(self.a // g, self.b // g)
@@ -89,9 +111,7 @@ class TorusModel:
     space: HermitianSymplecticSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        t = float(self.t)
-        if not (t > 0.0 and math.isfinite(t)):
-            raise ValidationError(f"stretch parameter must be positive, got {self.t!r}")
+        t = _stretch(self.t)
         object.__setattr__(self, "t", t)
         object.__setattr__(
             self, "space", HermitianSymplecticSpace(torus_gram(t), torus_gamma(t))
@@ -100,11 +120,7 @@ class TorusModel:
     def lagrangian(self, a, b=None) -> Lagrangian:
         """Lagrangian spanned by the constants and a dx + b dy."""
         pair = a if isinstance(a, IntegerPairLagrangian) else IntegerPairLagrangian(a, b)
-        basis = np.zeros((4, 2), dtype=np.complex128)
-        basis[0, 0] = 1.0
-        basis[1, 1] = pair.a
-        basis[2, 1] = pair.b
-        return lagrangian_from_basis(self.space, basis)
+        return lagrangian_from_basis(self.space, pair.basis())
 
 
 def torus_m_closed_form(a: int, b: int, A: int, B: int, t: float) -> float:
@@ -184,14 +200,29 @@ def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
 
     Each row carries the closed form and the generic spectral value; they
     agree to high accuracy on valid input, and their difference is the
-    oracle residual reported by the sweep CLI.
+    oracle residual reported by the sweep CLI.  ``t_values`` is any iterable
+    of positive finite numbers, read ``SWEEP_CHUNK`` entries at a time; each
+    row's ``t`` is ``float`` of its entry.
+
+    The closed form stays a per-point loop, the independent oracle.  The
+    generic values come from :func:`~hermsymp.maslov.m_stack`, one call per
+    chunk on the stacked torus matrices and line bases, so no array spans
+    the whole grid.  A failing point raises the error of the per-model route;
+    its message names the chunk's first grid point and the item within it.
     """
-    rows = []
-    for t in t_values:
-        model = TorusModel(t)
-        vx = model.lagrangian(a, b)
-        vy = model.lagrangian(A, B)
-        generic = m_invariant(vx, vy)
-        closed = torus_m_closed_form(a, b, A, B, model.t)
-        rows.append(SweepRow(t=model.t, m_closed=closed, m_generic=generic))
+    v, w = IntegerPairLagrangian(a, b).basis(), IntegerPairLagrangian(A, B).basis()
+    values, rows = iter(t_values), []
+    while chunk := [_stretch(t) for t in islice(values, SWEEP_CHUNK)]:
+        t = np.array(chunk)
+        lines = (len(chunk),) + v.shape
+        try:
+            generic = m_stack(
+                torus_gram(t), torus_gamma(t), np.broadcast_to(v, lines), np.broadcast_to(w, lines)
+            )
+        except HermsympError as exc:
+            raise type(exc)(f"torus sweep chunk from grid point {len(rows)}, {exc}") from None
+        rows.extend(
+            SweepRow(t=x, m_closed=torus_m_closed_form(a, b, A, B, x), m_generic=float(m))
+            for x, m in zip(chunk, generic)
+        )
     return SweepResult(rows=tuple(rows))

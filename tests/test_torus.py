@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermsymp as hs
-from hermsymp.errors import BranchCut, ValidationError
+from hermsymp import torus
+from hermsymp.errors import BranchCut, EigenvalueAmbiguity, ValidationError
 from hermsymp.torus import (
     TORUS_AREA,
     IntegerPairLagrangian,
@@ -184,3 +185,76 @@ def test_branch_cut_raised_near_discontinuity():
     # guard distance of -1 without being exactly parallel.
     with pytest.raises(BranchCut):
         torus_m_closed_form(10**9, 1, 10**9, 0, 1.0)
+
+
+def scalar_generic(a, b, A, B, t):
+    model = TorusModel(t)
+    return hs.m_invariant(model.lagrangian(a, b), model.lagrangian(A, B))
+
+
+def test_sweep_of_empty_grid():
+    assert torus_m_sweep(1, 1, 1, 0, []).rows == ()
+    assert torus_m_sweep(1, 1, 1, 0, np.array([])).rows == ()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_sweep_rejects_bad_stretch(bad):
+    with pytest.raises(ValidationError, match="stretch parameter must be positive"):
+        torus_m_sweep(1, 1, 1, 0, [0.5, bad, 2.0])
+
+
+def test_sweep_takes_any_iterable_and_keeps_each_t():
+    grid = [0.25, 1, np.float64(3.5), 7.0]
+    runs = [
+        torus_m_sweep(2, 3, 1, -1, source)
+        for source in (grid, tuple(grid), (t for t in grid), np.array(grid, dtype=float))
+    ]
+    for result in runs:
+        assert result.rows == runs[0].rows
+        assert [row.t for row in result.rows] == [float(t) for t in grid]
+        assert all(type(row.t) is float for row in result.rows)
+
+
+def test_sweep_of_parallel_pair_excludes_both_eigenvalues():
+    # The kernel cross-checks the exclusion count against dim(V & W) = 2.
+    grid = np.logspace(-3, 3, 7)
+    result = torus_m_sweep(2, 3, 4, 6, grid)
+    assert all(row.m_generic == 0.0 and row.m_closed == 0.0 for row in result.rows)
+    model = TorusModel(1.7)
+    details = hs.m_details(model.lagrangian(2, 3), model.lagrangian(4, 6))
+    assert details.excluded == details.intersection_dim == 2
+
+
+def test_sweep_matches_scalar_route_on_log_grid():
+    rng = np.random.default_rng(3)
+    grid = np.logspace(-3, 3, 32)
+    for _ in range(8):
+        pair = tuple(int(x) for x in rng.integers(1, 6, 4) * rng.choice((-1, 1), 4))
+        for row in torus_m_sweep(*pair, grid).rows:
+            assert abs(row.m_generic - scalar_generic(*pair, row.t)) <= 1e-12
+
+
+def test_sweep_chunks_long_grids(monkeypatch):
+    sizes = []
+
+    def recording(gram, *args):
+        sizes.append(gram.shape)
+        return hs.m_stack(gram, *args)
+
+    monkeypatch.setattr(torus, "m_stack", recording)
+    grid = np.geomspace(0.01, 100.0, torus.SWEEP_CHUNK + 3)
+    result = torus_m_sweep(1, 2, 3, -1, grid)
+    assert sizes == [(torus.SWEEP_CHUNK, 4, 4), (3, 4, 4)]
+    for row in result.rows:
+        assert abs(row.m_generic - scalar_generic(1, 2, 3, -1, row.t)) <= 1e-12
+
+
+def test_sweep_error_names_chunk_and_item():
+    # at t = 1e-8 the pair eigenvalue lies 1.8e-8 from -1: inside the band
+    with pytest.raises(EigenvalueAmbiguity):
+        scalar_generic(2, -3, 1, 4, 1e-8)
+    grid = [1.0] * (torus.SWEEP_CHUNK + 5) + [1e-8]
+    with pytest.raises(
+        EigenvalueAmbiguity, match=f"chunk from grid point {torus.SWEEP_CHUNK}, item 5: "
+    ):
+        torus_m_sweep(2, -3, 1, 4, grid)
