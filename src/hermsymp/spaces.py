@@ -184,7 +184,9 @@ def _stack_factors(gram, gamma) -> np.ndarray:
     gram = np.asarray(gram, dtype=np.complex128)
     gamma = np.asarray(gamma, dtype=np.complex128)
     if gram.ndim != 3 or gram.shape[1] != gram.shape[2]:
-        raise SpaceValidationError(f"gram must be a stack of square matrices, got shape {gram.shape}")
+        raise SpaceValidationError(
+            f"gram must be a stack of square matrices, got shape {gram.shape}"
+        )
     if gamma.shape != gram.shape:
         raise SpaceValidationError(
             f"gamma shape {gamma.shape} does not match gram shape {gram.shape}"
@@ -192,7 +194,9 @@ def _stack_factors(gram, gamma) -> np.ndarray:
     if gram.shape[1] % 2 != 0:
         raise SpaceValidationError(f"dimension must be even, got {gram.shape[1]}")
     finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(gamma).all(axis=(1, 2))
-    _raise_at_first(~finite, SpaceValidationError, lambda j: "gram and gamma must have finite entries")
+    _raise_at_first(
+        ~finite, SpaceValidationError, lambda j: "gram and gamma must have finite entries"
+    )
     skew = np.abs(gram - adjoint(gram)).max(axis=(1, 2), initial=0.0)
     _raise_at_first(
         skew > 1e-12 * np.abs(gram).max(axis=(1, 2), initial=0.0),
@@ -202,14 +206,12 @@ def _stack_factors(gram, gamma) -> np.ndarray:
     try:
         return adjoint(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
-        definite = np.ones(len(gram), dtype=bool)
-        for j, item in enumerate(gram):
+        for j, item in enumerate(gram):  # the stacked call does not say which item failed
             try:
                 np.linalg.cholesky(item)
             except np.linalg.LinAlgError:
-                definite[j] = False
-        _raise_at_first(~definite, SpaceValidationError, lambda j: "gram must be positive definite")
-        raise SpaceValidationError("gram must be positive definite") from None
+                raise SpaceValidationError(f"item {j}: gram must be positive definite") from None
+        raise
 
 
 def _stack_exceeds_alg(residual: np.ndarray, upper: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -4,15 +4,20 @@
 raw bases, over the whitened-frame domain of ``test_whitened_frame``, and a
 bad item must raise the scalar route's error type with its index named.
 """
+import re
+
 import numpy as np
 import pytest
 
 import hermsymp as hs
 from hermsymp import sampling
 from hermsymp.errors import (
+    EigensplitError,
     EigenvalueAmbiguity,
+    ExclusionMismatch,
     HermsympError,
     LagrangianValidationError,
+    RankAmbiguity,
     SpaceValidationError,
 )
 from hermsymp.spaces import _stack_exceeds_alg
@@ -100,8 +105,8 @@ def test_empty_stacks():
                       np.zeros((0, 4, 2)), np.zeros((0, 4, 2))).shape == (0,)
     zero = hs.zero_space()
     assert scalar_m(zero.gram, zero.gamma, np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
-    got = hs.m_stack(np.zeros((3, 0, 0)), np.zeros((3, 0, 0)), np.zeros((3, 0, 0)), np.zeros((3, 0, 0)))
-    assert got.tolist() == [0.0, 0.0, 0.0]
+    empty = np.zeros((3, 0, 0))
+    assert hs.m_stack(empty, empty, empty, empty).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_bases_must_be_half_dimensional_stacks(rng):
@@ -113,6 +118,10 @@ def test_bases_must_be_half_dimensional_stacks(rng):
         hs.m_stack(gram[0], gamma[0], v_basis[0], w_basis[0])
 
 
+def wording(exc):
+    return re.sub(r"[-+]?\d[\d.e+-]*j?", "#", str(exc))
+
+
 def rank_deficient(item, rng):
     space, v, w = item
     return space.gram, space.gamma, np.stack([v[:, 0], 2.0 * v[:, 0]], axis=1), w
@@ -120,7 +129,8 @@ def rank_deficient(item, rng):
 
 def non_lagrangian(item, rng):
     space, v, w = item
-    return space.gram, space.gamma, rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape), w
+    span = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+    return space.gram, space.gamma, span, w
 
 
 def perturbed_gamma(item, rng):
@@ -147,14 +157,45 @@ def non_finite(item, rng):
     return space.gram, space.gamma, v, w
 
 
-def near_branch(item, rng):
-    # graph unitaries agreeing up to one eigenvalue exp(1e-7 i): the pair
-    # unitary has an eigenvalue 1e-7 from -1, inside the ambiguity band
-    space = item[0]
-    u_v, frame = sampling.random_unitary(2, rng), sampling.random_unitary(2, rng)
-    u_w = u_v @ frame @ np.diag(np.exp(1j * np.array([1e-7, 0.9]))) @ frame.conj().T
-    v, w = hs.lagrangian_from_graph(space, u_v), hs.lagrangian_from_graph(space, u_w)
-    return space.gram, space.gamma, v.basis, w.basis
+def nearly_intersecting(angle):
+    """Graph unitaries agreeing up to one eigenvalue ``exp(i angle)``: the pair
+    unitary has an eigenvalue ``angle`` from -1, and the spans a principal
+    angle of about ``angle / 2``."""
+
+    def corrupt(item, rng):
+        space = item[0]
+        u_v, frame = sampling.random_unitary(2, rng), sampling.random_unitary(2, rng)
+        u_w = u_v @ frame @ np.diag(np.exp(1j * np.array([angle, 0.9]))) @ frame.conj().T
+        v, w = hs.lagrangian_from_graph(space, u_v), hs.lagrangian_from_graph(space, u_w)
+        return space.gram, space.gamma, v.basis, w.basis
+
+    return corrupt
+
+
+# inside the eigenvalue ambiguity band (1e-8, 1e-6)
+near_branch = nearly_intersecting(1e-7)
+# excluded as -1, but the smallest singular value, about 1.8e-9, lies inside
+# the rank guard band (1e-9, 1e-7)
+rank_band = nearly_intersecting(5e-9)
+
+
+def corrupted(rng, corrupt, j):
+    """Stacks of five valid items with item ``j`` replaced through ``corrupt``."""
+    pairs, columns = random_pairs(rng, 2, 0, 5)
+    item = (pairs[j][0], columns[2][j], columns[3][j])
+    for column, value in zip(columns, corrupt(item, rng)):
+        column[j] = value
+    return columns
+
+
+def assert_fails_like_scalar(columns, j, error, tol=hs.Tolerances()):
+    with pytest.raises(HermsympError) as scalar:
+        scalar_m(*(column[j] for column in columns), tol)
+    assert type(scalar.value) is error
+    with pytest.raises(error, match=f"^item {j}: ") as stacked:
+        hs.m_stack(*columns, tol)
+    assert type(stacked.value) is error
+    return scalar.value, stacked.value
 
 
 @pytest.mark.parametrize(
@@ -167,20 +208,35 @@ def near_branch(item, rng):
         (not_hermitian, SpaceValidationError),
         (non_finite, LagrangianValidationError),
         (near_branch, EigenvalueAmbiguity),
+        (rank_band, RankAmbiguity),
     ],
 )
 @pytest.mark.parametrize("j", [0, 3])
 def test_bad_item_raises_the_scalar_error_with_its_index(rng, corrupt, error, j):
-    pairs, columns = random_pairs(rng, 2, 0, 5)
-    item = (pairs[j][0], columns[2][j], columns[3][j])
-    for column, value in zip(columns, corrupt(item, rng)):
-        column[j] = value
-    with pytest.raises(HermsympError) as scalar:
-        scalar_m(*(column[j] for column in columns))
-    assert type(scalar.value) is error
-    with pytest.raises(error, match=f"^item {j}: ") as stacked:
-        hs.m_stack(*columns)
-    assert type(stacked.value) is error
+    scalar, stacked = assert_fails_like_scalar(corrupted(rng, corrupt, j), j, error)
+    # the same check fails: the messages agree up to their numbers
+    assert wording(stacked) == "item #: " + wording(scalar)
+
+
+def test_structure_that_does_not_split(rng):
+    # gamma^2 = -2 I, and both coordinate halves are isotropic, so the spans
+    # pass as Lagrangians and the splitting fails.  The scalar route sees the
+    # spectral projectors at full rank, the kernel the eigenvector residuals.
+    gamma = np.zeros((4, 4))
+    gamma[:2, 2:], gamma[2:, :2] = -np.eye(2), 2.0 * np.eye(2)
+    ident = np.eye(4)
+
+    def not_a_complex_structure(item, rng):
+        return ident, gamma, ident[:, :2], ident[:, 2:]
+
+    assert_fails_like_scalar(corrupted(rng, not_a_complex_structure, 3), 3, EigensplitError)
+
+
+def test_exclusion_count_mismatch(rng):
+    # With tol.eig = 1e-3 an eigenvalue 1e-4 from -1 is excluded, while the
+    # spans stay about 3.5e-5 apart, far above tol.rank: dim(V & W) = 0.
+    columns = corrupted(rng, nearly_intersecting(1e-4), 2)
+    assert_fails_like_scalar(columns, 2, ExclusionMismatch, hs.Tolerances(eig=1e-3))
 
 
 def test_lowest_failing_index_is_named(rng):
