@@ -38,7 +38,7 @@ from .errors import (
     SpaceValidationError,
     ValidationError,
 )
-from .linalg import adjoint, as_complex_matrix, gram_mgs, max_abs
+from .linalg import as_complex_matrix, gram_mgs, max_abs
 
 
 @dataclass(frozen=True)
@@ -161,69 +161,6 @@ class HermitianSymplecticSpace:
                 f"plus={r_plus:.3e} minus={r_minus:.3e} cross={r_cross:.3e}"
             )
         return EigenSplitting(plus_basis=_frozen(plus), minus_basis=_frozen(minus))
-
-
-def _raise_at_first(bad: np.ndarray, error: type, describe) -> None:
-    """Raise ``error`` for the lowest item index under ``bad``, if there is one.
-
-    ``describe(j)`` words the failure of item ``j``; the message names the index.
-    """
-    if bad.any():
-        j = int(np.flatnonzero(bad)[0])
-        raise error(f"item {j}: {describe(j)}")
-
-
-def _stack_factors(gram, gamma) -> np.ndarray:
-    """Upper Cholesky factors of a ``(T, n, n)`` stack of spaces.
-
-    Makes the structural checks of :class:`HermitianSymplecticSpace` with the
-    same thresholds, item by item: finite entries, even dimension, ``gram``
-    Hermitian within 1e-12 relative and positive definite.  A failing item
-    raises :class:`SpaceValidationError` naming its index.
-    """
-    gram = np.asarray(gram, dtype=np.complex128)
-    gamma = np.asarray(gamma, dtype=np.complex128)
-    if gram.ndim != 3 or gram.shape[1] != gram.shape[2]:
-        raise SpaceValidationError(
-            f"gram must be a stack of square matrices, got shape {gram.shape}"
-        )
-    if gamma.shape != gram.shape:
-        raise SpaceValidationError(
-            f"gamma shape {gamma.shape} does not match gram shape {gram.shape}"
-        )
-    if gram.shape[1] % 2 != 0:
-        raise SpaceValidationError(f"dimension must be even, got {gram.shape[1]}")
-    finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(gamma).all(axis=(1, 2))
-    _raise_at_first(
-        ~finite, SpaceValidationError, lambda j: "gram and gamma must have finite entries"
-    )
-    skew = np.abs(gram - adjoint(gram)).max(axis=(1, 2), initial=0.0)
-    _raise_at_first(
-        skew > 1e-12 * np.abs(gram).max(axis=(1, 2), initial=0.0),
-        SpaceValidationError,
-        lambda j: "gram must be Hermitian",
-    )
-    try:
-        return adjoint(np.linalg.cholesky(gram))
-    except np.linalg.LinAlgError:
-        for j, item in enumerate(gram):  # the stacked call does not say which item failed
-            try:
-                np.linalg.cholesky(item)
-            except np.linalg.LinAlgError:
-                raise SpaceValidationError(f"item {j}: gram must be positive definite") from None
-        raise
-
-
-def _stack_exceeds_alg(residual: np.ndarray, upper: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """:meth:`HermitianSymplecticSpace._exceeds_alg` over a stack of factors ``upper``.
-
-    ``residual`` has one entry per factor; cond(U) is computed only for the
-    items whose residual exceeds ``tol.alg``.
-    """
-    past = residual > tol.alg
-    if past.any():
-        past[past] = residual[past] > tol.alg * np.linalg.cond(upper[past])
-    return past
 
 
 def same_space(a: HermitianSymplecticSpace, b: HermitianSymplecticSpace) -> bool:

@@ -20,7 +20,7 @@ from hermsymp.errors import (
     RankAmbiguity,
     SpaceValidationError,
 )
-from hermsymp.spaces import _stack_exceeds_alg
+from hermsymp.stacked import _exceeds_alg
 
 
 def scalar_m(gram, gamma, v_basis, w_basis, tol=hs.Tolerances()):
@@ -254,6 +254,6 @@ def test_stacked_rule_is_the_space_rule(rng):
     space = hs.HermitianSymplecticSpace((gram + gram.conj().T) / 2.0, hs.standard_space(2).gamma)
     residuals = np.array([0.0, 5e-11, 1e-10, 2e-10, 2.9e-9, 3.1e-9, 1e-6])
     upper = np.broadcast_to(space._upper, (len(residuals), 4, 4))
-    got = _stack_exceeds_alg(residuals.copy(), upper, space.tol)
+    got = _exceeds_alg(residuals.copy(), upper, space.tol)
     assert got.tolist() == [space._exceeds_alg(r) for r in residuals]
     assert got.tolist() == [False] * 5 + [True] * 2

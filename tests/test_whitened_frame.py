@@ -87,14 +87,14 @@ def test_one_factorization_and_one_threshold_rule():
     # stacked kernel of maslov.m_stack factors each item once, in one place.
     assert _attribute_readers("cholesky") == {
         "spaces.HermitianSymplecticSpace.__post_init__",
-        "spaces._stack_factors",
+        "stacked._factors",
     }
     # Residuals meet tol.alg only through the space's rule and its stacked
     # form; the relation document's block check is the one input check that
     # reads it.  The CLI reads the class default ``Tolerances.alg`` for its flag.
     assert _attribute_readers("alg", skip_owner="Tolerances") == {
         "spaces.HermitianSymplecticSpace._exceeds_alg",
-        "spaces._stack_exceeds_alg",
+        "stacked._exceeds_alg",
         "serialization.relation_from_dict",
     }
 
