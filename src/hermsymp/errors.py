@@ -2,7 +2,13 @@
 
 
 class HermsympError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``item`` is the index of the failing item when a check over a stack
+    fails (:func:`~hermsymp.maslov.m_stack`), and None otherwise.
+    """
+
+    item: int | None = None
 
 
 class ValidationError(HermsympError):

@@ -27,10 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenvalueAmbiguity, ExclusionMismatch, NonIntegerSum
+from .errors import (
+    EigensplitError,
+    EigenvalueAmbiguity,
+    ExclusionMismatch,
+    HermsympError,
+    LagrangianValidationError,
+    NonIntegerSum,
+    RankAmbiguity,
+    SpaceValidationError,
+)
+from .linalg import adjoint
 from .spaces import (
+    HermitianSymplecticSpace,
     Lagrangian,
     Tolerances,
+    _raise_at_first,
     _require_same_space,
     gamma_image,
     intersection_dim,
@@ -100,22 +112,24 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     ``v_basis[j]`` and ``w_basis[j]``.
 
     Every check of that route is made, with its thresholds, on stacked calls in
-    each item's whitened frame ``U x`` (``gram = U^H U``): the structural space
-    checks and a stacked Cholesky; the column-relative drop rule
+    each item's whitened frame ``U x`` (``gram = U^H U``): the structural checks
+    and the Cholesky factor of a :class:`~hermsymp.spaces.HermitianSymplecticSpace`
+    built on the whole stack; the column-relative drop rule
     ``|R_jj| > tol.rank |U b_j|`` on a QR of ``U basis`` and the vanishing of
     omega on each span; the +i/-i split from ``eigh`` of ``i gamma_w``
     (``gamma_w = U gamma U^-1``) into k/k eigenspaces with their residuals;
     the singularity and unitarity checks of each graph map; the exclusion
     and ambiguity bands of the eigenvalues; and the intersection dimension
     with its rank guard band, cross-checked against the exclusion count.
-    Residuals meet the space's rule (``tol.alg``, times cond(U) only past
-    ``tol.alg``).  The stages run in the order of the scalar route; the first
-    stage that fails raises that route's error type for the lowest failing
-    index, and the message names the index.  One check differs in kind: the
-    k/k split is counted by the signs of the eigenvalues of ``i gamma_w``,
-    where the scalar route counts the rank of each spectral projector under
-    ``tol.rank``; that count also rejects a ``gamma`` off by more than about
-    ``tol.rank`` that the ``tol.alg`` rule accepts.
+    Residuals meet the space's own rule (``tol.alg``, times cond(U) only past
+    ``tol.alg``).  A failure raises what a loop of the scalar route over the
+    items raises: the error of the first failing check of the lowest failing
+    item, whose index the message names and the error's ``item`` holds.  One
+    check differs in kind: the k/k split is counted by the signs of the
+    eigenvalues of ``i gamma_w``, where the scalar route counts the rank of
+    each spectral projector under ``tol.rank``; that count also rejects a
+    ``gamma`` off by more than about ``tol.rank`` that the ``tol.alg`` rule
+    accepts.
 
     The scalar, memoized route of :func:`m_details` and
     :func:`~hermsymp.spaces.phi_of` stays, for two reasons:
@@ -129,9 +143,138 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
       numpy 2.4 on a 2-core x86-64 machine); batching pays only over many
       items, and ``m_details`` serves one pair at a time.
     """
-    from .stacked import m_stack as kernel  # compiled only when first needed
+    if np.ndim(gram) != 3:
+        raise SpaceValidationError(
+            f"gram must be a stack of square matrices, got shape {np.shape(gram)}"
+        )
+    try:
+        return _stacked_m(gram, gamma, v_basis, w_basis, tol)
+    except HermsympError as exc:
+        first = exc
+    # The checks run stage by stage, so a lower item may fail a later stage
+    # than the one that raised; the items before the named one are rerun.
+    while first.item:
+        try:
+            _stacked_m(*(x[: first.item] for x in (gram, gamma, v_basis, w_basis)), tol)
+            break
+        except HermsympError as exc:
+            first = exc
+    raise first
 
-    return kernel(gram, gamma, v_basis, w_basis, tol)
+
+def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
+    stack = HermitianSymplecticSpace(gram, gamma, tol)
+    upper, k = stack._upper, stack.half_dim
+    count, n = upper.shape[:2]
+    pair = []
+    for name, basis in (("V", v_basis), ("W", w_basis)):
+        basis = np.asarray(basis, dtype=np.complex128)
+        if basis.shape != (count, n, k):
+            raise LagrangianValidationError(
+                f"{name} bases must have shape {(count, n, k)}, got {basis.shape}"
+            )
+        pair.append(basis)
+    bases = np.stack(pair, axis=1)  # (T, 2, n, k): V then W
+    _raise_at_first(
+        ~np.isfinite(bases).all(axis=(1, 2, 3)),
+        LagrangianValidationError,
+        "basis has non-finite entries",
+    )
+    if k == 0:
+        return np.zeros(count)
+
+    # Lagrangians: orthonormal whitened bases q, and omega vanishing on them
+    whitened = upper[:, None] @ bases
+    q, r = np.linalg.qr(whitened)
+    floor = tol.rank * np.linalg.norm(whitened, axis=-2)
+    kept = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > floor).sum(axis=-1)
+    _raise_at_first(
+        (kept != k).any(axis=1),
+        LagrangianValidationError,
+        lambda j: f"basis spans dimension {kept[j].min()}, expected {k}",
+    )
+    gamma_w = stack._gamma_w
+    r_omega = np.abs(adjoint(q) @ gamma_w[:, None] @ q).max(axis=(2, 3))
+    _raise_at_first(
+        stack._exceeds_alg(r_omega.max(axis=1)),
+        LagrangianValidationError,
+        lambda j: f"symplectic form does not vanish on the span: residual {r_omega[j].max():.3e}",
+    )
+
+    # splitting: eigenvalue -1 of i gamma_w is the +i eigenspace of gamma_w
+    evals, evecs = np.linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
+    n_plus, n_minus = (evals < 0).sum(axis=1), (evals > 0).sum(axis=1)
+    _raise_at_first(
+        (n_plus != k) | (n_minus != k),
+        EigensplitError,
+        lambda j: f"eigenspace dimensions ({n_plus[j]}, {n_minus[j]}) differ from "
+        f"({k}, {k}); the space does not split evenly into +i/-i eigenspaces",
+    )
+    plus, minus = evecs[..., :k], evecs[..., k:]
+    r_split = np.stack(
+        [
+            np.abs(gamma_w @ plus - 1j * plus).max(axis=(1, 2)),
+            np.abs(gamma_w @ minus + 1j * minus).max(axis=(1, 2)),
+            np.abs(adjoint(plus) @ minus).max(axis=(1, 2)),
+        ],
+        axis=1,
+    )
+    _raise_at_first(
+        stack._exceeds_alg(r_split.max(axis=1)),
+        EigensplitError,
+        lambda j: "eigenspaces not separated within tolerance: residuals "
+        "plus={:.3e} minus={:.3e} cross={:.3e}".format(*r_split[j]),
+    )
+
+    # graph maps phi = c a^-1 of V and W
+    a = adjoint(plus)[:, None] @ q
+    c = adjoint(minus)[:, None] @ q
+    s_min = np.linalg.svd(a, compute_uv=False)[..., -1]
+    _raise_at_first(
+        (s_min <= tol.rank).any(axis=1),
+        LagrangianValidationError,
+        lambda j: "projection onto the +i eigenspace is singular; input is not a "
+        f"valid Lagrangian (smallest singular value {s_min[j].min():.3e})",
+    )
+    phi = c @ np.linalg.inv(a)
+    r_unit = np.abs(adjoint(phi) @ phi - np.eye(k)).max(axis=(2, 3))
+    _raise_at_first(
+        stack._exceeds_alg(r_unit.max(axis=1)),
+        LagrangianValidationError,
+        lambda j: f"graph map is not unitary: residual {r_unit[j].max():.3e}",
+    )
+
+    # the pair spectrum, cross-checked against dim(V & W)
+    eigs = np.linalg.eigvals(-phi[:, 0] @ adjoint(phi[:, 1]))
+    dist = np.abs(eigs + 1.0)
+    excluded = dist <= tol.eig
+    ambiguous = ~excluded & (dist < 100.0 * tol.eig)
+
+    def ambiguity(j):
+        lam = eigs[j][ambiguous[j]][0]
+        return (
+            f"eigenvalue {lam:.12g} lies {abs(lam + 1.0):.3e} from -1, inside the "
+            f"ambiguity band (tol.eig={tol.eig:.0e}); the invariant is discontinuous here"
+        )
+
+    _raise_at_first(ambiguous.any(axis=1), EigenvalueAmbiguity, ambiguity)
+    tau = tol.rank
+    s = np.linalg.svd(np.concatenate([q[:, 0], q[:, 1]], axis=-1), compute_uv=False)
+    in_band = (s > tau / 10.0) & (s < tau * 10.0)
+    _raise_at_first(
+        in_band.any(axis=1),
+        RankAmbiguity,
+        lambda j: f"singular value {s[j][in_band[j]][0]:.3e} inside the rank guard "
+        f"band around {tau:.0e}",
+    )
+    idim = n - (s > tau).sum(axis=1)
+    n_excluded = excluded.sum(axis=1)
+    _raise_at_first(
+        n_excluded != idim,
+        ExclusionMismatch,
+        lambda j: f"{n_excluded[j]} eigenvalues excluded at -1 but dim(V & W) = {idim[j]}",
+    )
+    return -np.where(excluded, 0.0, np.angle(eigs)).sum(axis=1) / math.pi + 0.0  # no -0.0
 
 
 def _rounded(total: float, tol: float) -> int:

@@ -38,7 +38,7 @@ from .errors import (
     SpaceValidationError,
     ValidationError,
 )
-from .linalg import as_complex_matrix, gram_mgs, max_abs
+from .linalg import adjoint, as_complex_matrix, gram_mgs, max_abs
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,12 @@ class HermitianSymplecticSpace:
     the three algebraic invariants are measured by :func:`validate_space`.
 
     Dimension zero is allowed and carries the unique empty Lagrangian.
+
+    ``(T, n, n)`` stacks of ``gram`` and ``gamma`` make a stack of T spaces
+    sharing ``tol``, as :func:`~hermsymp.maslov.m_stack` builds it: the same
+    checks and one stacked Cholesky make ``_upper`` a stack of factors, a
+    failing item is named by its index, and ``_exceeds_alg`` takes one
+    residual per item.  The functions of this module take single spaces.
     """
 
     gram: np.ndarray
@@ -93,32 +99,44 @@ class HermitianSymplecticSpace:
     tol: Tolerances = Tolerances()
 
     def __post_init__(self) -> None:
-        gram = as_complex_matrix(self.gram, "gram")
-        gamma = as_complex_matrix(self.gamma, "gamma")
-        if gram.shape[0] != gram.shape[1]:
+        gram = np.asarray(self.gram, dtype=np.complex128)
+        gamma = np.asarray(self.gamma, dtype=np.complex128)
+        if gram.ndim not in (2, 3):
+            raise ValidationError(f"gram must be 2-dimensional, got shape {gram.shape}")
+        if gram.shape[-1] != gram.shape[-2]:
             raise SpaceValidationError(f"gram must be square, got shape {gram.shape}")
         if gamma.shape != gram.shape:
             raise SpaceValidationError(
                 f"gamma shape {gamma.shape} does not match gram shape {gram.shape}"
             )
-        if not (np.isfinite(gram).all() and np.isfinite(gamma).all()):
-            raise SpaceValidationError("gram and gamma must have finite entries")
-        n = gram.shape[0]
+        finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(gamma).all(axis=(-2, -1))
+        _raise_at_first(~finite, SpaceValidationError, "gram and gamma must have finite entries")
+        n = gram.shape[-1]
         if n % 2 != 0:
             raise SpaceValidationError(f"dimension must be even, got {n}")
-        if max_abs(gram - gram.conj().T) > 1e-12 * max_abs(gram):
-            raise SpaceValidationError("gram must be Hermitian")
+        skew = np.abs(gram - adjoint(gram)).max(axis=(-2, -1), initial=0.0)
+        scale = np.abs(gram).max(axis=(-2, -1), initial=0.0)
+        _raise_at_first(skew > 1e-12 * scale, SpaceValidationError, "gram must be Hermitian")
         try:
-            upper = np.linalg.cholesky(gram).conj().T
+            upper = adjoint(np.linalg.cholesky(gram))
         except np.linalg.LinAlgError:
-            raise SpaceValidationError("gram must be positive definite") from None
+            # a stacked call does not say which item failed; factor them one by one
+            definite = np.ones(gram.shape[:-2], dtype=bool)
+            for j in np.ndindex(definite.shape):
+                try:
+                    np.linalg.cholesky(gram[j])
+                except np.linalg.LinAlgError:
+                    definite[j] = False
+                    break
+            _raise_at_first(~definite, SpaceValidationError, "gram must be positive definite")
+            raise
         object.__setattr__(self, "gram", _frozen(gram))
         object.__setattr__(self, "gamma", _frozen(gamma))
         object.__setattr__(self, "_upper", _frozen(upper))
 
     @property
     def dim(self) -> int:
-        return self.gram.shape[0]
+        return self.gram.shape[-1]
 
     @property
     def half_dim(self) -> int:
@@ -129,12 +147,28 @@ class HermitianSymplecticSpace:
         return self.gram @ self.gamma
 
     @cached_property
-    def _cond(self) -> float:
-        return float(np.linalg.cond(self._upper))
+    def _cond(self):
+        return np.linalg.cond(self._upper)
 
-    def _exceeds_alg(self, residual: float) -> bool:
-        """The one rule for whitened residuals; cond(U) >= 1 spares the SVD below ``alg``."""
-        return residual > self.tol.alg and residual > self.tol.alg * self._cond
+    @cached_property
+    def _gamma_w(self) -> np.ndarray:
+        """``gamma`` in the whitened frame, ``U gamma U^-1``, from one solve."""
+        upper = self._upper
+        return adjoint(np.linalg.solve(adjoint(upper), adjoint(upper @ self.gamma)))
+
+    def _exceeds_alg(self, residual):
+        """The one rule for whitened residuals; cond(U) >= 1 spares the SVD below ``alg``.
+
+        On a stack of spaces ``residual`` holds one entry per item, and so does
+        the verdict.
+        """
+        alg = self.tol.alg
+        if isinstance(residual, np.ndarray):
+            past = residual > alg
+            if past.any():
+                past &= residual > alg * self._cond
+            return past
+        return residual > alg and residual > alg * self._cond
 
     @cached_property
     def _splitting(self) -> EigenSplitting:
@@ -161,6 +195,22 @@ class HermitianSymplecticSpace:
                 f"plus={r_plus:.3e} minus={r_minus:.3e} cross={r_cross:.3e}"
             )
         return EigenSplitting(plus_basis=_frozen(plus), minus_basis=_frozen(minus))
+
+
+def _raise_at_first(bad, error: type, describe) -> None:
+    """Raise ``error`` if a flag of ``bad`` is set: one flag, or one per item of a stack.
+
+    ``describe`` is the message, or ``describe(j)`` words the failure of item
+    ``j``.  On a stack the lowest flagged item is named: the message starts
+    ``item j: `` and the error's ``item`` is ``j``.
+    """
+    if not bad.any():
+        return
+    j = int(np.flatnonzero(bad)[0]) if bad.ndim else None
+    message = describe if isinstance(describe, str) else describe(j)
+    exc = error(message if j is None else f"item {j}: {message}")
+    exc.item = j
+    raise exc from None
 
 
 def same_space(a: HermitianSymplecticSpace, b: HermitianSymplecticSpace) -> bool:
@@ -240,8 +290,7 @@ def validate_space(space: HermitianSymplecticSpace) -> SpaceReport:
     the signature of ``i gamma_w``, congruent to the form ``<x, i gamma y>``,
     which must be zero with no eigenvalue within ``tol.rank`` of zero.
     """
-    upper, n = space._upper, space.dim
-    gamma_w = np.linalg.solve(upper.conj().T, (upper @ space.gamma).conj().T).conj().T
+    gamma_w, n = space._gamma_w, space.dim
     ident = np.eye(n, dtype=np.complex128)
     r_sq = max_abs(gamma_w @ gamma_w + ident)
     r_unit = max_abs(gamma_w.conj().T @ gamma_w - ident)

@@ -207,8 +207,12 @@ def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
     The closed form stays a per-point loop, the independent oracle.  The
     generic values come from :func:`~hermsymp.maslov.m_stack`, one call per
     chunk on the stacked torus matrices and line bases, so no array spans
-    the whole grid.  A failing point raises the error of the per-model route;
-    its message names the chunk's first grid point and the item within it.
+    the whole grid.  A stretch that is not positive and finite raises
+    :class:`ValidationError` before any point of its chunk is evaluated.
+    Past that check a failure raises what the per-point loop of the
+    per-model route raises: the error at the first failing grid point, the
+    generic value's before the closed form's.  A generic failure's message
+    names the chunk's first grid point and the item within it.
     """
     v, w = IntegerPairLagrangian(a, b).basis(), IntegerPairLagrangian(A, B).basis()
     values, rows = iter(t_values), []
@@ -220,6 +224,8 @@ def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
                 torus_gram(t), torus_gamma(t), np.broadcast_to(v, lines), np.broadcast_to(w, lines)
             )
         except HermsympError as exc:
+            for x in chunk[: exc.item]:  # a closed form failing first raises first, as per point
+                torus_m_closed_form(a, b, A, B, x)
             raise type(exc)(f"torus sweep chunk from grid point {len(rows)}, {exc}") from None
         rows.extend(
             SweepRow(t=x, m_closed=torus_m_closed_form(a, b, A, B, x), m_generic=float(m))

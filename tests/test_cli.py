@@ -356,17 +356,6 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
-def test_cli_import_does_not_load_the_stacked_kernel():
-    # Without cached bytecode every command compiles what it imports; only
-    # torus-sweep needs the kernel behind maslov.m_stack.
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
-    code = "import hermsymp.cli, sys; print('hermsymp.stacked' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
-
-
 MUTATIONS = {
     "nan": lambda rows: rows[0][0].update(re=math.nan),
     "huge-int": lambda rows: rows[0][0].update(re=10**330),

@@ -20,7 +20,6 @@ from hermsymp.errors import (
     RankAmbiguity,
     SpaceValidationError,
 )
-from hermsymp.stacked import _exceeds_alg
 
 
 def scalar_m(gram, gamma, v_basis, w_basis, tol=hs.Tolerances()):
@@ -243,8 +242,30 @@ def test_lowest_failing_index_is_named(rng):
     pairs, columns = random_pairs(rng, 2, 0, 5)
     for j in (4, 1):
         columns[2][j] = rank_deficient((pairs[j][0], columns[2][j], columns[3][j]), rng)[2]
-    with pytest.raises(LagrangianValidationError, match="^item 1: basis spans dimension 1"):
+    with pytest.raises(LagrangianValidationError, match="^item 1: basis spans dimension 1") as exc:
         hs.m_stack(*columns)
+    assert exc.value.item == 1
+
+
+def test_failure_is_the_first_of_a_scalar_loop(rng):
+    # Item 1 fails the last check (the rank guard band), item 3 the first
+    # (positive definiteness) and item 4 a middle one: the loop meets item 1 first.
+    pairs, columns = random_pairs(rng, 2, 0, 5)
+    for j, corrupt in ((1, rank_band), (3, not_positive_definite), (4, near_branch)):
+        item = (pairs[j][0], columns[2][j], columns[3][j])
+        for column, value in zip(columns, corrupt(item, rng)):
+            column[j] = value
+    scalar, stacked = assert_fails_like_scalar(columns, 1, RankAmbiguity)
+    assert wording(stacked) == "item #: " + wording(scalar)
+    assert stacked.item == 1
+    with pytest.raises(SpaceValidationError, match="^item 1: gram must be positive definite$"):
+        hs.m_stack(*(column[2:] for column in columns))
+
+
+def test_single_space_errors_name_no_item():
+    with pytest.raises(SpaceValidationError, match="^gram must be positive definite$") as exc:
+        hs.HermitianSymplecticSpace(-np.eye(2), hs.standard_space(1).gamma)
+    assert exc.value.item is None
 
 
 def test_stacked_rule_is_the_space_rule(rng):
@@ -253,7 +274,9 @@ def test_stacked_rule_is_the_space_rule(rng):
     gram = tmat.conj().T @ tmat
     space = hs.HermitianSymplecticSpace((gram + gram.conj().T) / 2.0, hs.standard_space(2).gamma)
     residuals = np.array([0.0, 5e-11, 1e-10, 2e-10, 2.9e-9, 3.1e-9, 1e-6])
-    upper = np.broadcast_to(space._upper, (len(residuals), 4, 4))
-    got = _exceeds_alg(residuals.copy(), upper, space.tol)
+    stack = hs.HermitianSymplecticSpace(
+        *(np.broadcast_to(m, (len(residuals), 4, 4)) for m in (space.gram, space.gamma))
+    )
+    got = stack._exceeds_alg(residuals)
     assert got.tolist() == [space._exceeds_alg(r) for r in residuals]
     assert got.tolist() == [False] * 5 + [True] * 2

@@ -258,3 +258,42 @@ def test_sweep_error_names_chunk_and_item():
         EigenvalueAmbiguity, match=f"chunk from grid point {torus.SWEEP_CHUNK}, item 5: "
     ):
         torus_m_sweep(2, -3, 1, 4, grid)
+
+
+def per_point_rows(a, b, A, B, grid):
+    """The sweep as a loop of the per-model route: generic, then closed form, per point."""
+    rows = []
+    for t in grid:
+        generic = scalar_generic(a, b, A, B, t)
+        rows.append((generic, torus_m_closed_form(a, b, A, B, t)))
+    return rows
+
+
+def outcome(route, *args):
+    try:
+        return route(*args)
+    except hs.HermsympError as exc:
+        return type(exc)
+
+
+EXTREME_GRID = np.geomspace(1e-9, 1e9, 73)  # cond(U) up to 1e9
+
+
+@pytest.mark.parametrize("pair", [(1, 2, 3, -1), (1, 1, 1, 0), (2, 3, -1, 4), (0, 1, 1, 0)])
+def test_sweep_at_extreme_stretch_fails_where_the_per_model_route_fails(pair):
+    # Point by point: the same value or the same error type.
+    failing = set()
+    for t in EXTREME_GRID:
+        expected = outcome(per_point_rows, *pair, [t])
+        got = outcome(lambda: [(r.m_generic, r.m_closed) for r in torus_m_sweep(*pair, [t]).rows])
+        if isinstance(expected, type):
+            assert got is expected, t
+            failing.add(expected)
+        else:
+            assert abs(got[0][0] - expected[0][0]) <= 1e-12 and got[0][1] == expected[0][1], t
+    assert bool(failing) == (pair != (0, 1, 1, 0))
+    # Whole grids, either way round: the first failure of the per-point loop.
+    for grid in (EXTREME_GRID, EXTREME_GRID[::-1]):
+        expected = outcome(per_point_rows, *pair, grid)
+        got = outcome(torus_m_sweep, *pair, grid)
+        assert got is expected if isinstance(expected, type) else len(got.rows) == len(grid)

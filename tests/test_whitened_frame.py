@@ -83,18 +83,13 @@ def _attribute_readers(attr: str, skip_owner: str | None = None) -> set[str]:
 
 
 def test_one_factorization_and_one_threshold_rule():
-    # The space factors its gram once; gram_mgs takes that factor.  The
-    # stacked kernel of maslov.m_stack factors each item once, in one place.
-    assert _attribute_readers("cholesky") == {
-        "spaces.HermitianSymplecticSpace.__post_init__",
-        "stacked._factors",
-    }
-    # Residuals meet tol.alg only through the space's rule and its stacked
-    # form; the relation document's block check is the one input check that
-    # reads it.  The CLI reads the class default ``Tolerances.alg`` for its flag.
+    # The space factors its gram once; gram_mgs takes that factor.
+    assert _attribute_readers("cholesky") == {"spaces.HermitianSymplecticSpace.__post_init__"}
+    # Residuals meet tol.alg only through the space's rule; the relation
+    # document's block check is the one input check that reads it.  The CLI
+    # reads the class default ``Tolerances.alg`` for its flag.
     assert _attribute_readers("alg", skip_owner="Tolerances") == {
         "spaces.HermitianSymplecticSpace._exceeds_alg",
-        "stacked._exceeds_alg",
         "serialization.relation_from_dict",
     }
 
