@@ -204,7 +204,7 @@ def _raise_at_first(bad, error: type, describe) -> None:
     ``j``.  On a stack the lowest flagged item is named: the message starts
     ``item j: `` and the error's ``item`` is ``j``.
     """
-    if not bad.any():
+    if not (bad.any() if bad.ndim else bad):  # .any() of a numpy scalar costs ~1 us
         return
     j = int(np.flatnonzero(bad)[0]) if bad.ndim else None
     message = describe if isinstance(describe, str) else describe(j)

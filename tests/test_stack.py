@@ -149,6 +149,13 @@ def not_hermitian(item, rng):
     return gram, space.gamma, v, w
 
 
+def non_finite_gamma(item, rng):
+    space, v, w = item
+    gamma = space.gamma.copy()
+    gamma[1, 0] = np.inf
+    return space.gram, gamma, v, w
+
+
 def non_finite(item, rng):
     space, v, w = item
     w = w.copy()
@@ -205,6 +212,7 @@ def assert_fails_like_scalar(columns, j, error, tol=hs.Tolerances()):
         (perturbed_gamma, LagrangianValidationError),
         (not_positive_definite, SpaceValidationError),
         (not_hermitian, SpaceValidationError),
+        (non_finite_gamma, SpaceValidationError),
         (non_finite, LagrangianValidationError),
         (near_branch, EigenvalueAmbiguity),
         (rank_band, RankAmbiguity),
