@@ -163,6 +163,7 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
 
 
 def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
+    """The kernel of :func:`m_stack`: each check runs on all items, in the scalar order."""
     stack = HermitianSymplecticSpace(gram, gamma, tol)
     upper, k = stack._upper, stack.half_dim
     count, n = upper.shape[:2]
