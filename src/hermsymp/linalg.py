@@ -26,11 +26,9 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def max_abs(a) -> float:
-    arr = np.asarray(a)
-    if arr.size == 0:
-        return 0.0
-    return float(np.max(np.abs(arr)))
+def max_abs(a):
+    """Largest entry modulus of a matrix, or of each matrix of a stack; 0 if empty."""
+    return np.abs(a).max(axis=(-2, -1), initial=0.0)
 
 
 def gram_mgs(upper: np.ndarray, basis: np.ndarray, drop_tol: float) -> np.ndarray:

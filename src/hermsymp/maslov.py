@@ -28,13 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EigensplitError,
     EigenvalueAmbiguity,
     ExclusionMismatch,
     HermsympError,
     LagrangianValidationError,
     NonIntegerSum,
-    RankAmbiguity,
     SpaceValidationError,
 )
 from .linalg import adjoint
@@ -42,6 +40,10 @@ from .spaces import (
     HermitianSymplecticSpace,
     Lagrangian,
     Tolerances,
+    _check_span,
+    _check_split,
+    _graph_map,
+    _intersection_dim,
     _raise_at_first,
     _require_same_space,
     gamma_image,
@@ -60,33 +62,48 @@ class PairSpectrum:
     eigenvalues: tuple[complex, ...]
 
 
+def _excluded(space, eigs) -> np.ndarray:
+    """Which eigenvalues of a pair unitary, or of each of a stack, count as -1.
+
+    Those within ``tol.eig`` of -1 do; one inside the ambiguity band
+    ``(tol.eig, 100 tol.eig)`` raises :class:`EigenvalueAmbiguity`.
+    """
+    tau = space.tol.eig
+    dist = np.abs(eigs + 1.0)
+    excluded = dist <= tau
+    ambiguous = (dist < 100.0 * tau) > excluded  # inside the band, not excluded
+
+    def describe(j):
+        lam = eigs[j][ambiguous[j]][0]
+        return (
+            f"eigenvalue {lam:.12g} lies {abs(lam + 1.0):.3e} from -1, inside the "
+            f"ambiguity band (tol.eig={tau:.0e}); the invariant is discontinuous here"
+        )
+
+    _raise_at_first(ambiguous.any(axis=-1), EigenvalueAmbiguity, describe)
+    return excluded
+
+
+def _pair_value(eigs, excluded, idim):
+    """The pair invariant from its eigenvalues (no -0.0) and the count of those
+    ``excluded`` at -1, which must match dim(V & W)."""
+    count = excluded.sum(axis=-1)
+    _raise_at_first(
+        count != idim,
+        ExclusionMismatch,
+        lambda j: f"{count[j]} eigenvalues excluded at -1 but dim(V & W) = {idim[j]}",
+    )
+    angles = np.log(eigs).imag  # the branch of the definition; libm's atan2, not a SIMD one
+    return -np.where(excluded, 0.0, angles).sum(axis=-1) / math.pi + 0.0, count
+
+
 def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
     """Pair invariant of (V, W) with eigenvalues sorted by angle."""
     _require_same_space(v.space, w.space)
-    tau = v.space.tol.eig
     eigs = np.linalg.eigvals(-phi_of(v) @ phi_of(w).conj().T)
-    excluded = 0
-    total = 0.0
-    for lam in eigs:
-        dist = abs(lam + 1.0)
-        if dist <= tau:
-            excluded += 1
-            continue
-        if dist < 100.0 * tau:
-            raise EigenvalueAmbiguity(
-                f"eigenvalue {lam:.12g} lies {dist:.3e} from -1, inside the "
-                f"ambiguity band (tol.eig={tau:.0e}); the invariant is "
-                "discontinuous here"
-            )
-        total += math.atan2(lam.imag, lam.real)
+    excluded = _excluded(v.space, eigs)
     idim = intersection_dim(v, w)
-    if excluded != idim:
-        raise ExclusionMismatch(
-            f"{excluded} eigenvalues excluded at -1 but dim(V & W) = {idim}"
-        )
-    value = -total / math.pi
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
+    value, count = _pair_value(eigs, excluded, np.intp(idim))
     ordered = tuple(
         sorted(
             (complex(z) for z in eigs),
@@ -94,7 +111,7 @@ def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
         )
     )
     return PairSpectrum(
-        value=value, intersection_dim=idim, excluded=excluded, eigenvalues=ordered
+        value=float(value), intersection_dim=idim, excluded=int(count), eigenvalues=ordered
     )
 
 
@@ -111,37 +128,29 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     space ``(gram[j], gamma[j], tol)`` and the Lagrangians spanned by
     ``v_basis[j]`` and ``w_basis[j]``.
 
-    Every check of that route is made, with its thresholds, on stacked calls in
-    each item's whitened frame ``U x`` (``gram = U^H U``): the structural checks
-    and the Cholesky factor of a :class:`~hermsymp.spaces.HermitianSymplecticSpace`
-    built on the whole stack; the column-relative drop rule
-    ``|R_jj| > tol.rank |U b_j|`` on a QR of ``U basis`` and the vanishing of
-    omega on each span; the +i/-i split from ``eigh`` of ``i gamma_w``
-    (``gamma_w = U gamma U^-1``) into k/k eigenspaces with their residuals;
-    the singularity and unitarity checks of each graph map; the exclusion
-    and ambiguity bands of the eigenvalues; and the intersection dimension
-    with its rank guard band, cross-checked against the exclusion count.
-    Residuals meet the space's own rule (``tol.alg``, times cond(U) only past
-    ``tol.alg``).  A failure raises what a loop of the scalar route over the
-    items raises: the error of the first failing check of the lowest failing
-    item, whose index the message names and the error's ``item`` holds.  One
-    check differs in kind: the k/k split is counted by the signs of the
-    eigenvalues of ``i gamma_w``, where the scalar route counts the rank of
-    each spectral projector under ``tol.rank``; that count also rejects a
-    ``gamma`` off by more than about ``tol.rank`` that the ``tol.alg`` rule
-    accepts.
+    Every check of that route is made with its thresholds, on stacked calls in
+    each item's whitened frame ``U x`` (``gram = U^H U``), by the function the
+    scalar route calls: the structural checks and Cholesky factor of a
+    :class:`~hermsymp.spaces.HermitianSymplecticSpace` built on the stack, the
+    span count and omega on each span, the k/k split of ``i gamma_w``
+    (``gamma_w = U gamma U^-1``) and its residuals, the graph maps, the
+    eigenvalue bands, and the intersection dimension with its rank guard band
+    against the exclusion count.  A failure raises what a loop of the scalar
+    route over the items raises: the first failing check of the lowest failing
+    item, V's before W's; the message names the index, the error's ``item``
+    holds it.
 
-    The scalar, memoized route of :func:`m_details` and
-    :func:`~hermsymp.spaces.phi_of` stays, for two reasons:
-
-    - ``phi_of`` is pinned to the phase-fixed bases of ``gram_mgs``.  ``m``
-      does not depend on the choice of eigenbases (the pair unitary only
-      changes by a unitary similarity), so the ``eigh`` bases serve it here,
-      but ``phi_of`` does depend on them.
-    - Classifying the eigenvalues of one pair with array operations costs
-      about six times the loop in :func:`m_details` (18 against 3 us at k=2,
-      numpy 2.4 on a 2-core x86-64 machine); batching pays only over many
-      items, and ``m_details`` serves one pair at a time.
+    Two decisions take another form here.  The rank of a span is the
+    column-relative drop rule ``|R_jj| > tol.rank |U b_j|`` on a QR of
+    ``U basis``, and the k/k split counts the signs of the eigenvalues of
+    ``i gamma_w``, where the scalar route counts the rank of each spectral
+    projector under ``tol.rank``; that count also rejects a ``gamma`` off by
+    more than about ``tol.rank`` that the ``tol.alg`` rule accepts.  The
+    ``eigh`` eigenbases serve ``m``, which does not depend on the choice of
+    eigenbases (the pair unitary only changes by a unitary similarity), but
+    not :func:`~hermsymp.spaces.phi_of`, which is pinned to the phase-fixed
+    bases of ``gram_mgs``; so :func:`m_details` and ``phi_of`` keep their
+    scalar, memoized route.
     """
     if np.ndim(gram) != 3:
         raise SpaceValidationError(
@@ -175,107 +184,35 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
                 f"{name} bases must have shape {(count, n, k)}, got {basis.shape}"
             )
         pair.append(basis)
-    bases = np.stack(pair, axis=1)  # (T, 2, n, k): V then W
-    _raise_at_first(
-        ~np.isfinite(bases).all(axis=(1, 2, 3)),
-        LagrangianValidationError,
-        "basis has non-finite entries",
-    )
     if k == 0:
         return np.zeros(count)
-
-    # Lagrangians: orthonormal whitened bases q, and omega vanishing on them
+    # both spans in one QR: whitened bases q, their columns kept under the
+    # drop rule, and omega vanishing on them; V is checked before W
+    bases = np.stack(pair, axis=1)  # (T, 2, n, k)
+    finite = np.isfinite(bases).all(axis=(2, 3))
     whitened = upper[:, None] @ bases
     q, r = np.linalg.qr(whitened)
     floor = tol.rank * np.linalg.norm(whitened, axis=-2)
     kept = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > floor).sum(axis=-1)
-    _raise_at_first(
-        (kept != k).any(axis=1),
-        LagrangianValidationError,
-        lambda j: f"basis spans dimension {kept[j].min()}, expected {k}",
-    )
     gamma_w = stack._gamma_w
-    r_omega = np.abs(adjoint(q) @ gamma_w[:, None] @ q).max(axis=(2, 3))
-    _raise_at_first(
-        stack._exceeds_alg(r_omega.max(axis=1)),
-        LagrangianValidationError,
-        lambda j: f"symplectic form does not vanish on the span: residual {r_omega[j].max():.3e}",
-    )
+    gamma_q = gamma_w[:, None] @ q
+    for side in (0, 1):
+        _raise_at_first(~finite[:, side], LagrangianValidationError, "basis has non-finite entries")
+        _check_span(stack, kept[:, side], q[:, side], gamma_q[:, side])
 
     # splitting: eigenvalue -1 of i gamma_w is the +i eigenspace of gamma_w
     evals, evecs = np.linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
-    n_plus, n_minus = (evals < 0).sum(axis=1), (evals > 0).sum(axis=1)
-    _raise_at_first(
-        (n_plus != k) | (n_minus != k),
-        EigensplitError,
-        lambda j: f"eigenspace dimensions ({n_plus[j]}, {n_minus[j]}) differ from "
-        f"({k}, {k}); the space does not split evenly into +i/-i eigenspaces",
-    )
-    plus, minus = evecs[..., :k], evecs[..., k:]
-    r_split = np.stack(
-        [
-            np.abs(gamma_w @ plus - 1j * plus).max(axis=(1, 2)),
-            np.abs(gamma_w @ minus + 1j * minus).max(axis=(1, 2)),
-            np.abs(adjoint(plus) @ minus).max(axis=(1, 2)),
-        ],
-        axis=1,
-    )
-    _raise_at_first(
-        stack._exceeds_alg(r_split.max(axis=1)),
-        EigensplitError,
-        lambda j: "eigenspaces not separated within tolerance: residuals "
-        "plus={:.3e} minus={:.3e} cross={:.3e}".format(*r_split[j]),
-    )
+    counts = np.stack([(evals < 0).sum(axis=1), (evals > 0).sum(axis=1)], axis=1)
+    _check_split(stack, counts, evecs, gamma_w @ evecs)
 
-    # graph maps phi = c a^-1 of V and W
-    a = adjoint(plus)[:, None] @ q
-    c = adjoint(minus)[:, None] @ q
-    s_min = np.linalg.svd(a, compute_uv=False)[..., -1]
-    _raise_at_first(
-        (s_min <= tol.rank).any(axis=1),
-        LagrangianValidationError,
-        lambda j: "projection onto the +i eigenspace is singular; input is not a "
-        f"valid Lagrangian (smallest singular value {s_min[j].min():.3e})",
-    )
-    phi = c @ np.linalg.inv(a)
-    r_unit = np.abs(adjoint(phi) @ phi - np.eye(k)).max(axis=(2, 3))
-    _raise_at_first(
-        stack._exceeds_alg(r_unit.max(axis=1)),
-        LagrangianValidationError,
-        lambda j: f"graph map is not unitary: residual {r_unit[j].max():.3e}",
-    )
-
-    # the pair spectrum, cross-checked against dim(V & W)
-    eigs = np.linalg.eigvals(-phi[:, 0] @ adjoint(phi[:, 1]))
-    dist = np.abs(eigs + 1.0)
-    excluded = dist <= tol.eig
-    ambiguous = ~excluded & (dist < 100.0 * tol.eig)
-
-    def ambiguity(j):
-        lam = eigs[j][ambiguous[j]][0]
-        return (
-            f"eigenvalue {lam:.12g} lies {abs(lam + 1.0):.3e} from -1, inside the "
-            f"ambiguity band (tol.eig={tol.eig:.0e}); the invariant is discontinuous here"
-        )
-
-    _raise_at_first(ambiguous.any(axis=1), EigenvalueAmbiguity, ambiguity)
-    tau = tol.rank
-    s = np.linalg.svd(np.concatenate([q[:, 0], q[:, 1]], axis=-1), compute_uv=False)
-    in_band = (s > tau / 10.0) & (s < tau * 10.0)
-    _raise_at_first(
-        in_band.any(axis=1),
-        RankAmbiguity,
-        lambda j: f"singular value {s[j][in_band[j]][0]:.3e} inside the rank guard "
-        f"band around {tau:.0e}",
-    )
-    idim = n - (s > tau).sum(axis=1)
-    n_excluded = excluded.sum(axis=1)
-    _raise_at_first(
-        n_excluded != idim,
-        ExclusionMismatch,
-        lambda j: f"{n_excluded[j]} eigenvalues excluded at -1 but dim(V & W) = {idim[j]}",
-    )
-    return -np.where(excluded, 0.0, np.angle(eigs)).sum(axis=1) / math.pi + 0.0  # no -0.0
+    # graph maps phi = c a^-1 of V, then W; the pair spectrum against dim(V & W)
+    a = adjoint(evecs[..., :k])[:, None] @ q
+    c = adjoint(evecs[..., k:])[:, None] @ q
+    phi_v, phi_w = (_graph_map(stack, a[:, side], c[:, side]) for side in (0, 1))
+    eigs = np.linalg.eigvals(-phi_v @ adjoint(phi_w))
+    excluded = _excluded(stack, eigs)
+    idim = _intersection_dim(stack, np.concatenate([q[:, 0], q[:, 1]], axis=-1))
+    return _pair_value(eigs, excluded, idim)[0]
 
 
 def _rounded(total: float, tol: float) -> int:

@@ -22,6 +22,15 @@ made on it or on anything derived from it.  All types are immutable after
 construction and all operations are pure functions of them, so the splitting
 of a space and the graph unitary of a Lagrangian are computed once, on first
 use, and memoized on the object.
+
+The checks of a split, a Lagrangian span, a graph map and an intersection
+dimension are private functions shared with the stacked kernel
+:func:`~hermsymp.maslov.m_stack`: each takes a single space or a stack, and
+whitened products its caller already has.  Two decisions stay in two forms, the
+rank of a span and the k/k split count: here ``gram_mgs`` over any number of
+columns and the ranks of the spectral projectors, which yield the phase-fixed
+bases pinning :func:`eigensplit` and :func:`phi_of`; there a QR over exactly k
+columns and the eigenvalue signs of ``i gamma``, one call for a whole stack.
 """
 from __future__ import annotations
 
@@ -91,7 +100,8 @@ class HermitianSymplecticSpace:
     sharing ``tol``, as :func:`~hermsymp.maslov.m_stack` builds it: the same
     checks and one stacked Cholesky make ``_upper`` a stack of factors, a
     failing item is named by its index, and ``_exceeds_alg`` takes one
-    residual per item.  The functions of this module take single spaces.
+    residual per item.  The public functions of this module take single
+    spaces; the private checks take either.
     """
 
     gram: np.ndarray
@@ -102,7 +112,7 @@ class HermitianSymplecticSpace:
         gram = np.asarray(self.gram, dtype=np.complex128)
         gamma = np.asarray(self.gamma, dtype=np.complex128)
         if gram.ndim not in (2, 3):
-            raise ValidationError(f"gram must be 2-dimensional, got shape {gram.shape}")
+            raise ValidationError(f"gram must be (n, n) or a (T, n, n) stack, got {gram.shape}")
         if gram.shape[-1] != gram.shape[-2]:
             raise SpaceValidationError(f"gram must be square, got shape {gram.shape}")
         if gamma.shape != gram.shape:
@@ -178,39 +188,110 @@ class HermitianSymplecticSpace:
         ident = np.eye(n, dtype=np.complex128)
         plus = gram_mgs(self._upper, (ident - 1j * gm) / 2.0, drop_tol=tol.rank)
         minus = gram_mgs(self._upper, (ident + 1j * gm) / 2.0, drop_tol=tol.rank)
-        if plus.shape[1] != k or minus.shape[1] != k:
-            raise EigensplitError(
-                f"eigenspace dimensions ({plus.shape[1]}, {minus.shape[1]}) differ from "
-                f"({k}, {k}); the space does not split evenly into +i/-i eigenspaces"
-            )
         if k:
             plus, minus = _phase_fixed(plus), _phase_fixed(minus)
-        u_gamma, u_plus, u_minus = (self._upper @ m for m in (gm, plus, minus))
-        r_plus = max_abs(u_gamma @ plus - 1j * u_plus)
-        r_minus = max_abs(u_gamma @ minus + 1j * u_minus)
-        r_cross = max_abs(u_plus.conj().T @ u_minus)
-        if self._exceeds_alg(max(r_plus, r_minus, r_cross)):
-            raise EigensplitError(
-                f"eigenspaces not separated within tolerance: residuals "
-                f"plus={r_plus:.3e} minus={r_minus:.3e} cross={r_cross:.3e}"
-            )
+        basis = np.hstack([plus, minus])
+        counts = np.array([plus.shape[1], minus.shape[1]])
+        _check_split(self, counts, self._upper @ basis, self._upper @ gm @ basis)
         return EigenSplitting(plus_basis=_frozen(plus), minus_basis=_frozen(minus))
 
 
 def _raise_at_first(bad, error: type, describe) -> None:
     """Raise ``error`` if a flag of ``bad`` is set: one flag, or one per item of a stack.
 
-    ``describe`` is the message, or ``describe(j)`` words the failure of item
-    ``j``.  On a stack the lowest flagged item is named: the message starts
-    ``item j: `` and the error's ``item`` is ``j``.
+    ``describe`` is the message, or ``describe(j)`` words the failure read as
+    ``x[j]`` from the check's numpy values: ``j`` is the item of a stack, and
+    ``()`` on a single space, where ``x[()]`` is ``x`` itself.  On a stack the
+    lowest flagged item is named: the message starts ``item j: `` and the
+    error's ``item`` is ``j``.
     """
     if not (bad.any() if bad.ndim else bad):  # .any() of a numpy scalar costs ~1 us
         return
-    j = int(np.flatnonzero(bad)[0]) if bad.ndim else None
+    j = int(np.flatnonzero(bad)[0]) if bad.ndim else ()
     message = describe if isinstance(describe, str) else describe(j)
-    exc = error(message if j is None else f"item {j}: {message}")
-    exc.item = j
+    exc = error(f"item {j}: {message}" if bad.ndim else message)
+    exc.item = j if bad.ndim else None
     raise exc from None
+
+
+def _check_split(space, counts, basis_w, gamma_basis_w) -> None:
+    """The k/k split: ``counts`` are the dimensions found for the +i and -i
+    eigenspaces, ``basis_w`` their whitened bases side by side, and
+    ``gamma_basis_w`` the whitened gamma image of those bases."""
+    k = space.half_dim
+    _raise_at_first(
+        (counts != k).any(axis=-1),
+        EigensplitError,
+        lambda j: "eigenspace dimensions ({}, {}) differ from ".format(*counts[j])
+        + f"({k}, {k}); the space does not split evenly into +i/-i eigenspaces",
+    )
+    plus, minus = basis_w[..., :k], basis_w[..., k:]
+    residuals = np.stack(
+        [
+            max_abs(gamma_basis_w[..., :k] - 1j * plus),
+            max_abs(gamma_basis_w[..., k:] + 1j * minus),
+            max_abs(adjoint(plus) @ minus),
+        ],
+        axis=-1,
+    )
+    _raise_at_first(
+        space._exceeds_alg(residuals.max(axis=-1)),
+        EigensplitError,
+        lambda j: "eigenspaces not separated within tolerance: residuals "
+        "plus={:.3e} minus={:.3e} cross={:.3e}".format(*residuals[j]),
+    )
+
+
+def _check_span(space, kept, q_w, gamma_q_w) -> None:
+    """A span is Lagrangian: it has ``kept`` = k independent columns, and omega
+    ``q_w^H gamma_q_w`` vanishes on its orthonormal whitened basis ``q_w``."""
+    k = space.half_dim
+    _raise_at_first(
+        kept != k,
+        LagrangianValidationError,
+        lambda j: f"basis spans dimension {kept[j]}, expected {k}",
+    )
+    residual = max_abs(adjoint(q_w) @ gamma_q_w)
+    _raise_at_first(
+        space._exceeds_alg(residual),
+        LagrangianValidationError,
+        lambda j: f"symplectic form does not vanish on the span: residual {residual[j]:.3e}",
+    )
+
+
+def _graph_map(space, a, c) -> np.ndarray:
+    """The unitary ``phi = c a^-1`` whose graph is a Lagrangian, from the Gram
+    products ``a`` and ``c`` of the +i and -i eigenbases with its basis."""
+    s_min = np.linalg.svd(a, compute_uv=False)[..., -1]
+    _raise_at_first(
+        s_min <= space.tol.rank,
+        LagrangianValidationError,
+        lambda j: "projection onto the +i eigenspace is singular; input is not a "
+        f"valid Lagrangian (smallest singular value {s_min[j]:.3e})",
+    )
+    phi = c @ np.linalg.inv(a)
+    residual = max_abs(adjoint(phi) @ phi - np.eye(space.half_dim))
+    _raise_at_first(
+        space._exceeds_alg(residual),
+        LagrangianValidationError,
+        lambda j: f"graph map is not unitary: residual {residual[j]:.3e}",
+    )
+    return phi
+
+
+def _intersection_dim(space, columns_w):
+    """dim(V & W) from the whitened columns of both Lagrangians, side by side,
+    with the rank guard band ``(tol.rank/10, 10 tol.rank)``."""
+    tau = space.tol.rank
+    s = np.linalg.svd(columns_w, compute_uv=False)
+    in_band = (s > tau / 10.0) & (s < tau * 10.0)
+    _raise_at_first(
+        in_band.any(axis=-1),
+        RankAmbiguity,
+        lambda j: f"singular value {s[j][in_band[j]][0]:.3e} inside the rank guard "
+        f"band around {tau:.0e}",
+    )
+    return space.dim - (s > tau).sum(axis=-1)
 
 
 def same_space(a: HermitianSymplecticSpace, b: HermitianSymplecticSpace) -> bool:
@@ -364,26 +445,13 @@ class Lagrangian:
     @cached_property
     def _phi(self) -> np.ndarray:
         space = self.space
-        k, tol = space.half_dim, space.tol
-        if k == 0:
+        if space.half_dim == 0:
             return _frozen(np.zeros((0, 0)))
         splitting = eigensplit(space)
         gl = space.gram @ self.basis
         a = splitting.plus_basis.conj().T @ gl
         c = splitting.minus_basis.conj().T @ gl
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] <= tol.rank:
-            raise LagrangianValidationError(
-                "projection onto the +i eigenspace is singular; input is not a "
-                f"valid Lagrangian (smallest singular value {s[-1]:.3e})"
-            )
-        phi = c @ np.linalg.inv(a)
-        residual = max_abs(phi.conj().T @ phi - np.eye(k))
-        if space._exceeds_alg(residual):
-            raise LagrangianValidationError(
-                f"graph map is not unitary: residual {residual:.3e}"
-            )
-        return _frozen(phi)
+        return _frozen(_graph_map(space, a, c))
 
 
 def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
@@ -399,24 +467,15 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
     This is the one place where a span becomes a Lagrangian.
     """
     mat = as_complex_matrix(basis, "basis")
-    k = space.half_dim
     if mat.shape[0] != space.dim:
         raise LagrangianValidationError(
             f"basis must have {space.dim} rows, got shape {mat.shape}"
         )
     if not np.isfinite(mat).all():
         raise LagrangianValidationError("basis has non-finite entries")
-    q = gram_mgs(space._upper, mat, drop_tol=space.tol.rank)
-    if q.shape[1] != k:
-        raise LagrangianValidationError(
-            f"basis spans dimension {q.shape[1]}, expected {k}"
-        )
-    # = (U q)^H gamma_w (U q) with U q orthonormal: a whitened residual
-    residual = max_abs(q.conj().T @ space.omega() @ q)
-    if space._exceeds_alg(residual):
-        raise LagrangianValidationError(
-            f"symplectic form does not vanish on the span: residual {residual:.3e}"
-        )
+    upper = space._upper
+    q = gram_mgs(upper, mat, drop_tol=space.tol.rank)
+    _check_span(space, np.intp(q.shape[1]), upper @ q, upper @ (space.gamma @ q))
     return Lagrangian(space=space, basis=_frozen(q))
 
 
@@ -433,15 +492,7 @@ def intersection_dim(v: Lagrangian, w: Lagrangian) -> int:
     rank decision would be numerically arbitrary.
     """
     _require_same_space(v.space, w.space)
-    tau = v.space.tol.rank
-    s = linalg.singular_values(v.space._upper @ np.hstack([v.basis, w.basis]))
-    band = s[(s > tau / 10.0) & (s < tau * 10.0)]
-    if band.size:
-        raise RankAmbiguity(
-            f"singular value {band[0]:.3e} inside the rank guard band around {tau:.0e}"
-        )
-    rank = int(np.sum(s > tau))
-    return v.space.dim - rank
+    return int(_intersection_dim(v.space, v.space._upper @ np.hstack([v.basis, w.basis])))
 
 
 def phi_of(lagr: Lagrangian) -> np.ndarray:

@@ -140,9 +140,7 @@ def torus_m_closed_form(a: int, b: int, A: int, B: int, t: float) -> float:
     """
     first = IntegerPairLagrangian(a, b)
     second = IntegerPairLagrangian(A, B)
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValidationError(f"stretch parameter must be positive, got {t!r}")
+    t = _stretch(t)
     if first.parallel(second):
         # identical spans: the log argument is exactly -1, both eigenvalues
         # are excluded and the dimension term cancels the remaining constants.

@@ -23,15 +23,25 @@ def _error_types() -> set[str]:
 
 
 def _raised_names() -> set[str]:
+    """Names raised by a ``raise`` statement, or passed as the error type to
+    ``spaces._raise_at_first``, which raises it when a check's flag is set."""
     raised = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name):
-                    raised.add(exc.id)
-                elif isinstance(exc, ast.Attribute):
-                    raised.add(exc.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_raise_at_first"
+            ):
+                exc = node.args[1]
+            else:
+                continue
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                raised.add(exc.attr)
     return raised
 
 

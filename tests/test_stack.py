@@ -132,6 +132,13 @@ def non_lagrangian(item, rng):
     return space.gram, space.gamma, span, w
 
 
+def non_lagrangian_then_rank_deficient(item, rng):
+    # the scalar route validates V before W, so V's failure is the one raised
+    space, v, w = item
+    span = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+    return space.gram, space.gamma, span, np.stack([w[:, 0], 2.0 * w[:, 0]], axis=1)
+
+
 def perturbed_gamma(item, rng):
     space, v, w = item
     return space.gram, space.gamma + 1e-7 * rng.standard_normal(space.gamma.shape), v, w
@@ -209,6 +216,7 @@ def assert_fails_like_scalar(columns, j, error, tol=hs.Tolerances()):
     [
         (rank_deficient, LagrangianValidationError),
         (non_lagrangian, LagrangianValidationError),
+        (non_lagrangian_then_rank_deficient, LagrangianValidationError),
         (perturbed_gamma, LagrangianValidationError),
         (not_positive_definite, SpaceValidationError),
         (not_hermitian, SpaceValidationError),

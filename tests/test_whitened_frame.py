@@ -33,10 +33,19 @@ def test_decisions_are_invariant_under_gram_scaling(rng, scale):
         assert abs(got.value - expected.value) < 1e-9
 
 
-@pytest.mark.parametrize("half_dim", [2, 3, 8])
-def test_ill_conditioned_spaces_validate_and_keep_their_lagrangians(half_dim):
+@pytest.mark.parametrize(
+    "half_dim,seed",
+    [
+        pytest.param(k, seed, id=f"{k}-seed{seed}" if seed else str(k))
+        for seed in (0, 60)
+        for k in (2, 3, 8)
+    ],
+)
+def test_ill_conditioned_spaces_validate_and_keep_their_lagrangians(half_dim, seed):
     # cond(gram) up to 1e4: exact by construction, so every check must pass.
-    rng = np.random.default_rng(0)
+    # Seed 60 draws Lagrangians whose omega residual, measured in raw
+    # coordinates, exceeded the rule; it is measured in the whitened frame.
+    rng = np.random.default_rng(seed)
     for _ in range(50):
         space = sampling.random_space(half_dim, rng, spread=1e4)
         assert hs.validate_space(space).passed
@@ -92,6 +101,62 @@ def test_one_factorization_and_one_threshold_rule():
         "spaces.HermitianSymplecticSpace._exceeds_alg",
         "serialization.relation_from_dict",
     }
+
+
+# One fragment of the message of each check that the scalar route and the
+# stacked kernel share.
+SHARED_CHECKS = (
+    "symplectic form does not vanish on the span",
+    "eigenspaces not separated within tolerance",
+    "projection onto the +i eigenspace is singular",
+    "graph map is not unitary",
+    "inside the rank guard band",
+    "ambiguity band (tol.eig=",
+    "eigenvalues excluded at -1 but dim(V & W)",
+)
+
+
+def _message_sites_and_calls():
+    """String literals with the top-level function holding each, and the callers of each name.
+
+    A literal is a plain string or an f-string, whose fields read ``{}``;
+    docstrings are skipped.  Functions are named ``module.function``.
+    """
+    sites, callers = [], {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope if "." in scope else f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue  # a docstring
+            if isinstance(child, ast.JoinedStr):
+                parts = (v.value if isinstance(v, ast.Constant) else "{}" for v in child.values)
+                sites.append(("".join(parts), scope))
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                sites.append((child.value, scope))
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                callers.setdefault(child.func.id, set()).add(scope)
+            visit(child, scope)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sites, callers
+
+
+def test_each_shared_check_has_one_implementation():
+    # The scalar route and m_stack make each of these checks through one
+    # function, so each message is worded at one site, in a function that
+    # both the kernel and a scalar function call.
+    sites, callers = _message_sites_and_calls()
+    for fragment in SHARED_CHECKS:
+        owners = [scope for text, scope in sites if fragment in text]
+        assert len(owners) == 1, (fragment, owners)
+        users = callers.get(owners[0].split(".")[1], set())
+        assert "maslov._stacked_m" in users, (fragment, owners, users)
+        assert users - {"maslov._stacked_m"}, (fragment, owners, users)
 
 
 def test_linalg_never_sees_a_gram_matrix():
