@@ -4,8 +4,9 @@
 class HermsympError(Exception):
     """Base class for all package errors.
 
-    ``item`` is the index of the failing item when a check over a stack
-    fails (:func:`~hermsymp.maslov.m_stack`), and None otherwise.
+    ``item`` is the index of the failing item when a check over a stack fails
+    (:func:`~hermsymp.maslov.m_stack`) or of the failing grid point of
+    :func:`~hermsymp.torus.torus_m_sweep`, and None otherwise.
     """
 
     item: int | None = None

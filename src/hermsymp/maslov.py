@@ -41,11 +41,11 @@ from .spaces import (
     Lagrangian,
     Tolerances,
     _check_span,
-    _check_split,
     _graph_map,
     _intersection_dim,
     _raise_at_first,
     _require_same_space,
+    _split,
     gamma_image,
     intersection_dim,
     phi_of,
@@ -140,17 +140,14 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     item, V's before W's; the message names the index, the error's ``item``
     holds it.
 
-    Two decisions take another form here.  The rank of a span is the
+    One decision takes another form here: the rank of a span is the
     column-relative drop rule ``|R_jj| > tol.rank |U b_j|`` on a QR of
-    ``U basis``, and the k/k split counts the signs of the eigenvalues of
-    ``i gamma_w``, where the scalar route counts the rank of each spectral
-    projector under ``tol.rank``; that count also rejects a ``gamma`` off by
-    more than about ``tol.rank`` that the ``tol.alg`` rule accepts.  The
-    ``eigh`` eigenbases serve ``m``, which does not depend on the choice of
+    ``U basis``.  The graph maps are taken in the eigenvectors of the split
+    itself, which serve ``m``, since it does not depend on the choice of
     eigenbases (the pair unitary only changes by a unitary similarity), but
     not :func:`~hermsymp.spaces.phi_of`, which is pinned to the phase-fixed
-    bases of ``gram_mgs``; so :func:`m_details` and ``phi_of`` keep their
-    scalar, memoized route.
+    bases of :func:`~hermsymp.spaces.eigensplit`; so :func:`m_details` and
+    ``phi_of`` keep their scalar, memoized route.
     """
     if np.ndim(gram) != 3:
         raise SpaceValidationError(
@@ -194,18 +191,14 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     q, r = np.linalg.qr(whitened)
     floor = tol.rank * np.linalg.norm(whitened, axis=-2)
     kept = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > floor).sum(axis=-1)
-    gamma_w = stack._gamma_w
-    gamma_q = gamma_w[:, None] @ q
+    gamma_q = stack._gamma_w[:, None] @ q
     for side in (0, 1):
         _raise_at_first(~finite[:, side], LagrangianValidationError, "basis has non-finite entries")
         _check_span(stack, kept[:, side], q[:, side], gamma_q[:, side])
 
-    # splitting: eigenvalue -1 of i gamma_w is the +i eigenspace of gamma_w
-    evals, evecs = np.linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
-    counts = np.stack([(evals < 0).sum(axis=1), (evals > 0).sum(axis=1)], axis=1)
-    _check_split(stack, counts, evecs, gamma_w @ evecs)
-
-    # graph maps phi = c a^-1 of V, then W; the pair spectrum against dim(V & W)
+    # the k/k split; the graph maps phi = c a^-1 of V, then W, in its
+    # eigenbases; the pair spectrum against dim(V & W)
+    evecs = _split(stack)
     a = adjoint(evecs[..., :k])[:, None] @ q
     c = adjoint(evecs[..., k:])[:, None] @ q
     phi_v, phi_w = (_graph_map(stack, a[:, side], c[:, side]) for side in (0, 1))

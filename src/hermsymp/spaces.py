@@ -23,14 +23,13 @@ construction and all operations are pure functions of them, so the splitting
 of a space and the graph unitary of a Lagrangian are computed once, on first
 use, and memoized on the object.
 
-The checks of a split, a Lagrangian span, a graph map and an intersection
-dimension are private functions shared with the stacked kernel
-:func:`~hermsymp.maslov.m_stack`: each takes a single space or a stack, and
-whitened products its caller already has.  Two decisions stay in two forms, the
-rank of a span and the k/k split count: here ``gram_mgs`` over any number of
-columns and the ranks of the spectral projectors, which yield the phase-fixed
-bases pinning :func:`eigensplit` and :func:`phi_of`; there a QR over exactly k
-columns and the eigenvalue signs of ``i gamma``, one call for a whole stack.
+The k/k split and the checks of a Lagrangian span, a graph map and an
+intersection dimension are private functions shared with the stacked kernel
+:func:`~hermsymp.maslov.m_stack`, each taking a single space or a stack.  The
+split is one ``eigh`` of the whitened ``i gamma``; :func:`eigensplit` projects
+the coordinate vectors along its eigenvectors for the phase-fixed bases that
+pin :func:`phi_of`.  Only the rank of a span has two forms: ``gram_mgs`` over
+any number of columns here, a QR over exactly k columns there.
 """
 from __future__ import annotations
 
@@ -183,16 +182,14 @@ class HermitianSymplecticSpace:
     @cached_property
     def _splitting(self) -> EigenSplitting:
         # Lazy: most spaces built by reduction and composition never need it.
-        n, k = self.dim, self.half_dim
-        gm, tol = self.gamma, self.tol
-        ident = np.eye(n, dtype=np.complex128)
-        plus = gram_mgs(self._upper, (ident - 1j * gm) / 2.0, drop_tol=tol.rank)
-        minus = gram_mgs(self._upper, (ident + 1j * gm) / 2.0, drop_tol=tol.rank)
+        k, upper = self.half_dim, self._upper
+        # the coordinate vectors projected onto each eigenspace, U^-1 E E^H U
+        evecs = _split(self)
+        raw, coeffs = np.linalg.solve(upper, evecs), adjoint(evecs) @ upper
+        plus = gram_mgs(upper, raw[:, :k] @ coeffs[:k], drop_tol=self.tol.rank)
+        minus = gram_mgs(upper, raw[:, k:] @ coeffs[k:], drop_tol=self.tol.rank)
         if k:
             plus, minus = _phase_fixed(plus), _phase_fixed(minus)
-        basis = np.hstack([plus, minus])
-        counts = np.array([plus.shape[1], minus.shape[1]])
-        _check_split(self, counts, self._upper @ basis, self._upper @ gm @ basis)
         return EigenSplitting(plus_basis=_frozen(plus), minus_basis=_frozen(minus))
 
 
@@ -214,22 +211,24 @@ def _raise_at_first(bad, error: type, describe) -> None:
     raise exc from None
 
 
-def _check_split(space, counts, basis_w, gamma_basis_w) -> None:
-    """The k/k split: ``counts`` are the dimensions found for the +i and -i
-    eigenspaces, ``basis_w`` their whitened bases side by side, and
-    ``gamma_basis_w`` the whitened gamma image of those bases."""
-    k = space.half_dim
+def _split(space) -> np.ndarray:
+    """The k/k split of a space, or of each space of a stack, into the +i and
+    -i eigenspaces of ``gamma_w``: the whitened eigenvectors of ``i gamma_w``,
+    those of eigenvalue -1 (+i) first, then those of +1 (-i)."""
+    k, gamma_w = space.half_dim, space._gamma_w
+    evals, evecs = np.linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
+    counts = np.stack([(evals < 0).sum(axis=-1), (evals > 0).sum(axis=-1)], axis=-1)
     _raise_at_first(
         (counts != k).any(axis=-1),
         EigensplitError,
         lambda j: "eigenspace dimensions ({}, {}) differ from ".format(*counts[j])
         + f"({k}, {k}); the space does not split evenly into +i/-i eigenspaces",
     )
-    plus, minus = basis_w[..., :k], basis_w[..., k:]
+    plus, minus = evecs[..., :k], evecs[..., k:]
     residuals = np.stack(
         [
-            max_abs(gamma_basis_w[..., :k] - 1j * plus),
-            max_abs(gamma_basis_w[..., k:] + 1j * minus),
+            max_abs(gamma_w @ plus - 1j * plus),
+            max_abs(gamma_w @ minus + 1j * minus),
             max_abs(adjoint(plus) @ minus),
         ],
         axis=-1,
@@ -240,6 +239,7 @@ def _check_split(space, counts, basis_w, gamma_basis_w) -> None:
         lambda j: "eigenspaces not separated within tolerance: residuals "
         "plus={:.3e} minus={:.3e} cross={:.3e}".format(*residuals[j]),
     )
+    return evecs
 
 
 def _check_span(space, kept, q_w, gamma_q_w) -> None:
@@ -397,10 +397,11 @@ def validate_space(space: HermitianSymplecticSpace) -> SpaceReport:
 class EigenSplitting:
     """Gram-orthonormal bases of the +i and -i eigenspaces of ``gamma``.
 
-    Produced deterministically: the spectral projections of the coordinate
-    basis vectors are orthonormalized in input order and each eigenvector's
-    phase is fixed so that its first non-negligible coordinate is real
-    positive.  This pins the graph unitaries of :func:`phi_of` across runs.
+    Produced deterministically: the coordinate basis vectors, projected onto
+    each eigenspace along the eigenvectors that decide the split, are
+    orthonormalized in input order, and each vector's phase is fixed so that
+    its first non-negligible coordinate is real positive.  This pins the graph
+    unitaries of :func:`phi_of` across runs.
     """
 
     plus_basis: np.ndarray
@@ -418,10 +419,10 @@ def _phase_fixed(basis: np.ndarray) -> np.ndarray:
 def eigensplit(space: HermitianSymplecticSpace) -> EigenSplitting:
     """Split a valid space into the +i/-i eigenspaces of ``gamma``.
 
-    Uses the exact spectral projectors (I -/+ i gamma)/2, which are
-    gram-orthogonal idempotents whenever the space invariants hold, so no
-    eigenvalue clustering heuristics are involved.  Computed on first use and
-    memoized on the space.
+    One ``eigh`` of the whitened ``i gamma``, shared with
+    :func:`~hermsymp.maslov.m_stack`, decides the split and raises
+    :class:`EigensplitError` unless it is k/k within the space's thresholds.
+    Computed on first use and memoized on the space.
     """
     return space._splitting
 

@@ -209,8 +209,9 @@ def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
     :class:`ValidationError` before any point of its chunk is evaluated.
     Past that check a failure raises what the per-point loop of the
     per-model route raises: the error at the first failing grid point, the
-    generic value's before the closed form's.  A generic failure's message
-    names the chunk's first grid point and the item within it.
+    generic value's before the closed form's.  A generic failure has the grid
+    index as ``item``, and its message names the chunk's first grid point and
+    the item within it.
     """
     v, w = IntegerPairLagrangian(a, b).basis(), IntegerPairLagrangian(A, B).basis()
     values, rows = iter(t_values), []
@@ -224,7 +225,9 @@ def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
         except HermsympError as exc:
             for x in chunk[: exc.item]:  # a closed form failing first raises first, as per point
                 torus_m_closed_form(a, b, A, B, x)
-            raise type(exc)(f"torus sweep chunk from grid point {len(rows)}, {exc}") from None
+            error = type(exc)(f"torus sweep chunk from grid point {len(rows)}, {exc}")
+            error.item = len(rows) + exc.item
+            raise error from None
         rows.extend(
             SweepRow(t=x, m_closed=torus_m_closed_form(a, b, A, B, x), m_generic=float(m))
             for x, m in zip(chunk, generic)

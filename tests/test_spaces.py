@@ -17,7 +17,7 @@ from hermsymp.errors import (
     ValidationError,
 )
 from hermsymp.linalg import gram_mgs
-from hermsymp.spaces import _phase_fixed
+from hermsymp.spaces import _phase_fixed, _split
 from hermsymp.torus import TorusModel
 
 
@@ -362,7 +362,9 @@ def test_eigensplit_bases_are_phase_fixed_by_the_loop(rng):
     for spread in (4.0, 1e2):
         space = sampling.random_space(3, rng, spread=spread)
         split = hs.eigensplit(space)
-        ident = np.eye(space.dim)
-        for basis, sign in ((split.plus_basis, -1.0), (split.minus_basis, 1.0)):
-            raw = gram_mgs(space._upper, (ident + sign * 1j * space.gamma) / 2.0, 1e-8)
+        upper, k, evecs = space._upper, space.half_dim, _split(space)
+        # the eigenspace projectors U^-1 E E^H U of the shared eigenbasis E
+        left, right = np.linalg.solve(upper, evecs), evecs.conj().T @ upper
+        for basis, half in ((split.plus_basis, slice(k)), (split.minus_basis, slice(k, None))):
+            raw = gram_mgs(upper, left[:, half] @ right[half], 1e-8)
             assert np.array_equal(basis, phase_fixed_loop(raw))

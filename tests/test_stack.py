@@ -235,8 +235,9 @@ def test_bad_item_raises_the_scalar_error_with_its_index(rng, corrupt, error, j)
 
 def test_structure_that_does_not_split(rng):
     # gamma^2 = -2 I, and both coordinate halves are isotropic, so the spans
-    # pass as Lagrangians and the splitting fails.  The scalar route sees the
-    # spectral projectors at full rank, the kernel the eigenvector residuals.
+    # pass as Lagrangians and the splitting fails.  i gamma_w has eigenvalues
+    # -1.5 and 1.5, two each, so both routes count 2/2 and fail on the
+    # eigenvector residuals.
     gamma = np.zeros((4, 4))
     gamma[:2, 2:], gamma[2:, :2] = -np.eye(2), 2.0 * np.eye(2)
     ident = np.eye(4)
@@ -244,7 +245,24 @@ def test_structure_that_does_not_split(rng):
     def not_a_complex_structure(item, rng):
         return ident, gamma, ident[:, :2], ident[:, 2:]
 
-    assert_fails_like_scalar(corrupted(rng, not_a_complex_structure, 3), 3, EigensplitError)
+    columns = corrupted(rng, not_a_complex_structure, 3)
+    scalar, stacked = assert_fails_like_scalar(columns, 3, EigensplitError)
+    assert wording(stacked) == "item #: " + wording(scalar)
+
+
+@pytest.mark.parametrize("eps", [3e-9, 1e-8, 3e-8, 1e-7])
+def test_gamma_off_by_less_than_tol_alg_splits_on_both_routes(eps):
+    # gamma off by eps passes validate_space under tol.alg = 1e-5; both routes
+    # decide the split by the eigenvalue signs of i gamma_w, so both accept it
+    rng = np.random.default_rng(0)
+    space = sampling.random_space(2, rng)
+    v, w = sampling.random_lagrangian_pair(space, rng, 0)
+    tol = hs.Tolerances(alg=1e-5)
+    gamma = space.gamma + eps * rng.standard_normal(space.gamma.shape)
+    assert hs.validate_space(hs.HermitianSymplecticSpace(space.gram, gamma, tol)).passed
+    item = (space.gram, gamma, v.basis, w.basis)
+    stacked = hs.m_stack(*(x[None] for x in item), tol)
+    assert abs(stacked[0] - scalar_m(*item, tol)) < 1e-12
 
 
 def test_exclusion_count_mismatch(rng):

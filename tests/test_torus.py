@@ -256,8 +256,9 @@ def test_sweep_error_names_chunk_and_item():
     grid = [1.0] * (torus.SWEEP_CHUNK + 5) + [1e-8]
     with pytest.raises(
         EigenvalueAmbiguity, match=f"chunk from grid point {torus.SWEEP_CHUNK}, item 5: "
-    ):
+    ) as exc:
         torus_m_sweep(2, -3, 1, 4, grid)
+    assert exc.value.item == torus.SWEEP_CHUNK + 5
 
 
 def per_point_rows(a, b, A, B, grid):
