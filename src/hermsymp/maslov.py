@@ -17,8 +17,11 @@ meaningless value.
 The triple index ``m(U,V) + m(V,W) + m(W,U)`` is an integer depending only on
 the underlying symplectic form; it is rounded under an integrality guard.
 
-:func:`m_stack` evaluates the pair invariant over a stack of spaces and raw
-bases in one batch of LAPACK calls, with every check of the scalar route.
+Every route ends in one pair tail, which takes graph maps and whitened columns
+of one pair or of a stack: :func:`m_details` runs it on one pair,
+:func:`triple_index` and :func:`eta_correction_rhs` on their 3 and 7 pairs in
+one batch of LAPACK calls, and :func:`m_stack` on a stack of spaces and raw
+bases.  A batch raises what a loop of the scalar route raises.
 """
 from __future__ import annotations
 
@@ -46,8 +49,8 @@ from .spaces import (
     _raise_at_first,
     _require_same_space,
     _split,
+    _stacked_phi,
     gamma_image,
-    intersection_dim,
     phi_of,
 )
 
@@ -62,12 +65,15 @@ class PairSpectrum:
     eigenvalues: tuple[complex, ...]
 
 
-def _excluded(space, eigs) -> np.ndarray:
-    """Which eigenvalues of a pair unitary, or of each of a stack, count as -1.
+def _pair_tail(space, phi_v, phi_w, columns):
+    """``(value, count, dim, eigenvalues)`` of one pair, or of each of a stack,
+    from the graph maps of V and W and their whitened columns side by side.
 
-    Those within ``tol.eig`` of -1 do; one inside the ambiguity band
-    ``(tol.eig, 100 tol.eig)`` raises :class:`EigenvalueAmbiguity`.
+    Eigenvalues of ``-phi_v phi_w*`` within ``tol.eig`` of -1 are excluded and
+    one in ``(tol.eig, 100 tol.eig)`` raises; then dim(V & W) is decided under
+    its rank guard band and must equal the count excluded.  No -0.0 value.
     """
+    eigs = np.linalg.eigvals(-phi_v @ adjoint(phi_w))
     tau = space.tol.eig
     dist = np.abs(eigs + 1.0)
     excluded = dist <= tau
@@ -81,12 +87,7 @@ def _excluded(space, eigs) -> np.ndarray:
         )
 
     _raise_at_first(ambiguous.any(axis=-1), EigenvalueAmbiguity, describe)
-    return excluded
-
-
-def _pair_value(eigs, excluded, idim):
-    """The pair invariant from its eigenvalues (no -0.0) and the count of those
-    ``excluded`` at -1, which must match dim(V & W)."""
+    idim = _intersection_dim(space, columns)
     count = excluded.sum(axis=-1)
     _raise_at_first(
         count != idim,
@@ -94,16 +95,28 @@ def _pair_value(eigs, excluded, idim):
         lambda j: f"{count[j]} eigenvalues excluded at -1 but dim(V & W) = {idim[j]}",
     )
     angles = np.log(eigs).imag  # the branch of the definition; libm's atan2, not a SIMD one
-    return -np.where(excluded, 0.0, angles).sum(axis=-1) / math.pi + 0.0, count
+    return -np.where(excluded, 0.0, angles).sum(axis=-1) / math.pi + 0.0, count, idim, eigs
+
+
+def _pair_values(space, pairs) -> np.ndarray:
+    """Pair invariants of Lagrangian pairs of ``space``, in one stacked pass.
+    If a check fails, the pairs are rerun in order through :func:`m_details`."""
+    lagrangians = [x for pair in pairs for x in pair]
+    try:
+        for x in lagrangians:
+            _require_same_space(space, x.space)
+        phi = _stacked_phi(space, lagrangians)
+        columns = space._upper @ np.stack([np.hstack([v.basis, w.basis]) for v, w in pairs])
+        return _pair_tail(space, phi[0::2], phi[1::2], columns)[0]
+    except HermsympError:
+        return np.array([m_details(v, w).value for v, w in pairs])
 
 
 def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
     """Pair invariant of (V, W) with eigenvalues sorted by angle."""
     _require_same_space(v.space, w.space)
-    eigs = np.linalg.eigvals(-phi_of(v) @ phi_of(w).conj().T)
-    excluded = _excluded(v.space, eigs)
-    idim = intersection_dim(v, w)
-    value, count = _pair_value(eigs, excluded, np.intp(idim))
+    columns = v.space._upper @ np.hstack([v.basis, w.basis])
+    value, count, idim, eigs = _pair_tail(v.space, phi_of(v), phi_of(w), columns)
     ordered = tuple(
         sorted(
             (complex(z) for z in eigs),
@@ -111,7 +124,7 @@ def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
         )
     )
     return PairSpectrum(
-        value=float(value), intersection_dim=idim, excluded=int(count), eigenvalues=ordered
+        value=float(value), intersection_dim=int(idim), excluded=int(count), eigenvalues=ordered
     )
 
 
@@ -133,12 +146,10 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     scalar route calls: the structural checks and Cholesky factor of a
     :class:`~hermsymp.spaces.HermitianSymplecticSpace` built on the stack, the
     span count and omega on each span, the k/k split of ``i gamma_w``
-    (``gamma_w = U gamma U^-1``) and its residuals, the graph maps, the
-    eigenvalue bands, and the intersection dimension with its rank guard band
-    against the exclusion count.  A failure raises what a loop of the scalar
-    route over the items raises: the first failing check of the lowest failing
-    item, V's before W's; the message names the index, the error's ``item``
-    holds it.
+    (``gamma_w = U gamma U^-1``) and its residuals, the graph maps, and the
+    pair tail.  A failure raises what a loop of the scalar route over the items
+    raises: the first failing check of the lowest failing item, V's before
+    W's; the message names the index, the error's ``item`` holds it.
 
     One decision takes another form here: the rank of a span is the
     column-relative drop rule ``|R_jj| > tol.rank |U b_j|`` on a QR of
@@ -146,8 +157,7 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     itself, which serve ``m``, since it does not depend on the choice of
     eigenbases (the pair unitary only changes by a unitary similarity), but
     not :func:`~hermsymp.spaces.phi_of`, which is pinned to the phase-fixed
-    bases of :func:`~hermsymp.spaces.eigensplit`; so :func:`m_details` and
-    ``phi_of`` keep their scalar, memoized route.
+    bases of :func:`~hermsymp.spaces.eigensplit`.
     """
     if np.ndim(gram) != 3:
         raise SpaceValidationError(
@@ -202,10 +212,7 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     a = adjoint(evecs[..., :k])[:, None] @ q
     c = adjoint(evecs[..., k:])[:, None] @ q
     phi_v, phi_w = (_graph_map(stack, a[:, side], c[:, side]) for side in (0, 1))
-    eigs = np.linalg.eigvals(-phi_v @ adjoint(phi_w))
-    excluded = _excluded(stack, eigs)
-    idim = _intersection_dim(stack, np.concatenate([q[:, 0], q[:, 1]], axis=-1))
-    return _pair_value(eigs, excluded, idim)[0]
+    return _pair_tail(stack, phi_v, phi_w, np.concatenate([q[:, 0], q[:, 1]], axis=-1))[0]
 
 
 def _rounded(total: float, tol: float) -> int:
@@ -224,8 +231,8 @@ def triple_index(u: Lagrangian, v: Lagrangian, w: Lagrangian) -> int:
     ``space.tol.int`` from an integer, which signals numerical breakdown or
     invalid inputs.
     """
-    total = m_invariant(u, v) + m_invariant(v, w) + m_invariant(w, u)
-    return _rounded(total, u.space.tol.int)
+    m_uv, m_vw, m_wu = _pair_values(u.space, [(u, v), (v, w), (w, u)]).tolist()
+    return _rounded(m_uv + m_vw + m_wu, u.space.tol.int)
 
 
 def eta_correction_rhs(
@@ -241,19 +248,17 @@ def eta_correction_rhs(
     WX, WY))``: the real pair invariant plus the integer defect by which the
     glued quantity differs from the sum of the pieces.  Internally verifies
     the equivalent chain ``m(VX,VY) - m(gamma VX, WX) + m(gamma VY, WY) -
-    m(WX,WY)`` against the integer within ``space.tol.int``.  Each of the 7
-    distinct pair invariants is evaluated once.
+    m(WX,WY)`` against the integer within ``space.tol.int``.  The 7 distinct
+    pair invariants are evaluated in one stacked pass.
     """
     tol = vx.space.tol.int
     g_vx, g_vy, g_wy = gamma_image(vx), gamma_image(vy), gamma_image(wy)
-    m_vx_vy = m_invariant(vx, vy)
-    first = _rounded(m_vx_vy + m_invariant(vy, g_wy) + m_invariant(g_wy, vx), tol)
-    m_gvx_wx, m_wx_wy = m_invariant(g_vx, wx), m_invariant(wx, wy)
-    second = _rounded(m_gvx_wx + m_wx_wy + m_invariant(wy, g_vx), tol)
-    integer = first - second
-    chain = m_vx_vy - m_gvx_wx + m_invariant(g_vy, wy) - m_wx_wy
+    pairs = [(vx, vy), (vy, g_wy), (g_wy, vx), (g_vx, wx), (wx, wy), (wy, g_vx), (g_vy, wy)]
+    m = _pair_values(vx.space, pairs).tolist()
+    integer = _rounded(m[0] + m[1] + m[2], tol) - _rounded(m[3] + m[4] + m[5], tol)
+    chain = m[0] - m[3] + m[6] - m[4]
     if abs(chain - integer) > tol:
         raise NonIntegerSum(
             f"correction chain {chain!r} disagrees with integer part {integer}"
         )
-    return m_wx_wy, integer
+    return m[4], integer

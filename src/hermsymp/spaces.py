@@ -28,8 +28,10 @@ intersection dimension are private functions shared with the stacked kernel
 :func:`~hermsymp.maslov.m_stack`, each taking a single space or a stack.  The
 split is one ``eigh`` of the whitened ``i gamma``; :func:`eigensplit` projects
 the coordinate vectors along its eigenvectors for the phase-fixed bases that
-pin :func:`phi_of`.  Only the rank of a span has two forms: ``gram_mgs`` over
-any number of columns here, a QR over exactly k columns there.
+pin :func:`phi_of`, and raises unless each keeps k columns.  The graph maps
+of several Lagrangians are computed in one stacked call and memoized as
+``phi_of`` memoizes them.  Only the rank of a span has two forms: ``gram_mgs``
+over any number of columns here, a QR over exactly k columns there.
 """
 from __future__ import annotations
 
@@ -188,6 +190,9 @@ class HermitianSymplecticSpace:
         raw, coeffs = np.linalg.solve(upper, evecs), adjoint(evecs) @ upper
         plus = gram_mgs(upper, raw[:, :k] @ coeffs[:k], drop_tol=self.tol.rank)
         minus = gram_mgs(upper, raw[:, k:] @ coeffs[k:], drop_tol=self.tol.rank)
+        columns = (plus.shape[1], minus.shape[1])
+        if columns != (k, k):
+            raise EigensplitError(f"pinned eigenbases have {columns} columns, expected {(k, k)}")
         if k:
             plus, minus = _phase_fixed(plus), _phase_fixed(minus)
         return EigenSplitting(plus_basis=_frozen(plus), minus_basis=_frozen(minus))
@@ -445,14 +450,29 @@ class Lagrangian:
 
     @cached_property
     def _phi(self) -> np.ndarray:
-        space = self.space
-        if space.half_dim == 0:
+        if self.space.half_dim == 0:
             return _frozen(np.zeros((0, 0)))
-        splitting = eigensplit(space)
-        gl = space.gram @ self.basis
-        a = splitting.plus_basis.conj().T @ gl
-        c = splitting.minus_basis.conj().T @ gl
-        return _frozen(_graph_map(space, a, c))
+        return _frozen(_pinned_graph_map(self.space, self.basis))
+
+
+def _pinned_graph_map(space, basis) -> np.ndarray:
+    """The graph map of a Lagrangian basis, or of each of a stack, in the
+    bases of :func:`eigensplit`."""
+    splitting = eigensplit(space)
+    gl = space.gram @ basis
+    a, c = adjoint(splitting.plus_basis) @ gl, adjoint(splitting.minus_basis) @ gl
+    return _graph_map(space, a, c)
+
+
+def _stacked_phi(space, lagrangians) -> np.ndarray:
+    """The graph maps of Lagrangians of ``space``, stacked in their order; those
+    that :func:`phi_of` has not memoized are computed in one call and memoized."""
+    missing = list({id(x): x for x in lagrangians if "_phi" not in vars(x)}.values())
+    if missing and space.half_dim:
+        maps = _pinned_graph_map(space, np.stack([x.basis for x in missing]))
+        for lagr, phi in zip(missing, maps):
+            vars(lagr)["_phi"] = _frozen(phi)
+    return np.stack([x._phi for x in lagrangians])
 
 
 def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:

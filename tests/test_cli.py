@@ -356,6 +356,32 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_m_on_a_space_whose_split_cannot_be_pinned(tmp_path):
+    # The space validates, but its pinned eigenbases cannot be formed
+    # (test_spaces.ill_conditioned_split_space).  As a process, m either prints
+    # the value m_stack gives or exits 2 with one JSON error; never a traceback.
+    space = sampling.random_space(24, np.random.default_rng(8), spread=1e7)
+    pullback = np.linalg.inv(sampling.random_invertible(48, np.random.default_rng(8), 1e7))
+    v, w = (hs.lagrangian_from_basis(space, pullback[:, h]) for h in (slice(24), slice(24, 48)))
+    files = [
+        write_json(tmp_path / "s.json", ser.space_to_dict(space)),
+        write_json(tmp_path / "v.json", ser.lagrangian_to_dict(v)),
+        write_json(tmp_path / "w.json", ser.lagrangian_to_dict(w)),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "hermsymp.cli", "--json", "m", *files],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode in (0, 2), out.stderr
+    if out.returncode == 0:
+        stacked = hs.m_stack(*(x[None] for x in (space.gram, space.gamma, v.basis, w.basis)))
+        assert abs(json.loads(out.stdout)["m"] - stacked[0]) < 1e-9
+    else:
+        assert out.stdout == ""
+        assert set(json.loads(out.stderr)) == {"error", "message"}
+
+
 MUTATIONS = {
     "nan": lambda rows: rows[0][0].update(re=math.nan),
     "huge-int": lambda rows: rows[0][0].update(re=10**330),

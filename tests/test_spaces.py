@@ -108,6 +108,30 @@ def test_eigensplit_rejects_unbalanced():
         hs.eigensplit(space)
 
 
+def ill_conditioned_split_space():
+    """A space that validates, with cond(U) about 6.4e6, whose +i projection of
+    the coordinate vectors keeps 25 columns under the rank rule of ``gram_mgs``;
+    and the bases ``T^-1 e_1..e_24`` and ``T^-1 e_25..e_48`` of two Lagrangians,
+    ``T`` the map that pulls the standard model back to it."""
+    space = sampling.random_space(24, np.random.default_rng(8), spread=1e7)
+    pullback = np.linalg.inv(sampling.random_invertible(48, np.random.default_rng(8), 1e7))
+    return space, pullback[:, :24], pullback[:, 24:]
+
+
+def test_eigensplit_raises_unless_each_pinned_basis_has_k_columns():
+    space, v_basis, _ = ill_conditioned_split_space()
+    assert hs.validate_space(space).passed
+    _split(space)  # the eigenvalue count of i gamma_w is 24/24
+    with pytest.raises(EigensplitError, match=r"\(25, 24\) columns, expected \(24, 24\)"):
+        hs.eigensplit(space)
+    # the functions built on the pinned bases fail with the same typed error
+    lagr = hs.lagrangian_from_basis(space, v_basis)
+    with pytest.raises(EigensplitError):
+        hs.phi_of(lagr)
+    with pytest.raises(EigensplitError):
+        hs.lagrangian_from_graph(space, np.eye(24))
+
+
 def test_lagrangian_line_in_standard_model():
     space = hs.standard_space(1)
     lagr = hs.lagrangian_from_basis(space, [[1.0], [0.0]])
