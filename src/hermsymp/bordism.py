@@ -45,7 +45,7 @@ def _flipped_product(source, target) -> HermitianSymplecticSpace:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BordismRelation:
     """Linear canonical relation from ``source`` to ``target``.
 

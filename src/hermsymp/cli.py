@@ -6,6 +6,11 @@ byte-identical stdout.  Rationals are read and written as "p/q" strings.
 Plain output prints floats with 15 significant digits; ``--json`` output and
 the JSON that reduce and compose print use Python's shortest round-trip repr.
 
+The numeric modules are lazy (see :mod:`hermsymp`): each handler reaches its
+functions through their module, so a module runs when a handler first uses it.
+``trefoil``, ``rho-diff`` and ``--help`` run on the standard library and
+:mod:`~hermsymp.knotcalc` and never import numpy.
+
 Exit codes:
     0  success
     2  invalid input (JSON schema, shapes, parameters, failed validation,
@@ -23,30 +28,14 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import serialization
-from .bordism import compose as compose_relations
-from .bordism import reduce as reduce_relation
+from . import bordism, knotcalc, maslov, serialization, spaces, torus
 from .errors import (
     EigenvalueAmbiguity,
     HermsympError,
     NonIntegerSum,
+    Tolerances,
     ValidationError,
 )
-from .knotcalc import (
-    DEFAULT_MONODROMY,
-    chern_simons,
-    cs_winding,
-    holonomy_constraint,
-    mapping_torus_condition,
-    rho_difference_mod_z,
-    torus_twisted_cohomology,
-    trefoil_arc_point,
-)
-from .maslov import m_details, triple_index
-from .spaces import Tolerances, validate_space
-from .torus import torus_m_sweep
 
 SWEEP_TOL = 1e-9
 
@@ -84,7 +73,7 @@ def _tolerances(args) -> Tolerances:
 
 def _cmd_validate(args) -> int:
     space = serialization.space_from_dict(_load_json(args.space), _tolerances(args))
-    report = validate_space(space)
+    report = spaces.validate_space(space)
     payload = {
         "dim": space.dim,
         "signature": report.signature,
@@ -106,7 +95,7 @@ def _cmd_validate(args) -> int:
 
 def _load_space_and_lagrangians(args, names):
     space = serialization.space_from_dict(_load_json(args.space), _tolerances(args))
-    if not validate_space(space).passed:
+    if not spaces.validate_space(space).passed:
         raise ValidationError("space fails validation; run the validate command")
     out = [serialization.lagrangian_from_dict(space, _load_json(getattr(args, name)))
            for name in names]
@@ -115,7 +104,7 @@ def _load_space_and_lagrangians(args, names):
 
 def _cmd_m(args) -> int:
     _, (v, w) = _load_space_and_lagrangians(args, ("v", "w"))
-    details = m_details(v, w)
+    details = maslov.m_details(v, w)
     eigen_strs = [f"{_fmt(z.real)}{'%+.15g' % z.imag}i" for z in details.eigenvalues]
     payload = {
         "m": details.value,
@@ -133,7 +122,7 @@ def _cmd_m(args) -> int:
 
 def _cmd_triple(args) -> int:
     _, (u, v, w) = _load_space_and_lagrangians(args, ("u", "v", "w"))
-    value = triple_index(u, v, w)
+    value = maslov.triple_index(u, v, w)
     _emit(args, {"triple_index": value}, [f"triple_index = {value}"])
     return 0
 
@@ -141,7 +130,7 @@ def _cmd_triple(args) -> int:
 def _cmd_reduce(args) -> int:
     rel = serialization.relation_from_dict(_load_json(args.relation), _tolerances(args))
     w = serialization.lagrangian_from_dict(rel.source, _load_json(args.w))
-    result = reduce_relation(rel, w)
+    result = bordism.reduce(rel, w)
     print(json.dumps(serialization.lagrangian_to_dict(result), sort_keys=True))
     return 0
 
@@ -150,7 +139,7 @@ def _cmd_compose(args) -> int:
     tol = _tolerances(args)
     rel1 = serialization.relation_from_dict(_load_json(args.rel1), tol)
     rel2 = serialization.relation_from_dict(_load_json(args.rel2), tol)
-    result = compose_relations(rel1, rel2)
+    result = bordism.compose(rel1, rel2)
     print(json.dumps(serialization.relation_to_dict(result), sort_keys=True))
     return 0
 
@@ -162,8 +151,10 @@ def _cmd_torus_sweep(args) -> int:
         raise ValidationError(
             f"need 0 < t_min <= t_max, got t_min={args.t_min} t_max={args.t_max}"
         )
+    import numpy as np
+
     grid = np.linspace(args.t_min, args.t_max, args.steps)
-    result = torus_m_sweep(args.a, args.b, args.A, args.B, grid)
+    result = torus.torus_m_sweep(args.a, args.b, args.A, args.B, grid)
     print("t,m_closed,m_generic,delta")
     for row in result.rows:
         print(
@@ -185,13 +176,13 @@ def _cmd_torus_sweep(args) -> int:
 
 
 def _cmd_trefoil(args) -> int:
-    rep = trefoil_arc_point(args.t)
-    f = DEFAULT_MONODROMY
-    cohomology = torus_twisted_cohomology(rep)
-    condition = mapping_torus_condition(rep, f)
-    constraint = holonomy_constraint(rep, f)
-    winding = cs_winding(rep, f)
-    cs = chern_simons(rep, f)
+    rep = knotcalc.trefoil_arc_point(args.t)
+    f = knotcalc.DEFAULT_MONODROMY
+    cohomology = knotcalc.torus_twisted_cohomology(rep)
+    condition = knotcalc.mapping_torus_condition(rep, f)
+    constraint = knotcalc.holonomy_constraint(rep, f)
+    winding = knotcalc.cs_winding(rep, f)
+    cs = knotcalc.chern_simons(rep, f)
     payload = {
         "phi": str(rep.phi),
         "psi": str(rep.psi),
@@ -215,12 +206,12 @@ def _cmd_trefoil(args) -> int:
 
 
 def _cmd_rho_diff(args) -> int:
-    rep1 = trefoil_arc_point(args.t1)
-    rep2 = trefoil_arc_point(args.t2)
-    f = DEFAULT_MONODROMY
-    cs1 = chern_simons(rep1, f)
-    cs2 = chern_simons(rep2, f)
-    diff = rho_difference_mod_z(rep1, rep2, f)
+    rep1 = knotcalc.trefoil_arc_point(args.t1)
+    rep2 = knotcalc.trefoil_arc_point(args.t2)
+    f = knotcalc.DEFAULT_MONODROMY
+    cs1 = knotcalc.chern_simons(rep1, f)
+    cs2 = knotcalc.chern_simons(rep2, f)
+    diff = knotcalc.rho_difference_mod_z(rep1, rep2, f)
     payload = {"cs1": str(cs1), "cs2": str(cs2), "rho_diff": str(diff)}
     lines = [f"cs1 = {cs1}", f"cs2 = {cs2}", f"rho_diff = {diff}"]
     _emit(args, payload, lines)

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and the decision thresholds shared across the package.
+
+Neither needs numpy, so the parser of :mod:`hermsymp.cli` reads its tolerance
+defaults without loading the numeric modules.
+"""
+import math
+from dataclasses import dataclass, fields
 
 
 class HermsympError(Exception):
@@ -59,3 +65,29 @@ class OutOfArc(ValidationError):
 
 class ConditionFailed(ValidationError):
     """Holonomy parameters do not extend over the mapping torus."""
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Decision thresholds of a space and of everything derived from it.
+
+    ``alg`` bounds whitened residuals of algebraic identities, times cond(U),
+    ``rank`` whitened singular values of rank decisions, ``eig`` the distance
+    at which an eigenvalue counts as -1, and ``int`` the integrality guard.
+    Problems handled here are tiny (dims below ~50), so double precision leaves
+    wide margins around each default.  Every field must be finite and positive;
+    any other value raises :class:`ValidationError` naming the field.
+    """
+
+    alg: float = 1e-10
+    rank: float = 1e-8
+    eig: float = 1e-8
+    int: float = 1e-6
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not 0.0 < value < math.inf:
+                raise ValidationError(
+                    f"tolerance {field.name} must be finite and positive, got {value!r}"
+                )

@@ -21,7 +21,8 @@ Each space also carries the :class:`Tolerances` of every numerical decision
 made on it or on anything derived from it.  All types are immutable after
 construction and all operations are pure functions of them, so the splitting
 of a space and the graph unitary of a Lagrangian are computed once, on first
-use, and memoized on the object.
+use, and memoized on the object.  Spaces, splittings and Lagrangians compare
+and hash by identity; :func:`same_space` compares two spaces by value.
 
 The k/k split and the checks of a Lagrangian span, a graph map and an
 intersection dimension are private functions shared with the stacked kernel
@@ -35,7 +36,7 @@ over any number of columns here, a QR over exactly k columns there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,35 +47,10 @@ from .errors import (
     LagrangianValidationError,
     RankAmbiguity,
     SpaceValidationError,
+    Tolerances,
     ValidationError,
 )
 from .linalg import adjoint, as_complex_matrix, gram_mgs, max_abs
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Decision thresholds of a space and of everything derived from it.
-
-    ``alg`` bounds whitened residuals of algebraic identities, times cond(U),
-    ``rank`` whitened singular values of rank decisions, ``eig`` the distance
-    at which an eigenvalue counts as -1, and ``int`` the integrality guard.
-    Problems handled here are tiny (dims below ~50), so double precision leaves
-    wide margins around each default.  Every field must be finite and positive;
-    any other value raises :class:`ValidationError` naming the field.
-    """
-
-    alg: float = 1e-10
-    rank: float = 1e-8
-    eig: float = 1e-8
-    int: float = 1e-6
-
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not 0.0 < value < np.inf:
-                raise ValidationError(
-                    f"tolerance {field.name} must be finite and positive, got {value!r}"
-                )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -83,7 +59,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianSymplecticSpace:
     """Complex inner-product space with a compatible complex structure.
 
@@ -398,7 +374,7 @@ def validate_space(space: HermitianSymplecticSpace) -> SpaceReport:
     return SpaceReport(checks=checks, signature=signature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSplitting:
     """Gram-orthonormal bases of the +i and -i eigenspaces of ``gamma``.
 
@@ -432,7 +408,7 @@ def eigensplit(space: HermitianSymplecticSpace) -> EigenSplitting:
     return space._splitting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lagrangian:
     """Half-dimensional subspace on which the symplectic form vanishes.
 

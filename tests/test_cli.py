@@ -208,7 +208,7 @@ def test_non_integer_sum_exits_4(capsys, standard_files, monkeypatch):
     def explode(*args, **kwargs):
         raise NonIntegerSum("forced")
 
-    monkeypatch.setattr(cli, "triple_index", explode)
+    monkeypatch.setattr(hs.maslov, "triple_index", explode)
     code, _, err = run_cli(
         capsys,
         [
@@ -285,7 +285,7 @@ def test_torus_sweep_bad_range(capsys):
 def test_sweep_mismatch_exits_5(capsys, monkeypatch):
     rows = (SweepRow(t=1.0, m_closed=0.0, m_generic=1e-3),)
 
-    monkeypatch.setattr(cli, "torus_m_sweep", lambda *a, **k: SweepResult(rows=rows))
+    monkeypatch.setattr(hs.torus, "torus_m_sweep", lambda *a, **k: SweepResult(rows=rows))
     code, out, err = run_cli(capsys, ["torus-sweep", "1", "1", "1", "0", "1", "1", "1"])
     assert code == 5
     assert json.loads(err)["error"] == "SweepMismatch"
@@ -354,6 +354,45 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# Runs one command in-process, then reports on stderr whether numpy was loaded.
+NUMPY_PROBE = (
+    "import sys, hermsymp.cli; code = hermsymp.cli.main(sys.argv[1:]); "
+    "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+)
+EXACT_OUTPUTS = {
+    ("trefoil", "--t", "1/5"): "phi = 1/5\npsi = -7/10\ncohomology = (0, 0, 0)\n"
+    "condition = true\nconstraint = (-1, -5)\nwinding = (3, -2)\ncs = 7/10\n",
+    ("--json", "trefoil", "--t", "1/5"): '{"cohomology": [0, 0, 0], "condition": true, '
+    '"constraint": ["-1", "-5"], "cs": "7/10", "phi": "1/5", "psi": "-7/10", '
+    '"winding": ["3", "-2"]}\n',
+    ("rho-diff", "--t1", "1/5", "--t2", "2/5"): "cs1 = 7/10\ncs2 = 3/10\nrho_diff = 3/5\n",
+    ("--json", "rho-diff", "--t1", "1/5", "--t2", "2/5"):
+        '{"cs1": "7/10", "cs2": "3/10", "rho_diff": "3/5"}\n',
+}
+
+
+def test_exact_commands_do_not_load_numpy():
+    # The numeric modules are lazy, so only the commands that need them pay
+    # for numpy; the benchmark's tracer still finds every layer registered.
+    from test_bench_layers import LAYERS
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+
+    def python(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, check=True)
+
+    layers = {f"hermsymp.{layer}" for layer in LAYERS}
+    code = f"import hermsymp.cli, sys; print('numpy' in sys.modules, {layers} <= sys.modules.keys())"
+    assert python("-c", code).stdout == "False True\n"
+    assert python("-c", "import hermsymp, sys; print('numpy' in sys.modules)").stdout == "False\n"
+    for argv, expected in EXACT_OUTPUTS.items():
+        out = python("-c", NUMPY_PROBE, *argv)
+        assert (out.stdout, out.stderr) == (expected, "False\n")
+    out = python("-c", NUMPY_PROBE, "--help")
+    assert out.stdout.startswith("usage: hermsymp") and out.stderr == "False\n"
 
 
 def test_m_on_a_space_whose_split_cannot_be_pinned(tmp_path):

@@ -392,3 +392,18 @@ def test_eigensplit_bases_are_phase_fixed_by_the_loop(rng):
         for basis, half in ((split.plus_basis, slice(k)), (split.minus_basis, slice(k, None))):
             raw = gram_mgs(upper, left[:, half] @ right[half], 1e-8)
             assert np.array_equal(basis, phase_fixed_loop(raw))
+
+
+def test_spaces_lagrangians_and_relations_compare_and_hash_by_identity():
+    # Generated equality over ndarray fields raised on ==, `in` and hash().
+    rng = np.random.default_rng(0)
+    s = sampling.random_space(2, rng)
+    e = hs.eigensplit(s)
+    assert (e == e, e == hs.eigensplit(hs.standard_space(2)), e in {e}) == (True, False, True)
+    v, w = sampling.random_lagrangian(s, rng), sampling.random_lagrangian(s, rng)
+    rel = sampling.random_bordism_relation(s, sampling.random_space(1, rng), rng)
+    assert (v == w, v == v, v != w, v in [w], v in [w, v]) == (False, True, True, False, True)
+    assert (s == hs.standard_space(2), s == s) == (False, True)
+    assert (rel == rel, rel == sampling.random_bordism_relation(s, rel.target, rng)) == (True, False)
+    assert {v, w, v} == {v, w} and len({s, s, rel, rel}) == 2
+    assert hash(v) == hash(v) and isinstance(hash(s), int) and isinstance(hash(rel), int)
