@@ -8,14 +8,17 @@ stretch parameter, and exact rational Chern-Simons arithmetic for flat
 connections on torus bundles.
 
 Only :mod:`~hermsymp.errors` is imported eagerly.  The other modules are
-registered in ``sys.modules`` by :class:`importlib.util.LazyLoader` and run on
-their first attribute access, and the names exported from them resolve on
-first use, so ``import hermsymp`` and the exact commands of
-:mod:`~hermsymp.cli` load no numpy.
+registered in ``sys.modules`` as lazy modules that run their code on their
+first attribute access, and the names exported from them resolve on first
+use, so ``import hermsymp`` and the exact commands of :mod:`~hermsymp.cli`
+load no numpy.  A module loads under one lock, so threads that reach it at
+once wait for its code to finish.
 """
 
 import importlib.util
 import sys
+import threading
+import types
 
 from .errors import (
     BranchCut,
@@ -66,12 +69,33 @@ _EXPORTS = {
     ),
 }
 
+# one lock for every load, re-entrant: loading spaces loads linalg on the same thread
+_loading = threading.RLock()
+_running = set()  # the modules whose code the thread holding _loading runs now
+
+
+class _LazyModule(types.ModuleType):
+    """A module whose code runs on its first attribute access.  Every access
+    waits for that code under ``_loading``, so no thread sees half a module;
+    then it becomes a plain module, whose accesses cost nothing extra."""
+
+    def __getattribute__(self, name):
+        with _loading:
+            if type(self) is _LazyModule and self not in _running:
+                _running.add(self)
+                try:
+                    types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                finally:
+                    _running.discard(self)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, name)
+
+
 for _name in ("linalg", "spaces", "maslov", "bordism", "torus", "knotcalc", "serialization"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)
+    _module.__class__ = _LazyModule
     sys.modules[_spec.name] = globals()[_name] = _module
-    _spec.loader.exec_module(_module)
 del _name, _spec, _module
 
 __version__ = "0.1.0"

@@ -48,14 +48,15 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, non-UTF-8 bytes and over-long integers
         raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _rational_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return knotcalc._rational(text)
+    except ValidationError:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from None
 
 

@@ -24,12 +24,16 @@ from .errors import ConditionFailed, OutOfArc, ValidationError
 
 
 def _rational(value, name: str = "value") -> Fraction:
+    """An int, a Fraction, or text in the form ``p/q``, an integer or a plain
+    decimal, as a Fraction; anything else, an exponent included, raises."""
     if isinstance(value, bool):
         raise ValidationError(f"{name} must be an exact rational, got a bool")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if "e" in value.lower():  # Fraction would expand 1e-99999999 digit by digit
+                raise ValueError("decimal exponents are not accepted")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"{name}: cannot parse {value!r} as p/q") from exc

@@ -46,10 +46,10 @@ from .spaces import (
     _check_span,
     _graph_map,
     _intersection_dim,
+    _pinned_graph_map,
     _raise_at_first,
     _require_same_space,
     _split,
-    _stacked_phi,
     gamma_image,
     phi_of,
 )
@@ -105,7 +105,11 @@ def _pair_values(space, pairs) -> np.ndarray:
     try:
         for x in lagrangians:
             _require_same_space(space, x.space)
-        phi = _stacked_phi(space, lagrangians)
+        # each Lagrangian of a triple or a correction recurs in its pairs: one
+        # graph map per distinct Lagrangian, all in one call
+        slot = {x: j for j, x in enumerate(dict.fromkeys(lagrangians))}
+        maps = _pinned_graph_map(space, np.stack([x.basis for x in slot]))
+        phi = maps[[slot[x] for x in lagrangians]]
         columns = space._upper @ np.stack([np.hstack([v.basis, w.basis]) for v, w in pairs])
         return _pair_tail(space, phi[0::2], phi[1::2], columns)[0]
     except HermsympError:
@@ -191,8 +195,6 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
                 f"{name} bases must have shape {(count, n, k)}, got {basis.shape}"
             )
         pair.append(basis)
-    if k == 0:
-        return np.zeros(count)
     # both spans in one QR: whitened bases q, their columns kept under the
     # drop rule, and omega vanishing on them; V is checked before W
     bases = np.stack(pair, axis=1)  # (T, 2, n, k)

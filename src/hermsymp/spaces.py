@@ -19,10 +19,12 @@ whitened coordinates ``U x``: residuals against ``tol.alg`` times cond(U),
 singular values against ``tol.rank``, independent of the coordinates' units.
 Each space also carries the :class:`Tolerances` of every numerical decision
 made on it or on anything derived from it.  All types are immutable after
-construction and all operations are pure functions of them, so the splitting
-of a space and the graph unitary of a Lagrangian are computed once, on first
-use, and memoized on the object.  Spaces, splittings and Lagrangians compare
-and hash by identity; :func:`same_space` compares two spaces by value.
+construction and all operations are pure functions of them, so the data a
+space derives (its Cholesky factor, whitened ``gamma``, condition number and
+splitting) is computed once and kept on the space, which many Lagrangians
+share.  A Lagrangian is only its space and basis: its graph unitary is
+computed on each call.  Spaces, splittings and Lagrangians compare and hash
+by identity; :func:`same_space` compares two spaces by value.
 
 The k/k split and the checks of a Lagrangian span, a graph map and an
 intersection dimension are private functions shared with the stacked kernel
@@ -30,9 +32,9 @@ intersection dimension are private functions shared with the stacked kernel
 split is one ``eigh`` of the whitened ``i gamma``; :func:`eigensplit` projects
 the coordinate vectors along its eigenvectors for the phase-fixed bases that
 pin :func:`phi_of`, and raises unless each keeps k columns.  The graph maps
-of several Lagrangians are computed in one stacked call and memoized as
-``phi_of`` memoizes them.  Only the rank of a span has two forms: ``gram_mgs``
-over any number of columns here, a QR over exactly k columns there.
+of several Lagrangians are computed in one stacked call.  Only the rank of a
+span has two forms: ``gram_mgs`` over any number of columns here, a QR over
+exactly k columns there.
 """
 from __future__ import annotations
 
@@ -243,7 +245,7 @@ def _check_span(space, kept, q_w, gamma_q_w) -> None:
 def _graph_map(space, a, c) -> np.ndarray:
     """The unitary ``phi = c a^-1`` whose graph is a Lagrangian, from the Gram
     products ``a`` and ``c`` of the +i and -i eigenbases with its basis."""
-    s_min = np.linalg.svd(a, compute_uv=False)[..., -1]
+    s_min = np.linalg.svd(a, compute_uv=False).min(axis=-1, initial=np.inf)
     _raise_at_first(
         s_min <= space.tol.rank,
         LagrangianValidationError,
@@ -424,12 +426,6 @@ class Lagrangian:
     def half_dim(self) -> int:
         return self.basis.shape[1]
 
-    @cached_property
-    def _phi(self) -> np.ndarray:
-        if self.space.half_dim == 0:
-            return _frozen(np.zeros((0, 0)))
-        return _frozen(_pinned_graph_map(self.space, self.basis))
-
 
 def _pinned_graph_map(space, basis) -> np.ndarray:
     """The graph map of a Lagrangian basis, or of each of a stack, in the
@@ -438,17 +434,6 @@ def _pinned_graph_map(space, basis) -> np.ndarray:
     gl = space.gram @ basis
     a, c = adjoint(splitting.plus_basis) @ gl, adjoint(splitting.minus_basis) @ gl
     return _graph_map(space, a, c)
-
-
-def _stacked_phi(space, lagrangians) -> np.ndarray:
-    """The graph maps of Lagrangians of ``space``, stacked in their order; those
-    that :func:`phi_of` has not memoized are computed in one call and memoized."""
-    missing = list({id(x): x for x in lagrangians if "_phi" not in vars(x)}.values())
-    if missing and space.half_dim:
-        maps = _pinned_graph_map(space, np.stack([x.basis for x in missing]))
-        for lagr, phi in zip(missing, maps):
-            vars(lagr)["_phi"] = _frozen(phi)
-    return np.stack([x._phi for x in lagrangians])
 
 
 def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
@@ -499,10 +484,10 @@ def phi_of(lagr: Lagrangian) -> np.ndarray:
     decomposes as w = w+ + w- with w- = phi(w+); the returned read-only
     half_dim x half_dim matrix is unitary under the space's threshold rule.
     Fails only if the projection of the span to the +i eigenspace is singular,
-    which signals an invalid input that slipped past validation.  Computed on
-    first use and memoized on the Lagrangian.
+    which signals an invalid input that slipped past validation.  Computed
+    afresh on each call.
     """
-    return lagr._phi
+    return _frozen(_pinned_graph_map(lagr.space, lagr.basis))
 
 
 def lagrangian_from_graph(space: HermitianSymplecticSpace, unitary) -> Lagrangian:

@@ -92,6 +92,21 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b'{"gram": ' + b"1" * 5000 + b"}", b"[" * 200000 + b"]" * 200000],
+    ids=["not-utf8", "long-integer", "deep-nesting"],
+)
+@pytest.mark.parametrize("command", ["validate", "m"])
+def test_undecodable_document_exits_2(capsys, tmp_path, content, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [command, str(bad)] + ([str(FIXTURES / "v.json")] * 2 if command == "m" else [])
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ValidationError"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, ["validate", "/nonexistent/space.json"])
     assert code == 2
@@ -312,6 +327,18 @@ def test_trefoil_out_of_arc_exits_2(capsys):
 def test_trefoil_bad_rational_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["trefoil", "--t", "0.2x"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["trefoil", "--t", "1e-99999999"], ["rho-diff", "--t1", "1/5", "--t2", "1e99999999"]]
+)
+def test_rational_exponent_exits_2_at_once(argv):
+    # Fraction would expand the power of ten for minutes; the grammar is p/q
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-m", "hermsymp.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=5)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "not a rational p/q" in out.stderr
 
 
 def test_rho_diff_golden(capsys):

@@ -46,6 +46,17 @@ def test_floats_rejected_everywhere():
         GluingMatrix(((1.0, 3), (2, 7)))
 
 
+def test_rational_text_is_p_q_integer_or_plain_decimal():
+    assert RepPoint("1/5", "-3") == RepPoint(Fraction(1, 5), Fraction(-3))
+    assert trefoil_arc_point("0.2") == trefoil_arc_point(Fraction(1, 5))
+    # an exponent is rejected at once, however large: Fraction would expand it
+    for text in ("1e-99999999", "2E-1", "0.2e0", "1/5e2"):
+        with pytest.raises(ValidationError, match="as p/q"):
+            trefoil_arc_point(text)
+    with pytest.raises(ValidationError):
+        RepPoint("1e99999999", 0)
+
+
 def test_gluing_matrix_det_and_inverse():
     f = DEFAULT_MONODROMY
     assert f.det == 1

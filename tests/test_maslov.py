@@ -375,10 +375,10 @@ def test_stacked_pairs_are_bit_identical_to_m_invariant(k, monkeypatch):
     assert m_wx_wy == hs.m_invariant(*expected[1][4])
     for (pairs, values), copies in zip(passes, expected):
         assert values.tolist() == [hs.m_invariant(a, b) for a, b in copies]
-        # the graph maps the stacked pass memoized are those phi_of gives on copies
+        # the Lagrangians of the stacked pass keep the graph maps of their copies
         for pair, twin in zip(pairs, copies):
             for lagr, copy in zip(pair, twin):
-                assert np.array_equal(vars(lagr)["_phi"], hs.phi_of(copy))
+                assert np.array_equal(hs.phi_of(lagr), hs.phi_of(copy))
 
 
 def test_triple_and_correction_make_one_batch_of_lapack_calls(rng, monkeypatch):

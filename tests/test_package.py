@@ -1,4 +1,9 @@
 """The package surface: every exported name resolves, lazily, to its home module."""
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import hermsymp as hs
@@ -58,3 +63,37 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'm_invarient'"):
         hs.m_invarient
     assert not hasattr(hs, "sampling_helpers")
+
+
+# Right after ``import hermsymp``, threads released together each read one
+# name of the not yet loaded ``spaces``; each must wait for its code to run.
+THREADED_ACCESS = """
+import threading
+import hermsymp
+
+names = ["Lagrangian", "phi_of", "zero_space", "eigensplit"]
+barrier = threading.Barrier(len(names))
+errors = []
+
+def touch(name):
+    barrier.wait()
+    try:
+        getattr(hermsymp.spaces, name)
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=touch, args=(name,)) for name in names]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(errors)
+"""
+
+
+def test_threads_first_touching_a_lazy_module_see_all_of_it():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    for _ in range(3):
+        out = subprocess.run([sys.executable, "-c", THREADED_ACCESS], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout == "[]\n"

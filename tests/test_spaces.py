@@ -226,6 +226,20 @@ def test_phi_unitary_and_graph_reconstruction(rng, half_dim):
         assert hs.subspace_distance(rebuilt, lagr) < 1e-10
 
 
+@pytest.mark.parametrize("half_dim", [0, 1, 3])
+def test_phi_of_recomputes_equal_read_only_maps(rng, half_dim):
+    lagr = sampling.random_lagrangian(sampling.random_space(half_dim, rng), rng)
+    first, second = hs.phi_of(lagr), hs.phi_of(lagr)
+    assert first is not second
+    assert first.shape == (half_dim, half_dim)
+    assert np.array_equal(first, second)
+    for phi in (first, second):
+        assert not phi.flags.writeable
+        with pytest.raises(ValueError):
+            phi[...] = 0.0
+    assert vars(lagr).keys() == {"space", "basis"}
+
+
 def test_phi_graph_roundtrip(rng):
     space = sampling.random_space(3, rng)
     unitary = sampling.random_unitary(3, rng)
