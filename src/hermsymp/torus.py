@@ -17,15 +17,25 @@ dependence of the invariant.  The closed form and the generic spectral
 algorithm are independent computations of the same number, and keeping both
 is the central oracle of this module.
 
+For non-parallel lines the invariant is continuous in t.  With
+w1 = b + i t a and w2 = B + i t A, the log argument of the closed form is
+-u / conj(u) for u = w1 conj(w2), so it reaches the branch point -1 only
+where Im(u) = t (aB - bA) vanishes, and for non-parallel lines it never does
+at t > 0.  A :class:`BranchCut`, :class:`EigenvalueAmbiguity` or
+:class:`RankAmbiguity` in a sweep is therefore numerical (extreme t or huge
+entries), not a crossing.
+
 A :class:`TorusModel` space carries the default :class:`~hermsymp.spaces.Tolerances`.
 Its eigensplitting is computed on first use and memoized on the space, so all
 Lagrangians of one model share it.  :func:`torus_m_sweep` builds no model: it
 stacks the matrices of a chunk of grid points and evaluates the generic route
 for all of them in one :func:`~hermsymp.maslov.m_stack` call, with the default
-tolerances and every check of the per-model route.
+tolerances and every check of the per-model route, and the closed form for
+the same chunk in one array pass.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -83,7 +93,14 @@ class IntegerPairLagrangian:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            value = int(value)
+            try:
+                float(value)
+            except OverflowError:
+                raise ValidationError(
+                    f"{name} has no finite float value: an integer of {value.bit_length()} bits"
+                ) from None
+            object.__setattr__(self, name, value)
         if self.a == 0 and self.b == 0:
             raise ValidationError("integer pair must not be (0, 0)")
 
@@ -136,25 +153,63 @@ def torus_m_closed_form(a: int, b: int, A: int, B: int, t: float) -> float:
     spans, detected exactly on the integers, all eigenvalues excluded, value
     0) and 1 + 0 otherwise.  The branch point is guarded with the default
     ``Tolerances.eig``, the threshold the generic route applies to the torus
-    space.
+    space: a log argument within it of -1 raises :class:`BranchCut`, and one
+    that is not finite (``t * a`` or ``t * A`` past the double range) raises
+    :class:`ValidationError`.
     """
-    first = IntegerPairLagrangian(a, b)
-    second = IntegerPairLagrangian(A, B)
-    t = _stretch(t)
+    first, second = IntegerPairLagrangian(a, b), IntegerPairLagrangian(A, B)
+    return _closed_form(first, second, np.array([_stretch(t)])).tolist()[0]
+
+
+def _quotient(ar, ai, br, bi):
+    """``(ar + i ai) / (br + i bi)`` on real arrays, rounded as Python's complex
+    division rounds: Smith's method, dividing through by the larger of |br|, |bi|.
+    (numpy's complex division multiplies by a reciprocal and differs in the last bits.)"""
+    wide = abs(br) >= abs(bi)
+    ratio = np.where(wide, bi / br, br / bi)
+    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+    re = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _closed_form(first: IntegerPairLagrangian, second: IntegerPairLagrangian, t: np.ndarray):
+    """:func:`torus_m_closed_form` at each stretch of the float array ``t``.
+
+    The arithmetic of the scalar formula on Python complex numbers, done on
+    real arrays in the same order, so each value is that formula's to the bit.
+    The first point whose log argument is within the guard of -1 or is not
+    finite raises, as a loop over the points would.
+    """
     if first.parallel(second):
         # identical spans: the log argument is exactly -1, both eigenvalues
         # are excluded and the dimension term cancels the remaining constants.
-        return 0.0
-    za = complex(b, t * a) / complex(-b, t * a)     # (i t a + b) / (i t a - b)
-    zb = complex(-B, t * A) / complex(B, t * A)     # (i t A - B) / (i t A + B)
-    arg = -(za * zb)
+        return np.zeros(t.shape)
+    # b and B are negated as integers: a zero entry stays +0.0, as in complex(-b, t * a)
+    (a, b), (A, B) = (first.a, first.b), (second.a, second.b)
     tau = Tolerances.eig
-    if abs(arg + 1.0) <= tau:
+    with np.errstate(all="ignore"):  # an overflow leaves a non-finite argument, raised below
+        ta, tA = t * float(a), t * float(A)
+        za_re, za_im = _quotient(float(b), ta, float(-b), ta)  # (i t a + b) / (i t a - b)
+        zb_re, zb_im = _quotient(float(-B), tA, float(B), tA)  # (i t A - B) / (i t A + B)
+        arg = np.empty(t.shape, np.complex128)  # -(za * zb), as Python's complex product
+        arg.real = -(za_re * zb_re - za_im * zb_im)
+        arg.imag = -(za_re * zb_im + za_im * zb_re)
+        failed = ~np.isfinite(arg) | (np.hypot(arg.real + 1.0, arg.imag) <= tau)
+    if failed.any():
+        j = int(failed.argmax())
+        z = complex(arg[j])
+        if not cmath.isfinite(z):
+            raise ValidationError(
+                f"closed form overflows at t={t[j].item()!r}: log argument {z} is not finite"
+            )
         raise BranchCut(
-            f"log argument {arg:.12g} is within {tau:.0e} of -1 for "
+            f"log argument {z:.12g} is within {tau:.0e} of -1 for "
             "non-parallel input; the invariant is discontinuous here"
         )
-    return -math.atan2(arg.imag, arg.real) / math.pi
+    # the imaginary part of numpy's complex log is libm's atan2; np.arctan2 may
+    # be a SIMD routine that differs from it in the last bit
+    return -np.log(arg).imag / math.pi
 
 
 def variation_expected(a: int, b: int, A: int, B: int) -> bool:
@@ -202,18 +257,20 @@ def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
     of positive finite numbers, read ``SWEEP_CHUNK`` entries at a time; each
     row's ``t`` is ``float`` of its entry.
 
-    The closed form stays a per-point loop, the independent oracle.  The
-    generic values come from :func:`~hermsymp.maslov.m_stack`, one call per
-    chunk on the stacked torus matrices and line bases, so no array spans
-    the whole grid.  A stretch that is not positive and finite raises
-    :class:`ValidationError` before any point of its chunk is evaluated.
-    Past that check a failure raises what the per-point loop of the
-    per-model route raises: the error at the first failing grid point, the
-    generic value's before the closed form's.  A generic failure has the grid
-    index as ``item``, and its message names the chunk's first grid point and
-    the item within it.
+    Both routes run once per chunk, so no array spans the whole grid: the
+    closed form on the chunk's stretches, bit for bit the value of
+    :func:`torus_m_closed_form` at each, and the generic values from
+    :func:`~hermsymp.maslov.m_stack` on the stacked torus matrices and line
+    bases.  The two stay independent computations.  A stretch that is not
+    positive and finite raises :class:`ValidationError` before any point of
+    its chunk is evaluated.  Past that check a failure raises what the
+    per-point loop of the per-model route raises: the error at the first
+    failing grid point, the generic value's before the closed form's.  A
+    generic failure has the grid index as ``item``, and its message names the
+    chunk's first grid point and the item within it.
     """
-    v, w = IntegerPairLagrangian(a, b).basis(), IntegerPairLagrangian(A, B).basis()
+    first, second = IntegerPairLagrangian(a, b), IntegerPairLagrangian(A, B)
+    v, w = first.basis(), second.basis()
     values, rows = iter(t_values), []
     while chunk := [_stretch(t) for t in islice(values, SWEEP_CHUNK)]:
         t = np.array(chunk)
@@ -223,13 +280,10 @@ def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
                 torus_gram(t), torus_gamma(t), np.broadcast_to(v, lines), np.broadcast_to(w, lines)
             )
         except HermsympError as exc:
-            for x in chunk[: exc.item]:  # a closed form failing first raises first, as per point
-                torus_m_closed_form(a, b, A, B, x)
+            # a closed form failing at an earlier point raises first, as per point
+            _closed_form(first, second, t[: exc.item])
             error = type(exc)(f"torus sweep chunk from grid point {len(rows)}, {exc}")
             error.item = len(rows) + exc.item
             raise error from None
-        rows.extend(
-            SweepRow(t=x, m_closed=torus_m_closed_form(a, b, A, B, x), m_generic=float(m))
-            for x, m in zip(chunk, generic)
-        )
+        rows.extend(map(SweepRow, chunk, _closed_form(first, second, t).tolist(), generic.tolist()))
     return SweepResult(rows=tuple(rows))

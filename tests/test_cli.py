@@ -297,6 +297,21 @@ def test_torus_sweep_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "a,grid", [(10**300, ["1e10", "1e10", "1"]), (10**400, ["0.5", "2", "3"])]
+)
+def test_torus_sweep_entry_past_the_double_range_exits_2(a, grid):
+    # t * a overflows, or a has no float at all: a typed error, never a traceback
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "hermsymp.cli", "torus-sweep", str(a), "1", "1", "0", *grid],
+        env=env, capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stdout) == (2, ""), out.stderr
+    # numpy may warn of the overflow first; the last line is the one JSON error
+    assert set(json.loads(out.stderr.splitlines()[-1])) == {"error", "message"}
+
+
 def test_sweep_mismatch_exits_5(capsys, monkeypatch):
     rows = (SweepRow(t=1.0, m_closed=0.0, m_generic=1e-3),)
 

@@ -1,5 +1,6 @@
 """Pair invariant, triple index, and their algebraic identities."""
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -318,18 +319,20 @@ def test_first_failing_pair_wins_over_an_earlier_check_of_a_later_pair(rng):
     assert type(got) is RankAmbiguity
 
 
-def eta_integrality_failure(fragment, same_v):
-    """A space under ``int=1e-18`` and raw bases on which the loop fails the
-    integrality check whose message starts with ``fragment``.  With k = 1,
-    m(V, W) = -m(W, V) exactly, so ``VY = VX`` makes the first triple sum 0."""
+def integrality_failure(loop, fragment, same_v):
+    """A space under ``int=1e-18`` and raw bases on which ``loop``, over as many
+    of them as it takes, fails the integrality check whose message starts with
+    ``fragment``.  With k = 1, m(V, W) = -m(W, V) exactly, so ``VY = VX`` makes
+    the first triple sum 0."""
     tight = hs.Tolerances(int=1e-18)
+    arity = len(inspect.signature(loop).parameters)
     for seed in range(200):
         rng = np.random.default_rng(seed)
         space = dataclasses.replace(sampling.random_space(1, rng), tol=tight)
         vx, vy, wx, wy = (sampling.random_lagrangian(space, rng).basis for _ in range(4))
-        raws = (vx, vx if same_v else vy, wx, wy)
+        raws = (vx, vx if same_v else vy, wx, wy)[:arity]
         try:
-            eta_loop(*(hs.lagrangian_from_basis(space, raw) for raw in raws))
+            loop(*(hs.lagrangian_from_basis(space, raw) for raw in raws))
         except NonIntegerSum as exc:
             if str(exc).startswith(fragment):
                 return space, raws
@@ -341,12 +344,16 @@ def eta_integrality_failure(fragment, same_v):
                         ("correction chain", True)]
 )
 def test_integrality_failure_matches_the_loop(fragment, same_v):
-    # the first triple, the second (the first one being exact) and the chain
-    space, raws = eta_integrality_failure(fragment, same_v)
-    got = assert_fails_like_the_loop(hs.eta_correction_rhs, eta_loop, space, raws)
+    # the first triple, the second (the first one being exact) and the chain;
+    # each routine on a seed searched for its own loop
+    got = assert_fails_like_the_loop(
+        hs.eta_correction_rhs, eta_loop, *integrality_failure(eta_loop, fragment, same_v)
+    )
     assert type(got) is NonIntegerSum
     if not same_v:
-        got = assert_fails_like_the_loop(hs.triple_index, triple_loop, space, raws[:3])
+        got = assert_fails_like_the_loop(
+            hs.triple_index, triple_loop, *integrality_failure(triple_loop, fragment, same_v)
+        )
         assert type(got) is NonIntegerSum
 
 

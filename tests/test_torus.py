@@ -1,5 +1,6 @@
 """Flat-torus model: closed form against the generic spectral algorithm."""
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +56,19 @@ def test_invalid_parameters():
         IntegerPairLagrangian(0, 0)
     with pytest.raises(ValidationError):
         IntegerPairLagrangian(1.5, 0)
+
+
+def test_entries_past_the_double_range_raise_typed_errors():
+    # an entry with no finite float, and t * a past the double range
+    with pytest.raises(ValidationError, match="a has no finite float value"):
+        IntegerPairLagrangian(10**400, 1)
+    with pytest.raises(ValidationError, match="b has no finite float value"):
+        torus_m_sweep(1, 1, 1, -(10**400), [0.5, 1.0, 2.0])
+    overflow = r"closed form overflows at t=10000000000\.0: log argument \(nan\+nanj\)"
+    with pytest.raises(ValidationError, match=overflow):
+        torus_m_closed_form(10**300, 1, 1, 0, 1e10)
+    with pytest.raises(ValidationError, match="closed form overflows"):
+        torus_m_closed_form(10, 1, 1, 0, 1e308)
 
 
 def test_integer_pair_entries_are_integral_but_not_bool():
@@ -298,3 +312,111 @@ def test_sweep_at_extreme_stretch_fails_where_the_per_model_route_fails(pair):
         expected = outcome(per_point_rows, *pair, grid)
         got = outcome(torus_m_sweep, *pair, grid)
         assert got is expected if isinstance(expected, type) else len(got.rows) == len(grid)
+
+
+def scalar_closed_form(a, b, A, B, t):
+    """The closed form as the scalar formula on Python complex numbers."""
+    if IntegerPairLagrangian(a, b).parallel(IntegerPairLagrangian(A, B)):
+        return 0.0
+    za = complex(b, t * a) / complex(-b, t * a)
+    zb = complex(-B, t * A) / complex(B, t * A)
+    arg = -(za * zb)
+    tau = hs.Tolerances.eig
+    if abs(arg + 1.0) <= tau:
+        raise BranchCut(
+            f"log argument {arg:.12g} is within {tau:.0e} of -1 for "
+            "non-parallel input; the invariant is discontinuous here"
+        )
+    return -math.atan2(arg.imag, arg.real) / math.pi
+
+
+def bits_or_error(route, *args):
+    """The bits of a float result (so -0.0 differs from 0.0), or the error's type and message."""
+    try:
+        return route(*args).hex()
+    except hs.HermsympError as exc:
+        return type(exc), str(exc)
+
+
+def closed_form_failures(a, b, A, B, grid):
+    """Assert both closed-form routes are the scalar formula at each point of
+    ``grid``, to the bit and error for error; return the number of failing points."""
+    expected = [bits_or_error(scalar_closed_form, a, b, A, B, t) for t in grid]
+    assert [bits_or_error(torus_m_closed_form, a, b, A, B, t) for t in grid] == expected
+    pairs = IntegerPairLagrangian(a, b), IntegerPairLagrangian(A, B)
+    try:
+        on_array = [v.hex() for v in torus._closed_form(*pairs, np.array(grid)).tolist()]
+    except hs.HermsympError as exc:
+        on_array = type(exc), str(exc)
+    failures = [e for e in expected if isinstance(e, tuple)]
+    assert on_array == (failures[0] if failures else expected)  # the first failure raises
+    return len(failures)
+
+
+def test_closed_form_is_the_scalar_formula_to_the_bit_on_random_points():
+    rng = np.random.default_rng(14)
+    # every pair of entries in -2..2, zeros included (the sign of a zero value
+    # depends on them), then random entries in -9..9
+    small = itertools.product(range(-2, 3), repeat=4)
+    pairs = itertools.chain(small, (rng.integers(-9, 10, 4).tolist() for _ in range(150)))
+    for pair in pairs:
+        if 0 not in (pair[0] or pair[1], pair[2] or pair[3]):
+            closed_form_failures(*pair, np.exp(rng.uniform(-12.0, 12.0, 16)).tolist())
+
+
+def test_closed_form_is_the_scalar_formula_to_the_bit_where_it_fails():
+    # the failing pairs of the extreme-stretch test, and huge nearly parallel lines
+    counts = {(1, 2, 3, -1): 3, (1, 1, 1, 0): 3, (2, 3, -1, 4): 3, (0, 1, 1, 0): 0}
+    for pair, count in counts.items():
+        assert closed_form_failures(*pair, EXTREME_GRID.tolist()) == count
+    assert closed_form_failures(10**9, 1, 10**9, 0, EXTREME_GRID.tolist()) == 39
+
+
+def test_sweep_evaluates_the_closed_form_once_per_chunk(monkeypatch):
+    shapes = []
+
+    def recording(first, second, t):
+        shapes.append(t.shape)
+        return closed_form(first, second, t)
+
+    def per_point(*args):
+        raise AssertionError("the sweep called the per-point closed form")
+
+    closed_form = torus._closed_form
+    monkeypatch.setattr(torus, "_closed_form", recording)
+    monkeypatch.setattr(torus, "torus_m_closed_form", per_point)
+    grid = np.geomspace(0.01, 100.0, torus.SWEEP_CHUNK + 3)
+    result = torus_m_sweep(1, 2, 3, -1, grid)
+    assert shapes == [(torus.SWEEP_CHUNK,), (3,)]
+    assert [row.m_closed.hex() for row in result.rows] == [
+        scalar_closed_form(1, 2, 3, -1, t).hex() for t in grid.tolist()
+    ]
+
+
+def error_of(route, *args):
+    with pytest.raises(hs.HermsympError) as exc:
+        route(*args)
+    return type(exc.value), str(exc.value), exc.value.item
+
+
+@pytest.mark.parametrize("first_fails", ["closed", "generic"])
+def test_sweep_failure_in_a_later_chunk_is_the_per_point_loops(first_fails, monkeypatch):
+    # For (1, 1, 1, 0) only the closed form fails at t = 1e9, and only the
+    # generic route at EXTREME_GRID[62]; whichever comes first raises.
+    closed_only, generic_only = 1e9, EXTREME_GRID[62]
+
+    def fails(route, t):
+        return isinstance(outcome(route, 1, 1, 1, 0, t), type)
+
+    assert fails(torus_m_closed_form, closed_only) and not fails(scalar_generic, closed_only)
+    assert fails(scalar_generic, generic_only) and not fails(torus_m_closed_form, generic_only)
+    tail = [closed_only, generic_only] if first_fails == "closed" else [generic_only, closed_only]
+    monkeypatch.setattr(torus, "SWEEP_CHUNK", 4)
+    grid = [1.0] * 6 + tail
+    got = error_of(torus_m_sweep, 1, 1, 1, 0, grid)
+    loop = error_of(per_point_rows, 1, 1, 1, 0, grid)
+    if first_fails == "closed":
+        assert got == loop and got[0] is BranchCut
+    else:
+        assert got[0] is loop[0] is EigenvalueAmbiguity
+        assert got[1].endswith(loop[1]) and got[2] == 6
