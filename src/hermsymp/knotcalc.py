@@ -145,11 +145,7 @@ def mapping_torus_condition(rep: RepPoint, f: GluingMatrix) -> bool:
 def cs_winding(rep: RepPoint, f: GluingMatrix) -> tuple[Fraction, Fraction]:
     """(m, n) = (phi, psi)(I + f^{-1}); an integer vector whenever the
     extension condition holds."""
-    (a, b), (c, d) = f.inverse().rows
-    return (
-        rep.phi * (1 + a) + rep.psi * c,
-        rep.phi * b + rep.psi * (1 + d),
-    )
+    return holonomy_constraint(rep, f.inverse())
 
 
 def chern_simons(rep: RepPoint, f: GluingMatrix) -> Fraction:

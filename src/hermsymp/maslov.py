@@ -17,8 +17,9 @@ meaningless value.
 The triple index ``m(U,V) + m(V,W) + m(W,U)`` is an integer depending only on
 the underlying symplectic form; it is rounded under an integrality guard.
 
-Every route ends in one pair tail, which takes graph maps and whitened columns
-of one pair or of a stack: :func:`m_details` runs it on one pair,
+Every route takes graph maps in the eigenvectors of the space's split and ends
+in one pair tail, which takes them and whitened columns of one pair or of a
+stack: :func:`m_details` runs it on one pair,
 :func:`triple_index` and :func:`eta_correction_rhs` on their 3 and 7 pairs in
 one batch of LAPACK calls, and :func:`m_stack` on a stack of spaces and raw
 bases.  A batch raises what a loop of the scalar route raises.
@@ -38,7 +39,7 @@ from .errors import (
     NonIntegerSum,
     SpaceValidationError,
 )
-from .linalg import adjoint
+from .linalg import NORM_RANGE, adjoint, whitened_columns
 from .spaces import (
     HermitianSymplecticSpace,
     Lagrangian,
@@ -46,12 +47,10 @@ from .spaces import (
     _check_span,
     _graph_map,
     _intersection_dim,
-    _pinned_graph_map,
     _raise_at_first,
     _require_same_space,
     _split,
     gamma_image,
-    phi_of,
 )
 
 
@@ -105,12 +104,13 @@ def _pair_values(space, pairs) -> np.ndarray:
     try:
         for x in lagrangians:
             _require_same_space(space, x.space)
-        # each Lagrangian of a triple or a correction recurs in its pairs: one
-        # graph map per distinct Lagrangian, all in one call
+        # each Lagrangian of a triple or a correction recurs in its pairs: it
+        # is whitened and mapped once, all in one call
         slot = {x: j for j, x in enumerate(dict.fromkeys(lagrangians))}
-        maps = _pinned_graph_map(space, np.stack([x.basis for x in slot]))
-        phi = maps[[slot[x] for x in lagrangians]]
-        columns = space._upper @ np.stack([np.hstack([v.basis, w.basis]) for v, w in pairs])
+        whitened = space._upper @ np.stack([x.basis for x in slot])
+        index = [slot[x] for x in lagrangians]
+        phi = _graph_map(space, space._evecs, whitened)[index]
+        columns = np.concatenate([whitened[index[0::2]], whitened[index[1::2]]], axis=-1)
         return _pair_tail(space, phi[0::2], phi[1::2], columns)[0]
     except HermsympError:
         return np.array([m_details(v, w).value for v, w in pairs])
@@ -119,8 +119,10 @@ def _pair_values(space, pairs) -> np.ndarray:
 def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
     """Pair invariant of (V, W) with eigenvalues sorted by angle."""
     _require_same_space(v.space, w.space)
-    columns = v.space._upper @ np.hstack([v.basis, w.basis])
-    value, count, idim, eigs = _pair_tail(v.space, phi_of(v), phi_of(w), columns)
+    space = v.space
+    whitened = [space._upper @ x.basis for x in (v, w)]
+    phi_v, phi_w = (_graph_map(space, space._evecs, x) for x in whitened)
+    value, count, idim, eigs = _pair_tail(space, phi_v, phi_w, np.hstack(whitened))
     ordered = tuple(
         sorted(
             (complex(z) for z in eigs),
@@ -157,11 +159,9 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
 
     One decision takes another form here: the rank of a span is the
     column-relative drop rule ``|R_jj| > tol.rank |U b_j|`` on a QR of
-    ``U basis``.  The graph maps are taken in the eigenvectors of the split
-    itself, which serve ``m``, since it does not depend on the choice of
-    eigenbases (the pair unitary only changes by a unitary similarity), but
-    not :func:`~hermsymp.spaces.phi_of`, which is pinned to the phase-fixed
-    bases of :func:`~hermsymp.spaces.eigensplit`.
+    ``U basis``.  The graph maps are taken in the eigenvectors of the split,
+    as on every route: ``m`` does not depend on the choice of eigenbases (the
+    pair unitary only changes by a unitary similarity).
     """
     if np.ndim(gram) != 3:
         raise SpaceValidationError(
@@ -199,10 +199,15 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     # drop rule, and omega vanishing on them; V is checked before W
     bases = np.stack(pair, axis=1)  # (T, 2, n, k)
     finite = np.isfinite(bases).all(axis=(2, 3))
-    whitened = upper[:, None] @ bases
+    lo, hi = NORM_RANGE
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite basis is reported below
+        whitened = upper[:, None] @ bases
+        norms = np.linalg.norm(whitened, axis=-2)
+        if not ((lo <= norms) & (norms <= hi)).all():
+            whitened = whitened_columns(upper[:, None], bases)
+            norms = np.linalg.norm(whitened, axis=-2)
     q, r = np.linalg.qr(whitened)
-    floor = tol.rank * np.linalg.norm(whitened, axis=-2)
-    kept = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > floor).sum(axis=-1)
+    kept = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > tol.rank * norms).sum(axis=-1)
     gamma_q = stack._gamma_w[:, None] @ q
     for side in (0, 1):
         _raise_at_first(~finite[:, side], LagrangianValidationError, "basis has non-finite entries")
@@ -211,9 +216,7 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     # the k/k split; the graph maps phi = c a^-1 of V, then W, in its
     # eigenbases; the pair spectrum against dim(V & W)
     evecs = _split(stack)
-    a = adjoint(evecs[..., :k])[:, None] @ q
-    c = adjoint(evecs[..., k:])[:, None] @ q
-    phi_v, phi_w = (_graph_map(stack, a[:, side], c[:, side]) for side in (0, 1))
+    phi_v, phi_w = (_graph_map(stack, evecs, q[:, side]) for side in (0, 1))
     return _pair_tail(stack, phi_v, phi_w, np.concatenate([q[:, 0], q[:, 1]], axis=-1))[0]
 
 

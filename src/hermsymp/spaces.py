@@ -27,14 +27,14 @@ computed on each call.  Spaces, splittings and Lagrangians compare and hash
 by identity; :func:`same_space` compares two spaces by value.
 
 The k/k split and the checks of a Lagrangian span, a graph map and an
-intersection dimension are private functions shared with the stacked kernel
-:func:`~hermsymp.maslov.m_stack`, each taking a single space or a stack.  The
-split is one ``eigh`` of the whitened ``i gamma``; :func:`eigensplit` projects
-the coordinate vectors along its eigenvectors for the phase-fixed bases that
-pin :func:`phi_of`, and raises unless each keeps k columns.  The graph maps
-of several Lagrangians are computed in one stacked call.  Only the rank of a
-span has two forms: ``gram_mgs`` over any number of columns here, a QR over
-exactly k columns there.
+intersection dimension are private functions shared with
+:mod:`~hermsymp.maslov`, each taking a single space or a stack.  The split is
+one ``eigh`` of the whitened ``i gamma``; every pair invariant takes its graph
+maps in the eigenvectors, which the space keeps.  Only :func:`phi_of` and
+:func:`lagrangian_from_graph` read the phase-fixed bases of :func:`eigensplit`,
+which raises unless each keeps k columns.  Only the rank of a span has two
+forms: ``gram_mgs`` over any number of columns here, a QR over exactly k
+columns in :func:`~hermsymp.maslov.m_stack`.
 """
 from __future__ import annotations
 
@@ -160,11 +160,14 @@ class HermitianSymplecticSpace:
         return residual > alg and residual > alg * self._cond
 
     @cached_property
-    def _splitting(self) -> EigenSplitting:
+    def _evecs(self) -> np.ndarray:
         # Lazy: most spaces built by reduction and composition never need it.
-        k, upper = self.half_dim, self._upper
+        return _split(self)
+
+    @cached_property
+    def _splitting(self) -> EigenSplitting:
+        k, upper, evecs = self.half_dim, self._upper, self._evecs
         # the coordinate vectors projected onto each eigenspace, U^-1 E E^H U
-        evecs = _split(self)
         raw, coeffs = np.linalg.solve(upper, evecs), adjoint(evecs) @ upper
         plus = gram_mgs(upper, raw[:, :k] @ coeffs[:k], drop_tol=self.tol.rank)
         minus = gram_mgs(upper, raw[:, k:] @ coeffs[k:], drop_tol=self.tol.rank)
@@ -242,9 +245,13 @@ def _check_span(space, kept, q_w, gamma_q_w) -> None:
     )
 
 
-def _graph_map(space, a, c) -> np.ndarray:
-    """The unitary ``phi = c a^-1`` whose graph is a Lagrangian, from the Gram
-    products ``a`` and ``c`` of the +i and -i eigenbases with its basis."""
+def _graph_map(space, frame, q_w) -> np.ndarray:
+    """The unitary ``phi = c a^-1`` whose graph is a Lagrangian, or each of a stack:
+    ``a`` and ``c`` are the products of the +i and the -i half of the whitened
+    orthonormal ``frame`` with the whitened basis ``q_w = U basis``."""
+    k = space.half_dim
+    coords = adjoint(frame) @ q_w
+    a, c = coords[..., :k, :], coords[..., k:, :]
     s_min = np.linalg.svd(a, compute_uv=False).min(axis=-1, initial=np.inf)
     _raise_at_first(
         s_min <= space.tol.rank,
@@ -402,9 +409,9 @@ def _phase_fixed(basis: np.ndarray) -> np.ndarray:
 def eigensplit(space: HermitianSymplecticSpace) -> EigenSplitting:
     """Split a valid space into the +i/-i eigenspaces of ``gamma``.
 
-    One ``eigh`` of the whitened ``i gamma``, shared with
-    :func:`~hermsymp.maslov.m_stack`, decides the split and raises
-    :class:`EigensplitError` unless it is k/k within the space's thresholds.
+    One ``eigh`` of the whitened ``i gamma``, whose eigenvectors every pair
+    invariant shares, decides the split; :class:`EigensplitError` unless it is
+    k/k within the space's thresholds and each basis keeps k columns.
     Computed on first use and memoized on the space.
     """
     return space._splitting
@@ -425,15 +432,6 @@ class Lagrangian:
     @property
     def half_dim(self) -> int:
         return self.basis.shape[1]
-
-
-def _pinned_graph_map(space, basis) -> np.ndarray:
-    """The graph map of a Lagrangian basis, or of each of a stack, in the
-    bases of :func:`eigensplit`."""
-    splitting = eigensplit(space)
-    gl = space.gram @ basis
-    a, c = adjoint(splitting.plus_basis) @ gl, adjoint(splitting.minus_basis) @ gl
-    return _graph_map(space, a, c)
 
 
 def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
@@ -483,11 +481,13 @@ def phi_of(lagr: Lagrangian) -> np.ndarray:
     In the bases of :func:`eigensplit`, every column w of the Lagrangian
     decomposes as w = w+ + w- with w- = phi(w+); the returned read-only
     half_dim x half_dim matrix is unitary under the space's threshold rule.
-    Fails only if the projection of the span to the +i eigenspace is singular,
-    which signals an invalid input that slipped past validation.  Computed
-    afresh on each call.
+    Fails where :func:`eigensplit` fails, or if the projection of the span to
+    the +i eigenspace is singular, which signals an invalid input that slipped
+    past validation.  Computed afresh on each call.
     """
-    return _frozen(_pinned_graph_map(lagr.space, lagr.basis))
+    space, splitting = lagr.space, eigensplit(lagr.space)
+    frame = space._upper @ np.hstack([splitting.plus_basis, splitting.minus_basis])
+    return _frozen(_graph_map(space, frame, space._upper @ lagr.basis))
 
 
 def lagrangian_from_graph(space: HermitianSymplecticSpace, unitary) -> Lagrangian:

@@ -52,11 +52,14 @@ SWEEP_CHUNK = 1024  # grid points per m_stack call; bounds the sweep's temporari
 
 
 def torus_gram(t) -> np.ndarray:
-    """Gram matrix at stretch t; a ``(T, 4, 4)`` stack for an array of T values."""
+    """Gram matrix at stretch t; a ``(T, 4, 4)`` stack for an array of T values.
+    Past the double range an entry is infinite, without a warning, for the
+    space's finiteness check to report."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape + (4, 4), dtype=np.complex128)
-    for i, scale in enumerate((t, t, 1.0 / t, 1.0 / t)):
-        out[..., i, i] = TORUS_AREA * scale
+    with np.errstate(over="ignore", divide="ignore"):
+        for i, scale in enumerate((t, t, 1.0 / t, 1.0 / t)):
+            out[..., i, i] = TORUS_AREA * scale
     return out
 
 
@@ -64,7 +67,8 @@ def torus_gamma(t) -> np.ndarray:
     """Hodge-star complex structure at stretch t; stacked like :func:`torus_gram`."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape + (4, 4), dtype=np.complex128)
-    out[..., 0, 3] = out[..., 1, 2] = -1.0 / t
+    with np.errstate(over="ignore", divide="ignore"):
+        out[..., 0, 3] = out[..., 1, 2] = -1.0 / t
     out[..., 2, 1] = out[..., 3, 0] = t
     return out
 

@@ -312,6 +312,26 @@ def test_torus_sweep_entry_past_the_double_range_exits_2(a, grid):
     assert set(json.loads(out.stderr.splitlines()[-1])) == {"error", "message"}
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        ([str(10**300), "1", "1", "0", "1e10", "1e10", "1"], "closed form overflows"),
+        ([str(10**300), "1", "1", "0", "1e18", "1e18", "1"], "closed form overflows"),
+        (["10", "1", "1", "0", "1e308", "1e308", "1"], "must have finite entries"),
+        (["10", "1", "1", "0", "5e-324", "5e-324", "1"], "must have finite entries"),
+    ],
+)
+def test_torus_sweep_past_the_double_range_writes_one_json_error(argv, error):
+    # No numpy warning and no rank verdict on an overflow: stderr is one JSON object.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "hermsymp.cli", "torus-sweep", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stdout) == (2, ""), out.stderr
+    assert error in json.loads(out.stderr)["message"]
+
+
 def test_sweep_mismatch_exits_5(capsys, monkeypatch):
     rows = (SweepRow(t=1.0, m_closed=0.0, m_generic=1e-3),)
 
@@ -439,8 +459,8 @@ def test_exact_commands_do_not_load_numpy():
 
 def test_m_on_a_space_whose_split_cannot_be_pinned(tmp_path):
     # The space validates, but its pinned eigenbases cannot be formed
-    # (test_spaces.ill_conditioned_split_space).  As a process, m either prints
-    # the value m_stack gives or exits 2 with one JSON error; never a traceback.
+    # (test_spaces.ill_conditioned_split_space).  m does not read them: as a
+    # process it prints the value m_stack gives.
     space = sampling.random_space(24, np.random.default_rng(8), spread=1e7)
     pullback = np.linalg.inv(sampling.random_invertible(48, np.random.default_rng(8), 1e7))
     v, w = (hs.lagrangian_from_basis(space, pullback[:, h]) for h in (slice(24), slice(24, 48)))
@@ -454,13 +474,9 @@ def test_m_on_a_space_whose_split_cannot_be_pinned(tmp_path):
         [sys.executable, "-m", "hermsymp.cli", "--json", "m", *files],
         env=env, capture_output=True, text=True,
     )
-    assert out.returncode in (0, 2), out.stderr
-    if out.returncode == 0:
-        stacked = hs.m_stack(*(x[None] for x in (space.gram, space.gamma, v.basis, w.basis)))
-        assert abs(json.loads(out.stdout)["m"] - stacked[0]) < 1e-9
-    else:
-        assert out.stdout == ""
-        assert set(json.loads(out.stderr)) == {"error", "message"}
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
+    stacked = hs.m_stack(*(x[None] for x in (space.gram, space.gamma, v.basis, w.basis)))
+    assert abs(json.loads(out.stdout)["m"] - stacked[0]) < 1e-9
 
 
 MUTATIONS = {

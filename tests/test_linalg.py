@@ -2,11 +2,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermsymp as hs
 from hermsymp import sampling
-from hermsymp.linalg import gram_mgs
+from hermsymp.linalg import gram_mgs, unit_columns, whitened_columns
 from hermsymp.torus import TorusModel
 
 DROP_TOL = 1e-8
@@ -160,3 +162,56 @@ def test_torus_grams_at_extreme_stretch_match_reference():
             assert_matches_reference(space.gram, (ident + sign * 1j * space.gamma) / 2.0)
         assert_matches_reference(space.gram, random_basis(4, 2, rng))
         assert_matches_reference(space.gram, np.array([[1, 0], [0, 3], [0, -2], [0, 0]]))
+
+
+def test_power_of_two_scalings_keep_the_basis_to_the_bit():
+    # Every decision and output of gram_mgs is relative to each column's own
+    # norm, which is taken after an exact rescaling, so it stays finite.
+    space = sampling.random_space(2, np.random.default_rng(4))
+    basis = sampling.random_lagrangian(space, np.random.default_rng(5)).basis
+    expected = hs.lagrangian_from_basis(space, basis).basis
+    for e in range(-1000, 1001):
+        got = hs.lagrangian_from_basis(space, np.ldexp(1.0, e) * basis).basis
+        assert np.array_equal(got, expected), e
+        # one column out of range, the other not: each column is scaled alone
+        got = hs.lagrangian_from_basis(space, np.ldexp(1.0, [0, e]) * basis).basis
+        assert np.array_equal(got, expected), e
+
+
+@pytest.mark.parametrize("gram_scale", [1.0, 1e20, 1e300])
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 1e-300, 1.7e308, 5e-324])
+def test_lines_at_extreme_scales_are_lagrangian(gram_scale, scale):
+    # the squared whitened norm of these columns is past the double range, and
+    # on the scaled Gram matrices U b itself overflows for the large entries
+    std = hs.standard_space(1)
+    space = hs.HermitianSymplecticSpace(gram_scale * std.gram, std.gamma)
+    lagr = hs.lagrangian_from_basis(space, [[scale], [0.0]])
+    assert np.abs(math.sqrt(gram_scale) * lagr.basis - [[1.0], [0.0]]).max() < 1e-15
+
+
+def test_unit_columns_scale_by_powers_of_two():
+    a = np.array([[3e300, 0.0, 1e-300, 0.75j], [-1e300j, 0.0, 0.0, 0.1]])
+    got = unit_columns(a)
+    assert np.array_equal(got[:, 1], [0.0, 0.0])
+    for j in (0, 2, 3):
+        exponent = math.frexp(np.abs(a[:, j]).max())[1]
+        assert np.array_equal(got[:, j], a[:, j] * 2.0**-exponent)
+        assert 0.5 <= np.abs(got[:, j]).max() < 1.0
+    # a column of subnormal numbers is scaled by 2^1021, one past 2^1023 by
+    # 2^-1022, a normal factor: its entries that stay normal are exact
+    assert unit_columns(np.array([[1e-310], [0.0]]))[0, 0] == 1e-310 * 2.0**1021
+    big = unit_columns(np.array([[1.5 * 2.0**1023], [3.0], [0.75]]))[:, 0]
+    assert big[0] == 3.0 and big[1] == 3.0 * 2.0**-1022 and 0 < big[2] < 2.0**-1022
+    assert unit_columns(np.zeros((2, 0, 3, 2))).shape == (2, 0, 3, 2)
+
+
+def test_whitened_columns_are_the_product_up_to_powers_of_two():
+    # the scalings are exact: each column is that of unit_columns(U b) to the
+    # bit, however far the raw column is from 1
+    rng = np.random.default_rng(6)
+    upper = sampling.random_space(2, rng)._upper
+    basis = random_basis(4, 3, rng)
+    expected = unit_columns(upper @ basis)
+    for e in range(-1000, 1001, 50):
+        scaled = basis * np.ldexp(1.0, [e, -e, 0])
+        assert np.array_equal(whitened_columns(upper, scaled), expected), e

@@ -132,6 +132,35 @@ def test_eigensplit_raises_unless_each_pinned_basis_has_k_columns():
         hs.lagrangian_from_graph(space, np.eye(24))
 
 
+def test_pair_invariants_take_graph_maps_in_the_split_eigenvectors():
+    # The pinned bases cannot be formed on this space, but no pair invariant
+    # reads them: m, the triple index and the correction take their graph maps
+    # in the eigenvectors of the split, as m_stack does.
+    space, v_basis, w_basis = ill_conditioned_split_space()
+    with pytest.raises(EigensplitError):
+        hs.eigensplit(space)
+    bases = (v_basis, w_basis, v_basis + w_basis / 2.0, v_basis - 2.0 * w_basis)
+    v, w, x, y = (hs.lagrangian_from_basis(space, b) for b in bases)
+    stacked = hs.m_stack(*(a[None] for a in (space.gram, space.gamma, v.basis, w.basis)))
+    assert abs(hs.m_details(v, w).value - stacked[0]) < 1e-12
+    with pytest.raises(EigensplitError):
+        hs.phi_of(v)
+    # T pulls the standard model back to the space, so the spans of the same
+    # combinations of e_1..e_48 there give the same integers
+    e, f = np.eye(48)[:, :24], np.eye(48)[:, 24:]
+    model = [hs.lagrangian_from_basis(hs.standard_space(24), b)
+             for b in (e, f, e + f / 2.0, e - 2.0 * f)]
+    assert hs.triple_index(v, w, x) == hs.triple_index(*model[:3]) == -24
+    # At cond(U) = 6.4e6 the pair values are good to about 1e-5, short of the
+    # default integrality guard of 1e-6; the correction is read under 1e-4.
+    loose = hs.HermitianSymplecticSpace(space.gram, space.gamma, hs.Tolerances(int=1e-4))
+    value, integer = hs.eta_correction_rhs(
+        *(hs.lagrangian_from_basis(loose, b) for b in bases)
+    )
+    expected = hs.eta_correction_rhs(*model)
+    assert integer == expected[1] and abs(value - expected[0]) < 1e-4
+
+
 def test_lagrangian_line_in_standard_model():
     space = hs.standard_space(1)
     lagr = hs.lagrangian_from_basis(space, [[1.0], [0.0]])

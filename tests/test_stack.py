@@ -88,6 +88,25 @@ def test_invariant_under_gram_scaling(rng, scale):
     assert_matches_m_details(pairs, (gram * scale, gamma, v_basis, w_basis))
 
 
+def test_power_of_two_scalings_of_the_bases_keep_the_values_to_the_bit(rng):
+    # the drop rule reads each column's norm after an exact rescaling, so a
+    # column past the square root of the double range keeps its verdict
+    _, (gram, gamma, v_basis, w_basis) = random_pairs(rng, 2, 1, 4)
+    expected = hs.m_stack(gram, gamma, v_basis, w_basis)
+    for e in (-1000, -600, -200, 200, 600, 1000):
+        got = hs.m_stack(gram, gamma, np.ldexp(1.0, e) * v_basis, w_basis / np.ldexp(1.0, e))
+        assert np.array_equal(got, expected), e
+
+
+def test_bases_whose_whitened_product_overflows_keep_their_span(rng):
+    # U b overflows for the raw entries; the kernel scales them first
+    _, (gram, gamma, v_basis, w_basis) = random_pairs(rng, 2, 1, 4)
+    expected = hs.m_stack(gram, gamma, v_basis, w_basis)
+    top = 1.7e308 / np.abs(w_basis).max()  # the largest entry of W is 1.7e308
+    got = hs.m_stack(1e20 * gram, gamma, 1e300 * v_basis, top * w_basis)
+    assert np.abs(got - expected).max() < 1e-9
+
+
 def test_tolerances_reach_the_kernel(rng):
     # spans 1e-7 off Lagrangian fail by default and pass under tol.alg=1e-5
     _, (gram, gamma, v_basis, w_basis) = random_pairs(rng, 2, 0, 4)
@@ -170,6 +189,14 @@ def non_finite(item, rng):
     return space.gram, space.gamma, v, w
 
 
+def infinite(item, rng):
+    # inf meets zeros in U b: no numpy warning may come before the typed error
+    space, v, w = item
+    v = v.copy()
+    v[0, 0] = np.inf
+    return space.gram, space.gamma, v, w
+
+
 def nearly_intersecting(angle):
     """Graph unitaries agreeing up to one eigenvalue ``exp(i angle)``: the pair
     unitary has an eigenvalue ``angle`` from -1, and the spans a principal
@@ -222,6 +249,7 @@ def assert_fails_like_scalar(columns, j, error, tol=hs.Tolerances()):
         (not_hermitian, SpaceValidationError),
         (non_finite_gamma, SpaceValidationError),
         (non_finite, LagrangianValidationError),
+        (infinite, LagrangianValidationError),
         (near_branch, EigenvalueAmbiguity),
         (rank_band, RankAmbiguity),
     ],

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 import hermsymp as hs
 from hermsymp import torus
-from hermsymp.errors import BranchCut, EigenvalueAmbiguity, ValidationError
+from hermsymp.errors import (
+    BranchCut,
+    EigenvalueAmbiguity,
+    SpaceValidationError,
+    ValidationError,
+)
 from hermsymp.torus import (
     TORUS_AREA,
     IntegerPairLagrangian,
@@ -69,6 +74,24 @@ def test_entries_past_the_double_range_raise_typed_errors():
         torus_m_closed_form(10**300, 1, 1, 0, 1e10)
     with pytest.raises(ValidationError, match="closed form overflows"):
         torus_m_closed_form(10, 1, 1, 0, 1e308)
+
+
+@pytest.mark.parametrize("t", [1e308, 5e-324])
+def test_stretch_near_the_double_range_fails_without_a_warning(t):
+    # the matrices overflow; the suite turns warnings into errors, so only the
+    # space's finiteness check may report it
+    with pytest.raises(SpaceValidationError, match="must have finite entries"):
+        TorusModel(t)
+    with pytest.raises(SpaceValidationError, match="must have finite entries"):
+        torus_m_sweep(10, 1, 1, 0, [t])
+
+
+@pytest.mark.parametrize("t", [1e10, 1e18])
+def test_sweep_of_a_line_past_the_square_root_of_the_double_range(t):
+    # the generic route keeps both columns of the line, also where U b would
+    # overflow (t = 1e18); the closed form overflows
+    with pytest.raises(ValidationError, match="closed form overflows"):
+        torus_m_sweep(10**300, 1, 1, 0, [t])
 
 
 def test_integer_pair_entries_are_integral_but_not_bool():

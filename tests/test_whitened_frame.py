@@ -167,3 +167,19 @@ def test_linalg_never_sees_a_gram_matrix():
     for name, fn in inspect.getmembers(linalg, inspect.isfunction):
         if fn.__module__ == linalg.__name__:
             assert "gram" not in inspect.signature(fn).parameters, name
+
+
+def test_pair_invariants_never_reach_the_pinned_split():
+    # m, the triple index and the correction take their graph maps in the
+    # split's own eigenvectors; only phi_of and lagrangian_from_graph read the
+    # pinned bases of eigensplit.
+    tree = ast.parse((SRC / "maslov.py").read_text())
+    called = {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    for name in ("eigensplit", "phi_of", "_splitting"):
+        assert name not in called | read | imported, name
