@@ -3,13 +3,16 @@
 No helper here sees a Gram matrix.  A :class:`~hermsymp.spaces.HermitianSymplecticSpace`
 owns its frame: it keeps the Cholesky factor ``U`` of its Gram matrix
 (``gram = U^H U``) and hands whitened blocks ``U x``, in which the Gram inner
-product is the Euclidean one, or the factor itself to :func:`gram_mgs`.
+product is the Euclidean one, or the factor itself to the span kernels:
+:func:`span_qr`, the one rank rule for spans of exactly k columns, and
+:func:`gram_mgs` for any other column count.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ValidationError
 
@@ -57,10 +60,11 @@ def whitened_columns(upper: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 # Whitened column norms whose squares, and those of residuals down to 2^-250
-# of them, stay normal numbers.  Both span ranks (gram_mgs, the QR of
-# maslov.m_stack) take the plain U b and switch to whitened_columns once a norm
-# leaves this range or overflows: scaling on every call cost the bordism
-# benchmark 9% of its ops_per_s, and torus-sweep 3.5%.
+# of them, stay normal numbers.  Both span kernels (span_qr, the one rank rule
+# for exactly k columns, and gram_mgs for any other count) take the plain U b
+# and switch to whitened_columns once a norm leaves this range or overflows:
+# scaling on every call cost the bordism benchmark 9% of its ops_per_s, and
+# torus-sweep 3.5%.
 NORM_RANGE = (2.0**-250, 2.0**250)
 
 
@@ -77,7 +81,9 @@ def gram_mgs(upper: np.ndarray, basis: np.ndarray, drop_tol: float) -> np.ndarra
     normalized.  From the first column whose whitened norm lies outside
     :data:`NORM_RANGE`, or overflows, on, the columns are those of
     :func:`whitened_columns`, exactly scaled, so no norm leaves the double
-    range.  The name predates the algorithm; the benchmark tracer wraps it
+    range.  A Lagrangian's span of exactly half-dimension columns goes to
+    :func:`span_qr` first, and here only once that QR drops a column.  The
+    name predates the algorithm; the benchmark tracer wraps it
     and counts columns through ``basis``, the second argument.
     """
     basis = as_complex_matrix(basis, "basis")
@@ -105,6 +111,37 @@ def gram_mgs(upper: np.ndarray, basis: np.ndarray, drop_tol: float) -> np.ndarra
         q_h[kept] = v.conj()
         kept += 1
     return np.linalg.solve(upper, q[:, :kept])
+
+
+def span_qr(upper: np.ndarray, basis: np.ndarray, drop_tol: float):
+    """The rank rule for spans of exactly k columns: one QR of ``U basis``, on
+    a matrix or a stack, ``upper`` broadcasting against ``basis``.
+
+    Returns ``(q, diag, kept)``: the whitened orthonormal columns, the real
+    diagonal of R, and flags of the columns with ``|R_jj| > drop_tol |U b_j|``,
+    the drop rule of :func:`gram_mgs`.  While no column drops, ``|R_jj|`` is
+    column j's residual against the earlier ones, so the flags are
+    Gram-Schmidt's verdict and ``q`` times the sign of ``diag`` is its basis up
+    to roundoff; after a dropped column neither holds.  A norm outside
+    :data:`NORM_RANGE`, or an overflow, switches the whole product to
+    :func:`whitened_columns`.  A column with a non-finite entry is never kept,
+    and raises no warning.
+
+    These are the two LAPACK calls of ``numpy.linalg.qr`` (``geqrf`` leaves R in
+    the upper triangle of its argument), without its Python wrapper: that
+    costs about 18 us a call, half of a k = 1 Lagrangian construction.
+    """
+    lo, hi = NORM_RANGE
+    with np.errstate(over="ignore", invalid="ignore"):
+        whitened = upper @ basis
+        norms = np.linalg.norm(whitened, axis=-2)
+        if not ((lo <= norms) & (norms <= hi)).all():
+            whitened = whitened_columns(upper, basis)
+            norms = np.linalg.norm(whitened, axis=-2)
+    tau = _umath_linalg.qr_r_raw(whitened, signature="D->D")
+    q = _umath_linalg.qr_reduced(whitened, tau, signature="DD->D")
+    diag = np.diagonal(whitened, axis1=-2, axis2=-1).real
+    return q, diag, np.abs(diag) > drop_tol * norms
 
 
 def singular_values(mat: np.ndarray) -> np.ndarray:

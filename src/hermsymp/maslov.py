@@ -39,7 +39,7 @@ from .errors import (
     NonIntegerSum,
     SpaceValidationError,
 )
-from .linalg import NORM_RANGE, adjoint, whitened_columns
+from .linalg import adjoint, span_qr
 from .spaces import (
     HermitianSymplecticSpace,
     Lagrangian,
@@ -157,11 +157,13 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     raises: the first failing check of the lowest failing item, V's before
     W's; the message names the index, the error's ``item`` holds it.
 
-    One decision takes another form here: the rank of a span is the
-    column-relative drop rule ``|R_jj| > tol.rank |U b_j|`` on a QR of
-    ``U basis``.  The graph maps are taken in the eigenvectors of the split,
-    as on every route: ``m`` does not depend on the choice of eigenbases (the
-    pair unitary only changes by a unitary similarity).
+    The rank of a span is decided by the one rank rule for spans of exactly k
+    columns, :func:`~hermsymp.linalg.span_qr`, as in
+    :func:`~hermsymp.spaces.lagrangian_from_basis`; only the dimension named
+    for a span that drops a column is the QR's count, where the scalar route
+    lets Gram-Schmidt count.  The graph maps are taken in the eigenvectors of
+    the split, as on every route: ``m`` does not depend on the choice of
+    eigenbases (the pair unitary only changes by a unitary similarity).
     """
     if np.ndim(gram) != 3:
         raise SpaceValidationError(
@@ -196,18 +198,12 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
             )
         pair.append(basis)
     # both spans in one QR: whitened bases q, their columns kept under the
-    # drop rule, and omega vanishing on them; V is checked before W
+    # drop rule, and omega vanishing on them; V is checked before W.  Only
+    # spans are needed, so the columns keep the QR's signs.
     bases = np.stack(pair, axis=1)  # (T, 2, n, k)
-    finite = np.isfinite(bases).all(axis=(2, 3))
-    lo, hi = NORM_RANGE
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite basis is reported below
-        whitened = upper[:, None] @ bases
-        norms = np.linalg.norm(whitened, axis=-2)
-        if not ((lo <= norms) & (norms <= hi)).all():
-            whitened = whitened_columns(upper[:, None], bases)
-            norms = np.linalg.norm(whitened, axis=-2)
-    q, r = np.linalg.qr(whitened)
-    kept = (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > tol.rank * norms).sum(axis=-1)
+    finite = np.isfinite(bases).all(axis=(2, 3))  # a non-finite basis is reported below
+    q, _, kept = span_qr(upper[:, None], bases, tol.rank)
+    kept = kept.sum(axis=-1)
     gamma_q = stack._gamma_w[:, None] @ q
     for side in (0, 1):
         _raise_at_first(~finite[:, side], LagrangianValidationError, "basis has non-finite entries")

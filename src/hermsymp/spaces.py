@@ -32,9 +32,11 @@ intersection dimension are private functions shared with
 one ``eigh`` of the whitened ``i gamma``; every pair invariant takes its graph
 maps in the eigenvectors, which the space keeps.  Only :func:`phi_of` and
 :func:`lagrangian_from_graph` read the phase-fixed bases of :func:`eigensplit`,
-which raises unless each keeps k columns.  Only the rank of a span has two
-forms: ``gram_mgs`` over any number of columns here, a QR over exactly k
-columns in :func:`~hermsymp.maslov.m_stack`.
+which raises unless each keeps k columns.  One rank rule decides every span
+of exactly k columns, on both routes: the QR of
+:func:`~hermsymp.linalg.span_qr`, in :func:`lagrangian_from_basis` and in
+:func:`~hermsymp.maslov.m_stack`.  ``gram_mgs`` orthonormalizes spans of any
+other column count, and a span whose QR drops a column.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ from .errors import (
     Tolerances,
     ValidationError,
 )
-from .linalg import adjoint, as_complex_matrix, gram_mgs, max_abs
+from .linalg import adjoint, as_complex_matrix, gram_mgs, max_abs, span_qr
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -136,6 +138,12 @@ class HermitianSymplecticSpace:
         return self.gram @ self.gamma
 
     @cached_property
+    def _upper_inv(self) -> np.ndarray:
+        """``U^-1``: one product maps a whitened basis back, where a solve
+        would cost a k = 1 Lagrangian construction a fifth of its time."""
+        return np.linalg.inv(self._upper)
+
+    @cached_property
     def _cond(self):
         return np.linalg.cond(self._upper)
 
@@ -167,10 +175,13 @@ class HermitianSymplecticSpace:
     @cached_property
     def _splitting(self) -> EigenSplitting:
         k, upper, evecs = self.half_dim, self._upper, self._evecs
-        # the coordinate vectors projected onto each eigenspace, U^-1 E E^H U
+        # the coordinate vectors projected onto an eigenspace, U^-1 E E^H U e_j:
+        # their coefficients E^H U e_j are orthonormalized in C^k, which keeps
+        # at most k (fewer only past cond(U) ~ 1/tol.rank), and mapped back
         raw, coeffs = np.linalg.solve(upper, evecs), adjoint(evecs) @ upper
-        plus = gram_mgs(upper, raw[:, :k] @ coeffs[:k], drop_tol=self.tol.rank)
-        minus = gram_mgs(upper, raw[:, k:] @ coeffs[k:], drop_tol=self.tol.rank)
+        ident = np.eye(k)
+        plus = raw[:, :k] @ gram_mgs(ident, coeffs[:k], drop_tol=self.tol.rank)
+        minus = raw[:, k:] @ gram_mgs(ident, coeffs[k:], drop_tol=self.tol.rank)
         columns = (plus.shape[1], minus.shape[1])
         if columns != (k, k):
             raise EigensplitError(f"pinned eigenbases have {columns} columns, expected {(k, k)}")
@@ -389,9 +400,9 @@ class EigenSplitting:
 
     Produced deterministically: the coordinate basis vectors, projected onto
     each eigenspace along the eigenvectors that decide the split, are
-    orthonormalized in input order, and each vector's phase is fixed so that
-    its first non-negligible coordinate is real positive.  This pins the graph
-    unitaries of :func:`phi_of` across runs.
+    orthonormalized in input order, in the eigenvectors' coordinates, and each
+    vector's phase is fixed so that its first non-negligible coordinate is real
+    positive.  This pins the graph unitaries of :func:`phi_of` across runs.
     """
 
     plus_basis: np.ndarray
@@ -439,11 +450,14 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
 
     ``basis`` may have any number of columns, dependent or zero ones included,
     but must have ``space.dim`` rows and finite entries.  It is replaced by its
-    gram-orthonormalization (Cholesky-whitened classical Gram-Schmidt with
-    reorthogonalization, columns in input order), which must keep exactly
-    ``space.half_dim`` columns.  Rejects every other span, and spans on which
-    the symplectic form does not vanish within the space's threshold rule
-    (``tol.alg`` scaled by cond(U)), with :class:`LagrangianValidationError`.
+    gram-orthonormalization, columns in input order, which must keep exactly
+    ``space.half_dim`` columns: from the one QR of
+    :func:`~hermsymp.linalg.span_qr` on exactly k columns, signed as
+    Gram-Schmidt's (``R_jj > 0``), or, for any other count and once that QR
+    drops a column, from :func:`~hermsymp.linalg.gram_mgs`.  Rejects every
+    other span, and spans on which the symplectic form does not vanish within
+    the space's threshold rule (``tol.alg`` scaled by cond(U)), with
+    :class:`LagrangianValidationError`.
     This is the one place where a span becomes a Lagrangian.
     """
     mat = as_complex_matrix(basis, "basis")
@@ -451,11 +465,19 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
         raise LagrangianValidationError(
             f"basis must have {space.dim} rows, got shape {mat.shape}"
         )
-    if not np.isfinite(mat).all():
-        raise LagrangianValidationError("basis has non-finite entries")
-    upper = space._upper
-    q = gram_mgs(upper, mat, drop_tol=space.tol.rank)
-    _check_span(space, np.intp(q.shape[1]), upper @ q, upper @ (space.gamma @ q))
+    upper, q_w = space._upper, None
+    if mat.shape[1] == space.half_dim:
+        # a column with a non-finite entry is never kept, so it is reported below
+        q_w, diag, kept = span_qr(upper, mat, space.tol.rank)
+        q_w = q_w * np.sign(diag) if kept.all() else None
+    if q_w is None:
+        if not np.isfinite(mat).all():
+            raise LagrangianValidationError("basis has non-finite entries")
+        q = gram_mgs(upper, mat, drop_tol=space.tol.rank)
+        q_w = upper @ q
+    else:
+        q = space._upper_inv @ q_w
+    _check_span(space, np.intp(q.shape[1]), q_w, upper @ (space.gamma @ q))
     return Lagrangian(space=space, basis=_frozen(q))
 
 

@@ -110,41 +110,76 @@ def test_eigensplit_rejects_unbalanced():
 
 def ill_conditioned_split_space():
     """A space that validates, with cond(U) about 6.4e6, whose +i projection of
-    the coordinate vectors keeps 25 columns under the rank rule of ``gram_mgs``;
-    and the bases ``T^-1 e_1..e_24`` and ``T^-1 e_25..e_48`` of two Lagrangians,
-    ``T`` the map that pulls the standard model back to it."""
+    the coordinate vectors kept 25 columns under the rank rule of ``gram_mgs``
+    when the pinned bases were orthonormalized in the n-dimensional whitened
+    space; and the bases ``T^-1 e_1..e_24`` and ``T^-1 e_25..e_48`` of two
+    Lagrangians, ``T`` the map that pulls the standard model back to it."""
     space = sampling.random_space(24, np.random.default_rng(8), spread=1e7)
     pullback = np.linalg.inv(sampling.random_invertible(48, np.random.default_rng(8), 1e7))
     return space, pullback[:, :24], pullback[:, 24:]
 
 
+def unpinnable_space():
+    """A space that validates under ``tol.rank = 1e-2``, with cond(U) about 2e6,
+    whose pinned bases keep one column each: ``U = I + 1e3 (e_1 e_2^H + e_1 e_4^H)``
+    pulls the standard model back, and each coefficient vector ``E^H U e_j`` of
+    either eigenspace lies within 1e-3 of one line.  Returned with ``U^-1``,
+    which maps the standard model onto it."""
+    upper = np.eye(4)
+    upper[0, 1] = upper[0, 3] = 1e3
+    gamma = np.linalg.solve(upper, hs.standard_space(2).gamma @ upper)
+    space = hs.HermitianSymplecticSpace(upper.T @ upper, gamma, hs.Tolerances(rank=1e-2))
+    return space, np.linalg.inv(upper)
+
+
 def test_eigensplit_raises_unless_each_pinned_basis_has_k_columns():
-    space, v_basis, _ = ill_conditioned_split_space()
+    # The pinned construction orthonormalizes coefficient vectors in C^k, so it
+    # keeps at most k columns; it keeps fewer on a space past cond(U) = 1/tol.rank.
+    space, inverse = unpinnable_space()
     assert hs.validate_space(space).passed
-    _split(space)  # the eigenvalue count of i gamma_w is 24/24
-    with pytest.raises(EigensplitError, match=r"\(25, 24\) columns, expected \(24, 24\)"):
+    _split(space)  # the eigenvalue count of i gamma_w is 2/2
+    with pytest.raises(EigensplitError, match=r"\(1, 1\) columns, expected \(2, 2\)"):
         hs.eigensplit(space)
     # the functions built on the pinned bases fail with the same typed error
-    lagr = hs.lagrangian_from_basis(space, v_basis)
+    lagr = hs.lagrangian_from_basis(space, inverse[:, :2])
     with pytest.raises(EigensplitError):
         hs.phi_of(lagr)
     with pytest.raises(EigensplitError):
-        hs.lagrangian_from_graph(space, np.eye(24))
+        hs.lagrangian_from_graph(space, np.eye(2))
+    # where orthonormalizing the projections themselves kept 25 columns, each
+    # basis keeps 24, and the 48 are Gram-orthonormal
+    space = ill_conditioned_split_space()[0]
+    split = hs.eigensplit(space)
+    frame = space._upper @ np.hstack([split.plus_basis, split.minus_basis])
+    assert frame.shape == (48, 48)
+    assert np.abs(frame.conj().T @ frame - np.eye(48)).max() < 1e-9
 
 
 def test_pair_invariants_take_graph_maps_in_the_split_eigenvectors():
-    # The pinned bases cannot be formed on this space, but no pair invariant
-    # reads them: m, the triple index and the correction take their graph maps
-    # in the eigenvectors of the split, as m_stack does.
+    # No pair invariant reads the pinned bases: where they cannot be formed,
+    # m, the triple index and the correction are those of the standard model,
+    # and m is m_stack's.
+    space, inverse = unpinnable_space()
+    e, f = np.eye(4)[:, :2], np.eye(4)[:, 2:]
+    bases = (e, f, e + f / 2.0, e - 2.0 * f)
+    pulled = [hs.lagrangian_from_basis(space, inverse @ b) for b in bases]
+    model = [hs.lagrangian_from_basis(hs.standard_space(2), b) for b in bases]
+    stacked = hs.m_stack(
+        *(a[None] for a in (space.gram, space.gamma, pulled[0].basis, pulled[2].basis)),
+        tol=space.tol,
+    )
+    assert abs(hs.m_details(pulled[0], pulled[2]).value - stacked[0]) < 1e-12
+    assert abs(stacked[0] - hs.m_details(model[0], model[2]).value) < 1e-9
+    assert hs.triple_index(*pulled[:3]) == hs.triple_index(*model[:3]) == -2
+    value, integer = hs.eta_correction_rhs(*pulled)
+    expected = hs.eta_correction_rhs(*model)
+    assert integer == expected[1] and abs(value - expected[0]) < 1e-9
+    # On the larger space the same holds against m_stack and the model.
     space, v_basis, w_basis = ill_conditioned_split_space()
-    with pytest.raises(EigensplitError):
-        hs.eigensplit(space)
     bases = (v_basis, w_basis, v_basis + w_basis / 2.0, v_basis - 2.0 * w_basis)
     v, w, x, y = (hs.lagrangian_from_basis(space, b) for b in bases)
     stacked = hs.m_stack(*(a[None] for a in (space.gram, space.gamma, v.basis, w.basis)))
     assert abs(hs.m_details(v, w).value - stacked[0]) < 1e-12
-    with pytest.raises(EigensplitError):
-        hs.phi_of(v)
     # T pulls the standard model back to the space, so the spans of the same
     # combinations of e_1..e_48 there give the same integers
     e, f = np.eye(48)[:, :24], np.eye(48)[:, 24:]
@@ -159,6 +194,17 @@ def test_pair_invariants_take_graph_maps_in_the_split_eigenvectors():
     )
     expected = hs.eta_correction_rhs(*model)
     assert integer == expected[1] and abs(value - expected[0]) < 1e-4
+
+
+def test_random_lagrangians_on_the_ill_conditioned_space_round_trip_through_phi():
+    space = ill_conditioned_split_space()[0]
+    rng = np.random.default_rng(9)
+    v, w = sampling.random_lagrangian_pair(space, rng, 3)
+    assert hs.intersection_dim(v, w) == 3
+    unitary = sampling.random_unitary(24, rng)
+    lagr = hs.lagrangian_from_graph(space, unitary)
+    assert np.abs(hs.phi_of(lagr) - unitary).max() < 1e-8
+    assert hs.subspace_distance(hs.lagrangian_from_graph(space, hs.phi_of(v)), v) < 1e-8
 
 
 def test_lagrangian_line_in_standard_model():
@@ -430,11 +476,16 @@ def test_eigensplit_bases_are_phase_fixed_by_the_loop(rng):
         space = sampling.random_space(3, rng, spread=spread)
         split = hs.eigensplit(space)
         upper, k, evecs = space._upper, space.half_dim, _split(space)
-        # the eigenspace projectors U^-1 E E^H U of the shared eigenbasis E
+        # the coefficient vectors E^H U e_j of each eigenspace's eigenvectors E,
+        # orthonormalized in C^k and mapped back by U^-1 E
         left, right = np.linalg.solve(upper, evecs), evecs.conj().T @ upper
         for basis, half in ((split.plus_basis, slice(k)), (split.minus_basis, slice(k, None))):
-            raw = gram_mgs(upper, left[:, half] @ right[half], 1e-8)
+            raw = left[:, half] @ gram_mgs(np.eye(k), right[half], 1e-8)
             assert np.array_equal(basis, phase_fixed_loop(raw))
+            # the basis that orthonormalizing the projections U^-1 E E^H U e_j
+            # gives, up to roundoff of order eps cond(U)^2
+            projected = gram_mgs(upper, left[:, half] @ right[half], 1e-8)
+            assert np.abs(basis - phase_fixed_loop(projected)).max() < 1e-10
 
 
 def test_spaces_lagrangians_and_relations_compare_and_hash_by_identity():
