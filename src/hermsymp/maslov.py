@@ -39,7 +39,8 @@ from .errors import (
     NonIntegerSum,
     SpaceValidationError,
 )
-from .linalg import adjoint, span_qr
+from . import linalg
+from .linalg import adjoint, gram_mgs, span_qr
 from .spaces import (
     HermitianSymplecticSpace,
     Lagrangian,
@@ -72,7 +73,7 @@ def _pair_tail(space, phi_v, phi_w, columns):
     one in ``(tol.eig, 100 tol.eig)`` raises; then dim(V & W) is decided under
     its rank guard band and must equal the count excluded.  No -0.0 value.
     """
-    eigs = np.linalg.eigvals(-phi_v @ adjoint(phi_w))
+    eigs = linalg.eigvals(-phi_v @ adjoint(phi_w))
     tau = space.tol.eig
     dist = np.abs(eigs + 1.0)
     excluded = dist <= tau
@@ -159,11 +160,12 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
 
     The rank of a span is decided by the one rank rule for spans of exactly k
     columns, :func:`~hermsymp.linalg.span_qr`, as in
-    :func:`~hermsymp.spaces.lagrangian_from_basis`; only the dimension named
-    for a span that drops a column is the QR's count, where the scalar route
-    lets Gram-Schmidt count.  The graph maps are taken in the eigenvectors of
-    the split, as on every route: ``m`` does not depend on the choice of
-    eigenbases (the pair unitary only changes by a unitary similarity).
+    :func:`~hermsymp.spaces.lagrangian_from_basis`, and a finite span whose QR
+    drops a column is counted by :func:`~hermsymp.linalg.gram_mgs` there and
+    here, so both routes reach the same verdict and name the same dimension.  The graph maps are taken in the
+    eigenvectors of the split, as on every route: ``m`` does not depend on the
+    choice of eigenbases (the pair unitary only changes by a unitary
+    similarity).
     """
     if np.ndim(gram) != 3:
         raise SpaceValidationError(
@@ -204,6 +206,11 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     finite = np.isfinite(bases).all(axis=(2, 3))  # a non-finite basis is reported below
     q, _, kept = span_qr(upper[:, None], bases, tol.rank)
     kept = kept.sum(axis=-1)
+    # a finite span whose QR drops a column is counted by Gram-Schmidt, as in
+    # lagrangian_from_basis.  Where that keeps k columns, the QR's first drop
+    # lay at roundoff from the rule, and its R_jj > 0 leaves q a basis of the span.
+    for j, side in zip(*np.nonzero((kept != k) & finite)):
+        kept[j, side] = gram_mgs(upper[j], bases[j, side], tol.rank).shape[1]
     gamma_q = stack._gamma_w[:, None] @ q
     for side in (0, 1):
         _raise_at_first(~finite[:, side], LagrangianValidationError, "basis has non-finite entries")

@@ -72,8 +72,10 @@ class HermitianSymplecticSpace:
     structure in the same basis; ``tol`` holds the thresholds used by every
     decision on the space, its Lagrangians and the spaces derived from it.
     Construction performs the structural checks (square, even-dimensional,
-    Hermitian positive-definite gram) and keeps its Cholesky factor ``_upper``;
-    the three algebraic invariants are measured by :func:`validate_space`.
+    Hermitian positive-definite gram) and keeps its Cholesky factor ``_upper``
+    and the plain attributes ``dim`` and ``half_dim``, which the pair passes
+    read on every call; the three algebraic invariants are measured by
+    :func:`validate_space`.
 
     Dimension zero is allowed and carries the unique empty Lagrangian.
 
@@ -109,13 +111,13 @@ class HermitianSymplecticSpace:
         scale = np.abs(gram).max(axis=(-2, -1), initial=0.0)
         _raise_at_first(skew > 1e-12 * scale, SpaceValidationError, "gram must be Hermitian")
         try:
-            upper = adjoint(np.linalg.cholesky(gram))
+            upper = adjoint(linalg.cholesky(gram))
         except np.linalg.LinAlgError:
             # a stacked call does not say which item failed; factor them one by one
             definite = np.ones(gram.shape[:-2], dtype=bool)
             for j in np.ndindex(definite.shape):
                 try:
-                    np.linalg.cholesky(gram[j])
+                    linalg.cholesky(gram[j])
                 except np.linalg.LinAlgError:
                     definite[j] = False
                     break
@@ -124,14 +126,8 @@ class HermitianSymplecticSpace:
         object.__setattr__(self, "gram", _frozen(gram))
         object.__setattr__(self, "gamma", _frozen(gamma))
         object.__setattr__(self, "_upper", _frozen(upper))
-
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[-1]
-
-    @property
-    def half_dim(self) -> int:
-        return self.dim // 2
+        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "half_dim", n // 2)
 
     def omega(self) -> np.ndarray:
         """Matrix of the symplectic form: omega(x, y) = x^H @ omega() @ y."""
@@ -141,17 +137,19 @@ class HermitianSymplecticSpace:
     def _upper_inv(self) -> np.ndarray:
         """``U^-1``: one product maps a whitened basis back, where a solve
         would cost a k = 1 Lagrangian construction a fifth of its time."""
-        return np.linalg.inv(self._upper)
+        return linalg.inv(self._upper)
 
     @cached_property
     def _cond(self):
-        return np.linalg.cond(self._upper)
+        s = linalg.singular_values(self._upper)
+        with np.errstate(all="ignore"):  # as numpy.linalg.cond
+            return s[..., 0] / s[..., -1]
 
     @cached_property
     def _gamma_w(self) -> np.ndarray:
         """``gamma`` in the whitened frame, ``U gamma U^-1``, from one solve."""
         upper = self._upper
-        return adjoint(np.linalg.solve(adjoint(upper), adjoint(upper @ self.gamma)))
+        return adjoint(linalg.solve(adjoint(upper), adjoint(upper @ self.gamma)))
 
     def _exceeds_alg(self, residual):
         """The one rule for whitened residuals; cond(U) >= 1 spares the SVD below ``alg``.
@@ -178,7 +176,7 @@ class HermitianSymplecticSpace:
         # the coordinate vectors projected onto an eigenspace, U^-1 E E^H U e_j:
         # their coefficients E^H U e_j are orthonormalized in C^k, which keeps
         # at most k (fewer only past cond(U) ~ 1/tol.rank), and mapped back
-        raw, coeffs = np.linalg.solve(upper, evecs), adjoint(evecs) @ upper
+        raw, coeffs = linalg.solve(upper, evecs), adjoint(evecs) @ upper
         ident = np.eye(k)
         plus = raw[:, :k] @ gram_mgs(ident, coeffs[:k], drop_tol=self.tol.rank)
         minus = raw[:, k:] @ gram_mgs(ident, coeffs[k:], drop_tol=self.tol.rank)
@@ -213,7 +211,7 @@ def _split(space) -> np.ndarray:
     -i eigenspaces of ``gamma_w``: the whitened eigenvectors of ``i gamma_w``,
     those of eigenvalue -1 (+i) first, then those of +1 (-i)."""
     k, gamma_w = space.half_dim, space._gamma_w
-    evals, evecs = np.linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
+    evals, evecs = linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
     counts = np.stack([(evals < 0).sum(axis=-1), (evals > 0).sum(axis=-1)], axis=-1)
     _raise_at_first(
         (counts != k).any(axis=-1),
@@ -263,14 +261,14 @@ def _graph_map(space, frame, q_w) -> np.ndarray:
     k = space.half_dim
     coords = adjoint(frame) @ q_w
     a, c = coords[..., :k, :], coords[..., k:, :]
-    s_min = np.linalg.svd(a, compute_uv=False).min(axis=-1, initial=np.inf)
+    s_min = linalg.singular_values(a).min(axis=-1, initial=np.inf)
     _raise_at_first(
         s_min <= space.tol.rank,
         LagrangianValidationError,
         lambda j: "projection onto the +i eigenspace is singular; input is not a "
         f"valid Lagrangian (smallest singular value {s_min[j]:.3e})",
     )
-    phi = c @ np.linalg.inv(a)
+    phi = c @ linalg.inv(a)
     residual = max_abs(adjoint(phi) @ phi - np.eye(space.half_dim))
     _raise_at_first(
         space._exceeds_alg(residual),
@@ -284,7 +282,7 @@ def _intersection_dim(space, columns_w):
     """dim(V & W) from the whitened columns of both Lagrangians, side by side,
     with the rank guard band ``(tol.rank/10, 10 tol.rank)``."""
     tau = space.tol.rank
-    s = np.linalg.svd(columns_w, compute_uv=False)
+    s = linalg.singular_values(columns_w)
     in_band = (s > tau / 10.0) & (s < tau * 10.0)
     _raise_at_first(
         in_band.any(axis=-1),
@@ -376,7 +374,7 @@ def validate_space(space: HermitianSymplecticSpace) -> SpaceReport:
     ident = np.eye(n, dtype=np.complex128)
     r_sq = max_abs(gamma_w @ gamma_w + ident)
     r_unit = max_abs(gamma_w.conj().T @ gamma_w - ident)
-    eigs = np.linalg.eigvalsh(0.5j * (gamma_w - gamma_w.conj().T))
+    eigs = linalg.eigvalsh(0.5j * (gamma_w - gamma_w.conj().T))
     n_pos = int(np.sum(eigs > space.tol.rank))
     n_neg = int(np.sum(eigs < -space.tol.rank))
     n_null = n - n_pos - n_neg
@@ -532,4 +530,4 @@ def subspace_distance(v: Lagrangian, w: Lagrangian) -> float:
     """
     _require_same_space(v.space, w.space)
     q1, q2 = v.space._upper @ v.basis, v.space._upper @ w.basis
-    return float(np.linalg.norm(q2 - q1 @ (q1.conj().T @ q2), 2))
+    return float(linalg.singular_values(q2 - q1 @ (q1.conj().T @ q2)).max(initial=0.0))

@@ -457,10 +457,10 @@ def test_exact_commands_do_not_load_numpy():
     assert out.stdout.startswith("usage: hermsymp") and out.stderr == "False\n"
 
 
-def test_m_on_a_space_whose_split_cannot_be_pinned(tmp_path):
-    # The space validates, but its pinned eigenbases cannot be formed
-    # (test_spaces.ill_conditioned_split_space).  m does not read them: as a
-    # process it prints the value m_stack gives.
+def test_m_on_an_ill_conditioned_space_prints_the_stacked_value(tmp_path):
+    # The space validates with cond(U) about 6.4e6
+    # (test_spaces.ill_conditioned_split_space): as a process, m prints the
+    # value m_stack gives.
     space = sampling.random_space(24, np.random.default_rng(8), spread=1e7)
     pullback = np.linalg.inv(sampling.random_invertible(48, np.random.default_rng(8), 1e7))
     v, w = (hs.lagrangian_from_basis(space, pullback[:, h]) for h in (slice(24), slice(24, 48)))

@@ -1,6 +1,11 @@
-"""gram_mgs against the modified Gram-Schmidt loop it replaced, and span_qr,
-the rank rule for spans of exactly k columns, against gram_mgs."""
+"""gram_mgs against the modified Gram-Schmidt loop it replaced, span_qr,
+the rank rule for spans of exactly k columns, against gram_mgs, and the
+LAPACK functions of linalg against numpy.linalg's, which they replace."""
+import ast
+import inspect
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermsymp as hs
-from hermsymp import sampling
+from hermsymp import linalg, sampling
 from hermsymp.errors import LagrangianValidationError
 from hermsymp.linalg import gram_mgs, span_qr, unit_columns, whitened_columns
 from hermsymp.torus import TorusModel
@@ -310,3 +315,134 @@ def test_power_of_two_scalings_of_each_column_keep_the_qr_basis_to_the_bit():
         scales[e % 4] = np.ldexp(1.0, e)
         for scaled in (basis * scales, basis * np.ldexp(1.0, e)):
             assert np.array_equal(hs.lagrangian_from_basis(space, scaled).basis, expected), e
+
+
+def hermitian(a):
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
+def positive_definite(a):
+    return a @ a.conj().swapaxes(-1, -2) + np.eye(a.shape[-1])
+
+
+# each LAPACK function of linalg, numpy's function it replaces, and the
+# argument both take, made from a complex matrix or stack of them
+LAPACK = {
+    "singular_values": (lambda a: np.linalg.svd(a, compute_uv=False), lambda a: (a[..., :3],)),
+    "svd": (lambda a: tuple(np.linalg.svd(a)), lambda a: (a[..., :3],)),
+    "eigvals": (np.linalg.eigvals, lambda a: (a,)),
+    "eigvalsh": (np.linalg.eigvalsh, lambda a: (hermitian(a),)),
+    "eigh": (lambda a: tuple(np.linalg.eigh(a)), lambda a: (hermitian(a),)),
+    "inv": (np.linalg.inv, lambda a: (a,)),
+    "solve": (np.linalg.solve, lambda a: (a, a[..., :2] + 1.0)),
+    "cholesky": (np.linalg.cholesky, lambda a: (positive_definite(a),)),
+    "_column_norms": (lambda a: np.linalg.norm(a, axis=-2), lambda a: (a[..., :3],)),
+}
+
+
+def same_bits(got, expected):
+    if isinstance(expected, tuple):
+        return len(got) == len(expected) and all(map(same_bits, got, expected))
+    return (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+@pytest.mark.parametrize("name", LAPACK)
+@pytest.mark.parametrize("shape", [(5, 5), (3, 5, 5), (0, 0), (3, 0, 0), (2, 1, 1)])
+def test_lapack_functions_are_numpys_to_the_bit(name, shape):
+    # on a matrix, a stack, and at k = 0: same values, dtypes and shapes
+    reference, arguments = LAPACK[name]
+    rng = np.random.default_rng(list(shape))
+    args = arguments(random_basis(math.prod(shape[:-1]), shape[-1], rng).reshape(shape))
+    assert same_bits(getattr(linalg, name)(*args), reference(*args))
+
+
+SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+FAILURES = {
+    "inv of a singular matrix": ("inv", (SINGULAR,)),
+    "inv of a singular stack item": ("inv", (np.stack([np.eye(2, dtype=complex), SINGULAR]),)),
+    "solve with a singular matrix": ("solve", (SINGULAR, np.ones((2, 1), dtype=complex))),
+    "cholesky of an indefinite matrix": ("cholesky", (-np.eye(3, dtype=complex),)),
+    "cholesky of an indefinite stack item": (
+        "cholesky", (np.stack([np.eye(2, dtype=complex), SINGULAR - 3.0 * np.eye(2)]),)),
+    "eigvals of nan": ("eigvals", (np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex),)),
+    "eigvals of inf": ("eigvals", (np.full((1, 2, 2), np.inf, dtype=complex),)),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_lapack_failures_raise_numpys_errors_without_a_warning(case):
+    name, args = FAILURES[case]
+    with pytest.raises(np.linalg.LinAlgError) as expected:
+        getattr(np.linalg, name)(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            getattr(linalg, name)(*args)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+def test_gram_that_is_not_positive_definite_is_named_on_a_space_and_a_stack_item():
+    gamma = hs.standard_space(2).gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hs.SpaceValidationError, match="^gram must be positive definite$"):
+            hs.HermitianSymplecticSpace(-np.eye(4), gamma)
+        grams = np.stack([np.eye(4), np.eye(4), np.diag([1.0, 1.0, 0.0, 1.0])])
+        with pytest.raises(hs.SpaceValidationError, match="^item 2: gram must be positive definite$"):
+            hs.HermitianSymplecticSpace(grams, np.stack([gamma] * 3))
+
+
+def test_every_umath_linalg_name_linalg_calls_exists():
+    # the gufunc names are private to numpy: a rename fails here, by name,
+    # rather than inside a pair pass
+    tree = ast.parse(inspect.getsource(linalg))
+    used = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_umath_linalg"
+    }
+    assert {"svd", "svd_f", "eigvals", "eigh_lo", "inv", "solve", "qr_r_raw", "qr_reduced"} <= used
+    assert [name for name in sorted(used) if not hasattr(np.linalg._umath_linalg, name)] == []
+
+
+NUMERIC = ("spaces", "maslov", "bordism", "torus")
+
+
+def numpy_linalg_uses(source):
+    """Lines that call a ``numpy.linalg`` function or reach ``_umath_linalg``,
+    other than raising ``LinAlgError``: every LAPACK routine goes through
+    linalg's functions instead."""
+
+    def dotted(node):
+        return dotted(node.value) + "." + node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = dotted(node.func)
+            if name.startswith(("np.linalg.", "numpy.linalg.")) and not name.endswith(".LinAlgError"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module in ("numpy.linalg", "numpy.linalg._umath_linalg") or "linalg" in names and node.module == "numpy":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.linalg") for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "_umath_linalg":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_guard_flags_each_way_to_reach_lapack():
+    for line in ("np.linalg.svd(a)", "numpy.linalg.inv(a)", "from numpy.linalg import eigvals",
+                 "from numpy import linalg", "import numpy.linalg as la", "_umath_linalg.svd(a)"):
+        assert numpy_linalg_uses(line) == [1], line
+    for line in ("linalg.singular_values(a)", "raise np.linalg.LinAlgError('x')",
+                 "try:\n    pass\nexcept np.linalg.LinAlgError:\n    pass"):
+        assert numpy_linalg_uses(line) == [], line
+
+
+@pytest.mark.parametrize("module", NUMERIC)
+def test_numeric_modules_reach_lapack_only_through_linalg(module):
+    source = (pathlib.Path(linalg.__file__).parent / f"{module}.py").read_text()
+    assert numpy_linalg_uses(source) == []

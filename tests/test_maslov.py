@@ -1,12 +1,13 @@
 """Pair invariant, triple index, and their algebraic identities."""
 import dataclasses
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hermsymp as hs
-from hermsymp import maslov, sampling
+from hermsymp import linalg, maslov, sampling
 from hermsymp.errors import EigenvalueAmbiguity, HermsympError, NonIntegerSum, RankAmbiguity
 from hermsymp.torus import TorusModel
 
@@ -153,6 +154,103 @@ def test_triple_depends_only_on_omega(rng):
         )
     # the individual pair invariants do depend on the inner product
     assert max(m_differences) > 1e-6
+
+
+def kashiwara_form(u, v, w):
+    """The Hermitian 3k x 3k matrix of ``omega(x, y) + omega(y, z) + omega(z, x)``
+    on U + V + W: the blocks ``C_UV = Q_U^H gamma_w Q_V`` of the cyclic pairs in
+    the whitened orthonormal bases Q, and their adjoints as the mirror blocks."""
+    space = u.space
+    upper = np.linalg.cholesky(space.gram).conj().T
+    gamma_w = upper @ space.gamma @ np.linalg.inv(upper)
+    q_u, q_v, q_w = (upper @ x.basis for x in (u, v, w))
+    c_uv, c_vw, c_wu = (a.conj().T @ gamma_w @ b for a, b in ((q_u, q_v), (q_v, q_w), (q_w, q_u)))
+    zero = np.zeros_like(c_uv)
+    return np.block([
+        [zero, c_uv, c_wu.conj().T],
+        [c_uv.conj().T, zero, c_vw],
+        [c_wu, c_vw.conj().T, zero],
+    ])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_triple_index_is_minus_the_signature_of_the_kashiwara_form(k):
+    # An oracle that shares no code with the pair route: triple_index is
+    # -(n_+ - n_-) of the form's eigenvalues, with pairs meeting in dimension
+    # 0, 1 and 2 and with a repeated Lagrangian.
+    rng = np.random.default_rng([k, 17])
+    for intersection in range(min(k, 2) + 1):
+        for _ in range(3):
+            space = sampling.random_space(k, rng)
+            u, v = sampling.random_lagrangian_pair(space, rng, intersection)
+            w = sampling.random_lagrangian(space, rng)
+            for triple in ((u, v, w), (w, u, v), (u, w, w)):
+                form = kashiwara_form(*triple)
+                assert np.abs(form - form.conj().T).max() < 1e-12
+                eigs = np.linalg.eigvalsh(form)
+                cut = 1e-8 * np.abs(eigs).max()
+                n_plus, n_minus = int((eigs > cut).sum()), int((eigs < -cut).sum())
+                assert hs.triple_index(*triple) == -(n_plus - n_minus)
+
+
+def exact_signature(h):
+    """Signature of a Hermitian matrix of Gaussian integers, by symmetric
+    elimination over ``Fraction`` on its real form ``[[Re, -Im], [Im, Re]]``,
+    whose signature is twice that of ``h``."""
+    re, im = h.real.astype(int), h.imag.astype(int)
+    a = [[Fraction(int(x)) for x in row] for row in np.block([[re, -im], [im, re]])]
+    signature = 0
+    while a:
+        n = len(a)
+        pivot = next((i for i in range(n) if a[i][i]), None)
+        if pivot is None:
+            entry = next(((i, j) for i in range(n) for j in range(n) if a[i][j]), None)
+            if entry is None:
+                break  # the rest is null
+            # the congruence x_i -> x_i + x_j makes a_ii = 2 a_ij, not zero
+            i, j = entry
+            for row in a:
+                row[i] += row[j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            pivot = i
+        d = a[pivot][pivot]
+        signature += 1 if d > 0 else -1
+        a = [
+            [a[r][c] - a[r][pivot] * a[pivot][c] / d for c in range(n) if c != pivot]
+            for r in range(n)
+            if r != pivot
+        ]
+    assert signature % 2 == 0
+    return signature // 2
+
+
+def gaussian_hermitian(k, rng):
+    a = rng.integers(-3, 4, (k, k)) + 1j * rng.integers(-3, 4, (k, k))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_triple_index_of_graphs_is_the_sum_of_signatures(k):
+    # L_H = span [I; H] on the standard space: the triple index is
+    # sig(H2 - H1) + sig(H3 - H2) + sig(H1 - H3), each signature exact.  The
+    # last draws differ by rank-one steps v v^H, so the graphs meet.
+    rng = np.random.default_rng([k, 18])
+    space = hs.standard_space(k)
+    draws = [[gaussian_hermitian(k, rng) for _ in range(3)] for _ in range(6)]
+    for draw in draws[-2:]:
+        v = rng.integers(-2, 3, (k, 1)) + 1j * rng.integers(-2, 3, (k, 1))
+        draw[1] = draw[0] + v @ v.conj().T
+    for h1, h2, h3 in draws:
+        graphs = [hs.lagrangian_from_basis(space, np.vstack([np.eye(k), h])) for h in (h1, h2, h3)]
+        expected = exact_signature(h2 - h1) + exact_signature(h3 - h2) + exact_signature(h1 - h3)
+        assert hs.triple_index(*graphs) == expected
+
+
+def test_exact_signature_counts_each_sign():
+    assert exact_signature(np.diag([1, -2, 0, 3]).astype(complex)) == 1
+    assert exact_signature(np.array([[0, 1j], [-1j, 0]])) == 0
+    assert exact_signature(np.zeros((2, 2), dtype=complex)) == 0
+    assert exact_signature(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)) == 1
 
 
 def test_eta_correction_collapses_for_distinguished_boundary(rng):
@@ -394,14 +492,15 @@ def test_triple_and_correction_make_one_batch_of_lapack_calls(rng, monkeypatch):
     lagrangians = [sampling.random_lagrangian(space, rng) for _ in range(4)]
     fresh = [hs.lagrangian_from_basis(space, x.basis) for x in lagrangians]
     counts = {"eigvals": 0, "svd": 0}
-    for name in counts:
-        real = getattr(np.linalg, name)
+    # the LAPACK functions of hermsymp.linalg, through which every route calls
+    for name, function in (("eigvals", "eigvals"), ("svd", "singular_values")):
+        real = getattr(linalg, function)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(linalg, function, counting)
     hs.triple_index(*fresh[:3])
     # one eigvals for the 3 pair spectra; one svd for the graph maps of the
     # 3 new Lagrangians and one for the 3 intersection dimensions

@@ -11,6 +11,7 @@ import pytest
 
 import hermsymp as hs
 from hermsymp import sampling
+from hermsymp.linalg import gram_mgs, span_qr
 from hermsymp.errors import (
     EigensplitError,
     EigenvalueAmbiguity,
@@ -182,6 +183,15 @@ def non_finite_gamma(item, rng):
     return space.gram, gamma, v, w
 
 
+def dropped_first_column(item, rng):
+    # V's whitened basis is [0, e_1]: after the zero column the QR's |R_22|
+    # omits the first row and drops e_1 too, where Gram-Schmidt keeps it
+    space, v, w = item
+    upper = np.linalg.cholesky(space.gram).conj().T
+    column = np.linalg.solve(upper, np.eye(len(v))[:, 0])
+    return space.gram, space.gamma, np.stack([0.0 * column, column], axis=1), w
+
+
 def non_finite(item, rng):
     space, v, w = item
     w = w.copy()
@@ -244,6 +254,7 @@ def assert_fails_like_scalar(columns, j, error, tol=hs.Tolerances()):
         (rank_deficient, LagrangianValidationError),
         (non_lagrangian, LagrangianValidationError),
         (non_lagrangian_then_rank_deficient, LagrangianValidationError),
+        (dropped_first_column, LagrangianValidationError),
         (perturbed_gamma, LagrangianValidationError),
         (not_positive_definite, SpaceValidationError),
         (not_hermitian, SpaceValidationError),
@@ -259,6 +270,50 @@ def test_bad_item_raises_the_scalar_error_with_its_index(rng, corrupt, error, j)
     scalar, stacked = assert_fails_like_scalar(corrupted(rng, corrupt, j), j, error)
     # the same check fails: the messages agree up to their numbers
     assert wording(stacked) == "item #: " + wording(scalar)
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_a_dropped_column_names_the_dimension_of_the_scalar_route(rng, j):
+    # both routes let Gram-Schmidt count a span whose QR drops a column, so
+    # the messages agree in their numbers too
+    scalar, stacked = assert_fails_like_scalar(
+        corrupted(rng, dropped_first_column, j), j, LagrangianValidationError
+    )
+    assert str(scalar) == "basis spans dimension 1, expected 2"
+    assert str(stacked) == f"item {j}: {scalar}"
+
+
+def test_a_dropped_column_on_the_standard_space():
+    s = hs.standard_space(2)
+    v_basis = np.zeros((4, 2))
+    v_basis[0, 1] = 1.0
+    columns = [x[None] for x in (s.gram, s.gamma, v_basis, np.eye(4)[:, :2])]
+    scalar, stacked = assert_fails_like_scalar(columns, 0, LagrangianValidationError)
+    assert (str(scalar), str(stacked)) == (
+        "basis spans dimension 1, expected 2", "item 0: basis spans dimension 1, expected 2"
+    )
+
+
+def test_a_column_the_qr_drops_and_gram_schmidt_keeps_gives_the_scalar_value():
+    # At roundoff from the drop rule the QR may drop a column that
+    # Gram-Schmidt keeps: set tol.rank between the two residuals of a span in
+    # the Lagrangian span(e_1, e_2).  Both routes then let Gram-Schmidt count,
+    # and give the value, where m_stack named dimension 1.
+    ident, rng = np.eye(4), np.random.default_rng(0)
+    for _ in range(1000):
+        first = np.r_[rng.standard_normal(2) + 1j * rng.standard_normal(2), 0.0, 0.0]
+        second = first * rng.standard_normal() + 1e-3 * np.r_[rng.standard_normal(2), 0.0, 0.0]
+        v_basis = np.stack([first, second], axis=1)
+        diag = span_qr(ident, v_basis, 0.0)[1]
+        rank = np.nextafter(abs(diag[1]) / np.linalg.norm(second), 1.0)
+        if gram_mgs(ident, v_basis, rank).shape[1] == 2 and not span_qr(ident, v_basis, rank)[2][1]:
+            break
+    else:
+        pytest.fail("no span straddles the drop rule")
+    standard, tol = hs.standard_space(2), hs.Tolerances(rank=rank)
+    columns = [x[None] for x in (standard.gram, standard.gamma, v_basis, ident[:, 2:])]
+    expected = scalar_m(*(x[0] for x in columns), tol)
+    assert abs(hs.m_stack(*columns, tol)[0] - expected) < 1e-12
 
 
 def test_structure_that_does_not_split(rng):
