@@ -3,13 +3,13 @@
 No helper here sees a Gram matrix.  A :class:`~hermsymp.spaces.HermitianSymplecticSpace`
 owns its frame: it keeps the Cholesky factor ``U`` of its Gram matrix
 (``gram = U^H U``) and hands whitened blocks ``U x``, in which the Gram inner
-product is the Euclidean one, or the factor itself to the span kernels:
-:func:`span_qr`, the one rank rule for spans of exactly k columns, and
-:func:`gram_mgs` for any other column count.
+product is the Euclidean one, or the factor itself to the one rank rule of
+a span, :func:`gram_mgs`: Gram-Schmidt's drops, in input order, on the QR of
+:func:`span_qr`.
 
 This module owns every LAPACK call of the numeric modules: ``spaces``,
-``maslov``, ``bordism`` and ``torus`` reach LAPACK only through
-:func:`span_qr` and the functions below, one per routine, each on a complex
+``maslov``, ``bordism`` and ``torus`` reach LAPACK only through the QR of
+:func:`span_qr` and the functions below it, one per routine, each on a complex
 matrix or a stack of them.  Each calls the ``numpy.linalg._umath_linalg``
 gufunc that ``numpy.linalg``'s own function calls, with the same signature and
 floating-point error state, so it returns that function's values bit for bit
@@ -22,8 +22,6 @@ LAPACK itself on the small matrices of a pair invariant: at k = 1 about
 gufunc names.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -74,57 +72,11 @@ def whitened_columns(upper: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 # Whitened column norms whose squares, and those of residuals down to 2^-250
-# of them, stay normal numbers.  Both span kernels (span_qr, the one rank rule
-# for exactly k columns, and gram_mgs for any other count) take the plain U b
-# and switch to whitened_columns once a norm leaves this range or overflows:
-# scaling on every call cost the bordism benchmark 9% of its ops_per_s, and
-# torus-sweep 3.5%.
+# of them, stay normal numbers.  span_qr takes the plain U b and switches to
+# whitened_columns once a norm leaves this range or overflows: scaling on
+# every call cost the bordism benchmark 9% of its ops_per_s, and torus-sweep
+# 3.5%.
 NORM_RANGE = (2.0**-250, 2.0**250)
-
-
-def gram_mgs(upper: np.ndarray, basis: np.ndarray, drop_tol: float) -> np.ndarray:
-    """Gram-orthonormal basis of the span of ``basis``, columns in input order.
-
-    ``upper`` is the upper Cholesky factor ``U`` of the Gram matrix
-    (``gram = U^H U``), as a space keeps it.  Classical Gram-Schmidt with
-    reorthogonalization in the whitened coordinates: each column of
-    ``U @ basis`` gets two block projections ``v -= Q (Q^H v)`` against the
-    columns kept so far; one solve with ``U`` maps ``Q`` back.  Column j is
-    dropped when its residual is at most ``drop_tol`` times its own whitened
-    norm ``|U b_j|``, a rule without units, else kept as that residual
-    normalized.  From the first column whose whitened norm lies outside
-    :data:`NORM_RANGE`, or overflows, on, the columns are those of
-    :func:`whitened_columns`, exactly scaled, so no norm leaves the double
-    range.  A Lagrangian's span of exactly half-dimension columns goes to
-    :func:`span_qr` first, and here only once that QR drops a column.  The
-    name predates the algorithm; the benchmark tracer wraps it
-    and counts columns through ``basis``, the second argument.
-    """
-    basis = as_complex_matrix(basis, "basis")
-    n, cols = basis.shape
-    q = np.empty((n, cols), dtype=np.complex128)
-    q_h = np.empty((cols, n), dtype=np.complex128)  # conjugate rows of q
-    kept = 0
-    lo, hi = NORM_RANGE
-    with np.errstate(over="ignore", invalid="ignore"):  # then whitened again below
-        whitened, scaled = upper @ basis, False
-    for j in range(cols):
-        v = whitened[:, j]
-        norm = math.sqrt(np.vdot(v, v).real)
-        if not (scaled or lo <= norm <= hi):
-            whitened, scaled = whitened_columns(upper, basis), True
-            v = whitened[:, j]
-            norm = math.sqrt(np.vdot(v, v).real)
-        limit = drop_tol * norm
-        for _ in range(2 if kept else 0):
-            v = v - q[:, :kept] @ (q_h[:kept] @ v)
-        nrm = math.sqrt(np.vdot(v, v).real)
-        if nrm <= limit:
-            continue
-        q[:, kept] = v = v / nrm
-        q_h[kept] = v.conj()
-        kept += 1
-    return solve(upper, q[:, :kept])
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
@@ -133,15 +85,16 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
 
 
 def span_qr(upper: np.ndarray, basis: np.ndarray, drop_tol: float):
-    """The rank rule for spans of exactly k columns: one QR of ``U basis``, on
-    a matrix or a stack, ``upper`` broadcasting against ``basis``.
+    """One QR of ``U basis``, on a matrix of at most ``rows`` columns or a
+    stack of them, ``upper`` broadcasting against ``basis``: the step of
+    :func:`gram_mgs`, and of the stacked spans of
+    :func:`~hermsymp.maslov.m_stack`.
 
     Returns ``(q, diag, kept)``: the whitened orthonormal columns, the real
     diagonal of R, and flags of the columns with ``|R_jj| > drop_tol |U b_j|``,
-    the drop rule of :func:`gram_mgs`.  While no column drops, ``|R_jj|`` is
-    column j's residual against the earlier ones, so the flags are
-    Gram-Schmidt's verdict and ``q`` times the sign of ``diag`` is its basis up
-    to roundoff; after a dropped column neither holds.  A norm outside
+    the drop rule of :func:`gram_mgs`.  Through the first dropped column the
+    flags are Gram-Schmidt's verdict, and before it ``q`` times the sign of
+    ``diag`` is its basis up to roundoff; after it neither holds.  A norm outside
     :data:`NORM_RANGE`, or an overflow, switches the whole product to
     :func:`whitened_columns`.  A column with a non-finite entry is never kept,
     and raises no warning.
@@ -161,6 +114,30 @@ def span_qr(upper: np.ndarray, basis: np.ndarray, drop_tol: float):
     q = _umath_linalg.qr_reduced(whitened, tau, signature="DD->D")
     diag = np.diagonal(whitened, axis1=-2, axis2=-1).real
     return q, diag, np.abs(diag) > drop_tol * norms
+
+
+def gram_mgs(upper: np.ndarray, basis: np.ndarray, drop_tol: float) -> np.ndarray:
+    """The one rank rule of a span: an orthonormal basis of the span of
+    ``basis`` in the whitened coordinates ``U x`` (``gram = U^H U``, ``upper``
+    the factor ``U`` a space keeps), Gram-Schmidt's columns in input order.
+
+    Column j is dropped when its residual against the columns kept before it
+    is at most ``drop_tol`` times its whitened norm ``|U b_j|``.  Until a
+    column drops, that residual is the ``|R_jj|`` of :func:`span_qr`, so the
+    QR's first flagged column is Gram-Schmidt's first drop: it is deleted and
+    the QR rerun on the rest, at most ``rows`` columns at a time (past
+    ``rows`` kept columns every column is dependent).  The kept columns are
+    the QR's, signed so that ``R_jj > 0``; a column with a non-finite entry is
+    never kept.  The name predates the algorithm; the benchmark tracer wraps
+    it and counts columns through ``basis``, the second argument.
+    """
+    basis = as_complex_matrix(basis, "basis")
+    rows = basis.shape[0]
+    q, diag, kept = span_qr(upper, basis[:, :rows], drop_tol)
+    while not kept.all():
+        basis = np.delete(basis, kept.argmin(), axis=1)
+        q, diag, kept = span_qr(upper, basis[:, :rows], drop_tol)
+    return q * np.sign(diag)
 
 
 def _lapack(failure: str):

@@ -158,14 +158,14 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     raises: the first failing check of the lowest failing item, V's before
     W's; the message names the index, the error's ``item`` holds it.
 
-    The rank of a span is decided by the one rank rule for spans of exactly k
-    columns, :func:`~hermsymp.linalg.span_qr`, as in
-    :func:`~hermsymp.spaces.lagrangian_from_basis`, and a finite span whose QR
-    drops a column is counted by :func:`~hermsymp.linalg.gram_mgs` there and
-    here, so both routes reach the same verdict and name the same dimension.  The graph maps are taken in the
-    eigenvectors of the split, as on every route: ``m`` does not depend on the
-    choice of eigenbases (the pair unitary only changes by a unitary
-    similarity).
+    The rank of a span is decided by the one rank rule of
+    :func:`~hermsymp.spaces.lagrangian_from_basis`: the stacked QR of
+    :func:`~hermsymp.linalg.span_qr` is the first step of
+    :func:`~hermsymp.linalg.gram_mgs`, which recounts a finite span whose QR
+    drops a column, so both routes name the same dimension.  The graph maps
+    are taken in the eigenvectors of the split, as on every route: ``m`` does
+    not depend on the choice of eigenbases (the pair unitary only changes by a
+    unitary similarity).
     """
     if np.ndim(gram) != 3:
         raise SpaceValidationError(
@@ -206,9 +206,8 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     finite = np.isfinite(bases).all(axis=(2, 3))  # a non-finite basis is reported below
     q, _, kept = span_qr(upper[:, None], bases, tol.rank)
     kept = kept.sum(axis=-1)
-    # a finite span whose QR drops a column is counted by Gram-Schmidt, as in
-    # lagrangian_from_basis.  Where that keeps k columns, the QR's first drop
-    # lay at roundoff from the rule, and its R_jj > 0 leaves q a basis of the span.
+    # a finite span whose QR drops a column fails the span check: gram_mgs
+    # recounts it only so that the message names the scalar route's dimension
     for j, side in zip(*np.nonzero((kept != k) & finite)):
         kept[j, side] = gram_mgs(upper[j], bases[j, side], tol.rank).shape[1]
     gamma_q = stack._gamma_w[:, None] @ q

@@ -32,11 +32,10 @@ intersection dimension are private functions shared with
 one ``eigh`` of the whitened ``i gamma``; every pair invariant takes its graph
 maps in the eigenvectors, which the space keeps.  Only :func:`phi_of` and
 :func:`lagrangian_from_graph` read the phase-fixed bases of :func:`eigensplit`,
-which raises unless each keeps k columns.  One rank rule decides every span
-of exactly k columns, on both routes: the QR of
-:func:`~hermsymp.linalg.span_qr`, in :func:`lagrangian_from_basis` and in
-:func:`~hermsymp.maslov.m_stack`.  ``gram_mgs`` orthonormalizes spans of any
-other column count, and a span whose QR drops a column.
+which raises unless each keeps k columns.  One rank rule decides every span,
+whatever its column count: :func:`~hermsymp.linalg.gram_mgs`, Gram-Schmidt's
+drops on the QR of :func:`~hermsymp.linalg.span_qr`, in
+:func:`lagrangian_from_basis` and in :func:`~hermsymp.maslov.m_stack`.
 """
 from __future__ import annotations
 
@@ -54,7 +53,7 @@ from .errors import (
     Tolerances,
     ValidationError,
 )
-from .linalg import adjoint, as_complex_matrix, gram_mgs, max_abs, span_qr
+from .linalg import adjoint, as_complex_matrix, gram_mgs, max_abs
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -174,7 +173,8 @@ class HermitianSymplecticSpace:
     def _splitting(self) -> EigenSplitting:
         k, upper, evecs = self.half_dim, self._upper, self._evecs
         # the coordinate vectors projected onto an eigenspace, U^-1 E E^H U e_j:
-        # their coefficients E^H U e_j are orthonormalized in C^k, which keeps
+        # their coefficients E^H U e_j are orthonormalized in C^k (the identity
+        # factor makes gram_mgs's whitened basis the basis itself), which keeps
         # at most k (fewer only past cond(U) ~ 1/tol.rank), and mapped back
         raw, coeffs = linalg.solve(upper, evecs), adjoint(evecs) @ upper
         ident = np.eye(k)
@@ -448,14 +448,11 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
 
     ``basis`` may have any number of columns, dependent or zero ones included,
     but must have ``space.dim`` rows and finite entries.  It is replaced by its
-    gram-orthonormalization, columns in input order, which must keep exactly
-    ``space.half_dim`` columns: from the one QR of
-    :func:`~hermsymp.linalg.span_qr` on exactly k columns, signed as
-    Gram-Schmidt's (``R_jj > 0``), or, for any other count and once that QR
-    drops a column, from :func:`~hermsymp.linalg.gram_mgs`.  Rejects every
-    other span, and spans on which the symplectic form does not vanish within
-    the space's threshold rule (``tol.alg`` scaled by cond(U)), with
-    :class:`LagrangianValidationError`.
+    gram-orthonormalization under the one rank rule of
+    :func:`~hermsymp.linalg.gram_mgs`, columns in input order, which must keep
+    exactly ``space.half_dim`` columns.  Rejects every other span, and spans
+    on which the symplectic form does not vanish within the space's threshold
+    rule (``tol.alg`` scaled by cond(U)), with :class:`LagrangianValidationError`.
     This is the one place where a span becomes a Lagrangian.
     """
     mat = as_complex_matrix(basis, "basis")
@@ -463,18 +460,12 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
         raise LagrangianValidationError(
             f"basis must have {space.dim} rows, got shape {mat.shape}"
         )
-    upper, q_w = space._upper, None
-    if mat.shape[1] == space.half_dim:
-        # a column with a non-finite entry is never kept, so it is reported below
-        q_w, diag, kept = span_qr(upper, mat, space.tol.rank)
-        q_w = q_w * np.sign(diag) if kept.all() else None
-    if q_w is None:
-        if not np.isfinite(mat).all():
-            raise LagrangianValidationError("basis has non-finite entries")
-        q = gram_mgs(upper, mat, drop_tol=space.tol.rank)
-        q_w = upper @ q
-    else:
-        q = space._upper_inv @ q_w
+    upper = space._upper
+    q_w = gram_mgs(upper, mat, drop_tol=space.tol.rank)
+    # a column with a non-finite entry is never kept
+    if q_w.shape[1] < mat.shape[1] and not np.isfinite(mat).all():
+        raise LagrangianValidationError("basis has non-finite entries")
+    q = space._upper_inv @ q_w
     _check_span(space, np.intp(q.shape[1]), q_w, upper @ (space.gamma @ q))
     return Lagrangian(space=space, basis=_frozen(q))
 

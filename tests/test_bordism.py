@@ -157,29 +157,25 @@ def test_mismatched_spaces_rejected(rng):
 
 
 def test_reduce_and_compose_orthonormalize_once(rng, monkeypatch):
-    # One span construction per reduce and per compose, by either span kernel:
-    # span_qr for a span of exactly k columns, gram_mgs for any other.
+    # One span construction per reduce and per compose, by the one rank rule
+    # gram_mgs (span_qr is its inner step).
     h0 = sampling.random_space(2, rng)
     h1 = sampling.random_space(2, rng)
     rel1 = sampling.random_bordism_relation(h0, h1, rng)
     rel2 = sampling.random_bordism_relation(h1, h0, rng)
     lagr = sampling.random_lagrangian(h0, rng)
-    calls = []
+    calls, kernel = [], linalg.gram_mgs
 
-    def counting(kernel):
-        def counted(*args, **kwargs):
-            calls.append(kernel.__name__)
-            return kernel(*args, **kwargs)
-        return counted
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
 
-    # Rebind every module-level name bound to a kernel, as the bench tracer does.
-    for kernel in (linalg.gram_mgs, linalg.span_qr):
-        counted = counting(kernel)
-        for name, module in list(sys.modules.items()):
-            if module is not None and (name == "hermsymp" or name.startswith("hermsymp.")):
-                for attr, value in list(vars(module).items()):
-                    if value is kernel:
-                        monkeypatch.setattr(module, attr, counted)
+    # Rebind every module-level name bound to it, as the bench tracer does.
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "hermsymp" or name.startswith("hermsymp.")):
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, counted)
     bordism.reduce(rel1, lagr)
     assert len(calls) == 1
     calls.clear()

@@ -1,6 +1,6 @@
-"""gram_mgs against the modified Gram-Schmidt loop it replaced, span_qr,
-the rank rule for spans of exactly k columns, against gram_mgs, and the
-LAPACK functions of linalg against numpy.linalg's, which they replace."""
+"""gram_mgs, the rank rule of every span, and its QR step span_qr against
+the modified Gram-Schmidt loop they replaced, and the LAPACK functions of
+linalg against numpy.linalg's, which they replace."""
 import ast
 import inspect
 import math
@@ -50,9 +50,15 @@ def reference_mgs(gram, basis, drop_tol):
     return np.column_stack(kept)
 
 
+def raw_mgs(gram, basis):
+    """gram_mgs's whitened basis mapped back to a Gram-orthonormal one."""
+    upper = factor(gram)
+    return np.linalg.solve(upper, gram_mgs(upper, basis, DROP_TOL))
+
+
 def assert_matches_reference(gram, basis):
     expected = reference_mgs(gram, basis, DROP_TOL)
-    got = gram_mgs(factor(gram), basis, DROP_TOL)
+    got = raw_mgs(gram, basis)
     assert got.shape == expected.shape
     if got.shape[1] == 0:
         return
@@ -115,7 +121,7 @@ def test_dependent_and_zero_columns_match_reference(n, independent, log_cond, se
 def test_repeated_column_does_not_drop_the_next():
     gram = np.diag([1.0, 4.0]).astype(np.complex128)
     basis = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.complex128)
-    got = gram_mgs(factor(gram), basis, DROP_TOL)
+    got = raw_mgs(gram, basis)
     assert got.shape == (2, 2)
     assert np.allclose(got, [[1, 0], [0, 0.5]])
 
@@ -128,6 +134,22 @@ def test_more_columns_than_rows_and_empty_inputs():
     assert gram_mgs(factor(gram), np.zeros((4, 0)), DROP_TOL).shape == (4, 0)
     assert gram_mgs(factor(gram), np.zeros((4, 3)), DROP_TOL).shape == (4, 0)
     assert gram_mgs(np.zeros((0, 0)), np.zeros((0, 2)), DROP_TOL).shape == (0, 0)
+
+
+def test_a_span_never_keeps_more_columns_than_it_has_rows():
+    # Under a drop tolerance below roundoff a dependent column's residual is
+    # kept; still no more than rows columns can be orthonormal.
+    rng = np.random.default_rng(3)
+    gram = random_gram(4, rng, 1e3)
+    assert gram_mgs(factor(gram), random_basis(4, 11, rng), 1e-300).shape == (4, 4)
+    base = sampling.random_space(2, rng)
+    basis = sampling.random_lagrangian(base, rng).basis @ random_basis(2, 9, rng)
+    space = hs.HermitianSymplecticSpace(base.gram, base.gamma, hs.Tolerances(rank=1e-300))
+    with pytest.raises(LagrangianValidationError, match="^basis spans dimension [0-4], expected 2$"):
+        hs.lagrangian_from_basis(space, basis)
+    # the pinned bases orthonormalize 2k coefficient vectors in C^k
+    split = hs.eigensplit(space)
+    assert split.plus_basis.shape == split.minus_basis.shape == (4, 2)
 
 
 def test_drop_rule_is_relative_to_each_column():
@@ -240,17 +262,20 @@ def test_span_qr_is_the_qr_of_numpy_to_the_bit():
 def test_span_qr_basis_is_gram_schmidts_on_exactly_k_columns(k, spread):
     # While no column drops, the QR keeps what Gram-Schmidt keeps, and its
     # columns, signed so that R_jj > 0, are Gram-Schmidt's: measured in the
-    # Gram norm, the two differ by at most 10 eps cond(U)^2 (1.2 at most over
-    # 20 seeds per cell, at k = 1 and spread 4).
+    # Gram norm against the reference loop, the two differ by at most
+    # 10 eps cond(U)^2 (1.2 at most over 20 seeds per cell, at k = 1 and
+    # spread 4).  gram_mgs returns that signed QR basis to the bit.
     eps = np.finfo(float).eps
     for seed in range(5):
         rng = np.random.default_rng([k, int(spread), seed])
-        upper = sampling.random_space(k, rng, spread=spread)._upper
+        space = sampling.random_space(k, rng, spread=spread)
+        upper = space._upper
         basis = random_basis(2 * k, k, rng) * np.exp(rng.uniform(-5.0, 5.0, k))
-        expected = gram_mgs(upper, basis, DROP_TOL)
+        expected = reference_mgs(space.gram, basis, DROP_TOL)
         q, diag, kept = span_qr(upper, basis, DROP_TOL)
         assert kept.all() and expected.shape[1] == k
         diff = upper @ expected - q * np.sign(diag)
+        assert np.array_equal(gram_mgs(upper, basis, DROP_TOL), q * np.sign(diag))
         bound = 10.0 * eps * np.linalg.cond(upper) ** 2
         assert np.linalg.norm(diff, axis=0).max() <= bound
 
@@ -261,7 +286,7 @@ def test_span_qr_basis_is_gram_schmidts_on_exactly_k_columns(k, spread):
      (4, "zero last"), (2, "dependent last"), (4, "dependent last")],
 )
 def test_exactly_k_columns_with_one_dropped_fall_back_to_gram_schmidt(k, defect):
-    # The QR flags the column; Gram-Schmidt then names the dimension.
+    # The QR flags the column; gram_mgs drops it and names the dimension.
     rng = np.random.default_rng(k)
     space = sampling.random_space(k, rng)
     basis = np.array(sampling.random_lagrangian(space, rng).basis)

@@ -1,4 +1,5 @@
-"""The package surface: every exported name resolves, lazily, to its home module."""
+"""The package surface: every exported name resolves, lazily, to its home module;
+and the test configuration of pyproject.toml."""
 import os
 import pathlib
 import subprocess
@@ -97,3 +98,31 @@ def test_threads_first_touching_a_lazy_module_see_all_of_it():
         out = subprocess.run([sys.executable, "-c", THREADED_ACCESS], env=env,
                              capture_output=True, text=True, check=True, timeout=60)
         assert out.stdout == "[]\n"
+
+
+FAILING_HYPOTHESIS_TEST = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_fails_only_itself(tmp_path):
+    # hypothesis imports libcst to report a failing example; its deprecation
+    # warning must not become an internal error that ends the run
+    (tmp_path / "test_failing.py").write_text(FAILING_HYPOTHESIS_TEST)
+    config = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-q", "-p", "no:cacheprovider", "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout
