@@ -172,13 +172,6 @@ def eigvals(a):
 
 
 @_lapack("Eigenvalues did not converge")
-def eigvalsh(a):
-    """``numpy.linalg.eigvalsh(a)``: ascending eigenvalues of a Hermitian ``a``,
-    read from its lower triangle."""
-    return _umath_linalg.eigvalsh_lo(a, signature="D->d")
-
-
-@_lapack("Eigenvalues did not converge")
 def eigh(a):
     """``numpy.linalg.eigh(a)``: ``(w, v)``, ascending eigenvalues of a
     Hermitian ``a``, read from its lower triangle, and orthonormal eigenvectors."""

@@ -22,7 +22,8 @@ in one pair tail, which takes them and whitened columns of one pair or of a
 stack: :func:`m_details` runs it on one pair,
 :func:`triple_index` and :func:`eta_correction_rhs` on their 3 and 7 pairs in
 one batch of LAPACK calls, and :func:`m_stack` on a stack of spaces and raw
-bases.  A batch raises what a loop of the scalar route raises.
+bases.  A batch is only a fast path: when any of its checks fails, it is
+rerun as the loop of the scalar route that it stands for.
 """
 from __future__ import annotations
 
@@ -40,11 +41,12 @@ from .errors import (
     SpaceValidationError,
 )
 from . import linalg
-from .linalg import adjoint, gram_mgs, span_qr
+from .linalg import adjoint, span_qr
 from .spaces import (
     HermitianSymplecticSpace,
     Lagrangian,
     Tolerances,
+    _check_shapes,
     _check_span,
     _graph_map,
     _intersection_dim,
@@ -52,6 +54,7 @@ from .spaces import (
     _require_same_space,
     _split,
     gamma_image,
+    lagrangian_from_basis,
 )
 
 
@@ -148,71 +151,60 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     space ``(gram[j], gamma[j], tol)`` and the Lagrangians spanned by
     ``v_basis[j]`` and ``w_basis[j]``.
 
-    Every check of that route is made with its thresholds, on stacked calls in
-    each item's whitened frame ``U x`` (``gram = U^H U``), by the function the
-    scalar route calls: the structural checks and Cholesky factor of a
-    :class:`~hermsymp.spaces.HermitianSymplecticSpace` built on the stack, the
-    span count and omega on each span, the k/k split of ``i gamma_w``
-    (``gamma_w = U gamma U^-1``) and its residuals, the graph maps, and the
-    pair tail.  A failure raises what a loop of the scalar route over the items
-    raises: the first failing check of the lowest failing item, V's before
-    W's; the message names the index, the error's ``item`` holds it.
-
-    The rank of a span is decided by the one rank rule of
-    :func:`~hermsymp.spaces.lagrangian_from_basis`: the stacked QR of
-    :func:`~hermsymp.linalg.span_qr` is the first step of
-    :func:`~hermsymp.linalg.gram_mgs`, which recounts a finite span whose QR
-    drops a column, so both routes name the same dimension.  The graph maps
-    are taken in the eigenvectors of the split, as on every route: ``m`` does
-    not depend on the choice of eigenbases (the pair unitary only changes by a
-    unitary similarity).
+    Shapes that fit no such stack raise at once, naming no item.  Then one
+    pass makes every check of that route with its thresholds, by the function
+    the scalar route calls, on stacked calls in each item's whitened frame:
+    the checks of a :class:`~hermsymp.spaces.HermitianSymplecticSpace` built
+    on the stack, each span's count (the drop flags of the stacked QR of
+    :func:`~hermsymp.linalg.span_qr`, on k columns the verdict of
+    :func:`~hermsymp.linalg.gram_mgs`) and omega on it, the k/k split, the
+    graph maps in its eigenvectors, and the pair tail.  That pass is only a
+    fast path: if any check fails, the items are rerun in order through the
+    scalar route, and its first failure is raised with the message prefixed
+    ``item j: `` and the error's ``item`` set to ``j``.
     """
-    if np.ndim(gram) != 3:
+    gram, gamma = (np.asarray(x, dtype=np.complex128) for x in (gram, gamma))
+    if gram.ndim != 3:
         raise SpaceValidationError(
-            f"gram must be a stack of square matrices, got shape {np.shape(gram)}"
+            f"gram must be a stack of square matrices, got shape {gram.shape}"
         )
+    n = _check_shapes(gram, gamma)
+    bases = []
+    for name, basis in (("V", v_basis), ("W", w_basis)):
+        basis = np.asarray(basis, dtype=np.complex128)
+        if basis.shape != (len(gram), n, n // 2):
+            raise LagrangianValidationError(
+                f"{name} bases must have shape {(len(gram), n, n // 2)}, got {basis.shape}"
+            )
+        bases.append(basis)
     try:
-        return _stacked_m(gram, gamma, v_basis, w_basis, tol)
-    except HermsympError as exc:
-        first = exc
-    # The checks run stage by stage, so a lower item may fail a later stage
-    # than the one that raised; the items before the named one are rerun.
-    while first.item:
+        return _stacked_m(gram, gamma, *bases, tol)
+    except HermsympError:
+        pass
+    values = []
+    for j, (g, gam, v, w) in enumerate(zip(gram, gamma, *bases)):
         try:
-            _stacked_m(*(x[: first.item] for x in (gram, gamma, v_basis, w_basis)), tol)
-            break
+            space = HermitianSymplecticSpace(g, gam, tol)
+            pair = [lagrangian_from_basis(space, x) for x in (v, w)]
+            values.append(m_details(*pair).value)
         except HermsympError as exc:
-            first = exc
-    raise first
+            error = type(exc)(f"item {j}: {exc}")
+            error.item = j
+            raise error from None
+    return np.array(values)
 
 
 def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
-    """The kernel of :func:`m_stack`: each check runs on all items, in the scalar order."""
+    """The fast path of :func:`m_stack`: each check runs once on all items and
+    raises if any item fails it."""
     stack = HermitianSymplecticSpace(gram, gamma, tol)
-    upper, k = stack._upper, stack.half_dim
-    count, n = upper.shape[:2]
-    pair = []
-    for name, basis in (("V", v_basis), ("W", w_basis)):
-        basis = np.asarray(basis, dtype=np.complex128)
-        if basis.shape != (count, n, k):
-            raise LagrangianValidationError(
-                f"{name} bases must have shape {(count, n, k)}, got {basis.shape}"
-            )
-        pair.append(basis)
     # both spans in one QR: whitened bases q, their columns kept under the
-    # drop rule, and omega vanishing on them; V is checked before W.  Only
-    # spans are needed, so the columns keep the QR's signs.
-    bases = np.stack(pair, axis=1)  # (T, 2, n, k)
-    finite = np.isfinite(bases).all(axis=(2, 3))  # a non-finite basis is reported below
-    q, _, kept = span_qr(upper[:, None], bases, tol.rank)
+    # drop rule (a non-finite column never is), and omega vanishing on them.
+    # Only spans are needed, so the columns keep the QR's signs.
+    q, _, kept = span_qr(stack._upper[:, None], np.stack([v_basis, w_basis], axis=1), tol.rank)
     kept = kept.sum(axis=-1)
-    # a finite span whose QR drops a column fails the span check: gram_mgs
-    # recounts it only so that the message names the scalar route's dimension
-    for j, side in zip(*np.nonzero((kept != k) & finite)):
-        kept[j, side] = gram_mgs(upper[j], bases[j, side], tol.rank).shape[1]
     gamma_q = stack._gamma_w[:, None] @ q
     for side in (0, 1):
-        _raise_at_first(~finite[:, side], LagrangianValidationError, "basis has non-finite entries")
         _check_span(stack, kept[:, side], q[:, side], gamma_q[:, side])
 
     # the k/k split; the graph maps phi = c a^-1 of V, then W, in its

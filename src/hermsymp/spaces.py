@@ -28,14 +28,15 @@ by identity; :func:`same_space` compares two spaces by value.
 
 The k/k split and the checks of a Lagrangian span, a graph map and an
 intersection dimension are private functions shared with
-:mod:`~hermsymp.maslov`, each taking a single space or a stack.  The split is
-one ``eigh`` of the whitened ``i gamma``; every pair invariant takes its graph
-maps in the eigenvectors, which the space keeps.  Only :func:`phi_of` and
-:func:`lagrangian_from_graph` read the phase-fixed bases of :func:`eigensplit`,
-which raises unless each keeps k columns.  One rank rule decides every span,
-whatever its column count: :func:`~hermsymp.linalg.gram_mgs`, Gram-Schmidt's
-drops on the QR of :func:`~hermsymp.linalg.span_qr`, in
-:func:`lagrangian_from_basis` and in :func:`~hermsymp.maslov.m_stack`.
+:mod:`~hermsymp.maslov`, each taking a single space or a stack; on a stack
+they only tell whether some item fails.  The split and the signature of
+:func:`validate_space` share one ``eigh`` of the whitened ``i gamma``, which
+the space keeps; every pair invariant takes its graph maps in the
+eigenvectors.  Only :func:`phi_of` and :func:`lagrangian_from_graph` read the
+phase-fixed bases of :func:`eigensplit`, which raises unless each keeps k
+columns.  One rank rule decides every span, whatever its column count:
+:func:`~hermsymp.linalg.gram_mgs`, Gram-Schmidt's drops on the QR of
+:func:`~hermsymp.linalg.span_qr`, in :func:`lagrangian_from_basis`.
 """
 from __future__ import annotations
 
@@ -80,10 +81,11 @@ class HermitianSymplecticSpace:
 
     ``(T, n, n)`` stacks of ``gram`` and ``gamma`` make a stack of T spaces
     sharing ``tol``, as :func:`~hermsymp.maslov.m_stack` builds it: the same
-    checks and one stacked Cholesky make ``_upper`` a stack of factors, a
-    failing item is named by its index, and ``_exceeds_alg`` takes one
-    residual per item.  The public functions of this module take single
-    spaces; the private checks take either.
+    checks and one stacked Cholesky make ``_upper`` a stack of factors, and
+    ``_exceeds_alg`` takes one residual per item.  A failing check on a stack
+    names no item; ``m_stack`` reruns its items one by one to find it.  The
+    public functions of this module take single spaces; the private checks
+    take either.
     """
 
     gram: np.ndarray
@@ -93,35 +95,16 @@ class HermitianSymplecticSpace:
     def __post_init__(self) -> None:
         gram = np.asarray(self.gram, dtype=np.complex128)
         gamma = np.asarray(self.gamma, dtype=np.complex128)
-        if gram.ndim not in (2, 3):
-            raise ValidationError(f"gram must be (n, n) or a (T, n, n) stack, got {gram.shape}")
-        if gram.shape[-1] != gram.shape[-2]:
-            raise SpaceValidationError(f"gram must be square, got shape {gram.shape}")
-        if gamma.shape != gram.shape:
-            raise SpaceValidationError(
-                f"gamma shape {gamma.shape} does not match gram shape {gram.shape}"
-            )
+        n = _check_shapes(gram, gamma)
         finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(gamma).all(axis=(-2, -1))
         _raise_at_first(~finite, SpaceValidationError, "gram and gamma must have finite entries")
-        n = gram.shape[-1]
-        if n % 2 != 0:
-            raise SpaceValidationError(f"dimension must be even, got {n}")
         skew = np.abs(gram - adjoint(gram)).max(axis=(-2, -1), initial=0.0)
         scale = np.abs(gram).max(axis=(-2, -1), initial=0.0)
         _raise_at_first(skew > 1e-12 * scale, SpaceValidationError, "gram must be Hermitian")
         try:
             upper = adjoint(linalg.cholesky(gram))
         except np.linalg.LinAlgError:
-            # a stacked call does not say which item failed; factor them one by one
-            definite = np.ones(gram.shape[:-2], dtype=bool)
-            for j in np.ndindex(definite.shape):
-                try:
-                    linalg.cholesky(gram[j])
-                except np.linalg.LinAlgError:
-                    definite[j] = False
-                    break
-            _raise_at_first(~definite, SpaceValidationError, "gram must be positive definite")
-            raise
+            raise SpaceValidationError("gram must be positive definite") from None
         object.__setattr__(self, "gram", _frozen(gram))
         object.__setattr__(self, "gamma", _frozen(gamma))
         object.__setattr__(self, "_upper", _frozen(upper))
@@ -165,6 +148,13 @@ class HermitianSymplecticSpace:
         return residual > alg and residual > alg * self._cond
 
     @cached_property
+    def _igamma(self):
+        """``(evals, evecs)`` of the whitened ``i gamma_w``: the one eigensolve
+        of the split and of the signature of :func:`validate_space`."""
+        gamma_w = self._gamma_w
+        return linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
+
+    @cached_property
     def _evecs(self) -> np.ndarray:
         # Lazy: most spaces built by reduction and composition never need it.
         return _split(self)
@@ -188,22 +178,33 @@ class HermitianSymplecticSpace:
         return EigenSplitting(plus_basis=_frozen(plus), minus_basis=_frozen(minus))
 
 
+def _check_shapes(gram: np.ndarray, gamma: np.ndarray) -> int:
+    """The shape checks of a space, or of a stack as a whole; returns ``n``."""
+    if gram.ndim not in (2, 3):
+        raise ValidationError(f"gram must be (n, n) or a (T, n, n) stack, got {gram.shape}")
+    if gram.shape[-1] != gram.shape[-2]:
+        raise SpaceValidationError(f"gram must be square, got shape {gram.shape}")
+    if gamma.shape != gram.shape:
+        raise SpaceValidationError(
+            f"gamma shape {gamma.shape} does not match gram shape {gram.shape}"
+        )
+    n = gram.shape[-1]
+    if n % 2 != 0:
+        raise SpaceValidationError(f"dimension must be even, got {n}")
+    return n
+
+
 def _raise_at_first(bad, error: type, describe) -> None:
     """Raise ``error`` if a flag of ``bad`` is set: one flag, or one per item of a stack.
 
     ``describe`` is the message, or ``describe(j)`` words the failure read as
-    ``x[j]`` from the check's numpy values: ``j`` is the item of a stack, and
-    ``()`` on a single space, where ``x[()]`` is ``x`` itself.  On a stack the
-    lowest flagged item is named: the message starts ``item j: `` and the
-    error's ``item`` is ``j``.
+    ``x[j]`` from the check's numpy values: ``j`` is the lowest flagged item
+    of a stack, and ``()`` on a single space, where ``x[()]`` is ``x`` itself.
     """
     if not (bad.any() if bad.ndim else bad):  # .any() of a numpy scalar costs ~1 us
         return
     j = int(np.flatnonzero(bad)[0]) if bad.ndim else ()
-    message = describe if isinstance(describe, str) else describe(j)
-    exc = error(f"item {j}: {message}" if bad.ndim else message)
-    exc.item = j if bad.ndim else None
-    raise exc from None
+    raise error(describe if isinstance(describe, str) else describe(j)) from None
 
 
 def _split(space) -> np.ndarray:
@@ -211,7 +212,7 @@ def _split(space) -> np.ndarray:
     -i eigenspaces of ``gamma_w``: the whitened eigenvectors of ``i gamma_w``,
     those of eigenvalue -1 (+i) first, then those of +1 (-i)."""
     k, gamma_w = space.half_dim, space._gamma_w
-    evals, evecs = linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
+    evals, evecs = space._igamma
     counts = np.stack([(evals < 0).sum(axis=-1), (evals > 0).sum(axis=-1)], axis=-1)
     _raise_at_first(
         (counts != k).any(axis=-1),
@@ -374,7 +375,7 @@ def validate_space(space: HermitianSymplecticSpace) -> SpaceReport:
     ident = np.eye(n, dtype=np.complex128)
     r_sq = max_abs(gamma_w @ gamma_w + ident)
     r_unit = max_abs(gamma_w.conj().T @ gamma_w - ident)
-    eigs = linalg.eigvalsh(0.5j * (gamma_w - gamma_w.conj().T))
+    eigs = space._igamma[0]
     n_pos = int(np.sum(eigs > space.tol.rank))
     n_neg = int(np.sum(eigs < -space.tol.rank))
     n_null = n - n_pos - n_neg

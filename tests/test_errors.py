@@ -50,3 +50,28 @@ def test_every_error_type_is_raised_and_exported():
     assert "ValidationError" in types
     assert sorted(types - _raised_names()) == []
     assert sorted(n for n in types if getattr(hs, n, None) is not getattr(errors, n)) == []
+
+
+def _item_owners() -> set[str]:
+    """``module.function`` of every assignment to an ``item`` attribute."""
+    owners = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                    else []
+                )
+                if any(isinstance(t, ast.Attribute) and t.attr == "item" for t in targets):
+                    owners.add(f"{path.stem}.{func.name}")
+    return owners
+
+
+def test_only_the_stacked_entry_points_name_an_item():
+    # a failing item is named where a stack is rerun as its scalar loop, and
+    # where the torus sweep maps it to its grid index; nowhere else
+    assert _item_owners() == {"maslov.m_stack", "torus.torus_m_sweep"}
