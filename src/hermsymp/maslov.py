@@ -18,11 +18,11 @@ The triple index ``m(U,V) + m(V,W) + m(W,U)`` is an integer depending only on
 the underlying symplectic form; it is rounded under an integrality guard.
 
 Every route takes graph maps in the eigenvectors of the space's split and ends
-in one pair tail, which takes them and whitened columns of one pair or of a
-stack: :func:`m_details` runs it on one pair,
-:func:`triple_index` and :func:`eta_correction_rhs` on their 3 and 7 pairs in
-one batch of LAPACK calls, and :func:`m_stack` on a stack of spaces and raw
-bases.  A batch is only a fast path: when any of its checks fails, it is
+in one pair tail, which takes them and the whitened bases of one pair or of a
+stack, whose k principal-angle sines give dim(V & W): :func:`m_details` runs
+it on one pair, :func:`triple_index` and :func:`eta_correction_rhs` on their 3
+and 7 pairs in one batch of LAPACK calls, and :func:`m_stack` on a stack of
+spaces and raw bases.  A batch is only a fast path: when any of its checks fails, it is
 rerun as the loop of the scalar route that it stands for.
 """
 from __future__ import annotations
@@ -68,13 +68,14 @@ class PairSpectrum:
     eigenvalues: tuple[complex, ...]
 
 
-def _pair_tail(space, phi_v, phi_w, columns):
+def _pair_tail(space, phi_v, phi_w, q_v, q_w):
     """``(value, count, dim, eigenvalues)`` of one pair, or of each of a stack,
-    from the graph maps of V and W and their whitened columns side by side.
+    from the graph maps of V and W and their whitened orthonormal bases.
 
     Eigenvalues of ``-phi_v phi_w*`` within ``tol.eig`` of -1 are excluded and
-    one in ``(tol.eig, 100 tol.eig)`` raises; then dim(V & W) is decided under
-    its rank guard band and must equal the count excluded.  No -0.0 value.
+    one in ``(tol.eig, 100 tol.eig)`` raises; then dim(V & W) is decided from
+    the principal angles of ``q_v`` and ``q_w`` under its rank guard band and
+    must equal the count excluded.  No -0.0 value.
     """
     eigs = linalg.eigvals(-phi_v @ adjoint(phi_w))
     tau = space.tol.eig
@@ -90,7 +91,7 @@ def _pair_tail(space, phi_v, phi_w, columns):
         )
 
     _raise_at_first(ambiguous.any(axis=-1), EigenvalueAmbiguity, describe)
-    idim = _intersection_dim(space, columns)
+    idim = _intersection_dim(space, q_v, q_w)
     count = excluded.sum(axis=-1)
     _raise_at_first(
         count != idim,
@@ -114,8 +115,8 @@ def _pair_values(space, pairs) -> np.ndarray:
         whitened = space._upper @ np.stack([x.basis for x in slot])
         index = [slot[x] for x in lagrangians]
         phi = _graph_map(space, space._evecs, whitened)[index]
-        columns = np.concatenate([whitened[index[0::2]], whitened[index[1::2]]], axis=-1)
-        return _pair_tail(space, phi[0::2], phi[1::2], columns)[0]
+        q_v, q_w = whitened[index[0::2]], whitened[index[1::2]]
+        return _pair_tail(space, phi[0::2], phi[1::2], q_v, q_w)[0]
     except HermsympError:
         return np.array([m_details(v, w).value for v, w in pairs])
 
@@ -126,7 +127,7 @@ def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
     space = v.space
     whitened = [space._upper @ x.basis for x in (v, w)]
     phi_v, phi_w = (_graph_map(space, space._evecs, x) for x in whitened)
-    value, count, idim, eigs = _pair_tail(space, phi_v, phi_w, np.hstack(whitened))
+    value, count, idim, eigs = _pair_tail(space, phi_v, phi_w, *whitened)
     ordered = tuple(
         sorted(
             (complex(z) for z in eigs),
@@ -211,7 +212,7 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     # eigenbases; the pair spectrum against dim(V & W)
     evecs = _split(stack)
     phi_v, phi_w = (_graph_map(stack, evecs, q[:, side]) for side in (0, 1))
-    return _pair_tail(stack, phi_v, phi_w, np.concatenate([q[:, 0], q[:, 1]], axis=-1))[0]
+    return _pair_tail(stack, phi_v, phi_w, q[:, 0], q[:, 1])[0]
 
 
 def _rounded(total: float, tol: float) -> int:

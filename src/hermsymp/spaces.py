@@ -122,6 +122,10 @@ class HermitianSymplecticSpace:
         return linalg.inv(self._upper)
 
     @cached_property
+    def _identity(self) -> np.ndarray:
+        return np.eye(self.half_dim)
+
+    @cached_property
     def _cond(self):
         s = linalg.singular_values(self._upper)
         with np.errstate(all="ignore"):  # as numpy.linalg.cond
@@ -167,9 +171,8 @@ class HermitianSymplecticSpace:
         # factor makes gram_mgs's whitened basis the basis itself), which keeps
         # at most k (fewer only past cond(U) ~ 1/tol.rank), and mapped back
         raw, coeffs = linalg.solve(upper, evecs), adjoint(evecs) @ upper
-        ident = np.eye(k)
-        plus = raw[:, :k] @ gram_mgs(ident, coeffs[:k], drop_tol=self.tol.rank)
-        minus = raw[:, k:] @ gram_mgs(ident, coeffs[k:], drop_tol=self.tol.rank)
+        plus = raw[:, :k] @ gram_mgs(self._identity, coeffs[:k], drop_tol=self.tol.rank)
+        minus = raw[:, k:] @ gram_mgs(self._identity, coeffs[k:], drop_tol=self.tol.rank)
         columns = (plus.shape[1], minus.shape[1])
         if columns != (k, k):
             raise EigensplitError(f"pinned eigenbases have {columns} columns, expected {(k, k)}")
@@ -270,7 +273,7 @@ def _graph_map(space, frame, q_w) -> np.ndarray:
         f"valid Lagrangian (smallest singular value {s_min[j]:.3e})",
     )
     phi = c @ linalg.inv(a)
-    residual = max_abs(adjoint(phi) @ phi - np.eye(space.half_dim))
+    residual = max_abs(adjoint(phi) @ phi - space._identity)
     _raise_at_first(
         space._exceeds_alg(residual),
         LagrangianValidationError,
@@ -279,11 +282,21 @@ def _graph_map(space, frame, q_w) -> np.ndarray:
     return phi
 
 
-def _intersection_dim(space, columns_w):
-    """dim(V & W) from the whitened columns of both Lagrangians, side by side,
-    with the rank guard band ``(tol.rank/10, 10 tol.rank)``."""
+def _principal_sines(q_v, q_w):
+    """Descending principal-angle sines of two whitened orthonormal bases, or of
+    each pair of a stack: the singular values of ``q_w`` minus its projection on ``q_v``."""
+    return linalg.singular_values(q_w - q_v @ (adjoint(q_v) @ q_w))
+
+
+def _intersection_dim(space, q_v, q_w):
+    """dim(V & W) from the whitened orthonormal bases of both Lagrangians,
+    with the rank guard band ``(tol.rank/10, 10 tol.rank)`` on the singular
+    values of ``[q_v | q_w]``: ``sqrt(1 + cos)`` and ``sin / sqrt(1 + cos)``
+    of the k principal angles, from their sines without a 2k x 2k SVD."""
     tau = space.tol.rank
-    s = linalg.singular_values(columns_w)
+    sin = _principal_sines(q_v, q_w)
+    large = np.sqrt(1.0 + np.sqrt(np.maximum((1.0 - sin) * (1.0 + sin), 0.0)))
+    s = np.concatenate([large[..., ::-1], sin / large], axis=-1)
     in_band = (s > tau / 10.0) & (s < tau * 10.0)
     _raise_at_first(
         in_band.any(axis=-1),
@@ -479,12 +492,13 @@ def gamma_image(lagr: Lagrangian) -> Lagrangian:
 def intersection_dim(v: Lagrangian, w: Lagrangian) -> int:
     """dim(V & W) as ``dim - rank(U [basis_V | basis_W])``, ``U`` the space's Cholesky factor.
 
-    Raises :class:`RankAmbiguity` when a singular value falls inside the guard
-    band ``(tol.rank/10, 10 tol.rank)`` of the space's tolerances, where the
-    rank decision would be numerically arbitrary.
+    Its singular values come from the principal-angle sines of the two
+    whitened bases.  Raises :class:`RankAmbiguity` when one falls inside the
+    guard band ``(tol.rank/10, 10 tol.rank)`` of the space's tolerances, where
+    the rank decision would be numerically arbitrary.
     """
     _require_same_space(v.space, w.space)
-    return int(_intersection_dim(v.space, v.space._upper @ np.hstack([v.basis, w.basis])))
+    return int(_intersection_dim(v.space, *(v.space._upper @ x.basis for x in (v, w))))
 
 
 def phi_of(lagr: Lagrangian) -> np.ndarray:
@@ -517,9 +531,9 @@ def subspace_distance(v: Lagrangian, w: Lagrangian) -> float:
     """sin of the largest principal angle between two Lagrangians of one space.
 
     Measured on the whitened columns ``U v.basis`` and ``U w.basis``, which are
-    orthonormal: the norm of the residual of projecting the second onto the
-    first, so small angles resolve down to roundoff, not sqrt(roundoff).
+    orthonormal: the largest :func:`_principal_sines`, the norm of the residual
+    of projecting the second onto the first, so small angles resolve to roundoff.
     """
     _require_same_space(v.space, w.space)
     q1, q2 = v.space._upper @ v.basis, v.space._upper @ w.basis
-    return float(linalg.singular_values(q2 - q1 @ (q1.conj().T @ q2)).max(initial=0.0))
+    return float(_principal_sines(q1, q2).max(initial=0.0))

@@ -1,6 +1,7 @@
 """Spaces, eigensplittings, Lagrangians, and the graph unitary."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hermsymp.errors import (
     ValidationError,
 )
 from hermsymp.linalg import gram_mgs
-from hermsymp.spaces import _phase_fixed, _split
+from hermsymp.spaces import _intersection_dim, _phase_fixed, _principal_sines, _split
 from hermsymp.torus import TorusModel
 
 
@@ -395,6 +396,102 @@ def test_rank_ambiguity_follows_space_tolerance():
                 hs.intersection_dim(v, w)
         else:
             assert hs.intersection_dim(v, w) == expected
+
+
+def _union_values(q_v, q_w):
+    """The 2k singular values of ``[q_v | q_w]``, descending, as
+    ``_intersection_dim`` rebuilds them from the k principal-angle sines."""
+    sin = _principal_sines(q_v, q_w)
+    large = np.sqrt(1.0 + np.sqrt(np.maximum((1.0 - sin) * (1.0 + sin), 0.0)))
+    return np.concatenate([large[..., ::-1], sin / large], axis=-1)
+
+
+def _graph_pair(space, rng, angles):
+    """Lagrangians of ``space`` whose graph unitaries, in the split's
+    eigenvectors, differ by eigenvalues ``e^{i angles}``: an angle t puts the
+    principal angle t/2 between them, so 0 is an intersection."""
+    k, evecs = space.half_dim, space._evecs
+    u_v, frame = sampling.random_unitary(k, rng), sampling.random_unitary(k, rng)
+    u_w = u_v @ frame @ np.diag(np.exp(1j * np.asarray(angles))) @ frame.conj().T
+    return [
+        hs.lagrangian_from_basis(space, space._upper_inv @ (evecs[:, :k] + evecs[:, k:] @ u))
+        for u in (u_v, u_w)
+    ]
+
+
+def _whitened(space, *lagrangians):
+    return [space._upper @ x.basis for x in lagrangians]
+
+
+# near-intersection angles: principal angles 5e-14 to 5e-5, all but 1e-8
+# (singular value about 7e-9) outside the default guard band (1e-9, 1e-7)
+NEAR = (1e-13, 1e-11, 2e-8, 1e-6, 1e-4)
+
+
+@pytest.mark.parametrize("spread", [4.0, 1e3, 1e6])
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+def test_intersection_values_from_sines_match_the_svd_of_both_bases(k, spread):
+    # Measured over 1000 pairs a spread, angles t in [0.05, 3.1]: at most
+    # 13.3 eps cond(U) at spread 4, 2.8 at 1e3 and 2.2 at 1e6, the error of
+    # re-whitening U (U^-1 q_w).  The bound takes about twice that.
+    rng = np.random.default_rng([k, int(spread)])
+    eps = np.finfo(float).eps
+    for d in range(k + 1):
+        space = sampling.random_space(k, rng, spread=spread)
+        near = [NEAR[(d + j) % len(NEAR)] for j in range(min(2, k - d))]
+        angles = np.r_[np.zeros(d), near, rng.uniform(0.05, 3.1, k - d - len(near))]
+        q_v, q_w = _whitened(space, *_graph_pair(space, rng, rng.permutation(angles)))
+        expected = linalg.singular_values(np.hstack([q_v, q_w]))
+        assert np.abs(_union_values(q_v, q_w) - expected).max() <= 32 * eps * space._cond
+        tau = space.tol.rank
+        if ((expected > tau / 10) & (expected < tau * 10)).any():
+            with pytest.raises(RankAmbiguity):
+                _intersection_dim(space, q_v, q_w)
+        else:
+            assert _intersection_dim(space, q_v, q_w) == 2 * k - (expected > tau).sum()
+
+
+@pytest.mark.parametrize("spread", [4.0, 1e3, 1e6])
+def test_near_orthogonal_pairs_lose_half_the_digits_far_from_the_band(spread):
+    # cos = sqrt((1 - sin)(1 + sin)) of a principal angle near pi/2 carries
+    # sqrt of the sine's error: the values near 1 move by up to about
+    # 0.09 sqrt(eps cond(U)) (1000 pairs a spread), far from any band of a
+    # tol.rank below 0.1, and the count is unchanged.
+    rng = np.random.default_rng(int(spread))
+    eps = np.finfo(float).eps
+    for k in (1, 2, 4, 8, 16):
+        space = sampling.random_space(k, rng, spread=spread)
+        v, w = _graph_pair(space, rng, rng.uniform(np.pi - 1e-3, np.pi, k))
+        for pair in ((v, w), (v, hs.gamma_image(v))):
+            q_v, q_w = _whitened(space, *pair)
+            expected = linalg.singular_values(np.hstack([q_v, q_w]))
+            assert np.abs(_union_values(q_v, q_w) - expected).max() <= np.sqrt(eps * space._cond)
+            assert _intersection_dim(space, q_v, q_w) == 0 == hs.intersection_dim(*pair)
+
+
+def test_large_values_land_in_a_band_around_one(rng):
+    # Tolerances(rank=0.5) puts [1, sqrt 2], where the k values sqrt(1 + cos)
+    # lie, inside the band (0.05, 5): the rank decision is ambiguous.
+    base = sampling.random_space(3, rng)
+    v, w = _graph_pair(base, rng, rng.uniform(0.5, 2.5, 3))
+    space = dataclasses.replace(base, tol=hs.Tolerances(rank=0.5))
+    v, w = (hs.lagrangian_from_basis(space, x.basis) for x in (v, w))
+    first = _union_values(*_whitened(space, v, w))[0]
+    with pytest.raises(RankAmbiguity, match=re.escape(f"singular value {first:.3e} inside")):
+        hs.intersection_dim(v, w)
+    with pytest.raises(RankAmbiguity):
+        hs.m_details(v, w)
+
+
+def test_subspace_distance_is_the_largest_sine_bit_for_bit(rng):
+    for k in (1, 2, 4, 8):
+        for spread in (4.0, 1e3, 1e6):
+            space = sampling.random_space(k, rng, spread=spread)
+            v, w = _graph_pair(space, rng, rng.uniform(0.0, 3.1, k))
+            q1, q2 = _whitened(space, v, w)
+            # the residual's largest singular value, spelled out: equal to the bit
+            expected = linalg.singular_values(q2 - q1 @ (q1.conj().T @ q2)).max(initial=0.0)
+            assert hs.subspace_distance(v, w) == float(expected)
 
 
 def test_mixed_tolerances_rejected():
