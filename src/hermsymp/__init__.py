@@ -25,7 +25,6 @@ from .errors import (
     ConditionFailed,
     EigensplitError,
     EigenvalueAmbiguity,
-    ExclusionMismatch,
     HermsympError,
     LagrangianValidationError,
     NonIntegerSum,

@@ -45,11 +45,6 @@ class EigenvalueAmbiguity(HermsympError):
     resolve this case."""
 
 
-class ExclusionMismatch(HermsympError):
-    """The number of eigenvalues excluded at -1 disagrees with the computed
-    intersection dimension; the numerics are untrustworthy."""
-
-
 class NonIntegerSum(HermsympError):
     """A quantity guaranteed to be an integer failed the integrality guard."""
 

@@ -6,24 +6,26 @@ The pair invariant compares two Lagrangians V, W through the unitary
 
     m(V, W) = -(1/pi) * sum of angles of the eigenvalues different from -1.
 
-The multiplicity of the eigenvalue -1 always equals dim(V & W); the excluded
-count is cross-checked against the intersection dimension and any mismatch is
-a hard error, because disagreement means the numerics are untrustworthy.  The
+The multiplicity of the eigenvalue -1 equals dim(V & W): each eigenvalue
+lambda satisfies ``|lambda + 1| = 2 sin theta`` over the principal angles
+theta of V and W.  So the eigenvalues make the one decision at -1: those
+within ``tol.eig`` of it are excluded, and their count is dim(V & W).  The
 invariant is genuinely discontinuous where an eigenvalue crosses -1, so
 eigenvalues too close to the branch point (but not close enough to exclude)
 raise :class:`~hermsymp.errors.EigenvalueAmbiguity` rather than returning a
-meaningless value.
+meaningless value.  The tests check the identity against the principal-angle
+sines of :func:`~hermsymp.spaces.intersection_dim`.
 
 The triple index ``m(U,V) + m(V,W) + m(W,U)`` is an integer depending only on
 the underlying symplectic form; it is rounded under an integrality guard.
 
 Every route takes graph maps in the eigenvectors of the space's split and ends
-in one pair tail, which takes them and the whitened bases of one pair or of a
-stack, whose k principal-angle sines give dim(V & W): :func:`m_details` runs
-it on one pair, :func:`triple_index` and :func:`eta_correction_rhs` on their 3
-and 7 pairs in one batch of LAPACK calls, and :func:`m_stack` on a stack of
-spaces and raw bases.  A batch is only a fast path: when any of its checks fails, it is
-rerun as the loop of the scalar route that it stands for.
+in one pair tail, which takes those of one pair or of a stack:
+:func:`m_details` runs it on one pair, :func:`triple_index` and
+:func:`eta_correction_rhs` on their 3 and 7 pairs in one batch of LAPACK
+calls, and :func:`m_stack` on a stack of spaces and raw bases.  A batch is
+only a fast path: when any of its checks fails, it is rerun as the loop of
+the scalar route that it stands for.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ import numpy as np
 
 from .errors import (
     EigenvalueAmbiguity,
-    ExclusionMismatch,
     HermsympError,
     LagrangianValidationError,
     NonIntegerSum,
@@ -49,7 +50,6 @@ from .spaces import (
     _check_shapes,
     _check_span,
     _graph_map,
-    _intersection_dim,
     _raise_at_first,
     _require_same_space,
     _split,
@@ -60,7 +60,11 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class PairSpectrum:
-    """Pair invariant together with the spectral data that produced it."""
+    """Pair invariant together with the spectral data that produced it.
+
+    ``intersection_dim`` is dim(V & W), the count of eigenvalues within
+    ``tol.eig`` of -1, which are ``excluded`` from the sum.
+    """
 
     value: float
     intersection_dim: int
@@ -68,14 +72,13 @@ class PairSpectrum:
     eigenvalues: tuple[complex, ...]
 
 
-def _pair_tail(space, phi_v, phi_w, q_v, q_w):
-    """``(value, count, dim, eigenvalues)`` of one pair, or of each of a stack,
-    from the graph maps of V and W and their whitened orthonormal bases.
+def _pair_tail(space, phi_v, phi_w):
+    """``(value, count, eigenvalues)`` of one pair, or of each of a stack, from
+    the graph maps of V and W.
 
-    Eigenvalues of ``-phi_v phi_w*`` within ``tol.eig`` of -1 are excluded and
-    one in ``(tol.eig, 100 tol.eig)`` raises; then dim(V & W) is decided from
-    the principal angles of ``q_v`` and ``q_w`` under its rank guard band and
-    must equal the count excluded.  No -0.0 value.
+    Eigenvalues of ``-phi_v phi_w*`` within ``tol.eig`` of -1 are excluded,
+    and their count is dim(V & W); one in ``(tol.eig, 100 tol.eig)`` raises.
+    No -0.0 value.
     """
     eigs = linalg.eigvals(-phi_v @ adjoint(phi_w))
     tau = space.tol.eig
@@ -91,15 +94,9 @@ def _pair_tail(space, phi_v, phi_w, q_v, q_w):
         )
 
     _raise_at_first(ambiguous.any(axis=-1), EigenvalueAmbiguity, describe)
-    idim = _intersection_dim(space, q_v, q_w)
-    count = excluded.sum(axis=-1)
-    _raise_at_first(
-        count != idim,
-        ExclusionMismatch,
-        lambda j: f"{count[j]} eigenvalues excluded at -1 but dim(V & W) = {idim[j]}",
-    )
     angles = np.log(eigs).imag  # the branch of the definition; libm's atan2, not a SIMD one
-    return -np.where(excluded, 0.0, angles).sum(axis=-1) / math.pi + 0.0, count, idim, eigs
+    value = -np.where(excluded, 0.0, angles).sum(axis=-1) / math.pi + 0.0
+    return value, excluded.sum(axis=-1), eigs
 
 
 def _pair_values(space, pairs) -> np.ndarray:
@@ -115,8 +112,7 @@ def _pair_values(space, pairs) -> np.ndarray:
         whitened = space._upper @ np.stack([x.basis for x in slot])
         index = [slot[x] for x in lagrangians]
         phi = _graph_map(space, space._evecs, whitened)[index]
-        q_v, q_w = whitened[index[0::2]], whitened[index[1::2]]
-        return _pair_tail(space, phi[0::2], phi[1::2], q_v, q_w)[0]
+        return _pair_tail(space, phi[0::2], phi[1::2])[0]
     except HermsympError:
         return np.array([m_details(v, w).value for v, w in pairs])
 
@@ -125,9 +121,8 @@ def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
     """Pair invariant of (V, W) with eigenvalues sorted by angle."""
     _require_same_space(v.space, w.space)
     space = v.space
-    whitened = [space._upper @ x.basis for x in (v, w)]
-    phi_v, phi_w = (_graph_map(space, space._evecs, x) for x in whitened)
-    value, count, idim, eigs = _pair_tail(space, phi_v, phi_w, *whitened)
+    phi_v, phi_w = (_graph_map(space, space._evecs, space._upper @ x.basis) for x in (v, w))
+    value, count, eigs = _pair_tail(space, phi_v, phi_w)
     ordered = tuple(
         sorted(
             (complex(z) for z in eigs),
@@ -135,7 +130,7 @@ def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
         )
     )
     return PairSpectrum(
-        value=float(value), intersection_dim=int(idim), excluded=int(count), eigenvalues=ordered
+        value=float(value), intersection_dim=int(count), excluded=int(count), eigenvalues=ordered
     )
 
 
@@ -159,10 +154,11 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     on the stack, each span's count (the drop flags of the stacked QR of
     :func:`~hermsymp.linalg.span_qr`, on k columns the verdict of
     :func:`~hermsymp.linalg.gram_mgs`) and omega on it, the k/k split, the
-    graph maps in its eigenvectors, and the pair tail.  That pass is only a
-    fast path: if any check fails, the items are rerun in order through the
-    scalar route, and its first failure is raised with the message prefixed
-    ``item j: `` and the error's ``item`` set to ``j``.
+    graph maps in its eigenvectors, and the eigenvalue band at -1 of the pair
+    tail.  That pass is only a fast path: if any check fails, the items are
+    rerun in order through the scalar route, and its first failure is raised
+    with the message prefixed ``item j: `` and the error's ``item`` set to
+    ``j``.
     """
     gram, gamma = (np.asarray(x, dtype=np.complex128) for x in (gram, gamma))
     if gram.ndim != 3:
@@ -209,10 +205,10 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
         _check_span(stack, kept[:, side], q[:, side], gamma_q[:, side])
 
     # the k/k split; the graph maps phi = c a^-1 of V, then W, in its
-    # eigenbases; the pair spectrum against dim(V & W)
+    # eigenbases; the pair spectrum
     evecs = _split(stack)
     phi_v, phi_w = (_graph_map(stack, evecs, q[:, side]) for side in (0, 1))
-    return _pair_tail(stack, phi_v, phi_w, q[:, 0], q[:, 1])[0]
+    return _pair_tail(stack, phi_v, phi_w)[0]
 
 
 def _rounded(total: float, tol: float) -> int:

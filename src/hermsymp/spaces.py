@@ -26,13 +26,12 @@ share.  A Lagrangian is only its space and basis: its graph unitary is
 computed on each call.  Spaces, splittings and Lagrangians compare and hash
 by identity; :func:`same_space` compares two spaces by value.
 
-The k/k split and the checks of a Lagrangian span, a graph map and an
-intersection dimension are private functions shared with
-:mod:`~hermsymp.maslov`, each taking a single space or a stack; on a stack
-they only tell whether some item fails.  The split and the signature of
-:func:`validate_space` share one ``eigh`` of the whitened ``i gamma``, which
-the space keeps; every pair invariant takes its graph maps in the
-eigenvectors.  Only :func:`phi_of` and :func:`lagrangian_from_graph` read the
+The k/k split and the checks of a Lagrangian span and a graph map are
+private functions shared with :mod:`~hermsymp.maslov`, each taking a single
+space or a stack; on a stack they only tell whether some item fails.  The
+split and the signature of :func:`validate_space` share one ``eigh`` of the
+whitened ``i gamma``, which the space keeps; every pair invariant takes its
+graph maps in the eigenvectors.  Only :func:`phi_of` and :func:`lagrangian_from_graph` read the
 phase-fixed bases of :func:`eigensplit`, which raises unless each keeps k
 columns.  One rank rule decides every span, whatever its column count:
 :func:`~hermsymp.linalg.gram_mgs`, Gram-Schmidt's drops on the QR of
@@ -495,7 +494,11 @@ def intersection_dim(v: Lagrangian, w: Lagrangian) -> int:
     Its singular values come from the principal-angle sines of the two
     whitened bases.  Raises :class:`RankAmbiguity` when one falls inside the
     guard band ``(tol.rank/10, 10 tol.rank)`` of the space's tolerances, where
-    the rank decision would be numerically arbitrary.
+    the rank decision would be numerically arbitrary.  The pair invariant
+    decides dim(V & W) apart from this, by its eigenvalues within ``tol.eig``
+    of -1 (:class:`~hermsymp.maslov.PairSpectrum`).  Those lie twice these
+    sines from -1, so outside both bands the two counts agree, as the tests
+    check.
     """
     _require_same_space(v.space, w.space)
     return int(_intersection_dim(v.space, *(v.space._upper @ x.basis for x in (v, w))))

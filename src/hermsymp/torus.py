@@ -21,9 +21,8 @@ For non-parallel lines the invariant is continuous in t.  With
 w1 = b + i t a and w2 = B + i t A, the log argument of the closed form is
 -u / conj(u) for u = w1 conj(w2), so it reaches the branch point -1 only
 where Im(u) = t (aB - bA) vanishes, and for non-parallel lines it never does
-at t > 0.  A :class:`BranchCut`, :class:`EigenvalueAmbiguity` or
-:class:`RankAmbiguity` in a sweep is therefore numerical (extreme t or huge
-entries), not a crossing.
+at t > 0.  A :class:`BranchCut` or :class:`EigenvalueAmbiguity` in a sweep
+is therefore numerical (extreme t or huge entries), not a crossing.
 
 A :class:`TorusModel` space carries the default :class:`~hermsymp.spaces.Tolerances`.
 Its eigensplitting is computed on first use and memoized on the space, so all

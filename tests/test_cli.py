@@ -205,18 +205,37 @@ def test_dimension_mismatch_exits_2(capsys, tmp_path, standard_files):
     assert json.loads(err)["error"] == "ValidationError"
 
 
-def test_eigenvalue_ambiguity_exits_3(capsys, tmp_path):
+def pair_near_minus_one(tmp_path, angle):
+    """Files of a space and a pair whose eigenvalue lies about ``angle`` from -1."""
     space = hs.standard_space(1)
     v = hs.lagrangian_from_graph(space, [[1.0]])
-    w = hs.lagrangian_from_graph(space, [[np.exp(1e-7j)]])
-    files = [
+    w = hs.lagrangian_from_graph(space, [[np.exp(1j * angle)]])
+    return [
         write_json(tmp_path / "s.json", ser.space_to_dict(space)),
         write_json(tmp_path / "v.json", ser.lagrangian_to_dict(v)),
         write_json(tmp_path / "w.json", ser.lagrangian_to_dict(w)),
     ]
-    code, _, err = run_cli(capsys, ["m", *files])
+
+
+def test_eigenvalue_ambiguity_exits_3(capsys, tmp_path):
+    code, _, err = run_cli(capsys, ["m", *pair_near_minus_one(tmp_path, 1e-7)])
     assert code == 3
     assert json.loads(err)["error"] == "EigenvalueAmbiguity"
+
+
+@pytest.mark.parametrize("angle,expected", [(5e-9, 0), (1e-7, 3)])
+def test_one_decision_at_minus_one_sets_the_exit_code(capsys, tmp_path, angle, expected):
+    # Within tol.eig = 1e-8 of -1 the eigenvalue is excluded and counted in
+    # dim(V & W); in (tol.eig, 100 tol.eig) the invariant is ambiguous.
+    code, out, err = run_cli(capsys, ["--json", "m", *pair_near_minus_one(tmp_path, angle)])
+    assert code == expected
+    if expected:
+        assert out == "" and json.loads(err)["error"] == "EigenvalueAmbiguity"
+        return
+    payload = json.loads(out)
+    eigenvalues = [complex(z["re"], z["im"]) for z in payload["eigenvalues"]]
+    excluded = sum(abs(z + 1.0) <= hs.Tolerances().eig for z in eigenvalues)
+    assert (err, payload["intersection_dim"], excluded) == ("", 1, 1)
 
 
 def test_non_integer_sum_exits_4(capsys, standard_files, monkeypatch):

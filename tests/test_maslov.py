@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import hermsymp as hs
-from hermsymp import linalg, maslov, sampling
-from hermsymp.errors import EigenvalueAmbiguity, HermsympError, NonIntegerSum, RankAmbiguity
+from hermsymp import linalg, maslov, sampling, spaces
+from hermsymp.errors import EigenvalueAmbiguity, HermsympError, NonIntegerSum
 from hermsymp.torus import TorusModel
 
 
@@ -66,6 +66,26 @@ def test_exclusion_count_matches_engineered_intersection(rng, target_dim):
         details = hs.m_details(v, w)
         assert details.intersection_dim == target_dim
         assert details.excluded == target_dim
+
+
+@pytest.mark.parametrize("spread", [4.0, 1e3])
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+def test_eigenvalue_distances_from_minus_one_are_twice_the_principal_sines(k, spread):
+    # |lambda + 1| = 2 sin(theta) over the principal angles theta of V and W,
+    # so the count excluded at -1 is dim(V & W), which the public
+    # intersection_dim decides from the sines.  The worst gap on these 216
+    # pairs is 6.1 eps cond(U).
+    rng = np.random.default_rng([k, int(spread), 21])
+    eps = np.finfo(float).eps
+    for d in range(k + 1):
+        for _ in range(3):
+            space = sampling.random_space(k, rng, spread=spread)
+            v, w = sampling.random_lagrangian_pair(space, rng, d)
+            details = hs.m_details(v, w)
+            distances = np.sort(np.abs(np.array(details.eigenvalues) + 1.0))
+            sines = spaces._principal_sines(*(space._upper @ x.basis for x in (v, w)))
+            assert np.abs(distances - np.sort(2.0 * sines)).max() <= 32 * eps * space._cond
+            assert details.intersection_dim == hs.intersection_dim(v, w) == d
 
 
 def test_m_range_bound(rng):
@@ -328,9 +348,8 @@ def near(space, u, angles, frame):
 
 
 # the first angle lands the pair in the eigenvalue ambiguity band (1e-8, 1e-6),
-# or excludes its eigenvalue at -1 while the spans' smallest singular value,
-# about 2e-9, lies in the rank guard band (1e-9, 1e-7)
-AMBIGUOUS, RANK_BAND = 1e-7, 5e-9
+# or within tol.eig of -1, where its eigenvalue is excluded
+AMBIGUOUS, EXCLUDED = 1e-7, 5e-9
 
 
 def eta_pairs(vx, vy, wx, wy):
@@ -367,7 +386,7 @@ def assert_fails_like_the_loop(stacked, loop, space, raws):
     return got.value
 
 
-def failing_triple(rng, position, angle):
+def close_triple(rng, position, angle):
     space = sampling.random_space(2, rng)
     u, frame = sampling.random_unitary(2, rng), sampling.random_unitary(2, rng)
     base, close = near(space, u, [0.0, 0.0], frame), near(space, u, [angle, 0.9], frame)
@@ -377,7 +396,7 @@ def failing_triple(rng, position, angle):
                    "last": (close, other, base)}[position]
 
 
-def failing_eta(rng, position, angle):
+def close_eta(rng, position, angle):
     space = sampling.random_space(2, rng)
     vx, vy, wx = (sampling.random_lagrangian(space, rng) for _ in range(3))
     frame = sampling.random_unitary(2, rng)
@@ -391,30 +410,49 @@ def failing_eta(rng, position, angle):
 
 
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
-@pytest.mark.parametrize(
-    "angle,error", [(AMBIGUOUS, EigenvalueAmbiguity), (RANK_BAND, RankAmbiguity)]
-)
+@pytest.mark.parametrize("angle,error", [(AMBIGUOUS, EigenvalueAmbiguity)])
 def test_failing_pair_raises_what_a_loop_of_m_details_raises(rng, position, angle, error):
     got = assert_fails_like_the_loop(
-        hs.triple_index, triple_loop, *failing_triple(rng, position, angle)
+        hs.triple_index, triple_loop, *close_triple(rng, position, angle)
     )
     assert type(got) is error
     got = assert_fails_like_the_loop(
-        hs.eta_correction_rhs, eta_loop, *failing_eta(rng, position, angle)
+        hs.eta_correction_rhs, eta_loop, *close_eta(rng, position, angle)
     )
     assert type(got) is error
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_pair_just_excluded_at_minus_one_gives_the_loop_value(rng, position):
+    # the eigenvalue within tol.eig of -1 is excluded on both routes, which
+    # give the same values to the bit
+    for stacked, loop, (space, raws) in (
+        (hs.triple_index, triple_loop, close_triple(rng, position, EXCLUDED)),
+        (hs.eta_correction_rhs, eta_loop, close_eta(rng, position, EXCLUDED)),
+    ):
+        got = stacked(*(hs.lagrangian_from_basis(space, raw) for raw in raws))
+        assert got == loop(*(hs.lagrangian_from_basis(space, raw) for raw in raws))
 
 
 def test_first_failing_pair_wins_over_an_earlier_check_of_a_later_pair(rng):
-    # Pair 0 fails the rank guard band, a late check, and pairs 1 and 2 the
-    # eigenvalue band, an early one: a stacked pass meets the band first, the
-    # loop meets pair 0 first.
+    # Pair 0 fails the eigenvalue band, the last check of the pair tail, and
+    # pair 1 the first check, that both operands share a space: a stacked
+    # pass meets that check first, the loop meets pair 0 first.
     space = sampling.random_space(2, rng)
+    other = dataclasses.replace(space, tol=hs.Tolerances(int=1e-5))
     u, frame = sampling.random_unitary(2, rng), sampling.random_unitary(2, rng)
-    angles = ([0.0, 0.0], [RANK_BAND, 0.9], [AMBIGUOUS, 0.5])
-    raws = [near(space, u, a, frame) for a in angles]
-    got = assert_fails_like_the_loop(hs.triple_index, triple_loop, space, raws)
-    assert type(got) is RankAmbiguity
+    triple = [
+        hs.lagrangian_from_basis(target, near(space, u, angles, frame))
+        for target, angles in ((space, [0.0, 0.0]), (space, [AMBIGUOUS, 0.9]), (other, [0.5, 0.5]))
+    ]
+    with pytest.raises(hs.ValidationError, match="^operands live in different spaces$"):
+        hs.m_details(*triple[1:])
+    with pytest.raises(HermsympError) as expected:
+        triple_loop(*triple)
+    with pytest.raises(HermsympError) as got:
+        hs.triple_index(*triple)
+    assert type(got.value) is type(expected.value) is EigenvalueAmbiguity
+    assert str(got.value) == str(expected.value)
 
 
 def integrality_failure(loop, fragment, same_v):
@@ -502,12 +540,12 @@ def test_triple_and_correction_make_one_batch_of_lapack_calls(rng, monkeypatch):
 
         monkeypatch.setattr(linalg, function, counting)
     hs.triple_index(*fresh[:3])
-    # one eigvals for the 3 pair spectra; one svd for the graph maps of the
-    # 3 new Lagrangians and one for the 3 intersection dimensions
-    assert counts == {"eigvals": 1, "svd": 2}
+    # one eigvals for the 3 pair spectra, which decide dim(V & W) too; one
+    # svd for the graph maps of the 3 new Lagrangians
+    assert counts == {"eigvals": 1, "svd": 1}
     hs.eta_correction_rhs(*fresh)
     # the gamma images are new: one more graph-map svd for the 7 pairs
-    assert counts == {"eigvals": 2, "svd": 4}
+    assert counts == {"eigvals": 2, "svd": 2}
 
 
 def test_different_spaces_rejected(rng):

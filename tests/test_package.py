@@ -13,8 +13,8 @@ import hermsymp as hs
 EXPORTS = {
     "errors": (
         "BranchCut", "ConditionFailed", "EigensplitError", "EigenvalueAmbiguity",
-        "ExclusionMismatch", "HermsympError", "LagrangianValidationError", "NonIntegerSum",
-        "OutOfArc", "RankAmbiguity", "SpaceValidationError", "ValidationError", "Tolerances",
+        "HermsympError", "LagrangianValidationError", "NonIntegerSum", "OutOfArc",
+        "RankAmbiguity", "SpaceValidationError", "ValidationError", "Tolerances",
     ),
     "spaces": (
         "EigenSplitting", "HermitianSymplecticSpace", "InvariantCheck", "Lagrangian",
@@ -51,7 +51,7 @@ def test_exported_name_resolves_to_its_home(home, name):
 
 
 def test_version_tolerances_and_star_import():
-    assert len(NAMES) == 12 + 51 and len(hs.__all__) == len(NAMES) + 1
+    assert len(NAMES) == 11 + 51 and len(hs.__all__) == len(NAMES) + 1
     assert hs.__version__ == "0.1.0" and "__version__" in hs.__all__
     assert hs.spaces.Tolerances is hs.Tolerances
     namespace = {}

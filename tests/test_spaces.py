@@ -471,16 +471,18 @@ def test_near_orthogonal_pairs_lose_half_the_digits_far_from_the_band(spread):
 
 def test_large_values_land_in_a_band_around_one(rng):
     # Tolerances(rank=0.5) puts [1, sqrt 2], where the k values sqrt(1 + cos)
-    # lie, inside the band (0.05, 5): the rank decision is ambiguous.
+    # lie, inside the band (0.05, 5): the rank decision is ambiguous.  The
+    # pair invariant reads no rank decision: it takes dim(V & W) from its
+    # eigenvalues, and gives the value and spectrum of the default tolerances.
     base = sampling.random_space(3, rng)
     v, w = _graph_pair(base, rng, rng.uniform(0.5, 2.5, 3))
     space = dataclasses.replace(base, tol=hs.Tolerances(rank=0.5))
-    v, w = (hs.lagrangian_from_basis(space, x.basis) for x in (v, w))
-    first = _union_values(*_whitened(space, v, w))[0]
+    pair, default = ([hs.lagrangian_from_basis(s, x.basis) for x in (v, w)] for s in (space, base))
+    first = _union_values(*_whitened(space, *pair))[0]
     with pytest.raises(RankAmbiguity, match=re.escape(f"singular value {first:.3e} inside")):
-        hs.intersection_dim(v, w)
-    with pytest.raises(RankAmbiguity):
-        hs.m_details(v, w)
+        hs.intersection_dim(*pair)
+    details = hs.m_details(*pair)
+    assert details == hs.m_details(*default) and details.intersection_dim == 0
 
 
 def test_subspace_distance_is_the_largest_sine_bit_for_bit(rng):

@@ -13,7 +13,6 @@ from hermsymp.linalg import span_qr
 from hermsymp.errors import (
     EigensplitError,
     EigenvalueAmbiguity,
-    ExclusionMismatch,
     HermsympError,
     LagrangianValidationError,
     RankAmbiguity,
@@ -257,9 +256,8 @@ def nearly_intersecting(angle):
 
 # inside the eigenvalue ambiguity band (1e-8, 1e-6)
 near_branch = nearly_intersecting(1e-7)
-# excluded as -1, but the smallest singular value, about 1.8e-9, lies inside
-# the rank guard band (1e-9, 1e-7)
-rank_band = nearly_intersecting(5e-9)
+# within tol.eig of -1: excluded, and counted in dim(V & W)
+just_excluded = nearly_intersecting(5e-9)
 
 
 def corrupted(rng, corrupt, j):
@@ -299,12 +297,32 @@ def assert_fails_like_scalar(columns, j, error, tol=hs.Tolerances()):
         (non_finite, LagrangianValidationError),
         (infinite, LagrangianValidationError),
         (near_branch, EigenvalueAmbiguity),
-        (rank_band, RankAmbiguity),
     ],
 )
 @pytest.mark.parametrize("j", [0, 3])
 def test_bad_item_raises_the_scalar_error_with_its_index(rng, corrupt, error, j):
     assert_fails_like_scalar(corrupted(rng, corrupt, j), j, error)
+
+
+def assert_matches_the_scalar_loop(columns, j, tol=hs.Tolerances()):
+    """The stack gives the scalar route's values; returns item ``j``'s
+    :class:`~hermsymp.maslov.PairSpectrum` and its Lagrangians."""
+    expected = [scalar_m(*item, tol) for item in zip(*columns)]
+    assert np.abs(hs.m_stack(*columns, tol) - expected).max() < 1e-9
+    space = hs.HermitianSymplecticSpace(columns[0][j], columns[1][j], tol)
+    v, w = (hs.lagrangian_from_basis(space, column[j]) for column in columns[2:])
+    return hs.m_details(v, w), v, w
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_an_item_just_excluded_at_minus_one_gives_the_scalar_value(rng, j):
+    # The eigenvalue 5e-9 from -1 decides dim(V & W) on both routes.  The
+    # spans' smallest singular value, about 1.8e-9, lies in the rank guard
+    # band (1e-9, 1e-7) of the public intersection_dim, which still raises.
+    details, v, w = assert_matches_the_scalar_loop(corrupted(rng, just_excluded, j), j)
+    assert details.intersection_dim == details.excluded == 1
+    with pytest.raises(RankAmbiguity):
+        hs.intersection_dim(v, w)
 
 
 @pytest.mark.parametrize("j", [0, 3])
@@ -387,9 +405,13 @@ def test_gamma_off_by_less_than_tol_alg_splits_on_both_routes(eps):
 
 def test_exclusion_count_mismatch(rng):
     # With tol.eig = 1e-3 an eigenvalue 1e-4 from -1 is excluded, while the
-    # spans stay about 3.5e-5 apart, far above tol.rank: dim(V & W) = 0.
+    # spans' principal-angle sine, about 5e-5, stays far above tol.rank: the
+    # pair counts the excluded eigenvalue as dim(V & W), the sines of the
+    # public intersection_dim give 0, and the stack agrees with the scalar loop.
     columns = corrupted(rng, nearly_intersecting(1e-4), 2)
-    assert_fails_like_scalar(columns, 2, ExclusionMismatch, hs.Tolerances(eig=1e-3))
+    details, v, w = assert_matches_the_scalar_loop(columns, 2, hs.Tolerances(eig=1e-3))
+    assert details.intersection_dim == details.excluded == 1
+    assert hs.intersection_dim(v, w) == 0
 
 
 def test_lowest_failing_index_is_named(rng):
@@ -402,14 +424,15 @@ def test_lowest_failing_index_is_named(rng):
 
 
 def test_failure_is_the_first_of_a_scalar_loop(rng):
-    # Item 1 fails the last check (the rank guard band), item 3 the first
-    # (positive definiteness) and item 4 a middle one: the loop meets item 1 first.
+    # Item 1 fails the last check (the eigenvalue band at -1), item 3 the first
+    # (positive definiteness) and item 4 a middle one (omega on the span): the
+    # loop meets item 1 first.
     pairs, columns = random_pairs(rng, 2, 0, 5)
-    for j, corrupt in ((1, rank_band), (3, not_positive_definite), (4, near_branch)):
+    for j, corrupt in ((1, near_branch), (3, not_positive_definite), (4, non_lagrangian)):
         item = (pairs[j][0], columns[2][j], columns[3][j])
         for column, value in zip(columns, corrupt(item, rng)):
             column[j] = value
-    assert_fails_like_scalar(columns, 1, RankAmbiguity)
+    assert_fails_like_scalar(columns, 1, EigenvalueAmbiguity)
     with pytest.raises(SpaceValidationError, match="^item 1: gram must be positive definite$"):
         hs.m_stack(*(column[2:] for column in columns))
 

@@ -253,13 +253,15 @@ def test_sweep_takes_any_iterable_and_keeps_each_t():
 
 
 def test_sweep_of_parallel_pair_excludes_both_eigenvalues():
-    # The kernel cross-checks the exclusion count against dim(V & W) = 2.
+    # Both eigenvalues lie at -1: the excluded count is dim(V & W) = 2, which
+    # the public intersection_dim finds from the principal-angle sines too.
     grid = np.logspace(-3, 3, 7)
     result = torus_m_sweep(2, 3, 4, 6, grid)
     assert all(row.m_generic == 0.0 and row.m_closed == 0.0 for row in result.rows)
     model = TorusModel(1.7)
-    details = hs.m_details(model.lagrangian(2, 3), model.lagrangian(4, 6))
-    assert details.excluded == details.intersection_dim == 2
+    pair = model.lagrangian(2, 3), model.lagrangian(4, 6)
+    details = hs.m_details(*pair)
+    assert details.excluded == details.intersection_dim == hs.intersection_dim(*pair) == 2
 
 
 def test_sweep_matches_scalar_route_on_log_grid():

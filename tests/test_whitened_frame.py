@@ -110,9 +110,7 @@ SHARED_CHECKS = (
     "eigenspaces not separated within tolerance",
     "projection onto the +i eigenspace is singular",
     "graph map is not unitary",
-    "inside the rank guard band",
     "ambiguity band (tol.eig=",
-    "eigenvalues excluded at -1 but dim(V & W)",
 )
 
 
