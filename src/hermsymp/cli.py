@@ -15,8 +15,10 @@ Exit codes:
     0  success
     2  invalid input (JSON schema, shapes, parameters, failed validation,
        violated preconditions) and other numerical-degeneracy failures
-    3  eigenvalue too close to the branch point -1 to classify
-    4  integrality guard failure
+    3  eigenvalue too close to the branch point -1 to classify, or one of a
+       triple's Kashiwara form too close to 0
+    4  integrality guard failure (NonIntegerSum; reserved, as the triple
+       index is an exact signature and no command runs the correction term)
     5  closed-form/generic mismatch beyond 1e-9 in the torus sweep
 
 Semantic errors are reported as JSON objects {"error", "message"} on stderr.

@@ -40,9 +40,10 @@ class RankAmbiguity(HermsympError):
 
 
 class EigenvalueAmbiguity(HermsympError):
-    """An eigenvalue lies too close to -1 to classify.  The pair invariant is
-    genuinely discontinuous across the -1 eigenvalue, so no tolerance can
-    resolve this case."""
+    """An eigenvalue lies too close to -1 to classify, or one of a Kashiwara
+    form too close to 0.  The pair invariant is genuinely discontinuous across
+    the -1 eigenvalue, and the triple index where that form's eigenvalue
+    changes sign, so no tolerance can resolve this case."""
 
 
 class NonIntegerSum(HermsympError):

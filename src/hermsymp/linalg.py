@@ -178,6 +178,13 @@ def eigh(a):
     return _umath_linalg.eigh_lo(a, signature="D->dD")
 
 
+@_lapack("Eigenvalues did not converge")
+def eigvalsh(a):
+    """``numpy.linalg.eigvalsh(a)``: ascending eigenvalues of a Hermitian ``a``,
+    read from its lower triangle."""
+    return _umath_linalg.eigvalsh_lo(a, signature="D->d")
+
+
 @_lapack("Singular matrix")
 def inv(a):
     """``numpy.linalg.inv(a)``."""

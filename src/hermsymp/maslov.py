@@ -17,18 +17,24 @@ meaningless value.  The tests check the identity against the principal-angle
 sines of :func:`~hermsymp.spaces.intersection_dim`.
 
 The triple index ``m(U,V) + m(V,W) + m(W,U)`` is an integer depending only on
-the underlying symplectic form; it is rounded under an integrality guard.
+the underlying symplectic form: the Kashiwara-Wall index, the signature of one
+Hermitian form on U + V + W.  :func:`triple_index` reads it from one
+``eigvalsh`` of that form (:func:`_inertia`), an exact count with no split,
+graph map or rounding.  Where two of the Lagrangians nearly meet, the form has
+an eigenvalue near their principal-angle sine, half the pair's distance from
+-1, so its null and ambiguity bands are the pair tail's, halved.
 
-Every route takes graph maps in the eigenvectors of the space's split and ends
-in one pair tail, which takes those of one pair or of a stack:
-:func:`m_details` runs it on one pair, :func:`triple_index` and
-:func:`eta_correction_rhs` on their 3 and 7 pairs in one batch of LAPACK
-calls, and :func:`m_stack` on a stack of spaces and raw bases.  A batch is
-only a fast path: when any of its checks fails, it is rerun as the loop of
-the scalar route that it stands for.
+Every pair invariant takes graph maps in the eigenvectors of the space's split
+and ends in one pair tail, which takes those of one pair or of a stack:
+:func:`m_details` runs it on one pair, :func:`eta_correction_rhs` on the 4
+pairs of its chain in one batch of LAPACK calls, beside one eigensolve of its
+two triples, and :func:`m_stack` on a stack of spaces and raw bases.
+``m_stack``'s batch is only a fast path: when any of its checks fails, it is
+rerun as the loop of the scalar route that it stands for.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +59,6 @@ from .spaces import (
     _raise_at_first,
     _require_same_space,
     _split,
-    gamma_image,
     lagrangian_from_basis,
 )
 
@@ -99,22 +104,13 @@ def _pair_tail(space, phi_v, phi_w):
     return value, excluded.sum(axis=-1), eigs
 
 
-def _pair_values(space, pairs) -> np.ndarray:
-    """Pair invariants of Lagrangian pairs of ``space``, in one stacked pass.
-    If a check fails, the pairs are rerun in order through :func:`m_details`."""
-    lagrangians = [x for pair in pairs for x in pair]
-    try:
-        for x in lagrangians:
-            _require_same_space(space, x.space)
-        # each Lagrangian of a triple or a correction recurs in its pairs: it
-        # is whitened and mapped once, all in one call
-        slot = {x: j for j, x in enumerate(dict.fromkeys(lagrangians))}
-        whitened = space._upper @ np.stack([x.basis for x in slot])
-        index = [slot[x] for x in lagrangians]
-        phi = _graph_map(space, space._evecs, whitened)[index]
-        return _pair_tail(space, phi[0::2], phi[1::2])[0]
-    except HermsympError:
-        return np.array([m_details(v, w).value for v, w in pairs])
+def _pair_values(space, q, pairs) -> np.ndarray:
+    """Pair invariants ``m(q[i], q[j])`` of a stack of whitened orthonormal
+    bases, for each ``(i, j)`` of ``pairs``, in one stacked pass that maps
+    each basis once."""
+    phi = _graph_map(space, space._evecs, q)
+    first, second = zip(*pairs)
+    return _pair_tail(space, phi[list(first)], phi[list(second)])[0]
 
 
 def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
@@ -211,24 +207,52 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     return _pair_tail(stack, phi_v, phi_w)[0]
 
 
-def _rounded(total: float, tol: float) -> int:
-    nearest = round(total)
-    if abs(total - nearest) > tol:
-        raise NonIntegerSum(
-            f"triple index sum {total!r} is {abs(total - nearest):.3e} from an integer"
+@functools.lru_cache(maxsize=None)
+def _block_signs(k: int) -> np.ndarray:
+    """The 3k x 3k block-sign mask of a Kashiwara form: +1 above the diagonal
+    blocks, -1 below, 0 on them."""
+    blocks = np.arange(3 * k) // max(k, 1)
+    return np.sign(blocks - blocks[:, None])
+
+
+def _inertia(space, q) -> np.ndarray:
+    """``n_+ - n_-`` of the Kashiwara form of one triple, or of each of a stack,
+    from the whitened orthonormal bases ``q = U [basis_A | basis_B | basis_C]``:
+    ``C = M o S`` with ``M = q^H gamma_w q`` and S of :func:`_block_signs`, so
+    that ``x^H C x = 2 Re(omega(a, b) + omega(b, c) + omega(a, c))``.
+
+    An eigenvalue within ``tol.eig/2`` of 0 is null, and one in
+    ``(tol.eig/2, 50 tol.eig)`` raises: the pair tail's bands, halved.
+    """
+    mu = linalg.eigvalsh(adjoint(q) @ (space._gamma_w @ q) * _block_signs(q.shape[-1] // 3))
+    tau = space.tol.eig / 2.0
+    size = np.abs(mu)
+    ambiguous = (size < 100.0 * tau) > (size <= tau)  # inside the band, not null
+
+    def describe(j):
+        value = mu[j][ambiguous[j]][0]
+        return (
+            f"Kashiwara form eigenvalue {value:.3e} lies inside the ambiguity band "
+            f"({tau:.1e}, {100.0 * tau:.1e}) around 0 (tol.eig={space.tol.eig:.0e}); "
+            "two of the Lagrangians nearly meet and the triple index is discontinuous here"
         )
-    return int(nearest)
+
+    _raise_at_first(ambiguous.any(axis=-1), EigenvalueAmbiguity, describe)
+    return (mu > tau).sum(axis=-1) - (mu < -tau).sum(axis=-1)
 
 
 def triple_index(u: Lagrangian, v: Lagrangian, w: Lagrangian) -> int:
     """Integer triple index m(U,V) + m(V,W) + m(W,U).
 
-    Raises :class:`NonIntegerSum` if the real sum is farther than
-    ``space.tol.int`` from an integer, which signals numerical breakdown or
-    invalid inputs.
+    The signature of the Kashiwara form of the triple (:func:`_inertia`): an
+    exact count, with no sum to round, so it raises no :class:`NonIntegerSum`.
+    Raises :class:`EigenvalueAmbiguity` where two of the Lagrangians nearly
+    meet, at a principal-angle sine of about ``(tol.eig/2, 50 tol.eig)``.
     """
-    m_uv, m_vw, m_wu = _pair_values(u.space, [(u, v), (v, w), (w, u)]).tolist()
-    return _rounded(m_uv + m_vw + m_wu, u.space.tol.int)
+    space = u.space
+    for x in (v, w):
+        _require_same_space(space, x.space)
+    return int(_inertia(space, space._upper @ np.hstack([u.basis, v.basis, w.basis])))
 
 
 def eta_correction_rhs(
@@ -242,19 +266,29 @@ def eta_correction_rhs(
 
     Returns the pair ``(m(WX, WY), sigma(VX, VY, gamma WY) - sigma(gamma VX,
     WX, WY))``: the real pair invariant plus the integer defect by which the
-    glued quantity differs from the sum of the pieces.  Internally verifies
-    the equivalent chain ``m(VX,VY) - m(gamma VX, WX) + m(gamma VY, WY) -
-    m(WX,WY)`` against the integer within ``space.tol.int``.  The 7 distinct
-    pair invariants are evaluated in one stacked pass.
+    glued quantity differs from the sum of the pieces.  The two triple indices
+    come from one stacked :func:`_inertia` call, with the gamma images
+    ``gamma_w U basis`` as their whitened bases, no QR, whose span is checked
+    like any other.  The 4 pair invariants of the equivalent chain ``m(VX,VY)
+    - m(gamma VX, WX) + m(gamma VY, WY) - m(WX,WY)`` come from one stacked
+    pass, and the chain must match the integer within ``space.tol.int``, else
+    :class:`NonIntegerSum`: two independent routes to one integer.
     """
-    tol = vx.space.tol.int
-    g_vx, g_vy, g_wy = gamma_image(vx), gamma_image(vy), gamma_image(wy)
-    pairs = [(vx, vy), (vy, g_wy), (g_wy, vx), (g_vx, wx), (wx, wy), (wy, g_vx), (g_vy, wy)]
-    m = _pair_values(vx.space, pairs).tolist()
-    integer = _rounded(m[0] + m[1] + m[2], tol) - _rounded(m[3] + m[4] + m[5], tol)
-    chain = m[0] - m[3] + m[6] - m[4]
-    if abs(chain - integer) > tol:
+    space = vx.space
+    for x in (vy, wx, wy):
+        _require_same_space(space, x.space)
+    q = space._upper @ np.stack([x.basis for x in (vx, vy, wx, wy)])
+    gamma_q = space._gamma_w @ q[[0, 1, 3]]
+    _check_span(space, np.intp(space.half_dim), gamma_q, space._gamma_w @ gamma_q)
+    # VX, VY, WX, WY, gamma VX, gamma VY, gamma WY; the triples (VX, VY, gamma WY)
+    # and (gamma VX, WX, WY), one block of columns at a time
+    q = np.concatenate([q, gamma_q])
+    first, second = _inertia(space, np.concatenate([q[[0, 4]], q[[1, 2]], q[[6, 3]]], axis=-1))
+    integer = int(first - second)
+    m = _pair_values(space, q[:6], [(0, 1), (4, 2), (5, 3), (2, 3)]).tolist()
+    chain = m[0] - m[1] + m[2] - m[3]
+    if abs(chain - integer) > space.tol.int:
         raise NonIntegerSum(
             f"correction chain {chain!r} disagrees with integer part {integer}"
         )
-    return m[4], integer
+    return m[3], integer

@@ -238,6 +238,30 @@ def test_one_decision_at_minus_one_sets_the_exit_code(capsys, tmp_path, angle, e
     assert (err, payload["intersection_dim"], excluded) == ("", 1, 1)
 
 
+@pytest.mark.parametrize("angle,expected", [(5e-9, 0), (1e-7, 3)])
+def test_triple_with_a_nearly_meeting_pair_sets_the_exit_code(capsys, tmp_path, angle, expected):
+    # U and V meet at principal-angle sine angle / 2, where the Kashiwara form
+    # has an eigenvalue: null within tol.eig / 2, ambiguous in
+    # (tol.eig / 2, 50 tol.eig)
+    rng = np.random.default_rng(22)
+    space = sampling.random_space(2, rng)
+    u, frame = sampling.random_unitary(2, rng), sampling.random_unitary(2, rng)
+    close = u @ frame @ np.diag(np.exp(1j * np.array([angle, 0.9]))) @ frame.conj().T
+    triple = [hs.lagrangian_from_graph(space, x) for x in (u, close)]
+    triple.append(sampling.random_lagrangian(space, rng))
+    files = [write_json(tmp_path / "space.json", ser.space_to_dict(space))] + [
+        write_json(tmp_path / f"{name}.json", ser.lagrangian_to_dict(x))
+        for name, x in zip("uvw", triple)
+    ]
+    code, out, err = run_cli(capsys, ["--json", "triple", *files])
+    assert code == expected
+    if expected:
+        assert out == "" and json.loads(err)["error"] == "EigenvalueAmbiguity"
+        return
+    total = sum(hs.m_invariant(a, b) for a, b in zip(triple, triple[1:] + triple[:1]))
+    assert err == "" and json.loads(out) == {"triple_index": round(total)}
+
+
 def test_non_integer_sum_exits_4(capsys, standard_files, monkeypatch):
     def explode(*args, **kwargs):
         raise NonIntegerSum("forced")

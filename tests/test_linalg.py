@@ -357,6 +357,7 @@ LAPACK = {
     "svd": (lambda a: tuple(np.linalg.svd(a)), lambda a: (a[..., :3],)),
     "eigvals": (np.linalg.eigvals, lambda a: (a,)),
     "eigh": (lambda a: tuple(np.linalg.eigh(a)), lambda a: (hermitian(a),)),
+    "eigvalsh": (np.linalg.eigvalsh, lambda a: (hermitian(a),)),
     "inv": (np.linalg.inv, lambda a: (a,)),
     "solve": (np.linalg.solve, lambda a: (a, a[..., :2] + 1.0)),
     "cholesky": (np.linalg.cholesky, lambda a: (positive_definite(a),)),
@@ -405,6 +406,17 @@ def test_lapack_failures_raise_numpys_errors_without_a_warning(case):
     assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
 
 
+@pytest.mark.parametrize("name", ["eigh", "eigvalsh"])
+def test_hermitian_eigensolvers_pass_non_finite_input_as_numpy_does(name):
+    # numpy's eigh and eigvalsh check no entry and raise nothing on a nan: the
+    # same nan eigenvalues, without a warning
+    a = np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = getattr(linalg, name)(a)
+    assert same_bits(got, tuple(np.linalg.eigh(a)) if name == "eigh" else np.linalg.eigvalsh(a))
+
+
 def test_gram_that_is_not_positive_definite_is_named_on_a_space_and_a_stack_item():
     gamma = hs.standard_space(2).gamma
     with warnings.catch_warnings():
@@ -426,7 +438,8 @@ def test_every_umath_linalg_name_linalg_calls_exists():
         node.attr for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_umath_linalg"
     }
-    assert {"svd", "svd_f", "eigvals", "eigh_lo", "inv", "solve", "qr_r_raw", "qr_reduced"} <= used
+    assert {"svd", "svd_f", "eigvals", "eigh_lo", "eigvalsh_lo", "inv", "solve", "qr_r_raw",
+            "qr_reduced"} <= used
     assert [name for name in sorted(used) if not hasattr(np.linalg._umath_linalg, name)] == []
 
 

@@ -1,6 +1,8 @@
 """Pair invariant, triple index, and their algebraic identities."""
+import contextlib
 import dataclasses
 import inspect
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -136,24 +138,25 @@ def test_triple_integrality_small(rng):
 
 
 def test_triple_integrality_guard_can_fire(rng):
-    # With an absurdly tight guard the roundoff in an honest sum trips the
-    # integrality check; this exercises the NonIntegerSum path.
-    space = dataclasses.replace(
-        sampling.random_space(3, rng), tol=hs.Tolerances(int=1e-18)
-    )
+    # triple_index is an exact signature with no sum left to guard; the one
+    # integrality guard left is the correction's, on its chain of four pair
+    # invariants against the integer.  With an absurdly tight guard the
+    # roundoff in an honest chain trips it; this exercises the NonIntegerSum
+    # path.
+    space = sampling.random_space(3, rng)
+    tight = dataclasses.replace(space, tol=hs.Tolerances(int=1e-18))
     for _ in range(50):
-        u, v, w = (sampling.random_lagrangian(space, rng) for _ in range(3))
-        total = (
-            hs.m_invariant(u, v)
-            + hs.m_invariant(v, w)
-            + hs.m_invariant(w, u)
-        )
-        if total != round(total):
+        raws = [sampling.random_lagrangian(space, rng).basis for _ in range(4)]
+        try:
+            hs.eta_correction_rhs(*(hs.lagrangian_from_basis(tight, raw) for raw in raws))
+        except NonIntegerSum as exc:
+            error = str(exc)
             break
     else:  # pragma: no cover - depends on roundoff
-        pytest.skip("every sampled sum happened to be exactly integral")
-    with pytest.raises(NonIntegerSum):
-        hs.triple_index(u, v, w)
+        pytest.skip("every sampled chain happened to be exactly integral")
+    _, integer = hs.eta_correction_rhs(*(hs.lagrangian_from_basis(space, raw) for raw in raws))
+    assert error.startswith("correction chain ")
+    assert error.endswith(f" disagrees with integer part {integer}")
 
 
 def test_triple_depends_only_on_omega(rng):
@@ -314,6 +317,9 @@ def test_eta_correction_second_triple_vanishes_for_wx_gamma_vx(rng):
 
 
 def test_eta_correction_evaluates_each_distinct_pair_once(rng, monkeypatch):
+    # the integer comes from the Kashiwara forms of the two triples; one
+    # stacked pass evaluates the 4 pairs of the chain, mapping each of its 6
+    # whitened bases once
     space = sampling.random_space(2, rng)
     vx, vy, wx, wy = (sampling.random_lagrangian(space, rng) for _ in range(4))
     g_vx, g_vy, g_wy = (hs.gamma_image(x) for x in (vx, vy, wy))
@@ -323,19 +329,20 @@ def test_eta_correction_evaluates_each_distinct_pair_once(rng, monkeypatch):
     passes = []
     real_pair_values = maslov._pair_values
 
-    def recording(space, pairs):
-        passes.append(pairs)
-        return real_pair_values(space, pairs)
+    def recording(space, q, pairs):
+        passes.append((q, pairs))
+        return real_pair_values(space, q, pairs)
 
     monkeypatch.setattr(maslov, "_pair_values", recording)
     assert hs.eta_correction_rhs(vx, vy, wx, wy) == expected
     assert len(passes) == 1
-    pairs = passes[0]
-    assert len(pairs) == 7
-    # First triple, then second triple, then the one pair only the chain uses.
-    assert pairs[0] == (vx, vy) and pairs[1][0] is vy and pairs[2][1] is vx
-    assert pairs[3][1] is wx and pairs[4] == (wx, wy) and pairs[5][0] is wy
-    assert pairs[6][1] is wy
+    q, pairs = passes[0]
+    # VX, VY, WX, WY, then the gamma images of VX and VY; the pairs of the
+    # chain m(VX,VY) - m(gamma VX, WX) + m(gamma VY, WY) - m(WX,WY)
+    assert q.shape == (6, 4, 2)
+    assert list(pairs) == [(0, 1), (4, 2), (5, 3), (2, 3)]
+    for basis, lagr in zip(q, (vx, vy, wx, wy, g_vx, g_vy)):
+        assert hs.subspace_distance(lagr, hs.Lagrangian(space, space._upper_inv @ basis)) < 1e-12
 
 
 def near(space, u, angles, frame):
@@ -357,39 +364,50 @@ def eta_pairs(vx, vy, wx, wy):
     return [(vx, vy), (vy, g_wy), (g_wy, vx), (g_vx, wx), (wx, wy), (wy, g_vx), (g_vy, wy)]
 
 
+def rounded(total, tol):
+    """The integrality guard of the m-sum route: the nearest integer, or NonIntegerSum."""
+    nearest = round(total)
+    if abs(total - nearest) > tol:
+        raise NonIntegerSum(
+            f"triple index sum {total!r} is {abs(total - nearest):.3e} from an integer"
+        )
+    return int(nearest)
+
+
 def triple_loop(u, v, w):
     """The triple index as a loop of m_details over its pairs."""
     m_uv, m_vw, m_wu = (hs.m_details(a, b).value for a, b in ((u, v), (v, w), (w, u)))
-    return maslov._rounded(m_uv + m_vw + m_wu, u.space.tol.int)
+    return rounded(m_uv + m_vw + m_wu, u.space.tol.int)
 
 
 def eta_loop(vx, vy, wx, wy):
     """The correction term as a loop of m_details over its 7 pairs."""
     m = [hs.m_details(a, b).value for a, b in eta_pairs(vx, vy, wx, wy)]
     tol = vx.space.tol.int
-    integer = maslov._rounded(m[0] + m[1] + m[2], tol) - maslov._rounded(m[3] + m[4] + m[5], tol)
+    integer = rounded(m[0] + m[1] + m[2], tol) - rounded(m[3] + m[4] + m[5], tol)
     chain = m[0] - m[3] + m[6] - m[4]
     if abs(chain - integer) > tol:
         raise NonIntegerSum(f"correction chain {chain!r} disagrees with integer part {integer}")
     return m[4], integer
 
 
-def assert_fails_like_the_loop(stacked, loop, space, raws):
-    """Both routes, each on Lagrangians built anew from ``raws``, raise the same error."""
+def assert_fails_like_the_loop(stacked, loop, space, raws, message):
+    """Both routes, each on Lagrangians built anew from ``raws``, raise the
+    same type of error; the stacked route with a message matching ``message``."""
     with pytest.raises(HermsympError) as expected:
         loop(*(hs.lagrangian_from_basis(space, raw) for raw in raws))
-    with pytest.raises(type(expected.value)) as got:
+    with pytest.raises(type(expected.value), match=message) as got:
         stacked(*(hs.lagrangian_from_basis(space, raw) for raw in raws))
     assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
     assert got.value.item is None
     return got.value
 
 
-def close_triple(rng, position, angle):
-    space = sampling.random_space(2, rng)
-    u, frame = sampling.random_unitary(2, rng), sampling.random_unitary(2, rng)
-    base, close = near(space, u, [0.0, 0.0], frame), near(space, u, [angle, 0.9], frame)
+def close_triple(rng, position, angle, k=2):
+    space = sampling.random_space(k, rng)
+    u, frame = sampling.random_unitary(k, rng), sampling.random_unitary(k, rng)
+    base = near(space, u, [0.0] * k, frame)
+    close = near(space, u, [angle] + [0.9] * (k - 1), frame)
     other = sampling.random_lagrangian(space, rng).basis
     # the pair (base, close) is the first, the middle or the last of the triple
     return space, {"first": (base, close, other), "middle": (other, base, close),
@@ -409,17 +427,27 @@ def close_eta(rng, position, angle):
     return space, (vx.basis, vy.basis, wx.basis, close)
 
 
+# the message of the Kashiwara form's band at the default tol.eig = 1e-8
+KASHIWARA_BAND = (
+    r"^Kashiwara form eigenvalue (\S+) lies inside the ambiguity band \(5\.0e-09, 5\.0e-07\) "
+)
+
+
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 @pytest.mark.parametrize("angle,error", [(AMBIGUOUS, EigenvalueAmbiguity)])
 def test_failing_pair_raises_what_a_loop_of_m_details_raises(rng, position, angle, error):
-    got = assert_fails_like_the_loop(
-        hs.triple_index, triple_loop, *close_triple(rng, position, angle)
-    )
-    assert type(got) is error
-    got = assert_fails_like_the_loop(
-        hs.eta_correction_rhs, eta_loop, *close_eta(rng, position, angle)
-    )
-    assert type(got) is error
+    # The loop's pair tail meets the eigenvalue |lambda + 1| = angle.  The
+    # Kashiwara form of the triple, and of the correction triple holding the
+    # close pair, has an eigenvalue mu with |mu| = angle / 2 inside its band:
+    # the same type of error, with the form's message.
+    for stacked, loop, (space, raws) in (
+        (hs.triple_index, triple_loop, close_triple(rng, position, angle)),
+        (hs.eta_correction_rhs, eta_loop, close_eta(rng, position, angle)),
+    ):
+        got = assert_fails_like_the_loop(stacked, loop, space, raws, KASHIWARA_BAND)
+        assert type(got) is error
+        mu = float(re.match(KASHIWARA_BAND, str(got)).group(1))
+        assert abs(abs(mu) - angle / 2) <= 1e-3 * angle
 
 
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
@@ -434,10 +462,87 @@ def test_pair_just_excluded_at_minus_one_gives_the_loop_value(rng, position):
         assert got == loop(*(hs.lagrangian_from_basis(space, raw) for raw in raws))
 
 
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_pair_excluded_at_minus_one_inside_a_triple_gives_the_loops_integer(k, position):
+    # |lambda + 1| = EXCLUDED puts an eigenvalue of the Kashiwara form at
+    # EXCLUDED / 2, null within tol.eig / 2, as the loop excludes lambda
+    rng = np.random.default_rng([k, 22])
+    space, raws = close_triple(rng, position, EXCLUDED, k)
+    triple = [hs.lagrangian_from_basis(space, raw) for raw in raws]
+    assert hs.triple_index(*triple) == triple_loop(*triple)
+
+
+@pytest.mark.parametrize("spread", [4.0, 1e3])
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_a_near_meeting_puts_an_eigenvalue_of_the_form_at_half_the_distance_from_minus_one(
+    k, spread, monkeypatch
+):
+    # Where two Lagrangians nearly meet, the Kashiwara form's smallest
+    # eigenvalue is |lambda + 1| / 2 of their pair unitary, the principal-angle
+    # sine: so its bands are the pair tail's bands at -1, halved.  The worst
+    # relative gap is 2.2e-4 over 10 seeds a cell.
+    spectra = []
+    real = linalg.eigvalsh
+    monkeypatch.setattr(linalg, "eigvalsh", lambda a: spectra.append(real(a)) or spectra[-1])
+    for seed in range(3):
+        for angle in (AMBIGUOUS, 3e-6):
+            rng = np.random.default_rng([k, int(spread), seed])
+            space = sampling.random_space(k, rng, spread=spread)
+            u, frame = sampling.random_unitary(k, rng), sampling.random_unitary(k, rng)
+            raws = (
+                near(space, u, [0.0] * k, frame),
+                near(space, u, [angle] + [0.9] * (k - 1), frame),
+                sampling.random_lagrangian(space, rng).basis,
+            )
+            base, close, other = (hs.lagrangian_from_basis(space, raw) for raw in raws)
+            band = angle == AMBIGUOUS
+            with pytest.raises(EigenvalueAmbiguity) if band else contextlib.nullcontext():
+                hs.triple_index(base, close, other)
+            pair = linalg.eigvals(-hs.phi_of(base) @ hs.phi_of(close).conj().T)
+            half = np.abs(pair + 1.0).min() / 2
+            assert abs(np.abs(spectra[-1]).min() - half) <= 1e-3 * half
+
+
+@pytest.mark.parametrize("spread", [4.0, 1e3, 1e4])
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+def test_triple_index_is_the_m_sum_loop(k, spread):
+    # the signature of the Kashiwara form against the rounded sum of pair
+    # invariants it replaced, with pairs meeting in dimension 0, 1 and 2 and
+    # with W = U
+    rng = np.random.default_rng([k, int(spread), 22])
+    for d in range(min(k, 2) + 1):
+        for _ in range(2):
+            space = sampling.random_space(k, rng, spread=spread)
+            u, v = sampling.random_lagrangian_pair(space, rng, d)
+            w = sampling.random_lagrangian(space, rng)
+            for triple in ((u, v, w), (w, u, v), (v, w, u), (u, v, u)):
+                assert hs.triple_index(*triple) == triple_loop(*triple)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_triple_index_is_a_cocycle(k):
+    # tau(a,b,c) - tau(a,b,d) + tau(a,c,d) - tau(b,c,d) = 0.  On the m-sum
+    # route this follows from antisymmetry of m alone; the signatures of four
+    # different forms have no such reason to cancel.
+    rng = np.random.default_rng([k, 23])
+    values = set()
+    for d in range(min(k, 2) + 1):
+        for _ in range(4):
+            space = sampling.random_space(k, rng)
+            a, b = sampling.random_lagrangian_pair(space, rng, d)
+            c, e = (sampling.random_lagrangian(space, rng) for _ in range(2))
+            for w, x, y, z in ((a, b, c, e), (c, a, e, b), (a, b, a, c)):
+                taus = [hs.triple_index(*t) for t in ((w, x, y), (w, x, z), (w, y, z), (x, y, z))]
+                assert taus[0] - taus[1] + taus[2] - taus[3] == 0
+                values.update(taus)
+    assert len(values) > 1
+
+
 def test_first_failing_pair_wins_over_an_earlier_check_of_a_later_pair(rng):
-    # Pair 0 fails the eigenvalue band, the last check of the pair tail, and
-    # pair 1 the first check, that both operands share a space: a stacked
-    # pass meets that check first, the loop meets pair 0 first.
+    # Pair 0 fails the eigenvalue band of the pair tail, and pair 1 the check
+    # that both operands share a space.  The loop meets pair 0 first;
+    # triple_index makes the same-space checks before its one eigensolve.
     space = sampling.random_space(2, rng)
     other = dataclasses.replace(space, tol=hs.Tolerances(int=1e-5))
     u, frame = sampling.random_unitary(2, rng), sampling.random_unitary(2, rng)
@@ -447,19 +552,20 @@ def test_first_failing_pair_wins_over_an_earlier_check_of_a_later_pair(rng):
     ]
     with pytest.raises(hs.ValidationError, match="^operands live in different spaces$"):
         hs.m_details(*triple[1:])
-    with pytest.raises(HermsympError) as expected:
+    with pytest.raises(EigenvalueAmbiguity):
         triple_loop(*triple)
     with pytest.raises(HermsympError) as got:
         hs.triple_index(*triple)
-    assert type(got.value) is type(expected.value) is EigenvalueAmbiguity
-    assert str(got.value) == str(expected.value)
+    assert type(got.value) is hs.ValidationError
+    assert str(got.value) == "operands live in different spaces"
 
 
-def integrality_failure(loop, fragment, same_v):
+def integrality_failure(loop, fragment, same_v, also=None):
     """A space under ``int=1e-18`` and raw bases on which ``loop``, over as many
     of them as it takes, fails the integrality check whose message starts with
-    ``fragment``.  With k = 1, m(V, W) = -m(W, V) exactly, so ``VY = VX`` makes
-    the first triple sum 0."""
+    ``fragment``, and ``also``, if given, raises NonIntegerSum too.  With
+    k = 1, m(V, W) = -m(W, V) exactly, so ``VY = VX`` makes the first triple
+    sum 0."""
     tight = hs.Tolerances(int=1e-18)
     arity = len(inspect.signature(loop).parameters)
     for seed in range(200):
@@ -470,7 +576,13 @@ def integrality_failure(loop, fragment, same_v):
         try:
             loop(*(hs.lagrangian_from_basis(space, raw) for raw in raws))
         except NonIntegerSum as exc:
-            if str(exc).startswith(fragment):
+            if not str(exc).startswith(fragment):
+                continue
+            if also is None:
+                return space, raws
+            try:
+                also(*(hs.lagrangian_from_basis(space, raw) for raw in raws))
+            except NonIntegerSum:
                 return space, raws
     pytest.skip(f"no sampled case fails the check {fragment!r}")  # pragma: no cover
 
@@ -480,21 +592,36 @@ def integrality_failure(loop, fragment, same_v):
                         ("correction chain", True)]
 )
 def test_integrality_failure_matches_the_loop(fragment, same_v):
-    # the first triple, the second (the first one being exact) and the chain;
-    # each routine on a seed searched for its own loop
+    # The loop fails the check named by fragment: on the first triple, on the
+    # second (the first one being exact), or on the chain; each routine on a
+    # seed searched for its own loop, the correction's on one where it fails
+    # too.  Its failure is the one integrality check it has left, its chain
+    # guard, with the loop's error type.  triple_index, an exact signature,
+    # has no guard to fail and returns the loop's integer at the default
+    # guard, as both routes do on the correction.
+    def built(space, raws):
+        return [hs.lagrangian_from_basis(space, raw) for raw in raws]
+
+    space, raws = integrality_failure(eta_loop, fragment, same_v, also=hs.eta_correction_rhs)
     got = assert_fails_like_the_loop(
-        hs.eta_correction_rhs, eta_loop, *integrality_failure(eta_loop, fragment, same_v)
+        hs.eta_correction_rhs, eta_loop, space, raws, "^correction chain "
     )
     assert type(got) is NonIntegerSum
+    default = dataclasses.replace(space, tol=hs.Tolerances())
+    assert hs.eta_correction_rhs(*built(default, raws)) == eta_loop(*built(default, raws))
     if not same_v:
-        got = assert_fails_like_the_loop(
-            hs.triple_index, triple_loop, *integrality_failure(triple_loop, fragment, same_v)
-        )
-        assert type(got) is NonIntegerSum
+        space, raws = integrality_failure(triple_loop, fragment, same_v)
+        default = dataclasses.replace(space, tol=hs.Tolerances())
+        assert hs.triple_index(*built(space, raws)) == triple_loop(*built(default, raws))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 4, 8, 16])
 def test_stacked_pairs_are_bit_identical_to_m_invariant(k, monkeypatch):
+    # triple_index makes no pair pass.  The correction's pass gives the pairs
+    # of its own Lagrangians the values of m_invariant to the bit; a gamma
+    # image has the basis gamma_w U basis rather than gamma_image's QR, so its
+    # pairs agree within 64 eps cond(U) (6.6 at worst over 200 draws, k up
+    # to 16).
     rng = np.random.default_rng(k)
     space = sampling.random_space(k, rng)
     raws = [sampling.random_lagrangian(space, rng).basis for _ in range(4)]
@@ -505,23 +632,26 @@ def test_stacked_pairs_are_bit_identical_to_m_invariant(k, monkeypatch):
     passes = []
     real_pair_values = maslov._pair_values
 
-    def recording(space, pairs):
-        passes.append((pairs, real_pair_values(space, pairs)))
+    def recording(space, q, pairs):
+        passes.append((q, real_pair_values(space, q, pairs)))
         return passes[-1][1]
 
     monkeypatch.setattr(maslov, "_pair_values", recording)
     hs.triple_index(*fresh()[:3])
+    assert passes == []
     m_wx_wy, _ = hs.eta_correction_rhs(*fresh())
     monkeypatch.undo()
-    u, v, w, _ = fresh()
-    expected = [[(u, v), (v, w), (w, u)], eta_pairs(*fresh())]
-    assert m_wx_wy == hs.m_invariant(*expected[1][4])
-    for (pairs, values), copies in zip(passes, expected):
-        assert values.tolist() == [hs.m_invariant(a, b) for a, b in copies]
-        # the Lagrangians of the stacked pass keep the graph maps of their copies
-        for pair, twin in zip(pairs, copies):
-            for lagr, copy in zip(pair, twin):
-                assert np.array_equal(hs.phi_of(lagr), hs.phi_of(copy))
+    vx, vy, wx, wy = fresh()
+    assert len(passes) == 1
+    q, values = passes[0]
+    # the stacked bases are those of m_invariant's copies to the bit
+    for basis, copy in zip(q, (vx, vy, wx, wy)):
+        assert np.array_equal(basis, space._upper @ copy.basis)
+    assert m_wx_wy == values[3] == hs.m_invariant(wx, wy)
+    assert values[0] == hs.m_invariant(vx, vy)
+    gamma_pairs = [hs.m_invariant(hs.gamma_image(vx), wx), hs.m_invariant(hs.gamma_image(vy), wy)]
+    bound = 64 * np.finfo(float).eps * (space._cond if k else 1.0)
+    assert np.abs(values[1:3] - gamma_pairs).max(initial=0.0) <= bound
 
 
 def test_triple_and_correction_make_one_batch_of_lapack_calls(rng, monkeypatch):
@@ -529,9 +659,10 @@ def test_triple_and_correction_make_one_batch_of_lapack_calls(rng, monkeypatch):
     hs.eigensplit(space)
     lagrangians = [sampling.random_lagrangian(space, rng) for _ in range(4)]
     fresh = [hs.lagrangian_from_basis(space, x.basis) for x in lagrangians]
-    counts = {"eigvals": 0, "svd": 0}
+    counts = {"eigvals": 0, "svd": 0, "eigvalsh": 0}
     # the LAPACK functions of hermsymp.linalg, through which every route calls
-    for name, function in (("eigvals", "eigvals"), ("svd", "singular_values")):
+    for name, function in (("eigvals", "eigvals"), ("svd", "singular_values"),
+                           ("eigvalsh", "eigvalsh")):
         real = getattr(linalg, function)
 
         def counting(*args, _real=real, _name=name, **kwargs):
@@ -540,12 +671,12 @@ def test_triple_and_correction_make_one_batch_of_lapack_calls(rng, monkeypatch):
 
         monkeypatch.setattr(linalg, function, counting)
     hs.triple_index(*fresh[:3])
-    # one eigvals for the 3 pair spectra, which decide dim(V & W) too; one
-    # svd for the graph maps of the 3 new Lagrangians
-    assert counts == {"eigvals": 1, "svd": 1}
+    # one eigvalsh of the Kashiwara form, and no pair spectrum or graph map
+    assert counts == {"eigvals": 0, "svd": 0, "eigvalsh": 1}
     hs.eta_correction_rhs(*fresh)
-    # the gamma images are new: one more graph-map svd for the 7 pairs
-    assert counts == {"eigvals": 2, "svd": 2}
+    # one eigvalsh for both triples, one eigvals for the 4 pair spectra and
+    # one svd for the graph maps of their 6 bases
+    assert counts == {"eigvals": 1, "svd": 1, "eigvalsh": 2}
 
 
 def test_different_spaces_rejected(rng):
