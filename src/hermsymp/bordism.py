@@ -10,8 +10,10 @@ laws below fail.  :func:`_flipped_product` builds that product, and
 
 Relation composition is defined set-theoretically and never requires
 transversality; the routines only flag numerical (not geometric) degeneracy.
-Both intersect spans with :func:`linalg.span_intersection` and orthonormalize
-the result once, in :func:`lagrangian_from_basis`.
+:func:`reduce` takes the null space of the graph's source parts projected off
+W, :func:`compose` intersects spans with :func:`linalg.span_intersection`, and
+both orthonormalize the result once, in :func:`lagrangian_from_basis`.  Product
+spaces take their Cholesky factor and its inverse from their factors' blocks.
 """
 from __future__ import annotations
 
@@ -21,10 +23,11 @@ import numpy as np
 
 from . import linalg
 from .errors import ValidationError
-from .linalg import as_complex_matrix
+from .linalg import adjoint, as_complex_matrix
 from .spaces import (
     HermitianSymplecticSpace,
     Lagrangian,
+    _block_sum,
     direct_sum,
     gamma_image,
     lagrangian_from_basis,
@@ -35,14 +38,10 @@ from .spaces import (
 
 
 def _flipped_product(source, target) -> HermitianSymplecticSpace:
-    """H0^- (+) H1, built in one construction; the factors' tolerances must agree."""
-    if source.tol != target.tol:
-        raise ValidationError("operands carry different tolerances")
-    return HermitianSymplecticSpace(
-        linalg.block_diag(source.gram, target.gram),
-        linalg.block_diag(-source.gamma, target.gamma),
-        source.tol,
-    )
+    """H0^- (+) H1 in the factors' frames, as :func:`direct_sum` builds it: its
+    ``U`` and ``U^-1`` are their block diagonals, so building it factorizes
+    and inverts nothing.  The factors' tolerances must agree."""
+    return _block_sum(source, target, -source.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,12 +117,22 @@ def reduce(rel: BordismRelation, w: Lagrangian) -> Lagrangian:
     Lagrangians): the target parts of the graph columns whose source part lies
     in ``W``.  Raises :class:`LagrangianValidationError` when they do not span
     a Lagrangian, which signals a numerically degenerate intersection.
+
+    The coefficients of those columns are the null space of the residual
+    ``r = b - q_w q_w^H b`` of the whitened source parts ``b = U graph[:d0]``
+    against the whitened orthonormal basis ``q_w = U w.basis``, singular
+    values at most ``tol.rank`` taken as zero.  Its near-null singular values
+    are those of ``[q_w | -b]`` divided by at most ``sqrt(2)``, and both null
+    spaces have the same dimension, so the rank decision differs from the
+    intersection of the two spans only for a singular value in
+    ``(tol.rank/sqrt(2), tol.rank]``.
     """
     if not same_space(w.space, rel.source):
         raise ValidationError("Lagrangian does not live in the relation's source")
     d0, upper = rel.source.dim, rel.source._upper
     graph = rel.graph.basis
-    _, c = linalg.span_intersection(upper @ w.basis, upper @ graph[:d0], rel.target.tol.rank)
+    q_w, b = upper @ w.basis, upper @ graph[:d0]
+    c = linalg.nullspace(b - q_w @ (adjoint(q_w) @ b), rel.target.tol.rank)
     return lagrangian_from_basis(rel.target, graph[d0:] @ c)
 
 

@@ -225,6 +225,9 @@ def span_intersection(
     null space, taking singular values at most ``tol`` as zero, so the columns
     of ``a @ x`` (equal to ``b @ y``) span ``span(a) & span(b)``.  They may be
     linearly dependent, or zero, when ``a`` or ``b`` has dependent columns.
+    :func:`~hermsymp.bordism.compose` intersects its middle blocks here, since
+    neither is orthonormal; ``reduce``, whose W block is, takes the smaller
+    :func:`nullspace` of its projection residual.
     """
     null = nullspace(np.hstack([a, -b]), tol)
     return null[: a.shape[1]], null[a.shape[1] :]

@@ -74,7 +74,9 @@ class HermitianSymplecticSpace:
     Hermitian positive-definite gram) and keeps its Cholesky factor ``_upper``
     and the plain attributes ``dim`` and ``half_dim``, which the pair passes
     read on every call; the three algebraic invariants are measured by
-    :func:`validate_space`.
+    :func:`validate_space`.  A product of two spaces (:func:`direct_sum`, and
+    the flipped product of a bordism) is not constructed from its matrices:
+    it takes its factor and the factor's inverse from its factors' blocks.
 
     Dimension zero is allowed and carries the unique empty Lagrangian.
 
@@ -94,7 +96,7 @@ class HermitianSymplecticSpace:
     def __post_init__(self) -> None:
         gram = np.asarray(self.gram, dtype=np.complex128)
         gamma = np.asarray(self.gamma, dtype=np.complex128)
-        n = _check_shapes(gram, gamma)
+        _check_shapes(gram, gamma)
         finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(gamma).all(axis=(-2, -1))
         _raise_at_first(~finite, SpaceValidationError, "gram and gamma must have finite entries")
         skew = np.abs(gram - adjoint(gram)).max(axis=(-2, -1), initial=0.0)
@@ -104,11 +106,16 @@ class HermitianSymplecticSpace:
             upper = adjoint(linalg.cholesky(gram))
         except np.linalg.LinAlgError:
             raise SpaceValidationError("gram must be positive definite") from None
+        self._set_fields(gram, gamma, self.tol, upper)
+
+    def _set_fields(self, gram, gamma, tol, upper) -> None:
+        """The stored fields of a checked space, and the derived ones every pass reads."""
         object.__setattr__(self, "gram", _frozen(gram))
         object.__setattr__(self, "gamma", _frozen(gamma))
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "_upper", _frozen(upper))
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "half_dim", n // 2)
+        object.__setattr__(self, "dim", gram.shape[-1])
+        object.__setattr__(self, "half_dim", gram.shape[-1] // 2)
 
     def omega(self) -> np.ndarray:
         """Matrix of the symplectic form: omega(x, y) = x^H @ omega() @ y."""
@@ -127,6 +134,8 @@ class HermitianSymplecticSpace:
     @cached_property
     def _cond(self):
         s = linalg.singular_values(self._upper)
+        if not s.shape[-1]:  # a zero-dimensional space: the neutral scale
+            return 1.0
         with np.errstate(all="ignore"):  # as numpy.linalg.cond
             return s[..., 0] / s[..., -1]
 
@@ -345,14 +354,38 @@ def negated(space: HermitianSymplecticSpace) -> HermitianSymplecticSpace:
     return replace(space, gamma=-space.gamma)
 
 
+def _block_sum(
+    a: HermitianSymplecticSpace, b: HermitianSymplecticSpace, gamma_a: np.ndarray
+) -> HermitianSymplecticSpace:
+    """The space ``(a.gram (+) b.gram, gamma_a (+) b.gamma)`` in its factors' frames.
+
+    ``gamma_a`` is ``a.gamma`` or ``-a.gamma``.  The Cholesky factor and its
+    inverse are the block diagonals of the factors' ``U`` and ``U^-1`` (each
+    factor inverts its own once), so the product makes no ``cholesky`` or
+    ``inv`` call of its own; the checks a construction would repeat (finite
+    entries, Hermitian and positive-definite gram) hold exactly for a block
+    diagonal of checked spaces.  The factors' tolerances must agree.
+    """
+    if a.tol != b.tol:
+        raise ValidationError("operands carry different tolerances")
+    space = object.__new__(HermitianSymplecticSpace)
+    space._set_fields(
+        linalg.block_diag(a.gram, b.gram),
+        linalg.block_diag(gamma_a, b.gamma),
+        a.tol,
+        linalg.block_diag(a._upper, b._upper),
+    )
+    # seeds the cached property
+    space.__dict__["_upper_inv"] = linalg.block_diag(a._upper_inv, b._upper_inv)
+    return space
+
+
 def direct_sum(
     a: HermitianSymplecticSpace, b: HermitianSymplecticSpace
 ) -> HermitianSymplecticSpace:
-    if a.tol != b.tol:
-        raise ValidationError("operands carry different tolerances")
-    return HermitianSymplecticSpace(
-        linalg.block_diag(a.gram, b.gram), linalg.block_diag(a.gamma, b.gamma), a.tol
-    )
+    """``a (+) b`` in the factors' frames: its ``U`` and ``U^-1`` are their
+    block diagonals, so building it factorizes and inverts nothing."""
+    return _block_sum(a, b, a.gamma)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,23 @@ def test_mismatched_spaces_rejected(rng):
         bordism.reduce(rel1, sampling.random_lagrangian(h2, rng))
 
 
+def _counted(monkeypatch, kernel):
+    """The calls of ``kernel``, recorded by rebinding every module-level name
+    of the package bound to it, as the bench tracer does."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "hermsymp" or name.startswith("hermsymp.")):
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 def test_reduce_and_compose_orthonormalize_once(rng, monkeypatch):
     # One span construction per reduce and per compose, by the one rank rule
     # gram_mgs (span_qr is its inner step).
@@ -164,18 +181,7 @@ def test_reduce_and_compose_orthonormalize_once(rng, monkeypatch):
     rel1 = sampling.random_bordism_relation(h0, h1, rng)
     rel2 = sampling.random_bordism_relation(h1, h0, rng)
     lagr = sampling.random_lagrangian(h0, rng)
-    calls, kernel = [], linalg.gram_mgs
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return kernel(*args, **kwargs)
-
-    # Rebind every module-level name bound to it, as the bench tracer does.
-    for name, module in list(sys.modules.items()):
-        if module is not None and (name == "hermsymp" or name.startswith("hermsymp.")):
-            for attr, value in list(vars(module).items()):
-                if value is kernel:
-                    monkeypatch.setattr(module, attr, counted)
+    calls = _counted(monkeypatch, linalg.gram_mgs)
     bordism.reduce(rel1, lagr)
     assert len(calls) == 1
     calls.clear()
@@ -230,27 +236,175 @@ def test_relation_rejects_graph_outside_flipped_product(rng, build):
 
 
 def test_each_relation_builds_its_product_space_once(rng, monkeypatch):
+    # Product spaces come from the one block constructor, without __init__;
+    # only the document's two factors are constructed from matrices.
     h0 = sampling.random_space(2, rng)
     h1 = sampling.random_space(1, rng)
     rel1 = sampling.random_bordism_relation(h0, h1, rng)
     rel2 = sampling.random_bordism_relation(h1, h0, rng)
     doc = ser.relation_to_dict(rel1)
-    calls = []
+    products = _counted(monkeypatch, hs.spaces._block_sum)
+    inits = []
     original = hs.HermitianSymplecticSpace.__init__
 
     def counting(self, *args, **kwargs):
-        calls.append(args)
+        inits.append(args)
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(hs.HermitianSymplecticSpace, "__init__", counting)
     cases = [
-        (lambda: bordism.compose(rel1, rel2), 1),
-        (lambda: bordism.relation_from_graph(h0, h1, rel1.graph.basis), 1),
-        (lambda: sampling.random_bordism_relation(h0, h1, rng), 1),
-        # the document's two factors and the graph's product
-        (lambda: ser.relation_from_dict(doc), 3),
+        (lambda: bordism.compose(rel1, rel2), 0, 1),
+        (lambda: bordism.relation_from_graph(h0, h1, rel1.graph.basis), 0, 1),
+        (lambda: sampling.random_bordism_relation(h0, h1, rng), 0, 1),
+        # the document's two factors, then the graph's product
+        (lambda: ser.relation_from_dict(doc), 2, 1),
     ]
-    for build, expected in cases:
-        calls.clear()
+    for build, expected_inits, expected_products in cases:
+        inits.clear()
+        products.clear()
         build()
-        assert len(calls) == expected
+        assert (len(inits), len(products)) == (expected_inits, expected_products)
+
+
+def test_prebuilt_factors_leave_compose_and_gluing_without_factorizations(rng, monkeypatch):
+    # Product spaces take U and U^-1 from their factors' blocks.
+    h0 = sampling.random_space(2, rng)
+    h1 = sampling.random_space(1, rng)
+    rel1 = sampling.random_bordism_relation(h0, h1, rng)
+    rel2 = sampling.random_bordism_relation(h1, h0, rng)
+    w = sampling.random_lagrangian(h0, rng)
+    cholesky, inv = _counted(monkeypatch, linalg.cholesky), _counted(monkeypatch, linalg.inv)
+    bordism.compose(rel1, rel2)
+    bordism.glued_boundary_lagrangian(w, rel1)
+    assert (len(cholesky), len(inv)) == (0, 0)
+    # the control: a space built from matrices factorizes
+    hs.HermitianSymplecticSpace(h0.gram, h0.gamma)._upper_inv
+    assert (len(cholesky), len(inv)) == (1, 1)
+
+
+def _oracle_reduce(rel, w):
+    """Reduction through the null space of ``[q_w | -b]``: the intersection of
+    the whitened span of W with that of the graph's source parts."""
+    d0, upper, graph = rel.source.dim, rel.source._upper, rel.graph.basis
+    _, c = linalg.span_intersection(upper @ w.basis, upper @ graph[:d0], rel.target.tol.rank)
+    return hs.lagrangian_from_basis(rel.target, graph[d0:] @ c)
+
+
+def _reduction_cases(rng, make_space, count):
+    """``(rel, w)`` over k0, k1 in 1..5, cycling through three kinds: a random
+    relation and Lagrangian, a split relation ``L0 (+) L1`` with W = L0, and a
+    split relation with W meeting L0 in a random dimension."""
+    for i in range(count):
+        k0, k1 = (int(k) for k in rng.integers(1, 6, 2))
+        h0, h1 = make_space(k0), make_space(k1)
+        if i % 3 == 0:
+            yield sampling.random_bordism_relation(h0, h1, rng), sampling.random_lagrangian(h0, rng)
+            continue
+        meet = k0 if i % 3 == 1 else int(rng.integers(0, k0 + 1))
+        l0, w = sampling.random_lagrangian_pair(h0, rng, meet)
+        l1 = sampling.random_lagrangian(h1, rng)
+        rel = bordism.relation_from_graph(h0, h1, linalg.block_diag(l0.basis, l1.basis))
+        yield rel, (l0 if i % 3 == 1 else w)
+
+
+@pytest.mark.parametrize("spread, bound", [(4.0, 1e-13), (1e3, 1e-10)])
+def test_reduce_spans_the_span_intersection_oracle(rng, spread, bound):
+    cases = _reduction_cases(rng, lambda k: sampling.random_space(k, rng, spread=spread), 90)
+    for rel, w in cases:
+        assert hs.subspace_distance(bordism.reduce(rel, w), _oracle_reduce(rel, w)) <= bound
+
+
+def _near_meeting_cases(rng):
+    """``(sine, rel, w)``: split relations ``L0 (+) L1`` whose W meets L0 up
+    to one principal angle, its sine swept across the rank threshold from
+    tol.rank/100 to 100 tol.rank."""
+    for k0, k1 in [(1, 1), (2, 1), (2, 3), (4, 2)]:
+        h0, h1 = sampling.random_space(k0, rng), sampling.random_space(k1, rng)
+        for sine in h0.tol.rank * np.logspace(-2, 2, 16):
+            # graph unitaries whose ratio turns by 2 arcsin(sine) on one eigenvector
+            u_l0, frame = sampling.random_unitary(k0, rng), sampling.random_unitary(k0, rng)
+            angles = np.concatenate([[2.0 * np.arcsin(sine)], rng.uniform(0.4, 1.4, k0 - 1)])
+            u_w = u_l0 @ frame @ np.diag(np.exp(1j * angles)) @ frame.conj().T
+            l0, w = hs.lagrangian_from_graph(h0, u_l0), hs.lagrangian_from_graph(h0, u_w)
+            l1 = sampling.random_lagrangian(h1, rng)
+            graph = linalg.block_diag(l0.basis, l1.basis)
+            yield sine, bordism.relation_from_graph(h0, h1, graph), w
+
+
+def _null_dims(rel, w):
+    """The null-space dimensions of the residual r and of the oracle's
+    ``[q_w | -b]``, and the singular values of the latter."""
+    tol, d0, upper = rel.source.tol.rank, rel.source.dim, rel.source._upper
+    q_w, b = upper @ w.basis, upper @ rel.graph.basis[:d0]
+    stacked = np.hstack([q_w, -b])
+    sigma = linalg.singular_values(stacked)
+    residual = b - q_w @ (q_w.conj().T @ b)
+    oracle = stacked.shape[1] - int((sigma > tol).sum())
+    return linalg.nullspace(residual, tol).shape[1], oracle, sigma
+
+
+def test_reduce_null_space_has_the_oracles_dimension_outside_the_sqrt2_band(rng):
+    # The near-null singular values of the residual r and of [q_w | -b] agree
+    # within sqrt(2), so the two null spaces differ in dimension only when a
+    # singular value of [q_w | -b] lies in (tol.rank/sqrt(2), tol.rank].
+    tol = hs.Tolerances().rank
+    for rel, w in _reduction_cases(rng, lambda k: sampling.random_space(k, rng), 60):
+        dim, oracle, sigma = _null_dims(rel, w)
+        assert not ((sigma > tol / np.sqrt(2.0)) & (sigma <= tol)).any()
+        assert dim == oracle
+    verdicts = set()
+    for sine, rel, w in _near_meeting_cases(rng):
+        dim, oracle, sigma = _null_dims(rel, w)
+        in_band = ((sigma > tol / np.sqrt(2.0)) & (sigma <= tol)).any()
+        # the principal angle's direction has r at its sine, and [q_w | -b]
+        # at its sine over sqrt(2): the band is sine in (tol, sqrt(2) tol]
+        assert in_band == (tol < sine <= np.sqrt(2.0) * tol)
+        if not in_band:
+            assert dim == oracle
+            verdicts.add(dim - rel.target.half_dim)
+        else:
+            assert (dim, oracle) == (rel.target.half_dim, rel.target.half_dim + 1)
+    assert verdicts == {0, 1}
+
+
+def _pullback(k, rng, spread):
+    """``sampling.random_space`` together with its map T to the standard model."""
+    tmat = sampling.random_invertible(2 * k, rng, spread)
+    gram = tmat.conj().T @ tmat
+    gamma = np.linalg.solve(tmat, hs.standard_space(k).gamma @ tmat)
+    return hs.HermitianSymplecticSpace((gram + gram.conj().T) / 2.0, gamma), tmat
+
+
+@pytest.mark.parametrize("spread", [1e4, 3e4, 1e5])
+def test_reduce_on_ill_conditioned_spaces_matches_the_standard_model(spread):
+    # T maps each space to the standard model, where U = I: there T graph and
+    # T w are orthonormal, and the oracle reduces them at no condition cost.
+    rng = np.random.default_rng(int(spread))
+    frames = {}
+
+    def make_space(k):
+        space, tmat = _pullback(k, rng, spread)
+        frames[space] = tmat
+        return space
+
+    loose = hs.Tolerances(alg=1e-6)  # T graph is Lagrangian to eps cond(T)
+    eps, rejected, worst = np.finfo(float).eps, [], 0.0
+    for rel, w in _reduction_cases(rng, make_space, 120):
+        t0, t1 = frames[rel.source], frames[rel.target]
+        h0, h1 = (dataclasses.replace(hs.standard_space(x.half_dim), tol=loose)
+                  for x in (rel.source, rel.target))
+        std = bordism.relation_from_graph(h0, h1, linalg.block_diag(t0, t1) @ rel.graph.basis)
+        reference = _oracle_reduce(std, hs.lagrangian_from_basis(h0, t0 @ w.basis))
+        try:
+            _oracle_reduce(rel, w)
+        except hs.HermsympError:
+            continue
+        try:
+            out = bordism.reduce(rel, w)
+        except hs.HermsympError as exc:
+            rejected.append(exc)
+            continue
+        error = hs.subspace_distance(hs.lagrangian_from_basis(h1, t1 @ out.basis), reference)
+        worst = max(worst, error / (eps * rel.source._cond * rel.target._cond))
+    assert rejected == []
+    assert worst <= 4.0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import hermsymp as hs
 from hermsymp import linalg, sampling
+from hermsymp.bordism import _flipped_product
 from hermsymp.errors import (
     EigensplitError,
     LagrangianValidationError,
@@ -504,9 +505,48 @@ def test_mixed_tolerances_rejected():
     assert hs.direct_sum(other, other).tol == other.tol
     with pytest.raises(ValidationError):
         hs.direct_sum(space, other)
+    with pytest.raises(ValidationError):
+        _flipped_product(other, space)
     line = [[1.0], [0.0]]
     with pytest.raises(ValidationError):
         hs.m_invariant(hs.lagrangian_from_basis(space, line), hs.lagrangian_from_basis(other, line))
+
+
+def _products(a, b):
+    """``a (+) b`` and the flipped ``a^- (+) b``, with the gamma of the first block."""
+    return [(hs.direct_sum(a, b), a.gamma), (_flipped_product(a, b), -a.gamma)]
+
+
+@pytest.mark.parametrize("spread", [4.0, 1e3, 1e6])
+def test_product_spaces_take_their_frames_from_the_factors(rng, spread):
+    eps = np.finfo(float).eps
+    for k0, k1 in [(0, 2), (1, 1), (1, 3), (2, 2), (4, 1), (5, 5), (3, 0)]:
+        a = sampling.random_space(k0, rng, spread=spread)
+        b = sampling.random_space(k1, rng, spread=spread)
+        for prod, gamma_a in _products(a, b):
+            gram = linalg.block_diag(a.gram, b.gram)
+            assert np.array_equal(prod._upper, linalg.block_diag(a._upper, b._upper))
+            assert np.array_equal(prod._upper_inv, linalg.block_diag(a._upper_inv, b._upper_inv))
+            # the factorizations a construction from the block matrices makes:
+            # the Cholesky factor of the block gram, and the inverse of U (of a
+            # fresh factor it would differ by cond(U) times their distance)
+            bound = 10 * eps * prod._cond
+            upper = linalg.adjoint(linalg.cholesky(gram))
+            assert linalg.max_abs(prod._upper - upper) <= bound * linalg.max_abs(upper)
+            inverse = linalg.inv(prod._upper)
+            assert linalg.max_abs(prod._upper_inv - inverse) <= bound * linalg.max_abs(inverse)
+            built = hs.HermitianSymplecticSpace(gram, linalg.block_diag(gamma_a, b.gamma))
+            assert hs.same_space(prod, built)
+            assert (prod.dim, prod.half_dim, prod.tol) == (built.dim, built.half_dim, built.tol)
+            assert not (prod.gram.flags.writeable or prod.gamma.flags.writeable)
+
+
+def test_condition_number_of_the_zero_space_is_one():
+    space = hs.zero_space()
+    assert space._cond == 1.0
+    # a residual past tol.alg reads the scale cond(U)
+    assert space._exceeds_alg(np.float64(2 * space.tol.alg))
+    assert hs.direct_sum(space, space)._cond == 1.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
