@@ -13,7 +13,8 @@ transversality; the routines only flag numerical (not geometric) degeneracy.
 :func:`reduce` takes the null space of the graph's source parts projected off
 W, :func:`compose` intersects spans with :func:`linalg.span_intersection`, and
 both orthonormalize the result once, in :func:`lagrangian_from_basis`.  Product
-spaces take their Cholesky factor and its inverse from their factors' blocks.
+spaces take their Cholesky factor, its inverse and their whitened ``gamma``
+from their factors' blocks.
 """
 from __future__ import annotations
 
@@ -39,9 +40,9 @@ from .spaces import (
 
 def _flipped_product(source, target) -> HermitianSymplecticSpace:
     """H0^- (+) H1 in the factors' frames, as :func:`direct_sum` builds it: its
-    ``U`` and ``U^-1`` are their block diagonals, so building it factorizes
-    and inverts nothing.  The factors' tolerances must agree."""
-    return _block_sum(source, target, -source.gamma)
+    ``U``, ``U^-1`` and ``gamma_w`` are their block diagonals, so building it
+    factorizes, inverts and solves nothing.  The factors' tolerances must agree."""
+    return _block_sum(source, target, -1)
 
 
 @dataclass(frozen=True, eq=False)

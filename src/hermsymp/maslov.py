@@ -151,10 +151,11 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     :func:`~hermsymp.linalg.span_qr`, on k columns the verdict of
     :func:`~hermsymp.linalg.gram_mgs`) and omega on it, the k/k split, the
     graph maps in its eigenvectors, and the eigenvalue band at -1 of the pair
-    tail.  That pass is only a fast path: if any check fails, the items are
-    rerun in order through the scalar route, and its first failure is raised
-    with the message prefixed ``item j: `` and the error's ``item`` set to
-    ``j``.
+    tail.  V and W go through each check together, as one ``(T, 2, n, k)``
+    stack, in one span check and one graph-map pass.  That pass is only a
+    fast path: if any check fails, the items are rerun in order through the
+    scalar route, and its first failure is raised with the message prefixed
+    ``item j: `` and the error's ``item`` set to ``j``.
     """
     gram, gamma = (np.asarray(x, dtype=np.complex128) for x in (gram, gamma))
     if gram.ndim != 3:
@@ -188,23 +189,19 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
 
 
 def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
-    """The fast path of :func:`m_stack`: each check runs once on all items and
-    raises if any item fails it."""
+    """The fast path of :func:`m_stack`: each check runs once on all items,
+    both sides of each pair as one stack, and raises if any item fails it."""
     stack = HermitianSymplecticSpace(gram, gamma, tol)
-    # both spans in one QR: whitened bases q, their columns kept under the
-    # drop rule (a non-finite column never is), and omega vanishing on them.
-    # Only spans are needed, so the columns keep the QR's signs.
+    # both sides in one QR, as a (T, 2, n, k) stack: whitened bases q, their
+    # columns kept under the drop rule (a non-finite column never is), and
+    # omega vanishing on them.  Only spans are needed, so the columns keep the
+    # QR's signs.
     q, _, kept = span_qr(stack._upper[:, None], np.stack([v_basis, w_basis], axis=1), tol.rank)
-    kept = kept.sum(axis=-1)
-    gamma_q = stack._gamma_w[:, None] @ q
-    for side in (0, 1):
-        _check_span(stack, kept[:, side], q[:, side], gamma_q[:, side])
-
-    # the k/k split; the graph maps phi = c a^-1 of V, then W, in its
-    # eigenbases; the pair spectrum
-    evecs = _split(stack)
-    phi_v, phi_w = (_graph_map(stack, evecs, q[:, side]) for side in (0, 1))
-    return _pair_tail(stack, phi_v, phi_w)[0]
+    _check_span(stack, kept.sum(axis=-1), q, stack._gamma_w[:, None] @ q)
+    # the k/k split; the graph maps phi = c a^-1 of both sides in its
+    # eigenbases, in one pass; the pair spectrum
+    phi = _graph_map(stack, _split(stack)[:, None], q)
+    return _pair_tail(stack, phi[:, 0], phi[:, 1])[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -28,7 +28,12 @@ by identity; :func:`same_space` compares two spaces by value.
 
 The k/k split and the checks of a Lagrangian span and a graph map are
 private functions shared with :mod:`~hermsymp.maslov`, each taking a single
-space or a stack; on a stack they only tell whether some item fails.  The
+space or a stack; on a stack they only tell whether some item fails.
+:func:`~hermsymp.maslov.m_stack` hands both Lagrangians of its pairs to each
+check as one stack, and an item then fails with its worse side.  Each check
+is one stacked pass: the split checks both halves in one product, and the
+graph map decides that its +i block is not singular from that block's Gram
+matrix, with an SVD only where the bound is inconclusive.  The
 split and the signature of :func:`validate_space` share one ``eigh`` of the
 whitened ``i gamma``, which the space keeps; every pair invariant takes its
 graph maps in the eigenvectors.  Only :func:`phi_of` and :func:`lagrangian_from_graph` read the
@@ -76,7 +81,8 @@ class HermitianSymplecticSpace:
     read on every call; the three algebraic invariants are measured by
     :func:`validate_space`.  A product of two spaces (:func:`direct_sum`, and
     the flipped product of a bordism) is not constructed from its matrices:
-    it takes its factor and the factor's inverse from its factors' blocks.
+    it takes its factor, the factor's inverse and its whitened ``gamma`` from
+    its factors' blocks.
 
     Dimension zero is allowed and carries the unique empty Lagrangian.
 
@@ -106,14 +112,15 @@ class HermitianSymplecticSpace:
             upper = adjoint(linalg.cholesky(gram))
         except np.linalg.LinAlgError:
             raise SpaceValidationError("gram must be positive definite") from None
-        self._set_fields(gram, gamma, self.tol, upper)
+        self._set_fields(_frozen(gram), _frozen(gamma), self.tol, _frozen(upper))
 
     def _set_fields(self, gram, gamma, tol, upper) -> None:
-        """The stored fields of a checked space, and the derived ones every pass reads."""
-        object.__setattr__(self, "gram", _frozen(gram))
-        object.__setattr__(self, "gamma", _frozen(gamma))
+        """The stored fields of a checked space, from read-only arrays it owns,
+        and the derived ones every pass reads."""
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "_upper", _frozen(upper))
+        object.__setattr__(self, "_upper", upper)
         object.__setattr__(self, "dim", gram.shape[-1])
         object.__setattr__(self, "half_dim", gram.shape[-1] // 2)
 
@@ -218,10 +225,24 @@ def _raise_at_first(bad, error: type, describe) -> None:
     raise error(describe if isinstance(describe, str) else describe(j)) from None
 
 
+def _per_item(space, figure, worst=np.maximum):
+    """``figure`` with one entry per item of ``space``: on a stack of spaces, a
+    ``(T, 2)`` figure, one per side of the pairs of
+    :func:`~hermsymp.maslov.m_stack`, is reduced over the sides by ``worst``
+    (``np.maximum``, or ``np.minimum`` for a figure that fails low)."""
+    if space._upper.ndim == 3 and figure.ndim == 2:
+        return worst.reduce(figure, axis=-1)
+    return figure
+
+
 def _split(space) -> np.ndarray:
     """The k/k split of a space, or of each space of a stack, into the +i and
-    -i eigenspaces of ``gamma_w``: the whitened eigenvectors of ``i gamma_w``,
-    those of eigenvalue -1 (+i) first, then those of +1 (-i)."""
+    -i eigenspaces of ``gamma_w``: the whitened eigenvectors ``E`` of
+    ``i gamma_w``, those of eigenvalue -1 (+i) first, then those of +1 (-i).
+
+    One product checks both halves: the plus and minus residuals are the
+    largest entries of the first and last k columns of
+    ``gamma_w E - E diag(i 1_k, -i 1_k)``."""
     k, gamma_w = space.half_dim, space._gamma_w
     evals, evecs = space._igamma
     counts = np.stack([(evals < 0).sum(axis=-1), (evals > 0).sum(axis=-1)], axis=-1)
@@ -231,12 +252,12 @@ def _split(space) -> np.ndarray:
         lambda j: "eigenspace dimensions ({}, {}) differ from ".format(*counts[j])
         + f"({k}, {k}); the space does not split evenly into +i/-i eigenspaces",
     )
-    plus, minus = evecs[..., :k], evecs[..., k:]
+    off = np.abs(gamma_w @ evecs - evecs * np.repeat([1j, -1j], k))
     residuals = np.stack(
         [
-            max_abs(gamma_w @ plus - 1j * plus),
-            max_abs(gamma_w @ minus + 1j * minus),
-            max_abs(adjoint(plus) @ minus),
+            off[..., :k].max(axis=(-2, -1), initial=0.0),
+            off[..., k:].max(axis=(-2, -1), initial=0.0),
+            max_abs(adjoint(evecs[..., :k]) @ evecs[..., k:]),
         ],
         axis=-1,
     )
@@ -251,14 +272,19 @@ def _split(space) -> np.ndarray:
 
 def _check_span(space, kept, q_w, gamma_q_w) -> None:
     """A span is Lagrangian: it has ``kept`` = k independent columns, and omega
-    ``q_w^H gamma_q_w`` vanishes on its orthonormal whitened basis ``q_w``."""
+    ``q_w^H gamma_q_w`` vanishes on its orthonormal whitened basis ``q_w``.
+
+    On a stack of spaces, both sides of a pair may come as one ``(T, 2, n, k)``
+    stack: each item's figures are then its worse side's."""
     k = space.half_dim
+    # a side of a pair has k columns, so it keeps at most k: the fewer decides
+    kept = _per_item(space, kept, np.minimum)
     _raise_at_first(
         kept != k,
         LagrangianValidationError,
         lambda j: f"basis spans dimension {kept[j]}, expected {k}",
     )
-    residual = max_abs(adjoint(q_w) @ gamma_q_w)
+    residual = _per_item(space, max_abs(adjoint(q_w) @ gamma_q_w))
     _raise_at_first(
         space._exceeds_alg(residual),
         LagrangianValidationError,
@@ -269,19 +295,34 @@ def _check_span(space, kept, q_w, gamma_q_w) -> None:
 def _graph_map(space, frame, q_w) -> np.ndarray:
     """The unitary ``phi = c a^-1`` whose graph is a Lagrangian, or each of a stack:
     ``a`` and ``c`` are the products of the +i and the -i half of the whitened
-    orthonormal ``frame`` with the whitened basis ``q_w = U basis``."""
-    k = space.half_dim
+    orthonormal ``frame`` with the whitened basis ``q_w = U basis``.  On a
+    stack of spaces, ``q_w`` may hold both sides of each pair, ``(T, 2, n, k)``
+    against the frames ``(T, 1, n, n)``, and the checks take each item's worse side.
+
+    ``a`` must not be singular: its smallest singular value must exceed
+    ``tol.rank``.  Its Gram block decides that without an SVD where it can:
+    by Weyl's inequality ``sigma_min(a)^2 >= 1/2 - k max|a^H a - I/2|``, at
+    least 1/4 when ``k max|a^H a - I/2| <= 1/4``, and then the check cannot
+    fail while ``tol.rank < 1/2``.  On a valid Lagrangian ``a^H a`` is close to
+    ``I/2``, since ``[a; c]`` has orthonormal columns and omega vanishes on
+    them, ``a^H a - c^H c = 0``; the bound holds for any input.  Where it is
+    inconclusive on some item, the SVD decides, and its value is quoted.
+    """
+    k, tol = space.half_dim, space.tol
     coords = adjoint(frame) @ q_w
     a, c = coords[..., :k, :], coords[..., k:, :]
-    s_min = linalg.singular_values(a).min(axis=-1, initial=np.inf)
-    _raise_at_first(
-        s_min <= space.tol.rank,
-        LagrangianValidationError,
-        lambda j: "projection onto the +i eigenspace is singular; input is not a "
-        f"valid Lagrangian (smallest singular value {s_min[j]:.3e})",
-    )
+    gram_off = adjoint(a) @ a - 0.5 * space._identity
+    if not (tol.rank < 0.5 and (k * max_abs(gram_off) <= 0.25).all()):
+        s_min = linalg.singular_values(a).min(axis=-1, initial=np.inf)
+        s_min = _per_item(space, s_min, np.minimum)
+        _raise_at_first(
+            s_min <= tol.rank,
+            LagrangianValidationError,
+            lambda j: "projection onto the +i eigenspace is singular; input is not a "
+            f"valid Lagrangian (smallest singular value {s_min[j]:.3e})",
+        )
     phi = c @ linalg.inv(a)
-    residual = max_abs(adjoint(phi) @ phi - space._identity)
+    residual = _per_item(space, max_abs(adjoint(phi) @ phi - space._identity))
     _raise_at_first(
         space._exceeds_alg(residual),
         LagrangianValidationError,
@@ -355,37 +396,51 @@ def negated(space: HermitianSymplecticSpace) -> HermitianSymplecticSpace:
 
 
 def _block_sum(
-    a: HermitianSymplecticSpace, b: HermitianSymplecticSpace, gamma_a: np.ndarray
+    a: HermitianSymplecticSpace, b: HermitianSymplecticSpace, sign: int
 ) -> HermitianSymplecticSpace:
-    """The space ``(a.gram (+) b.gram, gamma_a (+) b.gamma)`` in its factors' frames.
+    """The space ``(a.gram (+) b.gram, sign a.gamma (+) b.gamma)`` in its factors' frames.
 
-    ``gamma_a`` is ``a.gamma`` or ``-a.gamma``.  The Cholesky factor and its
-    inverse are the block diagonals of the factors' ``U`` and ``U^-1`` (each
-    factor inverts its own once), so the product makes no ``cholesky`` or
-    ``inv`` call of its own; the checks a construction would repeat (finite
-    entries, Hermitian and positive-definite gram) hold exactly for a block
-    diagonal of checked spaces.  The factors' tolerances must agree.
+    ``sign`` is 1, or -1 for the flipped product of a bordism.  The Cholesky
+    factor, its inverse and the whitened ``gamma_w`` are the block diagonals of
+    the factors' (each factor computes its own once), so the product makes no
+    ``cholesky``, ``inv`` or ``solve`` call of its own; the checks a
+    construction would repeat (finite entries, Hermitian and positive-definite
+    gram) hold exactly for a block diagonal of checked spaces.  The factors'
+    tolerances must agree.
     """
     if a.tol != b.tol:
         raise ValidationError("operands carry different tolerances")
-    space = object.__new__(HermitianSymplecticSpace)
-    space._set_fields(
-        linalg.block_diag(a.gram, b.gram),
-        linalg.block_diag(gamma_a, b.gamma),
-        a.tol,
-        linalg.block_diag(a._upper, b._upper),
+    gamma_a, gamma_w_a = (a.gamma, a._gamma_w) if sign > 0 else (-a.gamma, -a._gamma_w)
+    gram, gamma, upper, upper_inv, gamma_w = _block_diags(
+        (a.gram, gamma_a, a._upper, a._upper_inv, gamma_w_a),
+        (b.gram, b.gamma, b._upper, b._upper_inv, b._gamma_w),
     )
-    # seeds the cached property
-    space.__dict__["_upper_inv"] = linalg.block_diag(a._upper_inv, b._upper_inv)
+    space = object.__new__(HermitianSymplecticSpace)
+    space._set_fields(gram, gamma, a.tol, upper)
+    # seeds the cached properties
+    space.__dict__["_upper_inv"] = upper_inv
+    space.__dict__["_gamma_w"] = gamma_w
     return space
+
+
+def _block_diags(a_blocks, b_blocks) -> np.ndarray:
+    """The block diagonals ``a_j (+) b_j`` of two sequences of square complex
+    matrices, as one fresh read-only array: one zero fill, and no copy after."""
+    na, nb = a_blocks[0].shape[0], b_blocks[0].shape[0]
+    out = np.zeros((len(a_blocks), na + nb, na + nb), dtype=np.complex128)
+    out[:, :na, :na] = a_blocks
+    out[:, na:, na:] = b_blocks
+    out.setflags(write=False)
+    return out
 
 
 def direct_sum(
     a: HermitianSymplecticSpace, b: HermitianSymplecticSpace
 ) -> HermitianSymplecticSpace:
-    """``a (+) b`` in the factors' frames: its ``U`` and ``U^-1`` are their
-    block diagonals, so building it factorizes and inverts nothing."""
-    return _block_sum(a, b, a.gamma)
+    """``a (+) b`` in the factors' frames: its ``U``, ``U^-1`` and ``gamma_w``
+    are their block diagonals, so building it factorizes, inverts and solves
+    nothing."""
+    return _block_sum(a, b, 1)
 
 
 @dataclass(frozen=True)
@@ -506,14 +561,12 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
         raise LagrangianValidationError(
             f"basis must have {space.dim} rows, got shape {mat.shape}"
         )
-    upper = space._upper
-    q_w = gram_mgs(upper, mat, drop_tol=space.tol.rank)
+    q_w = gram_mgs(space._upper, mat, drop_tol=space.tol.rank)
     # a column with a non-finite entry is never kept
     if q_w.shape[1] < mat.shape[1] and not np.isfinite(mat).all():
         raise LagrangianValidationError("basis has non-finite entries")
-    q = space._upper_inv @ q_w
-    _check_span(space, np.intp(q.shape[1]), q_w, upper @ (space.gamma @ q))
-    return Lagrangian(space=space, basis=_frozen(q))
+    _check_span(space, np.intp(q_w.shape[1]), q_w, space._gamma_w @ q_w)
+    return Lagrangian(space=space, basis=_frozen(space._upper_inv @ q_w))
 
 
 def gamma_image(lagr: Lagrangian) -> Lagrangian:

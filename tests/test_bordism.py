@@ -282,6 +282,23 @@ def test_prebuilt_factors_leave_compose_and_gluing_without_factorizations(rng, m
     assert (len(cholesky), len(inv)) == (1, 1)
 
 
+def test_prebuilt_factors_leave_compose_and_gluing_without_a_solve(rng, monkeypatch):
+    # Product spaces also take gamma_w = U gamma U^-1 from their factors'
+    # blocks, which their Lagrangians' omega check reads.
+    h0 = sampling.random_space(2, rng)
+    h1 = sampling.random_space(1, rng)
+    rel1 = sampling.random_bordism_relation(h0, h1, rng)
+    rel2 = sampling.random_bordism_relation(h1, h0, rng)
+    w = sampling.random_lagrangian(h0, rng)
+    solve = _counted(monkeypatch, linalg.solve)
+    bordism.compose(rel1, rel2)
+    bordism.glued_boundary_lagrangian(w, rel1)
+    assert len(solve) == 0
+    # the control: a space built from matrices solves for its gamma_w
+    hs.HermitianSymplecticSpace(h0.gram, h0.gamma)._gamma_w
+    assert len(solve) == 1
+
+
 def _oracle_reduce(rel, w):
     """Reduction through the null space of ``[q_w | -b]``: the intersection of
     the whitened span of W with that of the graph's source parts."""

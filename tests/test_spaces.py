@@ -19,7 +19,13 @@ from hermsymp.errors import (
     ValidationError,
 )
 from hermsymp.linalg import gram_mgs
-from hermsymp.spaces import _intersection_dim, _phase_fixed, _principal_sines, _split
+from hermsymp.spaces import (
+    _graph_map,
+    _intersection_dim,
+    _phase_fixed,
+    _principal_sines,
+    _split,
+)
 from hermsymp.torus import TorusModel
 
 
@@ -132,6 +138,27 @@ def unpinnable_space():
     gamma = np.linalg.solve(upper, hs.standard_space(2).gamma @ upper)
     space = hs.HermitianSymplecticSpace(upper.T @ upper, gamma, hs.Tolerances(rank=1e-2))
     return space, np.linalg.inv(upper)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_split_residuals_are_each_halfs_own(rng, k):
+    # gamma off by 1e-6 fails the split; the message quotes the residual of
+    # each half, read from one product, and of the cross block
+    space = sampling.random_space(k, rng)
+    noise = rng.standard_normal(space.gamma.shape) + 1j * rng.standard_normal(space.gamma.shape)
+    space = hs.HermitianSymplecticSpace(space.gram, space.gamma + 1e-6 * noise)
+    with pytest.raises(EigensplitError) as exc:
+        _split(space)
+    gamma_w, evecs = space._gamma_w, space._igamma[1]
+    plus, minus = evecs[:, :k], evecs[:, k:]
+    expected = [
+        linalg.max_abs(gamma_w @ plus - 1j * plus),
+        linalg.max_abs(gamma_w @ minus + 1j * minus),
+        linalg.max_abs(plus.conj().T @ minus),
+    ]
+    quoted = [float(x) for x in re.findall(r"=(\S+)", str(exc.value))]
+    assert np.allclose(quoted, expected, rtol=1e-3, atol=0.0)
+    assert abs(quoted[0] - quoted[1]) > 1e-3 * quoted[0]  # the halves differ
 
 
 def test_eigensplit_raises_unless_each_pinned_basis_has_k_columns():
@@ -332,6 +359,112 @@ def test_plus_projection_is_isometry_up_to_sqrt2(rng):
     lagr = sampling.random_lagrangian(space, rng)
     a = split.plus_basis.conj().T @ space.gram @ lagr.basis
     assert np.max(np.abs(a.conj().T @ a - np.eye(3) / 2.0)) < 1e-12
+
+
+def svd_graph_map(space, frame, q_w):
+    """``_graph_map`` with the SVD on every call, as it was before its Gram-block
+    bound: the same checks, thresholds and messages."""
+    k = space.half_dim
+    coords = frame.conj().T @ q_w
+    a, c = coords[:k], coords[k:]
+    s_min = np.linalg.svd(a, compute_uv=False).min(initial=np.inf)
+    if s_min <= space.tol.rank:
+        raise LagrangianValidationError(
+            "projection onto the +i eigenspace is singular; input is not a "
+            f"valid Lagrangian (smallest singular value {s_min:.3e})"
+        )
+    phi = c @ np.linalg.inv(a)
+    residual = linalg.max_abs(phi.conj().T @ phi - np.eye(k))
+    if space._exceeds_alg(residual):
+        raise LagrangianValidationError(f"graph map is not unitary: residual {residual:.3e}")
+    return phi
+
+
+def _outcome(graph_map, space, frame, basis):
+    """The map's bytes, or the class and message of what it raises."""
+    try:
+        return graph_map(space, frame, space._upper @ basis).tobytes()
+    except hs.HermsympError as exc:
+        return type(exc), str(exc)
+
+
+def _frames(space):
+    """The frames of the pair invariants (the split's eigenvectors) and of
+    :func:`phi_of` (the pinned bases, whitened)."""
+    split = hs.eigensplit(space)
+    return space._evecs, space._upper @ np.hstack([split.plus_basis, split.minus_basis])
+
+
+def plus_block_basis(space, sigma, rng):
+    """A raw basis whose whitened columns ``E+ a + E- c`` are orthonormal, the
+    +i block ``a`` with singular values ``sigma``: a Lagrangian when each is
+    ``1/sqrt(2)``, and otherwise a span omega does not vanish on."""
+    k, evecs = space.half_dim, space._evecs
+    left, right, other = (sampling.random_unitary(k, rng) for _ in range(3))
+    sigma = np.asarray(sigma, dtype=float)
+    a = left @ np.diag(sigma) @ right
+    c = other @ np.diag(np.sqrt(1.0 - sigma**2)) @ right
+    return space._upper_inv @ (evecs[:, :k] @ a + evecs[:, k:] @ c)
+
+
+def _graph_map_cases(rng):
+    """``(space, basis, expected)`` of random and of directly built Lagrangians,
+    ``expected`` the bound's verdict: True where it clears the SVD, False
+    where the SVD must run."""
+    for k in (1, 2, 4, 8, 16):
+        for spread in (4.0, 1e3, 1e6):
+            space = sampling.random_space(k, rng, spread=spread)
+            for _ in range(3):
+                yield space, sampling.random_lagrangian(space, rng).basis, True
+            basis = sampling.random_lagrangian(space, rng).basis
+            yield space, 1e-12 * basis, False
+            singular = basis.copy()
+            singular[:, 0] = hs.eigensplit(space).minus_basis[:, 0]
+            yield space, singular, False
+            for factor in (0.5, 2.0):
+                sigma = [factor * space.tol.rank] + [0.5**0.5] * (k - 1)
+                yield space, plus_block_basis(space, sigma, rng), False
+
+
+def test_graph_map_bound_gives_the_svds_verdict(rng, monkeypatch):
+    # Where k max|a^H a - I/2| <= 1/4, sigma_min(a) >= 1/2 by Weyl's
+    # inequality and the SVD is skipped; every other case runs it.  Both
+    # routes pass with the same map, or raise the same error and message.
+    calls = []
+    real = linalg.singular_values
+    monkeypatch.setattr(linalg, "singular_values", lambda a: calls.append(a) or real(a))
+    kinds = set()
+    for space, basis, cleared in _graph_map_cases(rng):
+        for frame in _frames(space):
+            before = len(calls)
+            got = _outcome(_graph_map, space, frame, basis)
+            assert got == _outcome(svd_graph_map, space, frame, basis)
+            assert (len(calls) == before) == cleared
+            kinds.add(got[1].split(";")[0].split(":")[0] if isinstance(got, tuple) else "map")
+    assert kinds == {
+        "map", "projection onto the +i eigenspace is singular", "graph map is not unitary"
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_a_rank_threshold_past_one_half_forces_the_svd(rng, monkeypatch, k):
+    # The bound proves sigma_min(a) >= 1/2 only; tol.rank = 0.6 needs the SVD
+    # to decide, even where the bound holds: at k = 1, sigma = 0.55 gives
+    # |a^H a - I/2| = 0.1975 <= 1/4, and the span fails, as the SVD says.
+    calls = []
+    real = linalg.singular_values
+    monkeypatch.setattr(linalg, "singular_values", lambda a: calls.append(a) or real(a))
+    # (The pinned split needs columns of norm past tol.rank in C^k, so only
+    # the eigenvector frame is built at this threshold.)
+    space = dataclasses.replace(sampling.random_space(k, rng), tol=hs.Tolerances(rank=0.6))
+    half = [0.5**0.5] * (k - 1)
+    cases = [plus_block_basis(space, [0.5**0.5] + half, rng) for _ in range(3)]
+    cases.append(plus_block_basis(space, [0.55] + half, rng))
+    for basis in cases:
+        got = _outcome(_graph_map, space, space._evecs, basis)
+        assert got == _outcome(svd_graph_map, space, space._evecs, basis)
+    assert len(calls) == len(cases)
+    assert isinstance(got, tuple) and "(smallest singular value 5.500e-01)" in got[1]
 
 
 def test_phi_of_gamma_image_flips_sign(rng):
@@ -539,6 +672,33 @@ def test_product_spaces_take_their_frames_from_the_factors(rng, spread):
             assert hs.same_space(prod, built)
             assert (prod.dim, prod.half_dim, prod.tol) == (built.dim, built.half_dim, built.tol)
             assert not (prod.gram.flags.writeable or prod.gamma.flags.writeable)
+
+
+@pytest.mark.parametrize("spread", [4.0, 1e3, 1e6])
+def test_product_spaces_seed_gamma_w_from_the_factors(rng, spread):
+    # gamma_w, the block diagonal of the factors' (negated in the first block
+    # of a flipped product), is U gamma U^-1 of the same block space, which a
+    # space built from the block matrices solves for: within the solve's own
+    # error scale, eps cond(U) times the largest entry of gamma
+    eps = np.finfo(float).eps
+    for k0, k1 in [(0, 2), (1, 1), (1, 3), (2, 2), (4, 1), (5, 5), (3, 0)]:
+        a = sampling.random_space(k0, rng, spread=spread)
+        b = sampling.random_space(k1, rng, spread=spread)
+        for prod, gamma_a in _products(a, b):
+            built = hs.HermitianSymplecticSpace(prod.gram, linalg.block_diag(gamma_a, b.gamma))
+            error = linalg.max_abs(prod._gamma_w - built._gamma_w)
+            assert error <= 10 * eps * prod._cond * linalg.max_abs(prod.gamma)
+            # all five blocks are read-only, without a copy of their own
+            for arr in (prod.gram, prod.gamma, prod._upper, prod._upper_inv, prod._gamma_w):
+                assert not arr.flags.writeable
+
+
+def test_a_space_keeps_copies_of_its_callers_arrays(rng):
+    space = sampling.random_space(2, rng)
+    gram, gamma = space.gram.copy(), space.gamma.copy()
+    built = hs.HermitianSymplecticSpace(gram, gamma)
+    gram[0, 0], gamma[0, 0] = 7.0, 7.0
+    assert hs.same_space(built, space)
 
 
 def test_condition_number_of_the_zero_space_is_one():

@@ -4,11 +4,13 @@
 raw bases, over the whitened-frame domain of ``test_whitened_frame``, and a
 bad item must raise the scalar route's error type with its index named.
 """
+import re
+
 import numpy as np
 import pytest
 
 import hermsymp as hs
-from hermsymp import maslov, sampling
+from hermsymp import linalg, maslov, sampling
 from hermsymp.linalg import span_qr
 from hermsymp.errors import (
     EigensplitError,
@@ -19,6 +21,7 @@ from hermsymp.errors import (
     SpaceValidationError,
 )
 from test_linalg import reference_mgs
+from test_spaces import plus_block_basis
 
 
 def scalar_m(gram, gamma, v_basis, w_basis, tol=hs.Tolerances()):
@@ -302,6 +305,70 @@ def assert_fails_like_scalar(columns, j, error, tol=hs.Tolerances()):
 @pytest.mark.parametrize("j", [0, 3])
 def test_bad_item_raises_the_scalar_error_with_its_index(rng, corrupt, error, j):
     assert_fails_like_scalar(corrupted(rng, corrupt, j), j, error)
+
+
+def w_rank_deficient(item, rng):
+    space, v, w = item
+    return space.gram, space.gamma, v, np.stack([w[:, 0], 2.0 * w[:, 0]], axis=1)
+
+
+def w_non_lagrangian(item, rng):
+    space, v, w = item
+    span = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
+    return space.gram, space.gamma, v, span
+
+
+def w_with_plus_block(sigma):
+    """W replaced by an orthonormal span whose +i block has singular values
+    ``sigma``: under ``tol.alg = 2`` omega passes on any orthonormal span, so
+    the graph map makes the first check that fails."""
+
+    def corrupt(item, rng):
+        space, v, w = item
+        return space.gram, space.gamma, v, plus_block_basis(space, sigma, rng)
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt,fragment,tol",
+    [
+        (w_rank_deficient, "basis spans dimension 1, expected 2", hs.Tolerances()),
+        (w_non_lagrangian, "symplectic form does not vanish on the span", hs.Tolerances()),
+        (w_with_plus_block([5e-9, 0.5**0.5]), "projection onto the +i eigenspace is singular",
+         hs.Tolerances(alg=2.0)),
+        (w_with_plus_block([0.05, 0.5**0.5]), "graph map is not unitary", hs.Tolerances(alg=2.0)),
+    ],
+)
+@pytest.mark.parametrize("j", [0, 3])
+def test_a_failing_w_alone_fails_the_side_stacked_check(rng, corrupt, fragment, tol, j):
+    # V and W pass each shared check as one stack; an item whose W alone
+    # fails must fail the check there, and the scalar loop then names it.
+    columns = corrupted(rng, corrupt, j)
+    with pytest.raises(LagrangianValidationError, match=re.escape(fragment)):
+        maslov._stacked_m(*columns, tol)
+    _, stacked = assert_fails_like_scalar(columns, j, LagrangianValidationError, tol)
+    assert str(stacked).startswith(f"item {j}: {fragment}")
+
+
+def test_a_passing_stack_makes_one_call_per_kernel(rng, monkeypatch):
+    # both sides in one graph-map pass: one inv, and no SVD, since the Gram
+    # blocks clear every +i block; one eigh of the split, one eigvals of the tail
+    counts = dict.fromkeys(["singular_values", "inv", "eigvals", "eigh"], 0)
+    for name in counts:
+        real = getattr(linalg, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    for spread in (4.0, 1e3):
+        for intersection in (0, 1):
+            _, columns = random_pairs(rng, 2, intersection, 8, spread)
+            counts.update(dict.fromkeys(counts, 0))
+            hs.m_stack(*columns)
+            assert counts == {"singular_values": 0, "inv": 1, "eigvals": 1, "eigh": 1}
 
 
 def assert_matches_the_scalar_loop(columns, j, tol=hs.Tolerances()):
