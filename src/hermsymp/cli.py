@@ -42,6 +42,10 @@ from .errors import (
 SWEEP_TOL = 1e-9
 
 
+class SweepMismatch(HermsympError):
+    """The torus sweep's closed form and generic route differ by ``SWEEP_TOL`` or more."""
+
+
 def _fmt(x: float) -> str:
     return "%.15g" % float(x)
 
@@ -157,24 +161,16 @@ def _cmd_torus_sweep(args) -> int:
     import numpy as np
 
     grid = np.linspace(args.t_min, args.t_max, args.steps)
-    result = torus.torus_m_sweep(args.a, args.b, args.A, args.B, grid)
+    result = torus.torus_m_sweep(args.a, args.b, args.A, args.B, grid, _tolerances(args))
     print("t,m_closed,m_generic,delta")
     for row in result.rows:
         print(
             f"{_fmt(row.t)},{_fmt(row.m_closed)},{_fmt(row.m_generic)},{_fmt(row.delta)}"
         )
     if result.max_delta >= SWEEP_TOL:
-        print(
-            json.dumps(
-                {
-                    "error": "SweepMismatch",
-                    "message": f"closed-form/generic delta {result.max_delta:.3e} "
-                    f"exceeds {SWEEP_TOL:.0e}",
-                }
-            ),
-            file=sys.stderr,
+        raise SweepMismatch(
+            f"closed-form/generic delta {result.max_delta:.3e} exceeds {SWEEP_TOL:.0e}"
         )
-        return 5
     return 0
 
 
@@ -309,6 +305,8 @@ def main(argv=None) -> int:
         return _fail(3, exc)
     except NonIntegerSum as exc:
         return _fail(4, exc)
+    except SweepMismatch as exc:
+        return _fail(5, exc)
     except HermsympError as exc:
         return _fail(2, exc)
 

@@ -22,13 +22,13 @@ Hermitian form on U + V + W.  :func:`triple_index` reads it from one
 ``eigvalsh`` of that form (:func:`_inertia`), an exact count with no split,
 graph map or rounding.  Where two of the Lagrangians nearly meet, the form has
 an eigenvalue near their principal-angle sine, half the pair's distance from
--1, so its null and ambiguity bands are the pair tail's, halved.
+-1, so its null and ambiguity bands are the pair kernel's, halved.
 
-Every pair invariant takes graph maps in the eigenvectors of the space's split
-and ends in one pair tail, which takes those of one pair or of a stack:
-:func:`m_details` runs it on one pair, :func:`eta_correction_rhs` on the 4
-pairs of its chain in one batch of LAPACK calls, beside one eigensolve of its
-two triples, and :func:`m_stack` on a stack of spaces and raw bases.
+Every pair invariant comes from one kernel, :func:`_pair_values`: one graph-map
+pass over a stack of whitened bases, in the eigenvectors of the space's split,
+then one ``eigvals`` over the pairs it names.  :func:`m_details` runs it on one
+pair, :func:`eta_correction_rhs` on the 4 pairs of its chain beside one
+eigensolve of its two triples, and :func:`m_stack` on a stack of spaces.
 ``m_stack``'s batch is only a fast path: when any of its checks fails, it is
 rerun as the loop of the scalar route that it stands for.
 """
@@ -77,15 +77,18 @@ class PairSpectrum:
     eigenvalues: tuple[complex, ...]
 
 
-def _pair_tail(space, phi_v, phi_w):
-    """``(value, count, eigenvalues)`` of one pair, or of each of a stack, from
-    the graph maps of V and W.
+def _pair_values(space, frame, q, first, second):
+    """``(value, count, eigenvalues)`` of the pairs ``(q[first], q[second])``
+    of a stack of whitened orthonormal bases ``q = U basis``, each mapped once
+    in one :func:`_graph_map` pass in ``frame``; ``first`` and ``second``
+    index the stack axis, as integers or as lists of equal length.
 
-    Eigenvalues of ``-phi_v phi_w*`` within ``tol.eig`` of -1 are excluded,
-    and their count is dim(V & W); one in ``(tol.eig, 100 tol.eig)`` raises.
-    No -0.0 value.
+    Eigenvalues of ``-phi[first] phi[second]*`` within ``tol.eig`` of -1 are
+    excluded, and their count is dim(V & W); one in ``(tol.eig, 100 tol.eig)``
+    raises.  No -0.0 value.
     """
-    eigs = linalg.eigvals(-phi_v @ adjoint(phi_w))
+    phi = _graph_map(space, frame, q)
+    eigs = linalg.eigvals(-phi[..., first, :, :] @ adjoint(phi[..., second, :, :]))
     tau = space.tol.eig
     dist = np.abs(eigs + 1.0)
     excluded = dist <= tau
@@ -104,21 +107,12 @@ def _pair_tail(space, phi_v, phi_w):
     return value, excluded.sum(axis=-1), eigs
 
 
-def _pair_values(space, q, pairs) -> np.ndarray:
-    """Pair invariants ``m(q[i], q[j])`` of a stack of whitened orthonormal
-    bases, for each ``(i, j)`` of ``pairs``, in one stacked pass that maps
-    each basis once."""
-    phi = _graph_map(space, space._evecs, q)
-    first, second = zip(*pairs)
-    return _pair_tail(space, phi[list(first)], phi[list(second)])[0]
-
-
 def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
     """Pair invariant of (V, W) with eigenvalues sorted by angle."""
     _require_same_space(v.space, w.space)
     space = v.space
-    phi_v, phi_w = (_graph_map(space, space._evecs, space._upper @ x.basis) for x in (v, w))
-    value, count, eigs = _pair_tail(space, phi_v, phi_w)
+    q = space._upper @ np.stack([v.basis, w.basis])
+    value, count, eigs = _pair_values(space, space._evecs, q, 0, 1)
     ordered = tuple(
         sorted(
             (complex(z) for z in eigs),
@@ -151,7 +145,7 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     :func:`~hermsymp.linalg.span_qr`, on k columns the verdict of
     :func:`~hermsymp.linalg.gram_mgs`) and omega on it, the k/k split, the
     graph maps in its eigenvectors, and the eigenvalue band at -1 of the pair
-    tail.  V and W go through each check together, as one ``(T, 2, n, k)``
+    kernel.  V and W go through each check together, as one ``(T, 2, n, k)``
     stack, in one span check and one graph-map pass.  That pass is only a
     fast path: if any check fails, the items are rerun in order through the
     scalar route, and its first failure is raised with the message prefixed
@@ -198,10 +192,8 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     # QR's signs.
     q, _, kept = span_qr(stack._upper[:, None], np.stack([v_basis, w_basis], axis=1), tol.rank)
     _check_span(stack, kept.sum(axis=-1), q, stack._gamma_w[:, None] @ q)
-    # the k/k split; the graph maps phi = c a^-1 of both sides in its
-    # eigenbases, in one pass; the pair spectrum
-    phi = _graph_map(stack, _split(stack)[:, None], q)
-    return _pair_tail(stack, phi[:, 0], phi[:, 1])[0]
+    # the k/k split, then both sides' graph maps and pair spectra in one pass
+    return _pair_values(stack, _split(stack)[:, None], q, 0, 1)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,7 +211,7 @@ def _inertia(space, q) -> np.ndarray:
     that ``x^H C x = 2 Re(omega(a, b) + omega(b, c) + omega(a, c))``.
 
     An eigenvalue within ``tol.eig/2`` of 0 is null, and one in
-    ``(tol.eig/2, 50 tol.eig)`` raises: the pair tail's bands, halved.
+    ``(tol.eig/2, 50 tol.eig)`` raises: the pair kernel's bands, halved.
     """
     mu = linalg.eigvalsh(adjoint(q) @ (space._gamma_w @ q) * _block_signs(q.shape[-1] // 3))
     tau = space.tol.eig / 2.0
@@ -282,7 +274,7 @@ def eta_correction_rhs(
     q = np.concatenate([q, gamma_q])
     first, second = _inertia(space, np.concatenate([q[[0, 4]], q[[1, 2]], q[[6, 3]]], axis=-1))
     integer = int(first - second)
-    m = _pair_values(space, q[:6], [(0, 1), (4, 2), (5, 3), (2, 3)]).tolist()
+    m = _pair_values(space, space._evecs, q[:6], [0, 4, 5, 2], [1, 2, 3, 3])[0].tolist()
     chain = m[0] - m[1] + m[2] - m[3]
     if abs(chain - integer) > space.tol.int:
         raise NonIntegerSum(

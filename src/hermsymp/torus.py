@@ -28,9 +28,9 @@ A :class:`TorusModel` space carries the default :class:`~hermsymp.spaces.Toleran
 Its eigensplitting is computed on first use and memoized on the space, so all
 Lagrangians of one model share it.  :func:`torus_m_sweep` builds no model: it
 stacks the matrices of a chunk of grid points and evaluates the generic route
-for all of them in one :func:`~hermsymp.maslov.m_stack` call, with the default
-tolerances and every check of the per-model route, and the closed form for
-the same chunk in one array pass.
+for all of them in one :func:`~hermsymp.maslov.m_stack` call, with the sweep's
+tolerances (the defaults unless given) and every check of the per-model route,
+and the closed form for the same chunk in one array pass.
 """
 from __future__ import annotations
 
@@ -73,7 +73,10 @@ def torus_gamma(t) -> np.ndarray:
 
 
 def _stretch(t) -> float:
-    value = float(t)
+    try:
+        value = float(t)
+    except (TypeError, ValueError, OverflowError):  # no float at all, or none in range
+        value = math.nan
     if not (value > 0.0 and math.isfinite(value)):
         raise ValidationError(f"stretch parameter must be positive, got {t!r}")
     return value
@@ -176,8 +179,11 @@ def _quotient(ar, ai, br, bi):
     return re, im
 
 
-def _closed_form(first: IntegerPairLagrangian, second: IntegerPairLagrangian, t: np.ndarray):
-    """:func:`torus_m_closed_form` at each stretch of the float array ``t``.
+def _closed_form(
+    first: IntegerPairLagrangian, second: IntegerPairLagrangian, t: np.ndarray, tol=Tolerances()
+):
+    """:func:`torus_m_closed_form` at each stretch of the float array ``t``,
+    with the branch point guarded by ``tol.eig``.
 
     The arithmetic of the scalar formula on Python complex numbers, done on
     real arrays in the same order, so each value is that formula's to the bit.
@@ -190,7 +196,7 @@ def _closed_form(first: IntegerPairLagrangian, second: IntegerPairLagrangian, t:
         return np.zeros(t.shape)
     # b and B are negated as integers: a zero entry stays +0.0, as in complex(-b, t * a)
     (a, b), (A, B) = (first.a, first.b), (second.a, second.b)
-    tau = Tolerances.eig
+    tau = tol.eig
     with np.errstate(all="ignore"):  # an overflow leaves a non-finite argument, raised below
         ta, tA = t * float(a), t * float(A)
         za_re, za_im = _quotient(float(b), ta, float(-b), ta)  # (i t a + b) / (i t a - b)
@@ -251,7 +257,9 @@ class SweepResult:
         return bool(values) and max(values) - min(values) > 1e-9
 
 
-def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
+def torus_m_sweep(
+    a: int, b: int, A: int, B: int, t_values, tol: Tolerances = Tolerances()
+) -> SweepResult:
     """Evaluate both computation routes of the invariant over a t grid.
 
     Each row carries the closed form and the generic spectral value; they
@@ -264,7 +272,8 @@ def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
     closed form on the chunk's stretches, bit for bit the value of
     :func:`torus_m_closed_form` at each, and the generic values from
     :func:`~hermsymp.maslov.m_stack` on the stacked torus matrices and line
-    bases.  The two stay independent computations.  A stretch that is not
+    bases, under ``tol``, whose ``eig`` also guards the closed form's branch
+    point.  The two stay independent computations.  A stretch that is not
     positive and finite raises :class:`ValidationError` before any point of
     its chunk is evaluated.  Past that check a failure raises what the
     per-point loop of the per-model route raises: the error at the first
@@ -277,16 +286,15 @@ def torus_m_sweep(a: int, b: int, A: int, B: int, t_values) -> SweepResult:
     values, rows = iter(t_values), []
     while chunk := [_stretch(t) for t in islice(values, SWEEP_CHUNK)]:
         t = np.array(chunk)
-        lines = (len(chunk),) + v.shape
+        bases = (np.broadcast_to(x, (len(chunk),) + x.shape) for x in (v, w))
         try:
-            generic = m_stack(
-                torus_gram(t), torus_gamma(t), np.broadcast_to(v, lines), np.broadcast_to(w, lines)
-            )
+            generic = m_stack(torus_gram(t), torus_gamma(t), *bases, tol)
         except HermsympError as exc:
             # a closed form failing at an earlier point raises first, as per point
-            _closed_form(first, second, t[: exc.item])
+            _closed_form(first, second, t[: exc.item], tol)
             error = type(exc)(f"torus sweep chunk from grid point {len(rows)}, {exc}")
             error.item = len(rows) + exc.item
             raise error from None
-        rows.extend(map(SweepRow, chunk, _closed_form(first, second, t).tolist(), generic.tolist()))
+        closed = _closed_form(first, second, t, tol)
+        rows.extend(map(SweepRow, chunk, closed.tolist(), generic.tolist()))
     return SweepResult(rows=tuple(rows))

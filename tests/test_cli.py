@@ -375,6 +375,23 @@ def test_torus_sweep_past_the_double_range_writes_one_json_error(argv, error):
     assert error in json.loads(out.stderr)["message"]
 
 
+def test_torus_sweep_takes_the_tolerance_flags(capsys):
+    # the +i projection of each line has smallest singular value 1/sqrt(2),
+    # which a rank threshold of 0.9 rejects, as m_stack does under it
+    code, out, err = run_cli(
+        capsys, ["--tol-rank", "0.9", "torus-sweep", "1", "1", "1", "0", "0.5", "2", "2"]
+    )
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "LagrangianValidationError"
+    assert "smallest singular value 7.071e-01" in error["message"]
+    # a tolerance flag fails like any other command's
+    argv = ["--tol-alg", "inf", "torus-sweep", "1", "1", "1", "0", "1", "1", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "tolerance alg must be finite and positive" in json.loads(err)["message"]
+
+
 def test_sweep_mismatch_exits_5(capsys, monkeypatch):
     rows = (SweepRow(t=1.0, m_closed=0.0, m_generic=1e-3),)
 

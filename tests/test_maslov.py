@@ -329,9 +329,9 @@ def test_eta_correction_evaluates_each_distinct_pair_once(rng, monkeypatch):
     passes = []
     real_pair_values = maslov._pair_values
 
-    def recording(space, q, pairs):
-        passes.append((q, pairs))
-        return real_pair_values(space, q, pairs)
+    def recording(space, frame, q, first, second):
+        passes.append((q, list(zip(first, second))))
+        return real_pair_values(space, frame, q, first, second)
 
     monkeypatch.setattr(maslov, "_pair_values", recording)
     assert hs.eta_correction_rhs(vx, vy, wx, wy) == expected
@@ -632,9 +632,10 @@ def test_stacked_pairs_are_bit_identical_to_m_invariant(k, monkeypatch):
     passes = []
     real_pair_values = maslov._pair_values
 
-    def recording(space, q, pairs):
-        passes.append((q, real_pair_values(space, q, pairs)))
-        return passes[-1][1]
+    def recording(space, frame, q, first, second):
+        result = real_pair_values(space, frame, q, first, second)
+        passes.append((q, result[0]))
+        return result
 
     monkeypatch.setattr(maslov, "_pair_values", recording)
     hs.triple_index(*fresh()[:3])
@@ -659,10 +660,10 @@ def test_triple_and_correction_make_one_batch_of_lapack_calls(rng, monkeypatch):
     hs.eigensplit(space)
     lagrangians = [sampling.random_lagrangian(space, rng) for _ in range(4)]
     fresh = [hs.lagrangian_from_basis(space, x.basis) for x in lagrangians]
-    counts = {"eigvals": 0, "svd": 0, "eigvalsh": 0}
+    counts = {"eigvals": 0, "svd": 0, "eigvalsh": 0, "inv": 0}
     # the LAPACK functions of hermsymp.linalg, through which every route calls
     for name, function in (("eigvals", "eigvals"), ("svd", "singular_values"),
-                           ("eigvalsh", "eigvalsh")):
+                           ("eigvalsh", "eigvalsh"), ("inv", "inv")):
         real = getattr(linalg, function)
 
         def counting(*args, _real=real, _name=name, **kwargs):
@@ -672,11 +673,14 @@ def test_triple_and_correction_make_one_batch_of_lapack_calls(rng, monkeypatch):
         monkeypatch.setattr(linalg, function, counting)
     hs.triple_index(*fresh[:3])
     # one eigvalsh of the Kashiwara form, and no pair spectrum or graph map
-    assert counts == {"eigvals": 0, "svd": 0, "eigvalsh": 1}
+    assert counts == {"eigvals": 0, "svd": 0, "eigvalsh": 1, "inv": 0}
     hs.eta_correction_rhs(*fresh)
-    # one eigvalsh for both triples, one eigvals for the 4 pair spectra, and
-    # no svd: the graph maps' Gram block clears their 6 bases
-    assert counts == {"eigvals": 1, "svd": 0, "eigvalsh": 2}
+    # one eigvalsh for both triples, one eigvals for the 4 pair spectra, one
+    # inv for the 6 graph maps, and no svd: their Gram block clears the bases
+    assert counts == {"eigvals": 1, "svd": 0, "eigvalsh": 2, "inv": 1}
+    hs.m_details(*fresh[:2])
+    # both sides of one pair in one graph-map pass: one inv, one eigvals
+    assert counts == {"eigvals": 2, "svd": 0, "eigvalsh": 2, "inv": 2}
 
 
 def test_different_spaces_rejected(rng):

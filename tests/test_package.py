@@ -1,7 +1,8 @@
 """The package surface: every exported name resolves, lazily, to its home module;
-and the test configuration of pyproject.toml."""
+the test configuration of pyproject.toml; and the size README states."""
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -126,3 +127,12 @@ def test_a_failing_hypothesis_test_fails_only_itself(tmp_path):
     )
     assert out.returncode == 1, out.stdout + out.stderr
     assert "1 failed, 1 passed" in out.stdout
+
+
+def test_readme_states_the_source_line_count():
+    # README gives the size of src/hermsymp, the total of its modules as wc -l
+    # counts them, so that the figure moves with the code
+    root = pathlib.Path(__file__).parents[1]
+    total = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "hermsymp").glob("*.py"))
+    stated = re.findall(r"`src/hermsymp` has (\d+) lines", (root / "README.md").read_text())
+    assert stated == [str(total)]

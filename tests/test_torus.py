@@ -234,10 +234,27 @@ def test_sweep_of_empty_grid():
     assert torus_m_sweep(1, 1, 1, 0, np.array([])).rows == ()
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+# values with no float (float() raises TypeError or ValueError), one past the
+# double range (OverflowError), and a 2-D array entry
+NO_FLOAT = [
+    pytest.param(None, id="None"), pytest.param(1j, id="complex"), pytest.param("x", id="str"),
+    pytest.param(10**400, id="int-past-double-range"),
+    pytest.param(np.ones((2, 2)), id="2d-array"),
+]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, *NO_FLOAT])
 def test_sweep_rejects_bad_stretch(bad):
     with pytest.raises(ValidationError, match="stretch parameter must be positive"):
         torus_m_sweep(1, 1, 1, 0, [0.5, bad, 2.0])
+
+
+@pytest.mark.parametrize("bad", NO_FLOAT)
+def test_model_and_closed_form_reject_a_stretch_with_no_float(bad):
+    with pytest.raises(ValidationError, match="stretch parameter must be positive"):
+        TorusModel(bad)
+    with pytest.raises(ValidationError, match="stretch parameter must be positive"):
+        torus_m_closed_form(1, 2, 3, 4, bad)
 
 
 def test_sweep_takes_any_iterable_and_keeps_each_t():
@@ -400,9 +417,9 @@ def test_closed_form_is_the_scalar_formula_to_the_bit_where_it_fails():
 def test_sweep_evaluates_the_closed_form_once_per_chunk(monkeypatch):
     shapes = []
 
-    def recording(first, second, t):
+    def recording(first, second, t, tol):
         shapes.append(t.shape)
-        return closed_form(first, second, t)
+        return closed_form(first, second, t, tol)
 
     def per_point(*args):
         raise AssertionError("the sweep called the per-point closed form")

@@ -148,14 +148,14 @@ def test_each_shared_check_has_one_implementation():
     # The scalar route and m_stack make each of these checks through one
     # function, so each message is worded at one site, in a function that
     # both the kernel and a scalar function call, directly or through the
-    # pair tail that every route calls.
+    # pair kernel that every route calls.
     sites, callers = _message_sites_and_calls()
     for fragment in SHARED_CHECKS:
         owners = [scope for text, scope in sites if fragment in text]
         assert len(owners) == 1, (fragment, owners)
         users = callers.get(owners[0].split(".")[1], set())
-        if owners[0] == "maslov._pair_tail" or "maslov._pair_tail" in users:
-            users = users - {"maslov._pair_tail"} | callers["_pair_tail"]
+        if owners[0] == "maslov._pair_values" or "maslov._pair_values" in users:
+            users = users - {"maslov._pair_values"} | callers["_pair_values"]
         assert "maslov._stacked_m" in users, (fragment, owners, users)
         assert users - {"maslov._stacked_m"}, (fragment, owners, users)
 
