@@ -29,7 +29,6 @@ from .errors import (
     LagrangianValidationError,
     NonIntegerSum,
     OutOfArc,
-    RankAmbiguity,
     SpaceValidationError,
     Tolerances,
     ValidationError,

@@ -34,11 +34,6 @@ class EigensplitError(HermsympError):
     """The +i/-i eigenspaces could not be separated or are unbalanced."""
 
 
-class RankAmbiguity(HermsympError):
-    """A singular value fell inside the guard band around the rank threshold;
-    the rank decision is numerically unsafe and the caller must decide."""
-
-
 class EigenvalueAmbiguity(HermsympError):
     """An eigenvalue lies too close to -1 to classify, or one of a Kashiwara
     form too close to 0.  The pair invariant is genuinely discontinuous across
@@ -71,8 +66,9 @@ class Tolerances:
     ``rank`` whitened singular values of rank decisions, ``eig`` the distance
     at which an eigenvalue counts as -1, and ``int`` the integrality guard.
     Problems handled here are tiny (dims below ~50), so double precision leaves
-    wide margins around each default.  Every field must be finite and positive;
-    any other value raises :class:`ValidationError` naming the field.
+    wide margins around each default.  Each field is stored as a float, which
+    must be finite and positive; any other value, or one with no float, raises
+    :class:`ValidationError` naming the field.
     """
 
     alg: float = 1e-10
@@ -82,8 +78,18 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not 0.0 < value < math.inf:
-                raise ValidationError(
-                    f"tolerance {field.name} must be finite and positive, got {value!r}"
-                )
+            rule = f"tolerance {field.name} must be finite and positive"
+            object.__setattr__(self, field.name, _positive_float(getattr(self, field.name), rule))
+
+
+def _positive_float(value, rule: str) -> float:
+    """``float(value)`` if it is finite and positive, else :class:`ValidationError`
+    worded ``rule``.  A value with no float is named by its type: the ``repr``
+    of an integer past 4300 digits raises."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):  # no float at all, or none in range
+        raise ValidationError(f"{rule}, got {type(value).__name__} with no float value") from None
+    if not 0.0 < number < math.inf:
+        raise ValidationError(f"{rule}, got {number!r}")
+    return number

@@ -13,8 +13,8 @@ within ``tol.eig`` of it are excluded, and their count is dim(V & W).  The
 invariant is genuinely discontinuous where an eigenvalue crosses -1, so
 eigenvalues too close to the branch point (but not close enough to exclude)
 raise :class:`~hermsymp.errors.EigenvalueAmbiguity` rather than returning a
-meaningless value.  The tests check the identity against the principal-angle
-sines of :func:`~hermsymp.spaces.intersection_dim`.
+meaningless value.  :func:`~hermsymp.spaces.intersection_dim` reads this
+count too; the tests check it against a rank decision on both whitened bases.
 
 The triple index ``m(U,V) + m(V,W) + m(W,U)`` is an integer depending only on
 the underlying symplectic form: the Kashiwara-Wall index, the signature of one

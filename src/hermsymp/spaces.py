@@ -53,7 +53,6 @@ from . import linalg
 from .errors import (
     EigensplitError,
     LagrangianValidationError,
-    RankAmbiguity,
     SpaceValidationError,
     Tolerances,
     ValidationError,
@@ -337,25 +336,6 @@ def _principal_sines(q_v, q_w):
     return linalg.singular_values(q_w - q_v @ (adjoint(q_v) @ q_w))
 
 
-def _intersection_dim(space, q_v, q_w):
-    """dim(V & W) from the whitened orthonormal bases of both Lagrangians,
-    with the rank guard band ``(tol.rank/10, 10 tol.rank)`` on the singular
-    values of ``[q_v | q_w]``: ``sqrt(1 + cos)`` and ``sin / sqrt(1 + cos)``
-    of the k principal angles, from their sines without a 2k x 2k SVD."""
-    tau = space.tol.rank
-    sin = _principal_sines(q_v, q_w)
-    large = np.sqrt(1.0 + np.sqrt(np.maximum((1.0 - sin) * (1.0 + sin), 0.0)))
-    s = np.concatenate([large[..., ::-1], sin / large], axis=-1)
-    in_band = (s > tau / 10.0) & (s < tau * 10.0)
-    _raise_at_first(
-        in_band.any(axis=-1),
-        RankAmbiguity,
-        lambda j: f"singular value {s[j][in_band[j]][0]:.3e} inside the rank guard "
-        f"band around {tau:.0e}",
-    )
-    return space.dim - (s > tau).sum(axis=-1)
-
-
 def same_space(a: HermitianSymplecticSpace, b: HermitianSymplecticSpace) -> bool:
     return a is b or (
         a.dim == b.dim
@@ -575,19 +555,17 @@ def gamma_image(lagr: Lagrangian) -> Lagrangian:
 
 
 def intersection_dim(v: Lagrangian, w: Lagrangian) -> int:
-    """dim(V & W) as ``dim - rank(U [basis_V | basis_W])``, ``U`` the space's Cholesky factor.
+    """dim(V & W): the count of eigenvalues of ``-phi_V phi_W*`` within
+    ``tol.eig`` of -1, as :func:`~hermsymp.maslov.m_details` decides it.
 
-    Its singular values come from the principal-angle sines of the two
-    whitened bases.  Raises :class:`RankAmbiguity` when one falls inside the
-    guard band ``(tol.rank/10, 10 tol.rank)`` of the space's tolerances, where
-    the rank decision would be numerically arbitrary.  The pair invariant
-    decides dim(V & W) apart from this, by its eigenvalues within ``tol.eig``
-    of -1 (:class:`~hermsymp.maslov.PairSpectrum`).  Those lie twice these
-    sines from -1, so outside both bands the two counts agree, as the tests
-    check.
+    Each eigenvalue lies twice a principal-angle sine of V and W from -1.
+    Raises :class:`~hermsymp.errors.EigenvalueAmbiguity` when one lies in
+    ``(tol.eig, 100 tol.eig)`` from -1, and fails where the split of the space
+    fails.
     """
-    _require_same_space(v.space, w.space)
-    return int(_intersection_dim(v.space, *(v.space._upper @ x.basis for x in (v, w))))
+    from .maslov import m_details  # maslov imports this module
+
+    return m_details(v, w).intersection_dim
 
 
 def phi_of(lagr: Lagrangian) -> np.ndarray:

@@ -42,7 +42,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import BranchCut, HermsympError, ValidationError
+from .errors import BranchCut, HermsympError, ValidationError, _positive_float
 from .maslov import m_stack
 from .spaces import HermitianSymplecticSpace, Lagrangian, Tolerances, lagrangian_from_basis
 
@@ -73,13 +73,7 @@ def torus_gamma(t) -> np.ndarray:
 
 
 def _stretch(t) -> float:
-    try:
-        value = float(t)
-    except (TypeError, ValueError, OverflowError):  # no float at all, or none in range
-        value = math.nan
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValidationError(f"stretch parameter must be positive, got {t!r}")
-    return value
+    return _positive_float(t, "stretch parameter must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
-"""Every error type is raised somewhere in the package and exported."""
+"""Every error type is raised somewhere in the package and exported, and
+every one README names exists."""
 import ast
 import pathlib
+import re
 
 import hermsymp as hs
 from hermsymp import errors
@@ -50,6 +52,17 @@ def test_every_error_type_is_raised_and_exported():
     assert "ValidationError" in types
     assert sorted(types - _raised_names()) == []
     assert sorted(n for n in types if getattr(hs, n, None) is not getattr(errors, n)) == []
+
+
+def test_every_error_readme_names_is_exported():
+    # a backticked name ending in Error or Ambiguity is one of the package's
+    # error types, or numpy's LinAlgError, so a removed type cannot linger there
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"`(?:\w+\.)*(\w+(?:Error|Ambiguity))`", readme))
+    assert "EigenvalueAmbiguity" in named
+    types = {"HermsympError", *_error_types()}
+    exported = {name for name in types if getattr(hs, name, None) is getattr(errors, name)}
+    assert sorted(named - exported - {"LinAlgError"}) == []
 
 
 def _item_owners() -> set[str]:

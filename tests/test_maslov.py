@@ -12,6 +12,7 @@ import hermsymp as hs
 from hermsymp import linalg, maslov, sampling, spaces
 from hermsymp.errors import EigenvalueAmbiguity, HermsympError, NonIntegerSum
 from hermsymp.torus import TorusModel
+from test_spaces import rank_band_dim
 
 
 def test_m_of_equal_lagrangians_is_exactly_zero(rng):
@@ -74,9 +75,9 @@ def test_exclusion_count_matches_engineered_intersection(rng, target_dim):
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
 def test_eigenvalue_distances_from_minus_one_are_twice_the_principal_sines(k, spread):
     # |lambda + 1| = 2 sin(theta) over the principal angles theta of V and W,
-    # so the count excluded at -1 is dim(V & W), which the public
-    # intersection_dim decides from the sines.  The worst gap on these 216
-    # pairs is 6.1 eps cond(U).
+    # so the count excluded at -1 is dim(V & W), which the rank-band oracle
+    # decides from the sines.  The worst gap on these 216 pairs is
+    # 6.1 eps cond(U).
     rng = np.random.default_rng([k, int(spread), 21])
     eps = np.finfo(float).eps
     for d in range(k + 1):
@@ -87,7 +88,7 @@ def test_eigenvalue_distances_from_minus_one_are_twice_the_principal_sines(k, sp
             distances = np.sort(np.abs(np.array(details.eigenvalues) + 1.0))
             sines = spaces._principal_sines(*(space._upper @ x.basis for x in (v, w)))
             assert np.abs(distances - np.sort(2.0 * sines)).max() <= 32 * eps * space._cond
-            assert details.intersection_dim == hs.intersection_dim(v, w) == d
+            assert details.intersection_dim == rank_band_dim(v, w) == d
 
 
 def test_m_range_bound(rng):

@@ -13,15 +13,14 @@ from hermsymp import linalg, sampling
 from hermsymp.bordism import _flipped_product
 from hermsymp.errors import (
     EigensplitError,
+    EigenvalueAmbiguity,
     LagrangianValidationError,
-    RankAmbiguity,
     SpaceValidationError,
     ValidationError,
 )
 from hermsymp.linalg import gram_mgs
 from hermsymp.spaces import (
     _graph_map,
-    _intersection_dim,
     _phase_fixed,
     _principal_sines,
     _split,
@@ -519,25 +518,57 @@ def test_intersection_dim_torus_oracle():
 
 def test_rank_ambiguity_follows_space_tolerance():
     # Graph unitaries 1 and e^{2e-8 i} put the smallest singular value of
-    # [basis_V | basis_W] at about 7e-9, inside the default guard band
-    # (1e-9, 1e-7); a space with rank threshold 1e-12 resolves it as 0.
-    for tol, expected in ((hs.Tolerances(), None), (hs.Tolerances(rank=1e-12), 0)):
+    # [basis_V | basis_W] at about 7e-9, inside the default rank guard band
+    # (1e-9, 1e-7) of the oracle, and the eigenvalue 2e-8 from -1, inside the
+    # eigenvalue band (1e-8, 1e-6) of the library.  Each follows its own
+    # tolerance: rank 1e-12 resolves the oracle's count as 0 and leaves the
+    # library's ambiguous; eig 1e-10 resolves the library's as 0 too.
+    for tol, oracle, library in (
+        (hs.Tolerances(), None, None),
+        (hs.Tolerances(rank=1e-12), 0, None),
+        (hs.Tolerances(rank=1e-12, eig=1e-10), 0, 0),
+    ):
         space = dataclasses.replace(hs.standard_space(1), tol=tol)
         v = hs.lagrangian_from_graph(space, [[1.0]])
         w = hs.lagrangian_from_graph(space, [[np.exp(2e-8j)]])
-        if expected is None:
-            with pytest.raises(RankAmbiguity):
+        if oracle is None:
+            with pytest.raises(RankBandAmbiguity):
+                rank_band_dim(v, w)
+        else:
+            assert rank_band_dim(v, w) == oracle
+        if library is None:
+            with pytest.raises(EigenvalueAmbiguity):
                 hs.intersection_dim(v, w)
         else:
-            assert hs.intersection_dim(v, w) == expected
+            assert hs.intersection_dim(v, w) == library
 
 
 def _union_values(q_v, q_w):
-    """The 2k singular values of ``[q_v | q_w]``, descending, as
-    ``_intersection_dim`` rebuilds them from the k principal-angle sines."""
+    """The 2k singular values of ``[q_v | q_w]``, descending, rebuilt from the
+    k principal-angle sines: ``sqrt(1 + cos)`` reversed, then ``sin / sqrt(1 + cos)``."""
     sin = _principal_sines(q_v, q_w)
     large = np.sqrt(1.0 + np.sqrt(np.maximum((1.0 - sin) * (1.0 + sin), 0.0)))
     return np.concatenate([large[..., ::-1], sin / large], axis=-1)
+
+
+class RankBandAmbiguity(Exception):
+    """A singular value of ``[q_v | q_w]`` inside the rank guard band of :func:`rank_band_dim`."""
+
+
+def rank_band_dim(v, w):
+    """dim(V & W) by a second route, the oracle of :func:`hermsymp.intersection_dim`:
+    ``dim - rank [q_v | q_w]`` of the whitened orthonormal bases, the rank the
+    count of :func:`_union_values` above ``tol.rank``.  Raises
+    :class:`RankBandAmbiguity` when one lies in ``(tol.rank/10, 10 tol.rank)``."""
+    space = v.space
+    tau = space.tol.rank
+    s = _union_values(*_whitened(space, v, w))
+    in_band = (s > tau / 10.0) & (s < tau * 10.0)
+    if in_band.any():
+        raise RankBandAmbiguity(
+            f"singular value {s[in_band][0]:.3e} inside the rank guard band around {tau:.0e}"
+        )
+    return space.dim - int((s > tau).sum())
 
 
 def _graph_pair(space, rng, angles):
@@ -574,15 +605,16 @@ def test_intersection_values_from_sines_match_the_svd_of_both_bases(k, spread):
         space = sampling.random_space(k, rng, spread=spread)
         near = [NEAR[(d + j) % len(NEAR)] for j in range(min(2, k - d))]
         angles = np.r_[np.zeros(d), near, rng.uniform(0.05, 3.1, k - d - len(near))]
-        q_v, q_w = _whitened(space, *_graph_pair(space, rng, rng.permutation(angles)))
+        pair = _graph_pair(space, rng, rng.permutation(angles))
+        q_v, q_w = _whitened(space, *pair)
         expected = linalg.singular_values(np.hstack([q_v, q_w]))
         assert np.abs(_union_values(q_v, q_w) - expected).max() <= 32 * eps * space._cond
         tau = space.tol.rank
         if ((expected > tau / 10) & (expected < tau * 10)).any():
-            with pytest.raises(RankAmbiguity):
-                _intersection_dim(space, q_v, q_w)
+            with pytest.raises(RankBandAmbiguity):
+                rank_band_dim(*pair)
         else:
-            assert _intersection_dim(space, q_v, q_w) == 2 * k - (expected > tau).sum()
+            assert rank_band_dim(*pair) == 2 * k - (expected > tau).sum()
 
 
 @pytest.mark.parametrize("spread", [4.0, 1e3, 1e6])
@@ -600,23 +632,24 @@ def test_near_orthogonal_pairs_lose_half_the_digits_far_from_the_band(spread):
             q_v, q_w = _whitened(space, *pair)
             expected = linalg.singular_values(np.hstack([q_v, q_w]))
             assert np.abs(_union_values(q_v, q_w) - expected).max() <= np.sqrt(eps * space._cond)
-            assert _intersection_dim(space, q_v, q_w) == 0 == hs.intersection_dim(*pair)
+            assert rank_band_dim(*pair) == 0 == hs.intersection_dim(*pair)
 
 
 def test_large_values_land_in_a_band_around_one(rng):
     # Tolerances(rank=0.5) puts [1, sqrt 2], where the k values sqrt(1 + cos)
-    # lie, inside the band (0.05, 5): the rank decision is ambiguous.  The
-    # pair invariant reads no rank decision: it takes dim(V & W) from its
+    # lie, inside the oracle's band (0.05, 5): its rank decision is ambiguous.
+    # The library reads no rank decision: it takes dim(V & W) from the pair's
     # eigenvalues, and gives the value and spectrum of the default tolerances.
     base = sampling.random_space(3, rng)
     v, w = _graph_pair(base, rng, rng.uniform(0.5, 2.5, 3))
     space = dataclasses.replace(base, tol=hs.Tolerances(rank=0.5))
     pair, default = ([hs.lagrangian_from_basis(s, x.basis) for x in (v, w)] for s in (space, base))
     first = _union_values(*_whitened(space, *pair))[0]
-    with pytest.raises(RankAmbiguity, match=re.escape(f"singular value {first:.3e} inside")):
-        hs.intersection_dim(*pair)
+    with pytest.raises(RankBandAmbiguity, match=re.escape(f"singular value {first:.3e} inside")):
+        rank_band_dim(*pair)
     details = hs.m_details(*pair)
     assert details == hs.m_details(*default) and details.intersection_dim == 0
+    assert hs.intersection_dim(*pair) == 0
 
 
 def test_subspace_distance_is_the_largest_sine_bit_for_bit(rng):
@@ -709,11 +742,26 @@ def test_condition_number_of_the_zero_space_is_one():
     assert hs.direct_sum(space, space)._cond == 1.0
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+# and values with no float: none at all, one past the double range, and one
+# past the 4300 digits up to which Python gives an int's repr
+NO_FLOAT = [
+    pytest.param(None, id="None"), pytest.param("x", id="str"),
+    pytest.param(10**400, id="int-past-double-range"),
+    pytest.param(10**5000, id="int-past-repr-limit"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, *NO_FLOAT])
 @pytest.mark.parametrize("field", ["alg", "rank", "eig", "int"])
 def test_tolerances_must_be_finite_and_positive(field, value):
-    with pytest.raises(ValidationError, match=f"tolerance {field} "):
+    with pytest.raises(ValidationError, match=f"^tolerance {field} must be finite and positive"):
         hs.Tolerances(**{field: value})
+
+
+def test_tolerances_are_stored_as_floats():
+    tol = hs.Tolerances(alg=1, rank=np.float32(0.5), eig=10**300)
+    assert [type(getattr(tol, f.name)) for f in dataclasses.fields(tol)] == [float] * 4
+    assert tol == hs.Tolerances(alg=1.0, rank=0.5, eig=1e300) and repr(tol)
 
 
 def test_signature_zero_for_sampled_spaces(rng):

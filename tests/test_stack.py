@@ -17,11 +17,10 @@ from hermsymp.errors import (
     EigenvalueAmbiguity,
     HermsympError,
     LagrangianValidationError,
-    RankAmbiguity,
     SpaceValidationError,
 )
 from test_linalg import reference_mgs
-from test_spaces import plus_block_basis
+from test_spaces import RankBandAmbiguity, plus_block_basis, rank_band_dim
 
 
 def scalar_m(gram, gamma, v_basis, w_basis, tol=hs.Tolerances()):
@@ -383,13 +382,14 @@ def assert_matches_the_scalar_loop(columns, j, tol=hs.Tolerances()):
 
 @pytest.mark.parametrize("j", [0, 3])
 def test_an_item_just_excluded_at_minus_one_gives_the_scalar_value(rng, j):
-    # The eigenvalue 5e-9 from -1 decides dim(V & W) on both routes.  The
-    # spans' smallest singular value, about 1.8e-9, lies in the rank guard
-    # band (1e-9, 1e-7) of the public intersection_dim, which still raises.
+    # The eigenvalue 5e-9 from -1 decides dim(V & W) on both routes, and the
+    # public intersection_dim reads it.  The spans' smallest singular value,
+    # about 1.8e-9, lies in the rank guard band (1e-9, 1e-7) of the
+    # rank-band oracle, which raises.
     details, v, w = assert_matches_the_scalar_loop(corrupted(rng, just_excluded, j), j)
-    assert details.intersection_dim == details.excluded == 1
-    with pytest.raises(RankAmbiguity):
-        hs.intersection_dim(v, w)
+    assert details.intersection_dim == details.excluded == hs.intersection_dim(v, w) == 1
+    with pytest.raises(RankBandAmbiguity):
+        rank_band_dim(v, w)
 
 
 @pytest.mark.parametrize("j", [0, 3])
@@ -473,12 +473,13 @@ def test_gamma_off_by_less_than_tol_alg_splits_on_both_routes(eps):
 def test_exclusion_count_mismatch(rng):
     # With tol.eig = 1e-3 an eigenvalue 1e-4 from -1 is excluded, while the
     # spans' principal-angle sine, about 5e-5, stays far above tol.rank: the
-    # pair counts the excluded eigenvalue as dim(V & W), the sines of the
-    # public intersection_dim give 0, and the stack agrees with the scalar loop.
+    # pair and the public intersection_dim count the excluded eigenvalue as
+    # dim(V & W), the sines of the rank-band oracle give 0, and the stack
+    # agrees with the scalar loop.
     columns = corrupted(rng, nearly_intersecting(1e-4), 2)
     details, v, w = assert_matches_the_scalar_loop(columns, 2, hs.Tolerances(eig=1e-3))
-    assert details.intersection_dim == details.excluded == 1
-    assert hs.intersection_dim(v, w) == 0
+    assert details.intersection_dim == details.excluded == hs.intersection_dim(v, w) == 1
+    assert rank_band_dim(v, w) == 0
 
 
 def test_lowest_failing_index_is_named(rng):

@@ -24,6 +24,7 @@ from hermsymp.torus import (
     torus_m_sweep,
     variation_expected,
 )
+from test_spaces import rank_band_dim
 
 nonzero_pairs = st.tuples(
     st.integers(-10, 10), st.integers(-10, 10)
@@ -235,10 +236,12 @@ def test_sweep_of_empty_grid():
 
 
 # values with no float (float() raises TypeError or ValueError), one past the
-# double range (OverflowError), and a 2-D array entry
+# double range (OverflowError), one past the 4300 digits up to which Python
+# gives an int's repr, and a 2-D array entry
 NO_FLOAT = [
     pytest.param(None, id="None"), pytest.param(1j, id="complex"), pytest.param("x", id="str"),
     pytest.param(10**400, id="int-past-double-range"),
+    pytest.param(10**5000, id="int-past-repr-limit"),
     pytest.param(np.ones((2, 2)), id="2d-array"),
 ]
 
@@ -271,14 +274,14 @@ def test_sweep_takes_any_iterable_and_keeps_each_t():
 
 def test_sweep_of_parallel_pair_excludes_both_eigenvalues():
     # Both eigenvalues lie at -1: the excluded count is dim(V & W) = 2, which
-    # the public intersection_dim finds from the principal-angle sines too.
+    # the rank-band oracle finds from the principal-angle sines too.
     grid = np.logspace(-3, 3, 7)
     result = torus_m_sweep(2, 3, 4, 6, grid)
     assert all(row.m_generic == 0.0 and row.m_closed == 0.0 for row in result.rows)
     model = TorusModel(1.7)
     pair = model.lagrangian(2, 3), model.lagrangian(4, 6)
     details = hs.m_details(*pair)
-    assert details.excluded == details.intersection_dim == hs.intersection_dim(*pair) == 2
+    assert details.excluded == details.intersection_dim == rank_band_dim(*pair) == 2
 
 
 def test_sweep_matches_scalar_route_on_log_grid():
