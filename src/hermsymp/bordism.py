@@ -12,9 +12,10 @@ Relation composition is defined set-theoretically and never requires
 transversality; the routines only flag numerical (not geometric) degeneracy.
 :func:`reduce` takes the null space of the graph's source parts projected off
 W, :func:`compose` intersects spans with :func:`linalg.span_intersection`, and
-both orthonormalize the result once, in :func:`lagrangian_from_basis`.  Product
-spaces take their Cholesky factor, its inverse and their whitened ``gamma``
-from their factors' blocks.
+both orthonormalize the raw result once, in :func:`lagrangian_from_basis`.
+Product spaces take their Cholesky factor, its inverse and their whitened
+``gamma`` from their factors' blocks, so the direct sums of checked bases in
+:func:`glued_boundary_lagrangian` and :func:`lagrangian_relation` stand as built.
 """
 from __future__ import annotations
 
@@ -59,11 +60,9 @@ class BordismRelation:
 
     def __post_init__(self) -> None:
         space, src, tgt = self.graph.space, self.source, self.target
-        if not (
-            space.tol == src.tol == tgt.tol
-            and np.array_equal(space.gram, linalg.block_diag(src.gram, tgt.gram))
-            and np.array_equal(space.gamma, linalg.block_diag(-src.gamma, tgt.gamma))
-        ):
+        gram, gamma = linalg.block_diag((src.gram, -src.gamma), (tgt.gram, tgt.gamma))
+        blocks = np.array_equal(space.gram, gram) and np.array_equal(space.gamma, gamma)
+        if not (space.tol == src.tol == tgt.tol and blocks):
             raise ValidationError("graph must live in the flipped-source product space")
 
 
@@ -104,10 +103,13 @@ def relation_from_map(
 
 
 def lagrangian_relation(target_lagrangian: Lagrangian) -> BordismRelation:
-    """Relation out of the zero space: a bare Lagrangian in the target."""
+    """Relation out of the zero space: a bare Lagrangian in the target, whose
+    basis is the graph's as it stands.  Like :func:`~hermsymp.maslov.m_details`,
+    it takes a hand-built ``Lagrangian`` as given and does not re-check it."""
     target = target_lagrangian.space
     src = replace(zero_space(), tol=target.tol)
-    return relation_from_graph(src, target, target_lagrangian.basis)
+    graph = Lagrangian(_flipped_product(src, target), target_lagrangian.basis)
+    return BordismRelation(source=src, target=target, graph=graph)
 
 
 def reduce(rel: BordismRelation, w: Lagrangian) -> Lagrangian:
@@ -159,10 +161,13 @@ def glued_boundary_lagrangian(w: Lagrangian, rel: BordismRelation) -> Lagrangian
 
     This is the boundary condition induced on the whole boundary of the
     bordism by capping the source side with a piece carrying W; the product
-    here carries the standard complex structure on both factors.
+    here carries the standard complex structure on both factors.  Its basis
+    is the block diagonal of the two checked bases, orthonormal in the block
+    diagonal ``U`` of the product, and is not orthonormalized or checked again.
     """
     basis = linalg.block_diag(gamma_image(w).basis, reduce(rel, w).basis)
-    return lagrangian_from_basis(direct_sum(rel.source, rel.target), basis)
+    basis.setflags(write=False)
+    return Lagrangian(direct_sum(rel.source, rel.target), basis)
 
 
 def relation_distance(a: BordismRelation, b: BordismRelation) -> float:

@@ -66,19 +66,16 @@ class GluingMatrix:
     rows: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self) -> None:
-        entries = []
-        for row in self.rows:
-            fixed = []
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, Integral):
-                    raise ValidationError(f"gluing matrix entries must be integers, got {x!r}")
-                fixed.append(int(x))
-            if len(fixed) != 2:
-                raise ValidationError("gluing matrix must be 2x2")
-            entries.append(tuple(fixed))
-        if len(entries) != 2:
+        try:
+            entries = tuple(tuple(row) for row in self.rows)
+        except TypeError:  # rows, or a row, that cannot be iterated
+            raise ValidationError("gluing matrix must be 2x2") from None
+        for x in (x for row in entries for x in row):
+            if isinstance(x, bool) or not isinstance(x, Integral):
+                raise ValidationError(f"gluing matrix entries must be integers, got {x!r}")
+        if len(entries) != 2 or any(len(row) != 2 for row in entries):
             raise ValidationError("gluing matrix must be 2x2")
-        object.__setattr__(self, "rows", tuple(entries))
+        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in row) for row in entries))
         if self.det != 1:
             raise ValidationError(f"gluing matrix must have determinant 1, got {self.det}")
 

@@ -233,10 +233,13 @@ def span_intersection(
     return null[: a.shape[1]], null[a.shape[1] :]
 
 
-def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.complex128)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
+def block_diag(a, b) -> np.ndarray:
+    """The block diagonal ``a (+) b`` over the last two axes, of two matrices
+    or, item by item, of two stacks of the same length: one fresh complex
+    array, from one zero fill."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (ra + rb, ca + cb), dtype=np.complex128)
+    out[..., :ra, :ca] = a
+    out[..., ra:, ca:] = b
     return out

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -352,9 +353,9 @@ def _require_same_space(a: HermitianSymplecticSpace, b: HermitianSymplecticSpace
 
 def standard_space(half_dim: int) -> HermitianSymplecticSpace:
     """Standard model: identity gram, gamma = [[0, -I], [I, 0]]."""
+    if isinstance(half_dim, bool) or not isinstance(half_dim, Integral) or half_dim < 0:
+        raise SpaceValidationError(f"half_dim must be a non-negative integer, got {half_dim!r}")
     k = int(half_dim)
-    if k < 0:
-        raise SpaceValidationError("half_dim must be non-negative")
     n = 2 * k
     gamma = np.zeros((n, n), dtype=np.complex128)
     gamma[:k, k:] = -np.eye(k)
@@ -385,33 +386,25 @@ def _block_sum(
     the factors' (each factor computes its own once), so the product makes no
     ``cholesky``, ``inv`` or ``solve`` call of its own; the checks a
     construction would repeat (finite entries, Hermitian and positive-definite
-    gram) hold exactly for a block diagonal of checked spaces.  The factors'
-    tolerances must agree.
+    gram) hold exactly for a block diagonal of checked spaces.  The five blocks
+    are read-only views of one :func:`~hermsymp.linalg.block_diag` of the
+    factors' stacks.  The factors' tolerances must agree.
     """
     if a.tol != b.tol:
         raise ValidationError("operands carry different tolerances")
     gamma_a, gamma_w_a = (a.gamma, a._gamma_w) if sign > 0 else (-a.gamma, -a._gamma_w)
-    gram, gamma, upper, upper_inv, gamma_w = _block_diags(
+    blocks = linalg.block_diag(
         (a.gram, gamma_a, a._upper, a._upper_inv, gamma_w_a),
         (b.gram, b.gamma, b._upper, b._upper_inv, b._gamma_w),
     )
+    blocks.setflags(write=False)
+    gram, gamma, upper, upper_inv, gamma_w = blocks
     space = object.__new__(HermitianSymplecticSpace)
     space._set_fields(gram, gamma, a.tol, upper)
     # seeds the cached properties
     space.__dict__["_upper_inv"] = upper_inv
     space.__dict__["_gamma_w"] = gamma_w
     return space
-
-
-def _block_diags(a_blocks, b_blocks) -> np.ndarray:
-    """The block diagonals ``a_j (+) b_j`` of two sequences of square complex
-    matrices, as one fresh read-only array: one zero fill, and no copy after."""
-    na, nb = a_blocks[0].shape[0], b_blocks[0].shape[0]
-    out = np.zeros((len(a_blocks), na + nb, na + nb), dtype=np.complex128)
-    out[:, :na, :na] = a_blocks
-    out[:, na:, na:] = b_blocks
-    out.setflags(write=False)
-    return out
 
 
 def direct_sum(
@@ -534,7 +527,7 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
     exactly ``space.half_dim`` columns.  Rejects every other span, and spans
     on which the symplectic form does not vanish within the space's threshold
     rule (``tol.alg`` scaled by cond(U)), with :class:`LagrangianValidationError`.
-    This is the one place where a span becomes a Lagrangian.
+    This is the one place where a raw span becomes a Lagrangian.
     """
     mat = as_complex_matrix(basis, "basis")
     if mat.shape[0] != space.dim:

@@ -90,6 +90,13 @@ def test_relation_from_map_rejects_non_preserving(rng):
         bordism.relation_from_map(space, space, 2.0 * np.eye(space.dim))
 
 
+def test_relation_from_map_rejects_the_wrong_shape(rng):
+    source, target = sampling.random_space(1, rng), sampling.random_space(2, rng)
+    for shape in [(2, 2), (4, 4), (2, 4)]:
+        with pytest.raises(hs.ValidationError, match="matrix must have shape"):
+            bordism.relation_from_map(source, target, np.ones(shape))
+
+
 def test_glued_boundary_lagrangian_identity_relation(rng):
     space = sampling.random_space(2, rng)
     ident = bordism.identity_relation(space)
@@ -156,6 +163,17 @@ def test_mismatched_spaces_rejected(rng):
         bordism.reduce(rel1, sampling.random_lagrangian(h2, rng))
 
 
+def test_relation_distance_needs_parallel_relations(rng):
+    h0, h1 = sampling.random_space(2, rng), sampling.random_space(2, rng)
+    rel = sampling.random_bordism_relation(h0, h1, rng)
+    for other in (
+        sampling.random_bordism_relation(h1, h0, rng),
+        sampling.random_bordism_relation(h0, sampling.random_space(2, rng), rng),
+    ):
+        with pytest.raises(hs.ValidationError, match="do not share source and target"):
+            bordism.relation_distance(rel, other)
+
+
 def _counted(monkeypatch, kernel):
     """The calls of ``kernel``, recorded by rebinding every module-level name
     of the package bound to it, as the bench tracer does."""
@@ -187,6 +205,33 @@ def test_reduce_and_compose_orthonormalize_once(rng, monkeypatch):
     calls.clear()
     bordism.compose(rel1, rel2)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spread", [4.0, 1e3])
+def test_the_rank_rule_runs_only_on_raw_spans(rng, monkeypatch, spread):
+    # gamma0(W) and the reduction each pass the rank rule once; their block
+    # diagonal, and a Lagrangian relation's graph, stand as built.  The old
+    # route, lagrangian_from_basis of the same blocks, is the oracle.
+    calls = _counted(monkeypatch, linalg.gram_mgs)
+    for k0, k1 in [(1, 1), (2, 3), (4, 2), (0, 2), (3, 1)]:
+        h0 = sampling.random_space(k0, rng, spread=spread)
+        h1 = sampling.random_space(k1, rng, spread=spread)
+        rel = sampling.random_bordism_relation(h0, h1, rng)
+        w, v = sampling.random_lagrangian(h0, rng), sampling.random_lagrangian(h1, rng)
+        calls.clear()
+        glued = bordism.glued_boundary_lagrangian(w, rel)
+        assert len(calls) == 2
+        calls.clear()
+        lrel = bordism.lagrangian_relation(v)
+        assert len(calls) == 0
+        blocks = linalg.block_diag(hs.gamma_image(w).basis, bordism.reduce(rel, w).basis)
+        old = hs.lagrangian_from_basis(hs.direct_sum(h0, h1), blocks)
+        assert hs.same_space(glued.space, old.space)
+        assert linalg.max_abs(glued.basis - old.basis) <= 1e-12
+        old_rel = bordism.relation_from_graph(lrel.source, h1, v.basis)
+        assert hs.same_space(lrel.graph.space, old_rel.graph.space)
+        assert linalg.max_abs(lrel.graph.basis - old_rel.graph.basis) <= 1e-12
+        assert not (glued.basis.flags.writeable or lrel.graph.basis.flags.writeable)
 
 
 @pytest.mark.parametrize("meet", [0, 1])

@@ -78,6 +78,22 @@ def test_gluing_matrix_entries_are_integral_but_not_bool():
             GluingMatrix(((bad, 0), (0, 1)))
 
 
+@pytest.mark.parametrize(
+    "rows", [5, None, ((1, 3), 5), ((1, 3, 0), (2, 7)), ((1, 3), (2, 7), (0, 0)), ((1, 3),)]
+)
+def test_gluing_matrix_must_be_two_rows_of_two(rows):
+    # rows, or a row, that cannot be iterated are not 2x2 either
+    with pytest.raises(ValidationError, match="must be 2x2"):
+        GluingMatrix(rows)
+
+
+def test_rational_parameters_reject_bools():
+    with pytest.raises(ValidationError, match="got a bool"):
+        RepPoint(True, Fraction(1, 2))
+    with pytest.raises(ValidationError, match="got a bool"):
+        trefoil_arc_point(False)
+
+
 def test_cohomology_vanishes_on_arc_points():
     assert torus_twisted_cohomology(trefoil_arc_point("1/5")) == (0, 0, 0)
     assert torus_twisted_cohomology(trefoil_arc_point("2/5")) == (0, 0, 0)

@@ -485,3 +485,24 @@ def test_the_guard_flags_each_way_to_reach_lapack():
 def test_numeric_modules_reach_lapack_only_through_linalg(module):
     source = (pathlib.Path(linalg.__file__).parent / f"{module}.py").read_text()
     assert numpy_linalg_uses(source) == []
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((2, 3), (1, 2)), ((0, 0), (2, 2)), ((3, 1), (0, 2))])
+def test_block_diag_of_stacks_is_np_block_item_by_item(rng, shape_a, shape_b):
+    # rectangular and empty blocks, as one pair of matrices and as a stack of five
+    a = rng.standard_normal((5, *shape_a)) + 1j * rng.standard_normal((5, *shape_a))
+    b = rng.standard_normal((5, *shape_b)) + 1j * rng.standard_normal((5, *shape_b))
+    stacked = linalg.block_diag(a, b)
+    assert stacked.shape == (5, shape_a[0] + shape_b[0], shape_a[1] + shape_b[1])
+    zeros_ab, zeros_ba = np.zeros((shape_a[0], shape_b[1])), np.zeros((shape_b[0], shape_a[1]))
+    for j in range(5):
+        expected = np.block([[a[j], zeros_ab], [zeros_ba, b[j]]])
+        assert np.array_equal(stacked[j], expected)
+        assert np.array_equal(linalg.block_diag(a[j], b[j]), expected)
+    assert stacked.dtype == np.complex128 and stacked.flags.writeable
+
+
+def test_as_complex_matrix_rejects_arrays_that_are_not_matrices():
+    for bad in (np.ones(4), np.ones((1, 2, 2)), 1.0):
+        with pytest.raises(hs.ValidationError, match="2-dimensional"):
+            linalg.as_complex_matrix(bad, "basis")

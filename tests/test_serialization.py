@@ -46,6 +46,7 @@ def test_zero_dim_space_roundtrip():
         {},
         {"dim": 2},
         {"dim": "2", "gram": [], "gamma": []},
+        {"dim": -2, "gram": [], "gamma": []},
         {"dim": 2, "gram": [[{"re": 1, "im": 0}]], "gamma": [[{"re": 0, "im": 0}]]},
         {
             "dim": 2,
@@ -75,6 +76,20 @@ def test_malformed_lagrangian_rejected(rng):
         ser.lagrangian_from_dict(space, {"no_basis": []})
     with pytest.raises(ValidationError):
         ser.lagrangian_from_dict(space, {"basis": [[{"re": 1, "im": 0}]]})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("not a dict", "JSON object"),
+        ([], "JSON object"),
+        ({"source_dim": -2, "target_dim": 4}, "non-negative"),
+        ({"source_dim": 2, "target_dim": -2}, "non-negative"),
+    ],
+)
+def test_malformed_relation_rejected(doc, message):
+    with pytest.raises(ValidationError, match=message):
+        ser.relation_from_dict(doc)
 
 
 def test_relation_requires_block_diagonal_product(rng):

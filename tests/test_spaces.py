@@ -63,6 +63,18 @@ def test_structural_rejections():
         hs.HermitianSymplecticSpace(np.array([[1, 1], [0, 1]]), np.eye(2))  # not Hermitian
 
 
+@pytest.mark.parametrize("half_dim", [1.5, 2.0, "2", True, None, -1])
+def test_standard_space_takes_a_non_negative_integer(half_dim):
+    with pytest.raises(SpaceValidationError, match="non-negative integer"):
+        hs.standard_space(half_dim)
+
+
+def test_standard_space_accepts_numpy_integers():
+    space = hs.standard_space(np.int64(2))
+    assert (space.dim, space.half_dim) == (4, 2)
+    assert hs.same_space(space, hs.standard_space(2))
+
+
 def test_hermitian_check_is_relative_to_the_gram_scale():
     gamma = hs.standard_space(1).gamma
     assert hs.validate_space(hs.HermitianSymplecticSpace(1e-14 * np.eye(2), gamma)).passed
@@ -264,6 +276,12 @@ def test_wrong_shape_rejected():
     space = hs.standard_space(2)
     with pytest.raises(LagrangianValidationError):
         hs.lagrangian_from_basis(space, np.zeros((4, 3)))
+
+
+def test_graph_unitary_of_the_wrong_shape_rejected():
+    for unitary in (np.eye(1), np.eye(3), np.ones((2, 3))):
+        with pytest.raises(hs.ValidationError, match="unitary must have shape"):
+            hs.lagrangian_from_graph(hs.standard_space(2), unitary)
 
 
 def test_spanning_matrix_with_repeated_column_gives_same_lagrangian(rng):
@@ -778,6 +796,12 @@ def test_values_are_immutable(rng):
     split = hs.eigensplit(space)
     for arr in (space.gram, space.gamma, lagr.basis, split.plus_basis, split.minus_basis):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("intersection", [-1, 3])
+def test_random_lagrangian_pair_takes_an_intersection_in_range(rng, intersection):
+    with pytest.raises(hs.ValidationError, match=r"must lie in \[0, 2\]"):
+        sampling.random_lagrangian_pair(sampling.random_space(2, rng), rng, intersection)
 
 
 def test_matched_omega_spaces_share_form(rng):
