@@ -152,7 +152,7 @@ def compose(rel1: BordismRelation, rel2: BordismRelation) -> BordismRelation:
     d0, d1, upper = rel1.source.dim, rel1.target.dim, rel1.target._upper
     b1, b2 = rel1.graph.basis, rel2.graph.basis
     c1, c2 = linalg.span_intersection(upper @ b1[d0:], upper @ b2[:d1], rel1.target.tol.rank)
-    basis = np.vstack([b1[:d0] @ c1, b2[d1:] @ c2])
+    basis = np.concatenate([b1[:d0] @ c1, b2[d1:] @ c2])
     return relation_from_graph(rel1.source, rel2.target, basis)
 
 

@@ -158,6 +158,10 @@ def _cmd_torus_sweep(args) -> int:
         raise ValidationError(
             f"need 0 < t_min <= t_max, got t_min={args.t_min} t_max={args.t_max}"
         )
+    # past the check above only t_max can be infinite; np.linspace would warn
+    # and yield nan
+    if args.t_max == float("inf"):
+        raise ValidationError(f"need a finite t_max, got t_max={args.t_max}")
     import numpy as np
 
     grid = np.linspace(args.t_min, args.t_max, args.steps)

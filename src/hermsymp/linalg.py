@@ -18,12 +18,23 @@ non-positive-definite or non-convergent input; empty (k = 0) matrices pass
 through.  What it skips is numpy's Python wrapper, which costs more than
 LAPACK itself on the small matrices of a pair invariant: at k = 1 about
 11 us against 3 us for an ``svd``, 10 against 2 for ``eigvals`` and 8 against
-2 for ``inv`` (timeit minima, numpy 2.4.6).  ``numpy>=2.0`` provides these
-gufunc names.
+2 for ``inv`` (timeit minima, numpy 2.4.6).
+
+Each error state, the quiet one of :func:`span_qr` and the ``LinAlgError`` one
+of each routine, is built once, at import, with numpy's private
+``_make_extobj``; a call sets it on numpy's ``_extobj_contextvar`` and resets
+that token on the way out, as ``numpy.errstate`` does, so the caller's state
+is back in force after a return or a raise, thread by thread.  Building the
+state anew on each call, as entering an ``np.errstate`` does, cost about a
+fifth of a k = 2 LAPACK call.  ``numpy>=2.0`` provides these private names
+and the gufunc names.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .errors import ValidationError
@@ -43,7 +54,7 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 def max_abs(a):
     """Largest entry modulus of a matrix, or of each matrix of a stack; 0 if empty."""
-    return np.abs(a).max(axis=(-2, -1), initial=0.0)
+    return np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=0.0)
 
 
 def unit_columns(a: np.ndarray) -> np.ndarray:
@@ -78,6 +89,11 @@ def whitened_columns(upper: np.ndarray, basis: np.ndarray) -> np.ndarray:
 # 3.5%.
 NORM_RANGE = (2.0**-250, 2.0**250)
 
+# span_qr's products overflow, and a non-finite column's norm turns invalid,
+# without a warning: the norm test below catches both.  All four flags are
+# set, so that they do not depend on the ones in force at import.
+_QUIET = _make_extobj(all="ignore")
+
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
     """``numpy.linalg.norm(x, axis=-2)``, the operations it performs without its wrapper."""
@@ -99,20 +115,28 @@ def span_qr(upper: np.ndarray, basis: np.ndarray, drop_tol: float):
     :func:`whitened_columns`.  A column with a non-finite entry is never kept,
     and raises no warning.
 
+    The product and the norms run under a quiet error state built once at
+    import, and the caller's state is back in force for the QR and after a
+    return or a raise.
+
     These are the two LAPACK calls of ``numpy.linalg.qr`` (``geqrf`` leaves R in
     the upper triangle of its argument), without its Python wrapper: that
     costs about 18 us a call, half of a k = 1 Lagrangian construction.
     """
     lo, hi = NORM_RANGE
-    with np.errstate(over="ignore", invalid="ignore"):
+    token = _extobj_contextvar.set(_QUIET)
+    try:
         whitened = upper @ basis
         norms = _column_norms(whitened)
-        if not ((lo <= norms) & (norms <= hi)).all():
+        # min and max propagate a nan norm, which fails the test
+        if not (lo <= norms.min(initial=hi) and norms.max(initial=lo) <= hi):
             whitened = whitened_columns(upper, basis)
             norms = _column_norms(whitened)
+    finally:
+        _extobj_contextvar.reset(token)
     tau = _umath_linalg.qr_r_raw(whitened, signature="D->D")
     q = _umath_linalg.qr_reduced(whitened, tau, signature="DD->D")
-    diag = np.diagonal(whitened, axis1=-2, axis2=-1).real
+    diag = whitened.diagonal(axis1=-2, axis2=-1).real
     return q, diag, np.abs(diag) > drop_tol * norms
 
 
@@ -133,22 +157,36 @@ def gram_mgs(upper: np.ndarray, basis: np.ndarray, drop_tol: float) -> np.ndarra
     """
     basis = as_complex_matrix(basis, "basis")
     rows = basis.shape[0]
-    q, diag, kept = span_qr(upper, basis[:, :rows], drop_tol)
-    while not kept.all():
+    while True:
+        q, diag, kept = span_qr(upper, basis[:, :rows] if basis.shape[1] > rows else basis, drop_tol)
+        if np.logical_and.reduce(kept):
+            q *= np.sign(diag)
+            return q
         basis = np.delete(basis, kept.argmin(), axis=1)
-        q, diag, kept = span_qr(upper, basis[:, :rows], drop_tol)
-    return q * np.sign(diag)
 
 
 def _lapack(failure: str):
-    """The error state of ``numpy.linalg``'s wrappers, as a decorator: a routine
-    that fails sets the invalid flag, and the call raises
+    """The error state of ``numpy.linalg``'s wrappers, built once, as a
+    decorator: a routine that fails sets the invalid flag, and the call raises
     ``LinAlgError(failure)``; overflow, division and underflow stay silent."""
 
     def fail(err, flag):
         raise np.linalg.LinAlgError(failure)
 
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    state = _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+    def decorate(func):
+        @functools.wraps(func)
+        def under_state(*args):
+            token = _extobj_contextvar.set(state)
+            try:
+                return func(*args)
+            finally:
+                _extobj_contextvar.reset(token)
+
+        return under_state
+
+    return decorate
 
 
 @_lapack("SVD did not converge")
@@ -212,7 +250,7 @@ def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.complex128)
     _, s, vh = svd(mat)
-    rank = int(np.sum(s > tol))
+    rank = np.count_nonzero(s > tol)
     return vh[rank:].conj().T
 
 
@@ -229,7 +267,7 @@ def span_intersection(
     neither is orthonormal; ``reduce``, whose W block is, takes the smaller
     :func:`nullspace` of its projection residual.
     """
-    null = nullspace(np.hstack([a, -b]), tol)
+    null = nullspace(np.concatenate([a, -b], axis=1), tol)
     return null[: a.shape[1]], null[a.shape[1] :]
 
 

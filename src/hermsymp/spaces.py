@@ -219,7 +219,8 @@ def _raise_at_first(bad, error: type, describe) -> None:
     ``x[j]`` from the check's numpy values: ``j`` is the lowest flagged item
     of a stack, and ``()`` on a single space, where ``x[()]`` is ``x`` itself.
     """
-    if not (bad.any() if bad.ndim else bad):  # .any() of a numpy scalar costs ~1 us
+    # not bad.any(): that hops through numpy's Python methods, ~1 us even on a scalar
+    if not (np.logical_or.reduce(bad, axis=None) if bad.ndim else bad):
         return
     j = int(np.flatnonzero(bad)[0]) if bad.ndim else ()
     raise error(describe if isinstance(describe, str) else describe(j)) from None
@@ -539,7 +540,9 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
     if q_w.shape[1] < mat.shape[1] and not np.isfinite(mat).all():
         raise LagrangianValidationError("basis has non-finite entries")
     _check_span(space, np.intp(q_w.shape[1]), q_w, space._gamma_w @ q_w)
-    return Lagrangian(space=space, basis=_frozen(space._upper_inv @ q_w))
+    basis = space._upper_inv @ q_w
+    basis.setflags(write=False)
+    return Lagrangian(space=space, basis=basis)
 
 
 def gamma_image(lagr: Lagrangian) -> Lagrangian:

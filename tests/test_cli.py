@@ -362,6 +362,10 @@ def test_torus_sweep_entry_past_the_double_range_exits_2(a, grid):
         ([str(10**300), "1", "1", "0", "1e18", "1e18", "1"], "closed form overflows"),
         (["10", "1", "1", "0", "1e308", "1e308", "1"], "must have finite entries"),
         (["10", "1", "1", "0", "5e-324", "5e-324", "1"], "must have finite entries"),
+        # an infinite bound is out of range before the grid is built
+        (["1", "2", "3", "4", "1", "inf", "2"], "need a finite t_max, got t_max=inf"),
+        (["1", "2", "3", "4", "1", "inf", "1"], "need a finite t_max, got t_max=inf"),
+        (["1", "2", "3", "4", "inf", "inf", "3"], "need a finite t_max, got t_max=inf"),
     ],
 )
 def test_torus_sweep_past_the_double_range_writes_one_json_error(argv, error):

@@ -2,6 +2,7 @@
 the modified Gram-Schmidt loop they replaced, and the LAPACK functions of
 linalg against numpy.linalg's, which they replace."""
 import ast
+import importlib
 import inspect
 import math
 import pathlib
@@ -394,16 +395,63 @@ FAILURES = {
 }
 
 
+RAISE = dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+
+
+def assert_state(flags):
+    # the flags, and no error callback left behind by a routine's own state
+    assert (np.geterr(), np.geterrcall()) == (flags, None)
+
+
 @pytest.mark.parametrize("case", FAILURES)
 def test_lapack_failures_raise_numpys_errors_without_a_warning(case):
     name, args = FAILURES[case]
     with pytest.raises(np.linalg.LinAlgError) as expected:
         getattr(np.linalg, name)(*args)
+    before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError) as got:
             getattr(linalg, name)(*args)
     assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+    assert_state(before)
+    # inside a caller's state the routine still raises its own error, and a
+    # call that succeeds hands the caller's state back
+    working = LAPACK[name][1](random_basis(4, 4, np.random.default_rng(0)))
+    with np.errstate(all="raise"):
+        with pytest.raises(np.linalg.LinAlgError):
+            getattr(linalg, name)(*args)
+        assert_state(RAISE)
+        getattr(linalg, name)(*working)
+        assert_state(RAISE)
+        with pytest.raises(FloatingPointError):
+            np.ones(1) / 0.0
+    assert_state(before)
+
+
+def test_span_qr_rescues_an_overflowing_product_quietly_and_restores_the_state(monkeypatch):
+    # U b overflows: the norm test takes whitened_columns, without a warning,
+    # and the caller's error state holds again on return
+    rescues = []
+
+    def counted(upper, basis):
+        rescues.append(basis.shape)
+        return whitened_columns(upper, basis)
+
+    monkeypatch.setattr(linalg, "whitened_columns", counted)
+    upper = 1e10 * factor(positive_definite(random_basis(4, 4, np.random.default_rng(1))))
+    basis = 1e300 * random_basis(4, 2, np.random.default_rng(2))
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, diag, kept = span_qr(upper, basis, DROP_TOL)
+        assert_state(before)
+        with np.errstate(all="raise"):
+            assert same_bits(span_qr(upper, basis, DROP_TOL), (q, diag, kept))
+            assert_state(RAISE)
+    assert rescues == [(4, 2), (4, 2)]
+    assert kept.all() and np.allclose(q.conj().T @ q, np.eye(2))
+    assert_state(before)
 
 
 @pytest.mark.parametrize("name", ["eigh", "eigvalsh"])
@@ -441,6 +489,25 @@ def test_every_umath_linalg_name_linalg_calls_exists():
     assert {"svd", "svd_f", "eigvals", "eigh_lo", "eigvalsh_lo", "inv", "solve", "qr_r_raw",
             "qr_reduced"} <= used
     assert [name for name in sorted(used) if not hasattr(np.linalg._umath_linalg, name)] == []
+
+
+def test_every_private_numpy_name_linalg_imports_exists():
+    # the error states are built with numpy's private _make_extobj and set on
+    # its _extobj_contextvar: every private numpy name linalg imports is listed
+    # here, and a numpy release without one of them is named here
+    tree = ast.parse(inspect.getsource(linalg))
+    private = {
+        (node.module, alias.name) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+        for alias in node.names
+    }
+    assert private == {("numpy._core.umath", "_extobj_contextvar"),
+                       ("numpy._core.umath", "_make_extobj"), ("numpy.linalg", "_umath_linalg")}
+    missing = [
+        f"{module}.{name}" for module, name in sorted(private)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
 
 
 NUMERIC = ("spaces", "maslov", "bordism", "torus")

@@ -1,8 +1,10 @@
 """Pair invariant, triple index, and their algebraic identities."""
+import concurrent.futures
 import contextlib
 import dataclasses
 import inspect
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -691,3 +693,53 @@ def test_different_spaces_rejected(rng):
     lb = sampling.random_lagrangian(b, rng)
     with pytest.raises(hs.ValidationError):
         hs.m_invariant(la, lb)
+
+
+def test_threads_sharing_a_space_get_the_serial_results_and_errors():
+    # Each kernel sets its own error state on numpy's per-thread context
+    # variable and resets it: four threads building Lagrangians and running
+    # the pair passes on one space, one of them also making LAPACK fail, see
+    # the values and errors of a serial run.  One shared np.errstate instance
+    # would refuse a second thread's entry.
+    rng = np.random.default_rng(28)
+    base = sampling.random_space(3, rng, spread=1e2)
+    raws = [
+        sampling.random_lagrangian(base, rng).basis @ sampling.random_invertible(3, rng, 1e3)
+        for _ in range(4)
+    ]
+    raws.append(rng.standard_normal((6, 3)))  # not Lagrangian
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+
+    def outcome(call):
+        try:
+            value = call()
+        except (HermsympError, np.linalg.LinAlgError) as exc:
+            return type(exc).__name__, str(exc)
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+
+    def work(space, j):
+        seen = []
+        for _ in range(10):
+            order = raws[j:4] + raws[:j]
+            lags = [spaces.lagrangian_from_basis(space, raw) for raw in order]
+            seen += [lagr.basis.tobytes() for lagr in lags]
+            seen.append(outcome(lambda: spaces.lagrangian_from_basis(space, raws[4])))
+            seen.append(outcome(lambda: maslov.m_details(*lags[:2])))
+            seen.append(outcome(lambda: maslov.triple_index(*lags[:3])))
+            seen.append(outcome(lambda: maslov.eta_correction_rhs(*lags)))
+            if j == 0:
+                seen.append(outcome(lambda: linalg.inv(singular)))
+        return seen
+
+    serial = [work(base, j) for j in range(4)]
+    assert ("LinAlgError", "Singular matrix") in serial[0]
+    # a fresh space, so that the threads also race on its cached values
+    shared = hs.HermitianSymplecticSpace(base.gram, base.gamma)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(work, [shared] * 4, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
