@@ -40,8 +40,18 @@ from numpy.linalg import _umath_linalg
 from .errors import ValidationError
 
 
+def as_complex(a, name: str) -> np.ndarray:
+    """``a`` as a complex array, or :class:`ValidationError` naming ``name`` where
+    numpy reads no numbers from it: strings, ragged rows, entries that are not
+    numbers, integers past the double range."""
+    try:
+        return np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers: {exc}") from None
+
+
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(a, dtype=np.complex128)
+    arr = as_complex(a, name)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     return arr

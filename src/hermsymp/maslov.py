@@ -48,7 +48,7 @@ from .errors import (
     SpaceValidationError,
 )
 from . import linalg
-from .linalg import adjoint, span_qr
+from .linalg import adjoint, as_complex, span_qr
 from .spaces import (
     HermitianSymplecticSpace,
     Lagrangian,
@@ -81,14 +81,14 @@ def _pair_values(space, frame, q, first, second):
     """``(value, count, eigenvalues)`` of the pairs ``(q[first], q[second])``
     of a stack of whitened orthonormal bases ``q = U basis``, each mapped once
     in one :func:`_graph_map` pass in ``frame``; ``first`` and ``second``
-    index the stack axis, as integers or as lists of equal length.
+    index the leading axis of ``q``, as integers or as lists of equal length.
 
     Eigenvalues of ``-phi[first] phi[second]*`` within ``tol.eig`` of -1 are
     excluded, and their count is dim(V & W); one in ``(tol.eig, 100 tol.eig)``
     raises.  No -0.0 value.
     """
     phi = _graph_map(space, frame, q)
-    eigs = linalg.eigvals(-phi[..., first, :, :] @ adjoint(phi[..., second, :, :]))
+    eigs = linalg.eigvals(-phi[first] @ adjoint(phi[second]))
     tau = space.tol.eig
     dist = np.abs(eigs + 1.0)
     excluded = dist <= tau
@@ -145,13 +145,13 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     :func:`~hermsymp.linalg.span_qr`, on k columns the verdict of
     :func:`~hermsymp.linalg.gram_mgs`) and omega on it, the k/k split, the
     graph maps in its eigenvectors, and the eigenvalue band at -1 of the pair
-    kernel.  V and W go through each check together, as one ``(T, 2, n, k)``
-    stack, in one span check and one graph-map pass.  That pass is only a
+    kernel.  V and W go through each check together, stacked on a leading
+    axis, in one span check and one graph-map pass.  That pass is only a
     fast path: if any check fails, the items are rerun in order through the
     scalar route, and its first failure is raised with the message prefixed
     ``item j: `` and the error's ``item`` set to ``j``.
     """
-    gram, gamma = (np.asarray(x, dtype=np.complex128) for x in (gram, gamma))
+    gram, gamma = as_complex(gram, "gram"), as_complex(gamma, "gamma")
     if gram.ndim != 3:
         raise SpaceValidationError(
             f"gram must be a stack of square matrices, got shape {gram.shape}"
@@ -159,7 +159,7 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     n = _check_shapes(gram, gamma)
     bases = []
     for name, basis in (("V", v_basis), ("W", w_basis)):
-        basis = np.asarray(basis, dtype=np.complex128)
+        basis = as_complex(basis, f"{name} bases")
         if basis.shape != (len(gram), n, n // 2):
             raise LagrangianValidationError(
                 f"{name} bases must have shape {(len(gram), n, n // 2)}, got {basis.shape}"
@@ -186,14 +186,14 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     """The fast path of :func:`m_stack`: each check runs once on all items,
     both sides of each pair as one stack, and raises if any item fails it."""
     stack = HermitianSymplecticSpace(gram, gamma, tol)
-    # both sides in one QR, as a (T, 2, n, k) stack: whitened bases q, their
-    # columns kept under the drop rule (a non-finite column never is), and
-    # omega vanishing on them.  Only spans are needed, so the columns keep the
-    # QR's signs.
-    q, _, kept = span_qr(stack._upper[:, None], np.stack([v_basis, w_basis], axis=1), tol.rank)
-    _check_span(stack, kept.sum(axis=-1), q, stack._gamma_w[:, None] @ q)
+    # both sides in one QR, V and W on the leading axis: whitened bases q,
+    # their columns kept under the drop rule (a non-finite column never is),
+    # and omega vanishing on them.  Only spans are needed, so the columns keep
+    # the QR's signs.
+    q, _, kept = span_qr(stack._upper, np.stack([v_basis, w_basis]), tol.rank)
+    _check_span(stack, kept.sum(axis=-1), q, stack._gamma_w @ q)
     # the k/k split, then both sides' graph maps and pair spectra in one pass
-    return _pair_values(stack, _split(stack)[:, None], q, 0, 1)[0]
+    return _pair_values(stack, _split(stack), q, 0, 1)[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -28,13 +28,13 @@ by identity; :func:`same_space` compares two spaces by value.
 
 The k/k split and the checks of a Lagrangian span and a graph map are
 private functions shared with :mod:`~hermsymp.maslov`, each taking a single
-space or a stack; on a stack they only tell whether some item fails.
-:func:`~hermsymp.maslov.m_stack` hands both Lagrangians of its pairs to each
-check as one stack, and an item then fails with its worse side.  Each check
-is one stacked pass: the split checks both halves in one product, and the
-graph map decides that its +i block is not singular from that block's Gram
-matrix, with an SVD only where the bound is inconclusive.  The
-split and the signature of :func:`validate_space` share one ``eigh`` of the
+space or a stack.  A check broadcasts over its caller's leading axes: its
+figures keep the leading shape of the bases it is given, a stack's cond(U)
+broadcasts against them, and it raises if any entry fails, naming the first.
+Each check is one stacked pass: the split checks both halves in one product,
+and the graph map decides that its +i block is not singular from that block's
+Gram matrix, with an SVD only where the bound is inconclusive.  The split and
+the signature of :func:`validate_space` share one ``eigh`` of the
 whitened ``i gamma``, which the space keeps; every pair invariant takes its
 graph maps in the eigenvectors.  Only :func:`phi_of` and :func:`lagrangian_from_graph` read the
 phase-fixed bases of :func:`eigensplit`, which raises unless each keeps k
@@ -58,7 +58,7 @@ from .errors import (
     Tolerances,
     ValidationError,
 )
-from .linalg import adjoint, as_complex_matrix, gram_mgs, max_abs
+from .linalg import adjoint, as_complex, as_complex_matrix, gram_mgs, max_abs
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -88,11 +88,10 @@ class HermitianSymplecticSpace:
 
     ``(T, n, n)`` stacks of ``gram`` and ``gamma`` make a stack of T spaces
     sharing ``tol``, as :func:`~hermsymp.maslov.m_stack` builds it: the same
-    checks and one stacked Cholesky make ``_upper`` a stack of factors, and
-    ``_exceeds_alg`` takes one residual per item.  A failing check on a stack
-    names no item; ``m_stack`` reruns its items one by one to find it.  The
-    public functions of this module take single spaces; the private checks
-    take either.
+    checks and one stacked Cholesky make ``_upper`` a stack of factors.  A
+    failing check on a stack names no item; ``m_stack`` reruns its items one
+    by one to find it.  The public functions of this module take single
+    spaces; the private checks take either.
     """
 
     gram: np.ndarray
@@ -100,8 +99,7 @@ class HermitianSymplecticSpace:
     tol: Tolerances = Tolerances()
 
     def __post_init__(self) -> None:
-        gram = np.asarray(self.gram, dtype=np.complex128)
-        gamma = np.asarray(self.gamma, dtype=np.complex128)
+        gram, gamma = as_complex(self.gram, "gram"), as_complex(self.gamma, "gamma")
         _check_shapes(gram, gamma)
         finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(gamma).all(axis=(-2, -1))
         _raise_at_first(~finite, SpaceValidationError, "gram and gamma must have finite entries")
@@ -155,8 +153,8 @@ class HermitianSymplecticSpace:
     def _exceeds_alg(self, residual):
         """The one rule for whitened residuals; cond(U) >= 1 spares the SVD below ``alg``.
 
-        On a stack of spaces ``residual`` holds one entry per item, and so does
-        the verdict.
+        An array of residuals gets a verdict of its shape; on a stack of spaces
+        its last axis runs over the items.
         """
         alg = self.tol.alg
         if isinstance(residual, np.ndarray):
@@ -213,27 +211,17 @@ def _check_shapes(gram: np.ndarray, gamma: np.ndarray) -> int:
 
 
 def _raise_at_first(bad, error: type, describe) -> None:
-    """Raise ``error`` if a flag of ``bad`` is set: one flag, or one per item of a stack.
+    """Raise ``error`` if a flag of ``bad``, an array of any shape, is set.
 
     ``describe`` is the message, or ``describe(j)`` words the failure read as
-    ``x[j]`` from the check's numpy values: ``j`` is the lowest flagged item
-    of a stack, and ``()`` on a single space, where ``x[()]`` is ``x`` itself.
+    ``x[j]`` from the check's numpy values: ``j`` indexes the first flagged
+    entry, and is ``()`` for a single flag, where ``x[()]`` is ``x`` itself.
     """
     # not bad.any(): that hops through numpy's Python methods, ~1 us even on a scalar
     if not (np.logical_or.reduce(bad, axis=None) if bad.ndim else bad):
         return
-    j = int(np.flatnonzero(bad)[0]) if bad.ndim else ()
+    j = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
     raise error(describe if isinstance(describe, str) else describe(j)) from None
-
-
-def _per_item(space, figure, worst=np.maximum):
-    """``figure`` with one entry per item of ``space``: on a stack of spaces, a
-    ``(T, 2)`` figure, one per side of the pairs of
-    :func:`~hermsymp.maslov.m_stack`, is reduced over the sides by ``worst``
-    (``np.maximum``, or ``np.minimum`` for a figure that fails low)."""
-    if space._upper.ndim == 3 and figure.ndim == 2:
-        return worst.reduce(figure, axis=-1)
-    return figure
 
 
 def _split(space) -> np.ndarray:
@@ -273,19 +261,14 @@ def _split(space) -> np.ndarray:
 
 def _check_span(space, kept, q_w, gamma_q_w) -> None:
     """A span is Lagrangian: it has ``kept`` = k independent columns, and omega
-    ``q_w^H gamma_q_w`` vanishes on its orthonormal whitened basis ``q_w``.
-
-    On a stack of spaces, both sides of a pair may come as one ``(T, 2, n, k)``
-    stack: each item's figures are then its worse side's."""
+    ``q_w^H gamma_q_w`` vanishes on its orthonormal whitened basis ``q_w``."""
     k = space.half_dim
-    # a side of a pair has k columns, so it keeps at most k: the fewer decides
-    kept = _per_item(space, kept, np.minimum)
     _raise_at_first(
         kept != k,
         LagrangianValidationError,
         lambda j: f"basis spans dimension {kept[j]}, expected {k}",
     )
-    residual = _per_item(space, max_abs(adjoint(q_w) @ gamma_q_w))
+    residual = max_abs(adjoint(q_w) @ gamma_q_w)
     _raise_at_first(
         space._exceeds_alg(residual),
         LagrangianValidationError,
@@ -296,9 +279,7 @@ def _check_span(space, kept, q_w, gamma_q_w) -> None:
 def _graph_map(space, frame, q_w) -> np.ndarray:
     """The unitary ``phi = c a^-1`` whose graph is a Lagrangian, or each of a stack:
     ``a`` and ``c`` are the products of the +i and the -i half of the whitened
-    orthonormal ``frame`` with the whitened basis ``q_w = U basis``.  On a
-    stack of spaces, ``q_w`` may hold both sides of each pair, ``(T, 2, n, k)``
-    against the frames ``(T, 1, n, n)``, and the checks take each item's worse side.
+    orthonormal ``frame`` with the whitened basis ``q_w = U basis``.
 
     ``a`` must not be singular: its smallest singular value must exceed
     ``tol.rank``.  Its Gram block decides that without an SVD where it can:
@@ -315,7 +296,6 @@ def _graph_map(space, frame, q_w) -> np.ndarray:
     gram_off = adjoint(a) @ a - 0.5 * space._identity
     if not (tol.rank < 0.5 and (k * max_abs(gram_off) <= 0.25).all()):
         s_min = linalg.singular_values(a).min(axis=-1, initial=np.inf)
-        s_min = _per_item(space, s_min, np.minimum)
         _raise_at_first(
             s_min <= tol.rank,
             LagrangianValidationError,
@@ -323,7 +303,7 @@ def _graph_map(space, frame, q_w) -> np.ndarray:
             f"valid Lagrangian (smallest singular value {s_min[j]:.3e})",
         )
     phi = c @ linalg.inv(a)
-    residual = _per_item(space, max_abs(adjoint(phi) @ phi - space._identity))
+    residual = max_abs(adjoint(phi) @ phi - space._identity)
     _raise_at_first(
         space._exceeds_alg(residual),
         LagrangianValidationError,

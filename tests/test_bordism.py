@@ -144,6 +144,17 @@ def test_compose_through_zero_dimensional_middle(rng):
     assert bordism.relation_distance(composed, expected) < 1e-10
 
 
+def test_the_zero_spaces_identity_relation_reduces_and_composes_to_empty_results():
+    # every block is 0 x 0, so the null spaces of reduce and compose are empty
+    ident = bordism.identity_relation(hs.zero_space())
+    empty = hs.lagrangian_from_basis(hs.zero_space(), np.zeros((0, 0)))
+    reduced = bordism.reduce(ident, empty)
+    assert reduced.space is ident.target and reduced.basis.shape == (0, 0)
+    composed = bordism.compose(ident, ident)
+    assert composed.graph.basis.shape == (0, 0)
+    assert (composed.source.dim, composed.target.dim) == (0, 0)
+
+
 def test_reduce_into_zero_dimensional_target(rng):
     h0 = sampling.random_space(2, rng)
     rel = sampling.random_bordism_relation(h0, hs.zero_space(), rng)

@@ -50,6 +50,22 @@ def test_validate_pass_and_fail(capsys, tmp_path, standard_files):
     assert "result = FAIL" in out
 
 
+@pytest.mark.parametrize("command,lagrangians", [("m", 2), ("triple", 3)])
+def test_m_and_triple_refuse_a_space_that_fails_validation(
+    capsys, tmp_path, standard_files, command, lagrangians
+):
+    # gram I_2 with gamma diag(i, i) constructs, but the signature of i gamma is -2
+    bad = hs.HermitianSymplecticSpace(np.eye(2), np.diag([1j, 1j]))
+    bad_file = write_json(tmp_path / "bad.json", ser.space_to_dict(bad))
+    for flags in ([], ["--json"]):
+        argv = [*flags, command, bad_file, *[standard_files["v"]] * lagrangians]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ValidationError"
+        assert error["message"] == "space fails validation; run the validate command"
+
+
 def test_validate_honours_tol_rank(capsys):
     # A rank threshold above every eigenvalue of i*gamma leaves them all null.
     code, out, _ = run_cli(
@@ -426,6 +442,17 @@ def test_trefoil_out_of_arc_exits_2(capsys):
 def test_trefoil_bad_rational_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["trefoil", "--t", "0.2x"])
     assert code == 2
+
+
+@pytest.mark.parametrize("t,expected", [("1/5", 0), ("1e-5", 2)])
+def test_the_console_script_exits_with_mains_code(capsys, monkeypatch, t, expected):
+    # pyproject.toml installs cli.entry as the hermsymp command
+    monkeypatch.setattr(sys, "argv", ["hermsymp", "trefoil", "--t", t])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == expected
+    out = capsys.readouterr().out
+    assert ("cs = 7/10" in out) == (expected == 0)
 
 
 @pytest.mark.parametrize(

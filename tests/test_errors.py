@@ -1,11 +1,14 @@
-"""Every error type is raised somewhere in the package and exported, and
-every one README names exists."""
+"""Every error type is raised somewhere in the package and exported, every
+one README names exists, and array input numpy cannot read raises a typed error."""
 import ast
 import pathlib
 import re
 
+import numpy as np
+import pytest
+
 import hermsymp as hs
-from hermsymp import errors
+from hermsymp import bordism, errors, maslov
 
 SRC = pathlib.Path(errors.__file__).parent
 
@@ -88,3 +91,49 @@ def test_only_the_stacked_entry_points_name_an_item():
     # a failing item is named where a stack is rerun as its scalar loop, and
     # where the torus sweep maps it to its grid index; nowhere else
     assert _item_owners() == {"maslov.m_stack", "torus.torus_m_sweep"}
+
+
+MALFORMED = {
+    "string": [["a"]],
+    "bytes": b"ab",
+    "ragged": [[1, 2], [3]],
+    "dict": [[{}]],
+    "object": [[object()]],
+    "past_double_range": [[10**400]],
+}
+
+
+def _entry_points(make):
+    """Each public entry point that reads an array, fed ``make(shape)`` in one
+    argument, ``shape`` being the one that argument takes there."""
+    space = hs.standard_space(1)
+    gram, gamma, bases = space.gram[None], space.gamma[None], np.ones((1, 2, 1))
+    return {
+        "space_gram": lambda: hs.HermitianSymplecticSpace(make((2, 2)), space.gamma),
+        "space_gamma": lambda: hs.HermitianSymplecticSpace(space.gram, make((2, 2))),
+        "lagrangian_from_basis": lambda: hs.lagrangian_from_basis(space, make((2, 1))),
+        "lagrangian_from_graph": lambda: hs.lagrangian_from_graph(space, make((1, 1))),
+        "relation_from_map": lambda: bordism.relation_from_map(space, space, make((2, 2))),
+        "m_stack_gram": lambda: maslov.m_stack(make((1, 2, 2)), gamma, bases, bases),
+        "m_stack_gamma": lambda: maslov.m_stack(gram, make((1, 2, 2)), bases, bases),
+        "m_stack_v": lambda: maslov.m_stack(gram, gamma, make((1, 2, 1)), bases),
+        "m_stack_w": lambda: maslov.m_stack(gram, gamma, bases, make((1, 2, 1))),
+    }
+
+
+ENTRY_POINTS = sorted(_entry_points(None))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("value", sorted(MALFORMED))
+def test_an_array_numpy_cannot_read_raises_validation_error(entry, value):
+    # numpy's ValueError, TypeError or OverflowError must not escape
+    with pytest.raises(hs.ValidationError, match="must be an array of numbers"):
+        _entry_points(lambda shape: MALFORMED[value])[entry]()
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_none_entries_raise_the_non_finite_errors(entry):
+    # None reads as nan, which the finite-entry checks reject
+    with pytest.raises(hs.ValidationError, match="finite entries"):
+        _entry_points(lambda shape: np.full(shape, None).tolist())[entry]()

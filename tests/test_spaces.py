@@ -278,6 +278,12 @@ def test_wrong_shape_rejected():
         hs.lagrangian_from_basis(space, np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 1, 2, 2)])
+def test_a_gram_that_is_neither_a_matrix_nor_a_stack_is_rejected(shape):
+    with pytest.raises(ValidationError, match=re.escape(str(shape))):
+        hs.HermitianSymplecticSpace(np.ones(shape), np.ones(shape))
+
+
 def test_graph_unitary_of_the_wrong_shape_rejected():
     for unitary in (np.eye(1), np.eye(3), np.ones((2, 3))):
         with pytest.raises(hs.ValidationError, match="unitary must have shape"):
