@@ -5,6 +5,10 @@ rho-diff.  All outputs are deterministic: identical inputs produce
 byte-identical stdout.  Rationals are read and written as "p/q" strings.
 Plain output prints floats with 15 significant digits; ``--json`` output and
 the JSON that reduce and compose print use Python's shortest round-trip repr.
+``--json`` applies to validate, m, triple, trefoil and rho-diff; reduce and
+compose always print JSON, and torus-sweep always prints CSV.  trefoil exits 2
+(ConditionFailed) at an arc point whose parameters do not extend over the
+mapping torus, so its ``condition`` line always reads true.
 
 The numeric modules are lazy (see :mod:`hermsymp`): each handler reaches its
 functions through their module, so a module runs when a handler first uses it.
@@ -26,6 +30,7 @@ Semantic errors are reported as JSON objects {"error", "message"} on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -66,12 +71,20 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from None
 
 
-def _emit(args, payload: dict, plain_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in plain_lines:
-            print(line)
+def _emit(args, payload: dict, plain_lines: list[str]) -> int:
+    print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(plain_lines))
+    return 0
+
+
+def _emit_fields(args, fields) -> int:
+    """Print ``(name, json_value, plain_text)`` fields as one JSON object or as
+    ``name = text`` lines."""
+    return _emit(args, {name: value for name, value, _ in fields},
+                 [f"{name} = {text}" for name, _, text in fields])
+
+
+def _tuple(items) -> str:
+    return f"({', '.join(map(str, items))})"
 
 
 def _tolerances(args) -> Tolerances:
@@ -81,15 +94,8 @@ def _tolerances(args) -> Tolerances:
 def _cmd_validate(args) -> int:
     space = serialization.space_from_dict(_load_json(args.space), _tolerances(args))
     report = spaces.validate_space(space)
-    payload = {
-        "dim": space.dim,
-        "signature": report.signature,
-        "passed": report.passed,
-        "checks": [
-            {"name": c.name, "residual": c.residual, "passed": c.passed, "detail": c.detail}
-            for c in report.checks
-        ],
-    }
+    payload = {"dim": space.dim, "signature": report.signature, "passed": report.passed,
+               "checks": [dataclasses.asdict(c) for c in report.checks]}
     lines = [f"dim = {space.dim}"]
     for c in report.checks:
         verdict = "PASS" if c.passed else "FAIL"
@@ -100,38 +106,30 @@ def _cmd_validate(args) -> int:
     return 0 if report.passed else 2
 
 
-def _load_space_and_lagrangians(args, names):
+def _load_lagrangians(args, names):
     space = serialization.space_from_dict(_load_json(args.space), _tolerances(args))
     if not spaces.validate_space(space).passed:
         raise ValidationError("space fails validation; run the validate command")
-    out = [serialization.lagrangian_from_dict(space, _load_json(getattr(args, name)))
-           for name in names]
-    return space, out
+    return [serialization.lagrangian_from_dict(space, _load_json(getattr(args, name)))
+            for name in names]
 
 
 def _cmd_m(args) -> int:
-    _, (v, w) = _load_space_and_lagrangians(args, ("v", "w"))
+    v, w = _load_lagrangians(args, ("v", "w"))
     details = maslov.m_details(v, w)
-    eigen_strs = [f"{_fmt(z.real)}{'%+.15g' % z.imag}i" for z in details.eigenvalues]
-    payload = {
-        "m": details.value,
-        "intersection_dim": details.intersection_dim,
-        "eigenvalues": [serialization.complex_to_obj(z) for z in details.eigenvalues],
-    }
-    lines = [
-        f"m = {_fmt(details.value)}",
-        f"intersection_dim = {details.intersection_dim}",
-        f"eigenvalues = {', '.join(eigen_strs)}",
-    ]
-    _emit(args, payload, lines)
-    return 0
+    eigenvalues = details.eigenvalues
+    return _emit_fields(args, [
+        ("m", details.value, _fmt(details.value)),
+        ("intersection_dim", details.intersection_dim, details.intersection_dim),
+        ("eigenvalues", [serialization.complex_to_obj(z) for z in eigenvalues],
+         ", ".join(f"{_fmt(z.real)}{'%+.15g' % z.imag}i" for z in eigenvalues)),
+    ])
 
 
 def _cmd_triple(args) -> int:
-    _, (u, v, w) = _load_space_and_lagrangians(args, ("u", "v", "w"))
+    u, v, w = _load_lagrangians(args, ("u", "v", "w"))
     value = maslov.triple_index(u, v, w)
-    _emit(args, {"triple_index": value}, [f"triple_index = {value}"])
-    return 0
+    return _emit_fields(args, [("triple_index", value, value)])
 
 
 def _cmd_reduce(args) -> int:
@@ -168,9 +166,7 @@ def _cmd_torus_sweep(args) -> int:
     result = torus.torus_m_sweep(args.a, args.b, args.A, args.B, grid, _tolerances(args))
     print("t,m_closed,m_generic,delta")
     for row in result.rows:
-        print(
-            f"{_fmt(row.t)},{_fmt(row.m_closed)},{_fmt(row.m_generic)},{_fmt(row.delta)}"
-        )
+        print(",".join(map(_fmt, (row.t, row.m_closed, row.m_generic, row.delta))))
     if result.max_delta >= SWEEP_TOL:
         raise SweepMismatch(
             f"closed-form/generic delta {result.max_delta:.3e} exceeds {SWEEP_TOL:.0e}"
@@ -186,26 +182,15 @@ def _cmd_trefoil(args) -> int:
     constraint = knotcalc.holonomy_constraint(rep, f)
     winding = knotcalc.cs_winding(rep, f)
     cs = knotcalc.chern_simons(rep, f)
-    payload = {
-        "phi": str(rep.phi),
-        "psi": str(rep.psi),
-        "cohomology": list(cohomology),
-        "condition": condition,
-        "constraint": [str(x) for x in constraint],
-        "winding": [str(x) for x in winding],
-        "cs": str(cs),
-    }
-    lines = [
-        f"phi = {rep.phi}",
-        f"psi = {rep.psi}",
-        f"cohomology = ({cohomology[0]}, {cohomology[1]}, {cohomology[2]})",
-        f"condition = {'true' if condition else 'false'}",
-        f"constraint = ({constraint[0]}, {constraint[1]})",
-        f"winding = ({winding[0]}, {winding[1]})",
-        f"cs = {cs}",
-    ]
-    _emit(args, payload, lines)
-    return 0
+    return _emit_fields(args, [
+        ("phi", str(rep.phi), rep.phi),
+        ("psi", str(rep.psi), rep.psi),
+        ("cohomology", list(cohomology), _tuple(cohomology)),
+        ("condition", condition, "true" if condition else "false"),
+        ("constraint", [str(x) for x in constraint], _tuple(constraint)),
+        ("winding", [str(x) for x in winding], _tuple(winding)),
+        ("cs", str(cs), cs),
+    ])
 
 
 def _cmd_rho_diff(args) -> int:
@@ -215,10 +200,20 @@ def _cmd_rho_diff(args) -> int:
     cs1 = knotcalc.chern_simons(rep1, f)
     cs2 = knotcalc.chern_simons(rep2, f)
     diff = knotcalc.rho_difference_mod_z(rep1, rep2, f)
-    payload = {"cs1": str(cs1), "cs2": str(cs2), "rho_diff": str(diff)}
-    lines = [f"cs1 = {cs1}", f"cs2 = {cs2}", f"rho_diff = {diff}"]
-    _emit(args, payload, lines)
-    return 0
+    return _emit_fields(args, [
+        ("cs1", str(cs1), cs1), ("cs2", str(cs2), cs2), ("rho_diff", str(diff), diff),
+    ])
+
+
+# the commands that read documents: (name, handler, help, path arguments)
+_DOCUMENT_COMMANDS = (
+    ("validate", _cmd_validate, "check a space document's invariants", ("space",)),
+    ("m", _cmd_m, "pair invariant of two Lagrangians", ("space", "v", "w")),
+    ("triple", _cmd_triple, "integer triple index of three Lagrangians",
+     ("space", "u", "v", "w")),
+    ("reduce", _cmd_reduce, "propagate a Lagrangian across a relation", ("relation", "w")),
+    ("compose", _cmd_compose, "compose two bordism relations", ("rel1", "rel2")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,32 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON object on stdout instead of plain text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a space document's invariants")
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("m", help="pair invariant of two Lagrangians")
-    p.add_argument("space")
-    p.add_argument("v")
-    p.add_argument("w")
-    p.set_defaults(handler=_cmd_m)
-
-    p = sub.add_parser("triple", help="integer triple index of three Lagrangians")
-    p.add_argument("space")
-    p.add_argument("u")
-    p.add_argument("v")
-    p.add_argument("w")
-    p.set_defaults(handler=_cmd_triple)
-
-    p = sub.add_parser("reduce", help="propagate a Lagrangian across a relation")
-    p.add_argument("relation")
-    p.add_argument("w")
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser("compose", help="compose two bordism relations")
-    p.add_argument("rel1")
-    p.add_argument("rel2")
-    p.set_defaults(handler=_cmd_compose)
+    for name, handler, text, paths in _DOCUMENT_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for path in paths:
+            p.add_argument(path)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("torus-sweep",
                        help="CSV of the torus pair invariant over a stretch grid")
@@ -290,10 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(code: int, exc: Exception) -> int:
-    print(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-        file=sys.stderr,
-    )
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
     return code
 
 

@@ -84,8 +84,11 @@ class Tolerances:
 
 def _positive_float(value, rule: str) -> float:
     """``float(value)`` if it is finite and positive, else :class:`ValidationError`
-    worded ``rule``.  A value with no float is named by its type: the ``repr``
-    of an integer past 4300 digits raises."""
+    worded ``rule``.  Text and ``bool`` are not numbers here, though ``float``
+    reads them.  A value with no float is named by its type: the ``repr`` of an
+    integer past 4300 digits raises."""
+    if isinstance(value, (str, bytes, bool)):
+        raise ValidationError(f"{rule}, got {type(value).__name__}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):  # no float at all, or none in range

@@ -439,6 +439,14 @@ def test_trefoil_out_of_arc_exits_2(capsys):
     assert json.loads(err)["error"] == "OutOfArc"
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+def test_trefoil_at_a_point_that_does_not_extend_writes_one_condition_failed_error(capsys, flags):
+    # t = 1/4 lies on the arc, but (phi, psi)(f + I) is not an integer vector
+    code, out, err = run_cli(capsys, [*flags, "trefoil", "--t", "1/4"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ConditionFailed"
+
+
 def test_trefoil_bad_rational_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["trefoil", "--t", "0.2x"])
     assert code == 2
@@ -497,6 +505,68 @@ def test_json_flag_outputs_parse(capsys, standard_files):
     code, out, _ = run_cli(capsys, ["--json", "rho-diff", "--t1", "1/5", "--t2", "2/5"])
     assert code == 0
     assert json.loads(out)["rho_diff"] == "3/5"
+
+
+def test_json_flag_leaves_the_csv_and_document_outputs_as_they_are(capsys, tmp_path):
+    from hermsymp import bordism
+
+    space = ser.space_from_dict(json.loads((FIXTURES / "space.json").read_text()))
+    rel = write_json(tmp_path / "rel.json", ser.relation_to_dict(bordism.identity_relation(space)))
+    for argv in (["torus-sweep", "1", "2", "3", "4", "0.5", "2", "5"],
+                 ["reduce", rel, str(FIXTURES / "w.json")], ["compose", rel, rel]):
+        assert run_cli(capsys, ["--json", *argv]) == run_cli(capsys, argv)
+        assert run_cli(capsys, argv)[0] == 0
+
+
+def _plain_text(value):
+    # the plain form of a --json value: floats with 15 significant digits,
+    # complex numbers as a+bi, lists of them joined, other lists as tuples
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.15g" % value
+    if isinstance(value, dict):
+        return f"{value['re']:.15g}{value['im']:+.15g}i"
+    if isinstance(value, list) and all(isinstance(x, dict) for x in value):
+        return ", ".join(map(_plain_text, value))
+    if isinstance(value, list):
+        return f"({', '.join(map(_plain_text, value))})"
+    return str(value)
+
+
+FIXTURE_FILES = {name: str(FIXTURES / f"{name}.json") for name in ("space", "u", "v", "w")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["m", *(FIXTURE_FILES[n] for n in ("space", "v", "w"))],
+    ["triple", *(FIXTURE_FILES[n] for n in ("space", "u", "v", "w"))],
+    ["trefoil", "--t", "1/5"], ["trefoil", "--t", "2/5"],
+    ["rho-diff", "--t1", "1/5", "--t2", "2/5"],
+], ids=["m", "triple", "trefoil-0.2", "trefoil-0.4", "rho-diff"])
+def test_plain_and_json_report_the_same_fields(capsys, argv):
+    code, plain, _ = run_cli(capsys, argv)
+    json_code, out, _ = run_cli(capsys, ["--json", *argv])
+    assert code == json_code == 0
+    fields = dict(line.split(" = ", 1) for line in plain.splitlines())
+    assert fields == {name: _plain_text(value) for name, value in json.loads(out).items()}
+
+
+@pytest.mark.parametrize("flags", [[], ["--tol-rank", "1e3"]], ids=["pass", "fail"])
+def test_validate_reports_the_same_checks_plain_and_json(capsys, flags):
+    argv = [*flags, "validate", FIXTURE_FILES["space"]]
+    code, plain, _ = run_cli(capsys, argv)
+    json_code, out, _ = run_cli(capsys, [*flags, "--json", *argv[len(flags):]])
+    report = json.loads(out)
+    assert code == json_code == (0 if report["passed"] else 2)
+    verdict = {True: "PASS", False: "FAIL"}
+    # the plain form leaves out the signature
+    assert plain.splitlines() == [
+        f"dim = {report['dim']}",
+        *(f"{c['name']}: residual={_plain_text(c['residual'])}"
+          f"{' ' + c['detail'] if c['detail'] else ''} {verdict[c['passed']]}"
+          for c in report["checks"]),
+        f"result = {verdict[report['passed']]}",
+    ]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -100,6 +100,11 @@ MALFORMED = {
     "dict": [[{}]],
     "object": [[object()]],
     "past_double_range": [[10**400]],
+    # text numpy would parse as numbers
+    "numeric_string": [["1"], [" 0 "]],
+    "numeric_bytes": np.array([[b"1"], [b"0"]]),
+    "numeric_object_string": np.array([["1"], ["0"]], dtype=object),
+    "mixed_object": np.array([[1.0], ["0"]], dtype=object),
 }
 
 

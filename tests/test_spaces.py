@@ -767,11 +767,14 @@ def test_condition_number_of_the_zero_space_is_one():
 
 
 # and values with no float: none at all, one past the double range, and one
-# past the 4300 digits up to which Python gives an int's repr
+# past the 4300 digits up to which Python gives an int's repr; text and bool,
+# which float() reads, are no numbers either
 NO_FLOAT = [
     pytest.param(None, id="None"), pytest.param("x", id="str"),
     pytest.param(10**400, id="int-past-double-range"),
     pytest.param(10**5000, id="int-past-repr-limit"),
+    pytest.param("1e-3", id="numeric-str"), pytest.param(b"1e-3", id="numeric-bytes"),
+    pytest.param(True, id="bool"),
 ]
 
 

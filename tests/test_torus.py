@@ -237,12 +237,15 @@ def test_sweep_of_empty_grid():
 
 # values with no float (float() raises TypeError or ValueError), one past the
 # double range (OverflowError), one past the 4300 digits up to which Python
-# gives an int's repr, and a 2-D array entry
+# gives an int's repr, and a 2-D array entry; text and bool, which float()
+# reads, are no numbers either
 NO_FLOAT = [
     pytest.param(None, id="None"), pytest.param(1j, id="complex"), pytest.param("x", id="str"),
     pytest.param(10**400, id="int-past-double-range"),
     pytest.param(10**5000, id="int-past-repr-limit"),
     pytest.param(np.ones((2, 2)), id="2d-array"),
+    pytest.param("1", id="numeric-str"), pytest.param(b"1", id="numeric-bytes"),
+    pytest.param(True, id="bool"),
 ]
 
 
