@@ -31,7 +31,9 @@ class LagrangianValidationError(ValidationError):
 
 
 class EigensplitError(HermsympError):
-    """The +i/-i eigenspaces could not be separated or are unbalanced."""
+    """The +i/-i eigenspaces could not be separated: ``gamma`` fails the
+    checks of :func:`~hermsymp.spaces.validate_space`, or a pinned basis of
+    :func:`~hermsymp.spaces.eigensplit` keeps fewer than k columns."""
 
 
 class EigenvalueAmbiguity(HermsympError):
@@ -84,10 +86,13 @@ class Tolerances:
 
 def _positive_float(value, rule: str) -> float:
     """``float(value)`` if it is finite and positive, else :class:`ValidationError`
-    worded ``rule``.  Text and ``bool`` are not numbers here, though ``float``
-    reads them.  A value with no float is named by its type: the ``repr`` of an
-    integer past 4300 digits raises."""
-    if isinstance(value, (str, bytes, bool)):
+    worded ``rule``.  Text, byte buffers and booleans, numpy's by their dtype,
+    are not numbers here, though ``float`` reads them.  A value with no float
+    is named by its type: the ``repr`` of an integer past 4300 digits raises."""
+    if (
+        isinstance(value, (str, bytes, bytearray, memoryview, bool))
+        or getattr(getattr(value, "dtype", None), "kind", None) == "b"
+    ):
         raise ValidationError(f"{rule}, got {type(value).__name__}")
     try:
         number = float(value)

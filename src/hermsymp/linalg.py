@@ -42,13 +42,15 @@ from .errors import ValidationError
 
 def as_complex(a, name: str) -> np.ndarray:
     """``a`` as a complex array, or :class:`ValidationError` naming ``name`` where
-    it holds no numbers: text, even text numpy would parse as a number, ragged
-    rows, entries that are not numbers, integers past the double range."""
+    it holds no numbers: text, even text numpy would parse as a number, a
+    boolean array, ragged rows, entries that are not numbers, integers past
+    the double range."""
     try:
         arr = np.asarray(a)
         kind = arr.dtype.kind
-        if kind in "SU" or (kind == "O" and any(isinstance(x, (str, bytes)) for x in arr.flat)):
-            raise TypeError(f"got text entries, dtype {arr.dtype}")
+        text = kind in "SU" or (kind == "O" and any(isinstance(x, (str, bytes)) for x in arr.flat))
+        if text or kind == "b":
+            raise TypeError(f"got {'text' if text else 'boolean'} entries, dtype {arr.dtype}")
         return arr.astype(np.complex128, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be an array of numbers: {exc}") from None

@@ -58,7 +58,6 @@ from .spaces import (
     _graph_map,
     _raise_at_first,
     _require_same_space,
-    _split,
     lagrangian_from_basis,
 )
 
@@ -193,7 +192,7 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     q, _, kept = span_qr(stack._upper, np.stack([v_basis, w_basis]), tol.rank)
     _check_span(stack, kept.sum(axis=-1), q, stack._gamma_w @ q)
     # the k/k split, then both sides' graph maps and pair spectra in one pass
-    return _pair_values(stack, _split(stack), q, 0, 1)[0]
+    return _pair_values(stack, stack._evecs, q, 0, 1)[0]
 
 
 @functools.lru_cache(maxsize=None)

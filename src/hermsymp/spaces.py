@@ -26,19 +26,21 @@ share.  A Lagrangian is only its space and basis: its graph unitary is
 computed on each call.  Spaces, splittings and Lagrangians compare and hash
 by identity; :func:`same_space` compares two spaces by value.
 
-The k/k split and the checks of a Lagrangian span and a graph map are
-private functions shared with :mod:`~hermsymp.maslov`, each taking a single
-space or a stack.  A check broadcasts over its caller's leading axes: its
-figures keep the leading shape of the bases it is given, a stack's cond(U)
-broadcasts against them, and it raises if any entry fails, naming the first.
-Each check is one stacked pass: the split checks both halves in one product,
-and the graph map decides that its +i block is not singular from that block's
-Gram matrix, with an SVD only where the bound is inconclusive.  The split and
-the signature of :func:`validate_space` share one ``eigh`` of the
-whitened ``i gamma``, which the space keeps; every pair invariant takes its
-graph maps in the eigenvectors.  Only :func:`phi_of` and :func:`lagrangian_from_graph` read the
-phase-fixed bases of :func:`eigensplit`, which raises unless each keeps k
-columns.  One rank rule decides every span, whatever its column count:
+The checks of a Lagrangian span and a graph map are private functions
+shared with :mod:`~hermsymp.maslov`, each taking a single space or a stack.
+A check broadcasts over its caller's leading axes: its figures keep the
+leading shape of the bases it is given, a stack's cond(U) broadcasts against
+them, and it raises if any entry fails, naming the first.  Each check is one
+stacked pass; the graph map decides that its +i block is not singular from
+that block's Gram matrix, with an SVD only where the bound is inconclusive.
+The complex structure is checked once: the space keeps the figures of
+:func:`validate_space`, its two residuals and the eigenvalue counts of one
+``eigh`` of the whitened ``i gamma``, and its k/k split, the eigenvectors of
+that ``eigh``, raises :class:`EigensplitError` on the same figures.  Every
+pair invariant takes its graph maps in those eigenvectors.  Only
+:func:`phi_of` and :func:`lagrangian_from_graph` read the phase-fixed bases
+of :func:`eigensplit`, which raises unless each keeps k columns.  One rank
+rule decides every span, whatever its column count:
 :func:`~hermsymp.linalg.gram_mgs`, Gram-Schmidt's drops on the QR of
 :func:`~hermsymp.linalg.span_qr`, in :func:`lagrangian_from_basis`.
 """
@@ -78,11 +80,11 @@ class HermitianSymplecticSpace:
     Construction performs the structural checks (square, even-dimensional,
     Hermitian positive-definite gram) and keeps its Cholesky factor ``_upper``
     and the plain attributes ``dim`` and ``half_dim``, which the pair passes
-    read on every call; the three algebraic invariants are measured by
-    :func:`validate_space`.  A product of two spaces (:func:`direct_sum`, and
-    the flipped product of a bordism) is not constructed from its matrices:
-    it takes its factor, the factor's inverse and its whitened ``gamma`` from
-    its factors' blocks.
+    read on every call; the three algebraic invariants are measured once, on
+    first use, and reported by :func:`validate_space`.  A product of two
+    spaces (:func:`direct_sum`, and the flipped product of a bordism) is not
+    constructed from its matrices: it takes its factor, the factor's inverse
+    and its whitened ``gamma`` from its factors' blocks.
 
     Dimension zero is allowed and carries the unique empty Lagrangian.
 
@@ -167,14 +169,44 @@ class HermitianSymplecticSpace:
     @cached_property
     def _igamma(self):
         """``(evals, evecs)`` of the whitened ``i gamma_w``: the one eigensolve
-        of the split and of the signature of :func:`validate_space`."""
+        of the structure check and of the frame of every pair invariant."""
         gamma_w = self._gamma_w
         return linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
 
     @cached_property
+    def _structure(self):
+        """``(residuals, counts)`` that decide that ``gamma`` is a complex
+        structure, for a space or each of a stack, on a new first axis: the
+        largest entries of ``gamma_w^2 + I`` and ``gamma_w^H gamma_w - I``, and
+        the counts of eigenvalues of ``i gamma_w`` above ``tol.rank``, below
+        ``-tol.rank`` and between.  :func:`validate_space` reports them."""
+        gamma_w, ident, rank = self._gamma_w, np.eye(self.dim), self.tol.rank
+        residuals = np.stack(
+            [max_abs(gamma_w @ gamma_w + ident), max_abs(adjoint(gamma_w) @ gamma_w - ident)]
+        )
+        evals = self._igamma[0]
+        above, below = (evals > rank).sum(axis=-1), (evals < -rank).sum(axis=-1)
+        return residuals, np.stack([above, below, self.dim - above - below])
+
+    @cached_property
     def _evecs(self) -> np.ndarray:
-        # Lazy: most spaces built by reduction and composition never need it.
-        return _split(self)
+        """The k/k split: the eigenvectors of ``i gamma_w``, those of -1 (the
+        +i eigenspace of ``gamma_w``) first.  :class:`EigensplitError` where
+        :func:`validate_space` fails, from the figures of :attr:`_structure`.
+        Lazy: most spaces built by reduction and composition never need it."""
+        k = self.half_dim
+        residuals, counts = self._structure
+        _raise_at_first(
+            (counts[0] != k) | (counts[1] != k) | self._exceeds_alg(residuals).any(axis=0),
+            EigensplitError,
+            lambda j: "eigenspaces not separated within tolerance: i gamma_w has "
+            "({}, {}, {}) eigenvalues above, below and within tol.rank of 0, expected "
+            "({k}, {k}, 0); residuals gamma_squares_to_minus_identity={:.3e} "
+            "gamma_gram_unitary={:.3e}".format(
+                *counts[(slice(None), *j)], *residuals[(slice(None), *j)], k=k
+            ),
+        )
+        return self._igamma[1]
 
     @cached_property
     def _splitting(self) -> EigenSplitting:
@@ -222,41 +254,6 @@ def _raise_at_first(bad, error: type, describe) -> None:
         return
     j = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
     raise error(describe if isinstance(describe, str) else describe(j)) from None
-
-
-def _split(space) -> np.ndarray:
-    """The k/k split of a space, or of each space of a stack, into the +i and
-    -i eigenspaces of ``gamma_w``: the whitened eigenvectors ``E`` of
-    ``i gamma_w``, those of eigenvalue -1 (+i) first, then those of +1 (-i).
-
-    One product checks both halves: the plus and minus residuals are the
-    largest entries of the first and last k columns of
-    ``gamma_w E - E diag(i 1_k, -i 1_k)``."""
-    k, gamma_w = space.half_dim, space._gamma_w
-    evals, evecs = space._igamma
-    counts = np.stack([(evals < 0).sum(axis=-1), (evals > 0).sum(axis=-1)], axis=-1)
-    _raise_at_first(
-        (counts != k).any(axis=-1),
-        EigensplitError,
-        lambda j: "eigenspace dimensions ({}, {}) differ from ".format(*counts[j])
-        + f"({k}, {k}); the space does not split evenly into +i/-i eigenspaces",
-    )
-    off = np.abs(gamma_w @ evecs - evecs * np.repeat([1j, -1j], k))
-    residuals = np.stack(
-        [
-            off[..., :k].max(axis=(-2, -1), initial=0.0),
-            off[..., k:].max(axis=(-2, -1), initial=0.0),
-            max_abs(adjoint(evecs[..., :k]) @ evecs[..., k:]),
-        ],
-        axis=-1,
-    )
-    _raise_at_first(
-        space._exceeds_alg(residuals.max(axis=-1)),
-        EigensplitError,
-        lambda j: "eigenspaces not separated within tolerance: residuals "
-        "plus={:.3e} minus={:.3e} cross={:.3e}".format(*residuals[j]),
-    )
-    return evecs
 
 
 def _check_span(space, kept, q_w, gamma_q_w) -> None:
@@ -425,14 +422,8 @@ def validate_space(space: HermitianSymplecticSpace) -> SpaceReport:
     the signature of ``i gamma_w``, congruent to the form ``<x, i gamma y>``,
     which must be zero with no eigenvalue within ``tol.rank`` of zero.
     """
-    gamma_w, n = space._gamma_w, space.dim
-    ident = np.eye(n, dtype=np.complex128)
-    r_sq = max_abs(gamma_w @ gamma_w + ident)
-    r_unit = max_abs(gamma_w.conj().T @ gamma_w - ident)
-    eigs = space._igamma[0]
-    n_pos = int(np.sum(eigs > space.tol.rank))
-    n_neg = int(np.sum(eigs < -space.tol.rank))
-    n_null = n - n_pos - n_neg
+    (r_sq, r_unit), counts = space._structure
+    n_pos, n_neg, n_null = counts.tolist()
     signature = n_pos - n_neg
     checks = (
         InvariantCheck("gamma_squares_to_minus_identity", r_sq, not space._exceeds_alg(r_sq)),
@@ -473,9 +464,9 @@ def _phase_fixed(basis: np.ndarray) -> np.ndarray:
 def eigensplit(space: HermitianSymplecticSpace) -> EigenSplitting:
     """Split a valid space into the +i/-i eigenspaces of ``gamma``.
 
-    One ``eigh`` of the whitened ``i gamma``, whose eigenvectors every pair
-    invariant shares, decides the split; :class:`EigensplitError` unless it is
-    k/k within the space's thresholds and each basis keeps k columns.
+    The bases are read from the eigenvectors of the whitened ``i gamma``,
+    which every pair invariant shares; :class:`EigensplitError` where
+    :func:`validate_space` fails, or unless each basis keeps k columns.
     Computed on first use and memoized on the space.
     """
     return space._splitting
@@ -536,7 +527,7 @@ def intersection_dim(v: Lagrangian, w: Lagrangian) -> int:
 
     Each eigenvalue lies twice a principal-angle sine of V and W from -1.
     Raises :class:`~hermsymp.errors.EigenvalueAmbiguity` when one lies in
-    ``(tol.eig, 100 tol.eig)`` from -1, and fails where the split of the space
+    ``(tol.eig, 100 tol.eig)`` from -1, and fails where :func:`validate_space`
     fails.
     """
     from .maslov import m_details  # maslov imports this module

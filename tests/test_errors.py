@@ -105,6 +105,7 @@ MALFORMED = {
     "numeric_bytes": np.array([[b"1"], [b"0"]]),
     "numeric_object_string": np.array([["1"], ["0"]], dtype=object),
     "mixed_object": np.array([[1.0], ["0"]], dtype=object),
+    "boolean": [[True], [False]],
 }
 
 

@@ -23,7 +23,6 @@ from hermsymp.spaces import (
     _graph_map,
     _phase_fixed,
     _principal_sines,
-    _split,
 )
 from hermsymp.torus import TorusModel
 
@@ -152,24 +151,65 @@ def unpinnable_space():
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
-def test_split_residuals_are_each_halfs_own(rng, k):
-    # gamma off by 1e-6 fails the split; the message quotes the residual of
-    # each half, read from one product, and of the cross block
+def test_split_error_quotes_the_validate_residuals(rng, k):
+    # gamma off by 1e-6 fails validate_space and the split; the split's
+    # message quotes validate_space's two residuals, by their check names
     space = sampling.random_space(k, rng)
     noise = rng.standard_normal(space.gamma.shape) + 1j * rng.standard_normal(space.gamma.shape)
     space = hs.HermitianSymplecticSpace(space.gram, space.gamma + 1e-6 * noise)
-    with pytest.raises(EigensplitError) as exc:
-        _split(space)
-    gamma_w, evecs = space._gamma_w, space._igamma[1]
-    plus, minus = evecs[:, :k], evecs[:, k:]
-    expected = [
-        linalg.max_abs(gamma_w @ plus - 1j * plus),
-        linalg.max_abs(gamma_w @ minus + 1j * minus),
-        linalg.max_abs(plus.conj().T @ minus),
-    ]
-    quoted = [float(x) for x in re.findall(r"=(\S+)", str(exc.value))]
-    assert np.allclose(quoted, expected, rtol=1e-3, atol=0.0)
-    assert abs(quoted[0] - quoted[1]) > 1e-3 * quoted[0]  # the halves differ
+    report = hs.validate_space(space)
+    assert not report.passed
+    with pytest.raises(EigensplitError, match="eigenspaces not separated within tolerance") as exc:
+        hs.eigensplit(space)
+    quoted = {name: float(x) for name, x in re.findall(r"(\w+)=(\S+)", str(exc.value))}
+    residuals = {c.name: c.residual for c in report.checks[:2]}
+    assert quoted.keys() == residuals.keys()
+    for name, residual in residuals.items():
+        assert quoted[name] == pytest.approx(residual, rel=1e-3)
+
+
+def test_a_space_that_fails_validation_fails_every_pair_kernel():
+    # gamma scaled by 1 + 7e-11 puts both residuals at 1.4e-10, past tol.alg,
+    # while i gamma_w still counts 2/2: the pair kernels once returned m here
+    standard = hs.standard_space(2)
+    space = hs.HermitianSymplecticSpace(standard.gram, standard.gamma * (1 + 7e-11))
+    assert not hs.validate_space(space).passed
+    ident = np.eye(4)
+    v, w = (hs.lagrangian_from_basis(space, ident[:, half]) for half in (slice(2), slice(2, 4)))
+    message = "eigenspaces not separated within tolerance"
+    for call in (
+        lambda: hs.m_details(v, w),
+        lambda: hs.intersection_dim(v, w),
+        lambda: hs.eigensplit(space),
+    ):
+        with pytest.raises(EigensplitError, match=message):
+            call()
+    stack = [x[None] for x in (space.gram, space.gamma, v.basis, w.basis)]
+    with pytest.raises(EigensplitError, match=f"^item 0: {message}"):
+        hs.m_stack(*stack)
+
+
+def test_the_split_holds_exactly_where_validate_space_passes():
+    # gamma perturbed additively, entrywise and by scaling, at sizes across
+    # tol.alg: the split and validate_space decide alike on every draw
+    rng = np.random.default_rng(31)
+    passed = set()
+    for draw in range(300):
+        space = sampling.random_space(int(rng.integers(1, 5)), rng, spread=10 ** rng.uniform(0, 4))
+        size = 10 ** rng.uniform(-12, -6)
+        noise = rng.standard_normal(space.gamma.shape) + 1j * rng.standard_normal(space.gamma.shape)
+        gamma = (space.gamma + size * noise, space.gamma * (1 + size * noise),
+                 space.gamma * (1 + size))[draw % 3]
+        space = hs.HermitianSymplecticSpace(space.gram, gamma)
+        valid = hs.validate_space(space).passed
+        passed.add(valid)
+        try:
+            space._evecs
+            split = True
+        except EigensplitError:
+            split = False
+        assert split == valid, draw
+    assert passed == {True, False}
 
 
 def test_eigensplit_raises_unless_each_pinned_basis_has_k_columns():
@@ -177,11 +217,12 @@ def test_eigensplit_raises_unless_each_pinned_basis_has_k_columns():
     # keeps at most k columns; it keeps fewer on a space past cond(U) = 1/tol.rank.
     space, inverse = unpinnable_space()
     assert hs.validate_space(space).passed
-    _split(space)  # the eigenvalue count of i gamma_w is 2/2
+    space._evecs  # the eigenvalue count of i gamma_w is 2/2
     with pytest.raises(EigensplitError, match=r"\(1, 1\) columns, expected \(2, 2\)"):
         hs.eigensplit(space)
     # the functions built on the pinned bases fail with the same typed error
     lagr = hs.lagrangian_from_basis(space, inverse[:, :2])
+    assert hs.intersection_dim(lagr, lagr) == 2  # the pair kernel splits the space
     with pytest.raises(EigensplitError):
         hs.phi_of(lagr)
     with pytest.raises(EigensplitError):
@@ -774,7 +815,9 @@ NO_FLOAT = [
     pytest.param(10**400, id="int-past-double-range"),
     pytest.param(10**5000, id="int-past-repr-limit"),
     pytest.param("1e-3", id="numeric-str"), pytest.param(b"1e-3", id="numeric-bytes"),
-    pytest.param(True, id="bool"),
+    pytest.param(True, id="bool"), pytest.param(np.True_, id="numpy-bool"),
+    pytest.param(bytearray(b"1e-3"), id="numeric-bytearray"),
+    pytest.param(memoryview(b"1e-3"), id="numeric-memoryview"),
 ]
 
 
@@ -855,7 +898,8 @@ def test_eigensplit_bases_are_phase_fixed_by_the_loop(rng):
     for spread in (4.0, 1e2):
         space = sampling.random_space(3, rng, spread=spread)
         split = hs.eigensplit(space)
-        upper, k, evecs = space._upper, space.half_dim, _split(space)
+        assert hs.validate_space(space).passed  # the structure check of the split
+        upper, k, evecs = space._upper, space.half_dim, space._evecs
         # the coefficient vectors E^H U e_j of each eigenspace's eigenvectors E,
         # orthonormalized in C^k and mapped back by U^-1 E
         left, right = np.linalg.solve(upper, evecs), evecs.conj().T @ upper

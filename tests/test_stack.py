@@ -443,7 +443,7 @@ def test_structure_that_does_not_split(rng):
     # gamma^2 = -2 I, and both coordinate halves are isotropic, so the spans
     # pass as Lagrangians and the splitting fails.  i gamma_w has eigenvalues
     # -1.5 and 1.5, two each, so both routes count 2/2 and fail on the
-    # eigenvector residuals.
+    # residual of gamma_w^2 = -I.
     gamma = np.zeros((4, 4))
     gamma[:2, 2:], gamma[2:, :2] = -np.eye(2), 2.0 * np.eye(2)
     ident = np.eye(4)

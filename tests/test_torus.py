@@ -245,7 +245,9 @@ NO_FLOAT = [
     pytest.param(10**5000, id="int-past-repr-limit"),
     pytest.param(np.ones((2, 2)), id="2d-array"),
     pytest.param("1", id="numeric-str"), pytest.param(b"1", id="numeric-bytes"),
-    pytest.param(True, id="bool"),
+    pytest.param(True, id="bool"), pytest.param(np.True_, id="numpy-bool"),
+    pytest.param(bytearray(b"1"), id="numeric-bytearray"),
+    pytest.param(memoryview(b"1"), id="numeric-memoryview"),
 ]
 
 
