@@ -220,7 +220,7 @@ def svd(a):
 @_lapack("Eigenvalues did not converge")
 def eigvals(a):
     """``numpy.linalg.eigvals(a)``, which rejects non-finite input first."""
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     return _umath_linalg.eigvals(a, signature="D->D")
 

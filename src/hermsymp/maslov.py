@@ -31,6 +31,13 @@ pair, :func:`eta_correction_rhs` on the 4 pairs of its chain beside one
 eigensolve of its two triples, and :func:`m_stack` on a stack of spaces.
 ``m_stack``'s batch is only a fast path: when any of its checks fails, it is
 rerun as the loop of the scalar route that it stands for.
+
+The pair and triple kernels skip numpy's Python wrappers, which cost about a
+microsecond a call against a few of LAPACK on a small pair: they stack with
+``np.array`` and ``np.concatenate``, count and sum with ``np.add.reduce``,
+and hand a check's whole flag array to one reduction, so that per-pair flags
+are read only where the check fails.  The adjoint of the split frame is kept
+on the space.
 """
 from __future__ import annotations
 
@@ -76,17 +83,18 @@ class PairSpectrum:
     eigenvalues: tuple[complex, ...]
 
 
-def _pair_values(space, frame, q, first, second):
+def _pair_values(space, frame_h, q, first, second):
     """``(value, count, eigenvalues)`` of the pairs ``(q[first], q[second])``
     of a stack of whitened orthonormal bases ``q = U basis``, each mapped once
-    in one :func:`_graph_map` pass in ``frame``; ``first`` and ``second``
-    index the leading axis of ``q``, as integers or as lists of equal length.
+    in one :func:`_graph_map` pass in the frame whose adjoint is ``frame_h``;
+    ``first`` and ``second`` index the leading axis of ``q``, as integers or
+    as lists of equal length.
 
     Eigenvalues of ``-phi[first] phi[second]*`` within ``tol.eig`` of -1 are
     excluded, and their count is dim(V & W); one in ``(tol.eig, 100 tol.eig)``
-    raises.  No -0.0 value.
+    raises, the first in the first pair that has one.  No -0.0 value.
     """
-    phi = _graph_map(space, frame, q)
+    phi = _graph_map(space, frame_h, q)
     eigs = linalg.eigvals(-phi[first] @ adjoint(phi[second]))
     tau = space.tol.eig
     dist = np.abs(eigs + 1.0)
@@ -94,29 +102,26 @@ def _pair_values(space, frame, q, first, second):
     ambiguous = (dist < 100.0 * tau) > excluded  # inside the band, not excluded
 
     def describe(j):
-        lam = eigs[j][ambiguous[j]][0]
+        lam = eigs[j]
         return (
             f"eigenvalue {lam:.12g} lies {abs(lam + 1.0):.3e} from -1, inside the "
             f"ambiguity band (tol.eig={tau:.0e}); the invariant is discontinuous here"
         )
 
-    _raise_at_first(ambiguous.any(axis=-1), EigenvalueAmbiguity, describe)
+    _raise_at_first(ambiguous, EigenvalueAmbiguity, describe)
     angles = np.log(eigs).imag  # the branch of the definition; libm's atan2, not a SIMD one
-    value = -np.where(excluded, 0.0, angles).sum(axis=-1) / math.pi + 0.0
-    return value, excluded.sum(axis=-1), eigs
+    value = -np.add.reduce(np.where(excluded, 0.0, angles), axis=-1) / math.pi + 0.0
+    return value, np.add.reduce(excluded, axis=-1), eigs
 
 
 def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
     """Pair invariant of (V, W) with eigenvalues sorted by angle."""
     _require_same_space(v.space, w.space)
     space = v.space
-    q = space._upper @ np.stack([v.basis, w.basis])
-    value, count, eigs = _pair_values(space, space._evecs, q, 0, 1)
+    q = space._upper @ np.array([v.basis, w.basis])
+    value, count, eigs = _pair_values(space, space._evecs_h, q, 0, 1)
     ordered = tuple(
-        sorted(
-            (complex(z) for z in eigs),
-            key=lambda z: (math.atan2(z.imag, z.real), z.real, z.imag),
-        )
+        sorted(eigs.tolist(), key=lambda z: (math.atan2(z.imag, z.real), z.real, z.imag))
     )
     return PairSpectrum(
         value=float(value), intersection_dim=int(count), excluded=int(count), eigenvalues=ordered
@@ -189,10 +194,10 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     # their columns kept under the drop rule (a non-finite column never is),
     # and omega vanishing on them.  Only spans are needed, so the columns keep
     # the QR's signs.
-    q, _, kept = span_qr(stack._upper, np.stack([v_basis, w_basis]), tol.rank)
-    _check_span(stack, kept.sum(axis=-1), q, stack._gamma_w @ q)
+    q, _, kept = span_qr(stack._upper, np.array([v_basis, w_basis]), tol.rank)
+    _check_span(stack, np.add.reduce(kept, axis=-1), q, stack._gamma_w @ q)
     # the k/k split, then both sides' graph maps and pair spectra in one pass
-    return _pair_values(stack, stack._evecs, q, 0, 1)[0]
+    return _pair_values(stack, stack._evecs_h, q, 0, 1)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,15 +223,15 @@ def _inertia(space, q) -> np.ndarray:
     ambiguous = (size < 100.0 * tau) > (size <= tau)  # inside the band, not null
 
     def describe(j):
-        value = mu[j][ambiguous[j]][0]
+        value = mu[j]
         return (
             f"Kashiwara form eigenvalue {value:.3e} lies inside the ambiguity band "
             f"({tau:.1e}, {100.0 * tau:.1e}) around 0 (tol.eig={space.tol.eig:.0e}); "
             "two of the Lagrangians nearly meet and the triple index is discontinuous here"
         )
 
-    _raise_at_first(ambiguous.any(axis=-1), EigenvalueAmbiguity, describe)
-    return (mu > tau).sum(axis=-1) - (mu < -tau).sum(axis=-1)
+    _raise_at_first(ambiguous, EigenvalueAmbiguity, describe)
+    return np.add.reduce(mu > tau, axis=-1) - np.add.reduce(mu < -tau, axis=-1)
 
 
 def triple_index(u: Lagrangian, v: Lagrangian, w: Lagrangian) -> int:
@@ -240,7 +245,8 @@ def triple_index(u: Lagrangian, v: Lagrangian, w: Lagrangian) -> int:
     space = u.space
     for x in (v, w):
         _require_same_space(space, x.space)
-    return int(_inertia(space, space._upper @ np.hstack([u.basis, v.basis, w.basis])))
+    q = space._upper @ np.concatenate((u.basis, v.basis, w.basis), axis=-1)
+    return int(_inertia(space, q))
 
 
 def eta_correction_rhs(
@@ -265,7 +271,7 @@ def eta_correction_rhs(
     space = vx.space
     for x in (vy, wx, wy):
         _require_same_space(space, x.space)
-    q = space._upper @ np.stack([x.basis for x in (vx, vy, wx, wy)])
+    q = space._upper @ np.array([vx.basis, vy.basis, wx.basis, wy.basis])
     gamma_q = space._gamma_w @ q[[0, 1, 3]]
     _check_span(space, np.intp(space.half_dim), gamma_q, space._gamma_w @ gamma_q)
     # VX, VY, WX, WY, gamma VX, gamma VY, gamma WY; the triples (VX, VY, gamma WY)
@@ -273,7 +279,7 @@ def eta_correction_rhs(
     q = np.concatenate([q, gamma_q])
     first, second = _inertia(space, np.concatenate([q[[0, 4]], q[[1, 2]], q[[6, 3]]], axis=-1))
     integer = int(first - second)
-    m = _pair_values(space, space._evecs, q[:6], [0, 4, 5, 2], [1, 2, 3, 3])[0].tolist()
+    m = _pair_values(space, space._evecs_h, q[:6], [0, 4, 5, 2], [1, 2, 3, 3])[0].tolist()
     chain = m[0] - m[1] + m[2] - m[3]
     if abs(chain - integer) > space.tol.int:
         raise NonIntegerSum(

@@ -37,7 +37,8 @@ The complex structure is checked once: the space keeps the figures of
 :func:`validate_space`, its two residuals and the eigenvalue counts of one
 ``eigh`` of the whitened ``i gamma``, and its k/k split, the eigenvectors of
 that ``eigh``, raises :class:`EigensplitError` on the same figures.  Every
-pair invariant takes its graph maps in those eigenvectors.  Only
+pair invariant takes its graph maps in those eigenvectors, through their
+adjoint, which the space keeps beside them.  Only
 :func:`phi_of` and :func:`lagrangian_from_graph` read the phase-fixed bases
 of :func:`eigensplit`, which raises unless each keeps k columns.  One rank
 rule decides every span, whatever its column count:
@@ -139,6 +140,11 @@ class HermitianSymplecticSpace:
         return np.eye(self.half_dim)
 
     @cached_property
+    def _half_identity(self) -> np.ndarray:
+        """``I/2``, what the Gram block of a Lagrangian's graph map is close to."""
+        return 0.5 * self._identity
+
+    @cached_property
     def _cond(self):
         s = linalg.singular_values(self._upper)
         if not s.shape[-1]:  # a zero-dimensional space: the neutral scale
@@ -161,7 +167,7 @@ class HermitianSymplecticSpace:
         alg = self.tol.alg
         if isinstance(residual, np.ndarray):
             past = residual > alg
-            if past.any():
+            if np.count_nonzero(past):
                 past &= residual > alg * self._cond
             return past
         return residual > alg and residual > alg * self._cond
@@ -209,6 +215,12 @@ class HermitianSymplecticSpace:
         return self._igamma[1]
 
     @cached_property
+    def _evecs_h(self) -> np.ndarray:
+        """The adjoint of :attr:`_evecs`, which maps a whitened basis into the
+        split frame of every pair invariant."""
+        return adjoint(self._evecs)
+
+    @cached_property
     def _splitting(self) -> EigenSplitting:
         k, upper, evecs = self.half_dim, self._upper, self._evecs
         # the coordinate vectors projected onto an eigenspace, U^-1 E E^H U e_j:
@@ -249,8 +261,8 @@ def _raise_at_first(bad, error: type, describe) -> None:
     ``x[j]`` from the check's numpy values: ``j`` indexes the first flagged
     entry, and is ``()`` for a single flag, where ``x[()]`` is ``x`` itself.
     """
-    # not bad.any(): that hops through numpy's Python methods, ~1 us even on a scalar
-    if not (np.logical_or.reduce(bad, axis=None) if bad.ndim else bad):
+    # count_nonzero without an axis is one C call, a third of any() or a reduce
+    if not np.count_nonzero(bad):
         return
     j = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
     raise error(describe if isinstance(describe, str) else describe(j)) from None
@@ -273,10 +285,11 @@ def _check_span(space, kept, q_w, gamma_q_w) -> None:
     )
 
 
-def _graph_map(space, frame, q_w) -> np.ndarray:
+def _graph_map(space, frame_h, q_w) -> np.ndarray:
     """The unitary ``phi = c a^-1`` whose graph is a Lagrangian, or each of a stack:
     ``a`` and ``c`` are the products of the +i and the -i half of the whitened
-    orthonormal ``frame`` with the whitened basis ``q_w = U basis``.
+    orthonormal frame, whose adjoint is ``frame_h``, with the whitened basis
+    ``q_w = U basis``.
 
     ``a`` must not be singular: its smallest singular value must exceed
     ``tol.rank``.  Its Gram block decides that without an SVD where it can:
@@ -288,11 +301,13 @@ def _graph_map(space, frame, q_w) -> np.ndarray:
     inconclusive on some item, the SVD decides, and its value is quoted.
     """
     k, tol = space.half_dim, space.tol
-    coords = adjoint(frame) @ q_w
+    coords = frame_h @ q_w
     a, c = coords[..., :k, :], coords[..., k:, :]
-    gram_off = adjoint(a) @ a - 0.5 * space._identity
-    if not (tol.rank < 0.5 and (k * max_abs(gram_off) <= 0.25).all()):
-        s_min = linalg.singular_values(a).min(axis=-1, initial=np.inf)
+    gram_off = adjoint(a) @ a - space._half_identity
+    # one reduce over every item decides the bound for all of them
+    largest = np.maximum.reduce(np.abs(gram_off), axis=None, initial=0.0)
+    if not (tol.rank < 0.5 and k * largest <= 0.25):
+        s_min = np.minimum.reduce(linalg.singular_values(a), axis=-1, initial=np.inf)
         _raise_at_first(
             s_min <= tol.rank,
             LagrangianValidationError,
@@ -426,8 +441,10 @@ def validate_space(space: HermitianSymplecticSpace) -> SpaceReport:
     n_pos, n_neg, n_null = counts.tolist()
     signature = n_pos - n_neg
     checks = (
-        InvariantCheck("gamma_squares_to_minus_identity", r_sq, not space._exceeds_alg(r_sq)),
-        InvariantCheck("gamma_gram_unitary", r_unit, not space._exceeds_alg(r_unit)),
+        InvariantCheck(
+            "gamma_squares_to_minus_identity", float(r_sq), not space._exceeds_alg(r_sq)
+        ),
+        InvariantCheck("gamma_gram_unitary", float(r_unit), not space._exceeds_alg(r_unit)),
         InvariantCheck(
             "igamma_signature_zero",
             float(abs(signature) + n_null),
@@ -547,7 +564,7 @@ def phi_of(lagr: Lagrangian) -> np.ndarray:
     """
     space, splitting = lagr.space, eigensplit(lagr.space)
     frame = space._upper @ np.hstack([splitting.plus_basis, splitting.minus_basis])
-    return _frozen(_graph_map(space, frame, space._upper @ lagr.basis))
+    return _frozen(_graph_map(space, adjoint(frame), space._upper @ lagr.basis))
 
 
 def lagrangian_from_graph(space: HermitianSymplecticSpace, unitary) -> Lagrangian:

@@ -554,6 +554,60 @@ def test_numeric_modules_reach_lapack_only_through_linalg(module):
     assert numpy_linalg_uses(source) == []
 
 
+# The pair and triple kernels and the graph map, by module, as dotted names
+# within it: they make the ufunc or array call in place of numpy's wrapper.
+KERNELS = {
+    "maslov": ("_pair_values", "m_details", "_inertia", "triple_index", "eta_correction_rhs",
+               "_stacked_m"),
+    "spaces": ("_graph_map", "HermitianSymplecticSpace._exceeds_alg"),
+    "linalg": ("eigvals",),
+}
+
+
+def numpy_wrapper_calls(tree):
+    """Lines under ``tree`` that call ``np.stack``, ``np.hstack``, ``np.vstack``,
+    ``np.sum/any/all/min/max`` or an ndarray's ``.sum/any/all/min/max``: numpy's
+    Python wrappers, each about a microsecond before the call it makes."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = getattr(node.func.value, "id", None)
+            if node.func.attr in ("sum", "any", "all", "min", "max") or (
+                node.func.attr in ("stack", "hstack", "vstack") and owner in ("np", "numpy")
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def kernel_tree(module, dotted):
+    """The definition of ``dotted`` (``name`` or ``Class.name``) in a module's source."""
+    node = ast.parse((pathlib.Path(linalg.__file__).parent / f"{module}.py").read_text())
+    for name in dotted.split("."):
+        node = next(
+            child for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name
+        )
+    return node
+
+
+@pytest.mark.parametrize(
+    "module, dotted", [(module, name) for module, names in KERNELS.items() for name in names]
+)
+def test_pair_and_triple_kernels_skip_numpy_python_wrappers(module, dotted):
+    assert numpy_wrapper_calls(kernel_tree(module, dotted)) == []
+
+
+def test_the_guard_flags_each_numpy_python_wrapper():
+    for line in ("np.stack([a, b])", "np.hstack([a, b])", "numpy.vstack([a, b])", "np.sum(a)",
+                 "np.any(a)", "np.all(a)", "np.min(a)", "np.max(a)", "a.any()",
+                 "(a > 0).all()", "a.sum(axis=-1)", "a.min(axis=-1, initial=np.inf)", "a.max()"):
+        assert numpy_wrapper_calls(ast.parse(line)) == [1], line
+    for line in ("np.add.reduce(a, axis=-1)", "np.logical_or.reduce(a, axis=None)",
+                 "np.maximum.reduce(np.abs(a), axis=None, initial=0.0)", "np.concatenate([a, b])",
+                 "np.array([a, b])", "np.count_nonzero(a)", "max(a, b)", "sum(values)", "x.stack()"):
+        assert numpy_wrapper_calls(ast.parse(line)) == [], line
+
+
 @pytest.mark.parametrize("shape_a, shape_b", [((2, 3), (1, 2)), ((0, 0), (2, 2)), ((3, 1), (0, 2))])
 def test_block_diag_of_stacks_is_np_block_item_by_item(rng, shape_a, shape_b):
     # rectangular and empty blocks, as one pair of matrices and as a stack of five

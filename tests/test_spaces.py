@@ -31,6 +31,9 @@ def test_standard_model_validates():
     report = hs.validate_space(hs.standard_space(1))
     assert report.passed
     assert report.signature == 0
+    # every residual is a Python float, so the report's repr shows plain numbers
+    assert [type(c.residual) for c in report.checks] == [float] * 3
+    assert "np.float64" not in repr(report)
 
 
 def test_unbalanced_gamma_fails_signature():
@@ -173,7 +176,9 @@ def test_a_space_that_fails_validation_fails_every_pair_kernel():
     # while i gamma_w still counts 2/2: the pair kernels once returned m here
     standard = hs.standard_space(2)
     space = hs.HermitianSymplecticSpace(standard.gram, standard.gamma * (1 + 7e-11))
-    assert not hs.validate_space(space).passed
+    report = hs.validate_space(space)
+    assert not report.passed
+    assert [type(c.residual) for c in report.checks] == [float] * 3
     ident = np.eye(4)
     v, w = (hs.lagrangian_from_basis(space, ident[:, half]) for half in (slice(2), slice(2, 4)))
     message = "eigenspaces not separated within tolerance"
@@ -425,11 +430,11 @@ def test_plus_projection_is_isometry_up_to_sqrt2(rng):
     assert np.max(np.abs(a.conj().T @ a - np.eye(3) / 2.0)) < 1e-12
 
 
-def svd_graph_map(space, frame, q_w):
+def svd_graph_map(space, frame_h, q_w):
     """``_graph_map`` with the SVD on every call, as it was before its Gram-block
     bound: the same checks, thresholds and messages."""
     k = space.half_dim
-    coords = frame.conj().T @ q_w
+    coords = frame_h @ q_w
     a, c = coords[:k], coords[k:]
     s_min = np.linalg.svd(a, compute_uv=False).min(initial=np.inf)
     if s_min <= space.tol.rank:
@@ -444,19 +449,20 @@ def svd_graph_map(space, frame, q_w):
     return phi
 
 
-def _outcome(graph_map, space, frame, basis):
+def _outcome(graph_map, space, frame_h, basis):
     """The map's bytes, or the class and message of what it raises."""
     try:
-        return graph_map(space, frame, space._upper @ basis).tobytes()
+        return graph_map(space, frame_h, space._upper @ basis).tobytes()
     except hs.HermsympError as exc:
         return type(exc), str(exc)
 
 
 def _frames(space):
-    """The frames of the pair invariants (the split's eigenvectors) and of
-    :func:`phi_of` (the pinned bases, whitened)."""
+    """The adjoints of the frames of the pair invariants (the split's
+    eigenvectors) and of :func:`phi_of` (the pinned bases, whitened)."""
     split = hs.eigensplit(space)
-    return space._evecs, space._upper @ np.hstack([split.plus_basis, split.minus_basis])
+    pinned = space._upper @ np.hstack([split.plus_basis, split.minus_basis])
+    return space._evecs_h, pinned.conj().T
 
 
 def plus_block_basis(space, sigma, rng):
@@ -499,10 +505,10 @@ def test_graph_map_bound_gives_the_svds_verdict(rng, monkeypatch):
     monkeypatch.setattr(linalg, "singular_values", lambda a: calls.append(a) or real(a))
     kinds = set()
     for space, basis, cleared in _graph_map_cases(rng):
-        for frame in _frames(space):
+        for frame_h in _frames(space):
             before = len(calls)
-            got = _outcome(_graph_map, space, frame, basis)
-            assert got == _outcome(svd_graph_map, space, frame, basis)
+            got = _outcome(_graph_map, space, frame_h, basis)
+            assert got == _outcome(svd_graph_map, space, frame_h, basis)
             assert (len(calls) == before) == cleared
             kinds.add(got[1].split(";")[0].split(":")[0] if isinstance(got, tuple) else "map")
     assert kinds == {
@@ -525,8 +531,8 @@ def test_a_rank_threshold_past_one_half_forces_the_svd(rng, monkeypatch, k):
     cases = [plus_block_basis(space, [0.5**0.5] + half, rng) for _ in range(3)]
     cases.append(plus_block_basis(space, [0.55] + half, rng))
     for basis in cases:
-        got = _outcome(_graph_map, space, space._evecs, basis)
-        assert got == _outcome(svd_graph_map, space, space._evecs, basis)
+        got = _outcome(_graph_map, space, space._evecs_h, basis)
+        assert got == _outcome(svd_graph_map, space, space._evecs_h, basis)
     assert len(calls) == len(cases)
     assert isinstance(got, tuple) and "(smallest singular value 5.500e-01)" in got[1]
 
