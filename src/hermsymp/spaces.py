@@ -261,8 +261,9 @@ def _raise_at_first(bad, error: type, describe) -> None:
     ``x[j]`` from the check's numpy values: ``j`` indexes the first flagged
     entry, and is ``()`` for a single flag, where ``x[()]`` is ``x`` itself.
     """
-    # count_nonzero without an axis is one C call, a third of any() or a reduce
-    if not np.count_nonzero(bad):
+    # a single flag is read as it is; on an array, count_nonzero without an
+    # axis is one C call, a third of the cost of any() or a ufunc reduce
+    if not (np.count_nonzero(bad) if bad.ndim else bad):
         return
     j = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
     raise error(describe if isinstance(describe, str) else describe(j)) from None
