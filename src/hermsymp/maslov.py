@@ -35,9 +35,10 @@ rerun as the loop of the scalar route that it stands for.
 The pair and triple kernels skip numpy's Python wrappers, which cost about a
 microsecond a call against a few of LAPACK on a small pair: they stack with
 ``np.array`` and ``np.concatenate``, count and sum with ``np.add.reduce``,
-and hand a check's whole flag array to one reduction, so that per-pair flags
-are read only where the check fails.  The adjoint of the split frame is kept
-on the space.
+and hand a check's whole flag array to
+:func:`~hermsymp.spaces._raise_at_first`, which counts its flags once and
+finds the first failing pair only where the check fails.  The space keeps
+the adjoint of its split frame.
 """
 from __future__ import annotations
 
