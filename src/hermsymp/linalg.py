@@ -261,9 +261,7 @@ def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the right null space, singular values below ``tol``."""
     mat = as_complex_matrix(mat)
     rows, cols = mat.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if rows == 0:
+    if rows == 0:  # the SVD's vh is I here, but its conj() has -0.0 imaginary parts
         return np.eye(cols, dtype=np.complex128)
     _, s, vh = svd(mat)
     rank = np.count_nonzero(s > tol)

@@ -37,8 +37,8 @@ microsecond a call against a few of LAPACK on a small pair: they stack with
 ``np.array`` and ``np.concatenate``, count and sum with ``np.add.reduce``,
 and hand a check's whole flag array to
 :func:`~hermsymp.spaces._raise_at_first`, which counts its flags once and
-finds the first failing pair only where the check fails.  The space keeps
-the adjoint of its split frame.
+finds the first failing pair only where the check fails.  The kernel reads
+the adjoint of the split frame from the space, which keeps it.
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ from .spaces import (
     _check_span,
     _graph_map,
     _raise_at_first,
-    _require_same_space,
+    _shared_space,
     lagrangian_from_basis,
 )
 
@@ -84,10 +84,10 @@ class PairSpectrum:
     eigenvalues: tuple[complex, ...]
 
 
-def _pair_values(space, frame_h, q, first, second):
+def _pair_values(space, q, first, second):
     """``(value, count, eigenvalues)`` of the pairs ``(q[first], q[second])``
     of a stack of whitened orthonormal bases ``q = U basis``, each mapped once
-    in one :func:`_graph_map` pass in the frame whose adjoint is ``frame_h``;
+    in one :func:`_graph_map` pass in the space's split eigenvectors;
     ``first`` and ``second`` index the leading axis of ``q``, as integers or
     as lists of equal length.
 
@@ -95,7 +95,7 @@ def _pair_values(space, frame_h, q, first, second):
     excluded, and their count is dim(V & W); one in ``(tol.eig, 100 tol.eig)``
     raises, the first in the first pair that has one.  No -0.0 value.
     """
-    phi = _graph_map(space, frame_h, q)
+    phi = _graph_map(space, space._evecs_h, q)
     eigs = linalg.eigvals(-phi[first] @ adjoint(phi[second]))
     tau = space.tol.eig
     dist = np.abs(eigs + 1.0)
@@ -117,10 +117,9 @@ def _pair_values(space, frame_h, q, first, second):
 
 def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
     """Pair invariant of (V, W) with eigenvalues sorted by angle."""
-    _require_same_space(v.space, w.space)
-    space = v.space
+    space = _shared_space(v, w)
     q = space._upper @ np.array([v.basis, w.basis])
-    value, count, eigs = _pair_values(space, space._evecs_h, q, 0, 1)
+    value, count, eigs = _pair_values(space, q, 0, 1)
     ordered = tuple(
         sorted(eigs.tolist(), key=lambda z: (math.atan2(z.imag, z.real), z.real, z.imag))
     )
@@ -196,9 +195,9 @@ def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
     # and omega vanishing on them.  Only spans are needed, so the columns keep
     # the QR's signs.
     q, _, kept = span_qr(stack._upper, np.array([v_basis, w_basis]), tol.rank)
-    _check_span(stack, np.add.reduce(kept, axis=-1), q, stack._gamma_w @ q)
+    _check_span(stack, np.add.reduce(kept, axis=-1), q)
     # the k/k split, then both sides' graph maps and pair spectra in one pass
-    return _pair_values(stack, stack._evecs_h, q, 0, 1)[0]
+    return _pair_values(stack, q, 0, 1)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,9 +242,7 @@ def triple_index(u: Lagrangian, v: Lagrangian, w: Lagrangian) -> int:
     Raises :class:`EigenvalueAmbiguity` where two of the Lagrangians nearly
     meet, at a principal-angle sine of about ``(tol.eig/2, 50 tol.eig)``.
     """
-    space = u.space
-    for x in (v, w):
-        _require_same_space(space, x.space)
+    space = _shared_space(u, v, w)
     q = space._upper @ np.concatenate((u.basis, v.basis, w.basis), axis=-1)
     return int(_inertia(space, q))
 
@@ -269,18 +266,16 @@ def eta_correction_rhs(
     pass, and the chain must match the integer within ``space.tol.int``, else
     :class:`NonIntegerSum`: two independent routes to one integer.
     """
-    space = vx.space
-    for x in (vy, wx, wy):
-        _require_same_space(space, x.space)
+    space = _shared_space(vx, vy, wx, wy)
     q = space._upper @ np.array([vx.basis, vy.basis, wx.basis, wy.basis])
     gamma_q = space._gamma_w @ q[[0, 1, 3]]
-    _check_span(space, np.intp(space.half_dim), gamma_q, space._gamma_w @ gamma_q)
+    _check_span(space, np.intp(space.half_dim), gamma_q)
     # VX, VY, WX, WY, gamma VX, gamma VY, gamma WY; the triples (VX, VY, gamma WY)
     # and (gamma VX, WX, WY), one block of columns at a time
     q = np.concatenate([q, gamma_q])
     first, second = _inertia(space, np.concatenate([q[[0, 4]], q[[1, 2]], q[[6, 3]]], axis=-1))
     integer = int(first - second)
-    m = _pair_values(space, space._evecs_h, q[:6], [0, 4, 5, 2], [1, 2, 3, 3])[0].tolist()
+    m = _pair_values(space, q[:6], [0, 4, 5, 2], [1, 2, 3, 3])[0].tolist()
     chain = m[0] - m[1] + m[2] - m[3]
     if abs(chain - integer) > space.tol.int:
         raise NonIntegerSum(

@@ -15,8 +15,6 @@ from .spaces import HermitianSymplecticSpace, Lagrangian, lagrangian_from_graph,
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
@@ -25,8 +23,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_invertible(n: int, rng: np.random.Generator, spread: float = 4.0) -> np.ndarray:
     """Random matrix with singular values log-uniform in [1/sqrt(spread), sqrt(spread)]."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     half = math.log(spread) / 2.0
     d = np.exp(rng.uniform(-half, half, n))
     return random_unitary(n, rng) @ np.diag(d) @ random_unitary(n, rng)
@@ -80,8 +76,6 @@ def form_preserving_map(form: np.ndarray, rng: np.random.Generator, *, scale: fl
     to roundoff for any algebra element.
     """
     n = form.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = (x - np.linalg.solve(form, x.conj().T @ form)) / 2.0
     norm = float(np.linalg.norm(x, 2))

@@ -124,6 +124,7 @@ class HermitianSymplecticSpace:
         object.__setattr__(self, "_upper", upper)
         object.__setattr__(self, "dim", gram.shape[-1])
         object.__setattr__(self, "half_dim", gram.shape[-1] // 2)
+        object.__setattr__(self, "_basis_shape", (self.dim, self.half_dim))
 
     def omega(self) -> np.ndarray:
         """Matrix of the symplectic form: omega(x, y) = x^H @ omega() @ y."""
@@ -162,15 +163,15 @@ class HermitianSymplecticSpace:
         """The one rule for whitened residuals; cond(U) >= 1 spares the SVD below ``alg``.
 
         An array of residuals gets a verdict of its shape; on a stack of spaces
-        its last axis runs over the items.
+        its last axis runs over the items.  A NaN residual exceeds every threshold.
         """
         alg = self.tol.alg
         if isinstance(residual, np.ndarray):
-            past = residual > alg
+            past = ~(residual <= alg)
             if np.count_nonzero(past):
-                past &= residual > alg * self._cond
+                past &= ~(residual <= alg * self._cond)
             return past
-        return residual > alg and residual > alg * self._cond
+        return not (residual <= alg or residual <= alg * self._cond)
 
     @cached_property
     def _igamma(self):
@@ -259,26 +260,26 @@ def _raise_at_first(bad, error: type, describe) -> None:
 
     ``describe`` is the message, or ``describe(j)`` words the failure read as
     ``x[j]`` from the check's numpy values: ``j`` indexes the first flagged
-    entry, and is ``()`` for a single flag, where ``x[()]`` is ``x`` itself.
+    entry, and is ``()`` for a single bool flag, where ``x[()]`` is ``x``.
     """
     # a single flag is read as it is; on an array, count_nonzero without an
     # axis is one C call, a third of the cost of any() or a ufunc reduce
-    if not (np.count_nonzero(bad) if bad.ndim else bad):
+    if not (np.count_nonzero(bad) if isinstance(bad, np.ndarray) else bad):
         return
-    j = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
+    j = np.unravel_index(np.flatnonzero(bad)[0], np.shape(bad))
     raise error(describe if isinstance(describe, str) else describe(j)) from None
 
 
-def _check_span(space, kept, q_w, gamma_q_w) -> None:
+def _check_span(space, kept, q_w) -> None:
     """A span is Lagrangian: it has ``kept`` = k independent columns, and omega
-    ``q_w^H gamma_q_w`` vanishes on its orthonormal whitened basis ``q_w``."""
+    ``q_w^H gamma_w q_w`` vanishes on its orthonormal whitened basis ``q_w``."""
     k = space.half_dim
     _raise_at_first(
         kept != k,
         LagrangianValidationError,
         lambda j: f"basis spans dimension {kept[j]}, expected {k}",
     )
-    residual = max_abs(adjoint(q_w) @ gamma_q_w)
+    residual = max_abs(adjoint(q_w) @ (space._gamma_w @ q_w))
     _raise_at_first(
         space._exceeds_alg(residual),
         LagrangianValidationError,
@@ -340,9 +341,18 @@ def same_space(a: HermitianSymplecticSpace, b: HermitianSymplecticSpace) -> bool
     )
 
 
-def _require_same_space(a: HermitianSymplecticSpace, b: HermitianSymplecticSpace) -> None:
-    if not same_space(a, b):
-        raise ValidationError("operands live in different spaces")
+def _shared_space(*lagrangians: Lagrangian) -> HermitianSymplecticSpace:
+    """The space the Lagrangians share (else :class:`ValidationError`), each basis
+    of shape ``(dim, half_dim)`` (else :class:`LagrangianValidationError`)."""
+    space = lagrangians[0].space
+    shape = space._basis_shape
+    for x in lagrangians:
+        if x.space is not space or x.basis.shape != shape:
+            if not same_space(space, x.space):
+                raise ValidationError("operands live in different spaces")
+            if x.basis.shape != shape:
+                raise LagrangianValidationError(f"basis has shape {x.basis.shape}, not {shape}")
+    return space
 
 
 def standard_space(half_dim: int) -> HermitianSymplecticSpace:
@@ -528,7 +538,7 @@ def lagrangian_from_basis(space: HermitianSymplecticSpace, basis) -> Lagrangian:
     # a column with a non-finite entry is never kept
     if q_w.shape[1] < mat.shape[1] and not np.isfinite(mat).all():
         raise LagrangianValidationError("basis has non-finite entries")
-    _check_span(space, np.intp(q_w.shape[1]), q_w, space._gamma_w @ q_w)
+    _check_span(space, np.intp(q_w.shape[1]), q_w)
     basis = space._upper_inv @ q_w
     basis.setflags(write=False)
     return Lagrangian(space=space, basis=basis)
@@ -563,7 +573,7 @@ def phi_of(lagr: Lagrangian) -> np.ndarray:
     the +i eigenspace is singular, which signals an invalid input that slipped
     past validation.  Computed afresh on each call.
     """
-    space, splitting = lagr.space, eigensplit(lagr.space)
+    space, splitting = _shared_space(lagr), eigensplit(lagr.space)
     frame = space._upper @ np.hstack([splitting.plus_basis, splitting.minus_basis])
     return _frozen(_graph_map(space, adjoint(frame), space._upper @ lagr.basis))
 
@@ -586,6 +596,6 @@ def subspace_distance(v: Lagrangian, w: Lagrangian) -> float:
     orthonormal: the largest :func:`_principal_sines`, the norm of the residual
     of projecting the second onto the first, so small angles resolve to roundoff.
     """
-    _require_same_space(v.space, w.space)
-    q1, q2 = v.space._upper @ v.basis, v.space._upper @ w.basis
+    space = _shared_space(v, w)
+    q1, q2 = space._upper @ v.basis, space._upper @ w.basis
     return float(_principal_sines(q1, q2).max(initial=0.0))

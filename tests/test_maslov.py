@@ -304,6 +304,19 @@ def test_eta_correction_internal_identity(rng):
         assert abs(chain - integer) < 1e-8
 
 
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_eta_correction_rejects_a_nan_in_a_gamma_imaged_basis(rng, position):
+    # VX, VY and WY reach the span check as gamma images, and a NaN residual
+    # fails it, before numpy's eigensolvers see the NaN
+    space = sampling.random_space(2, rng)
+    chain = [sampling.random_lagrangian(space, rng) for _ in range(4)]
+    basis = np.array(chain[position].basis)
+    basis[1, 0] = np.nan
+    chain[position] = hs.Lagrangian(space, basis)
+    with pytest.raises(hs.LagrangianValidationError, match="residual nan$"):
+        hs.eta_correction_rhs(*chain)
+
+
 def test_eta_correction_second_triple_vanishes_for_wx_gamma_vx(rng):
     # With WX = gamma(VX) the second triple has a repeated-pattern argument
     # and vanishes, so the full expression equals the first triple alone.
@@ -332,9 +345,9 @@ def test_eta_correction_evaluates_each_distinct_pair_once(rng, monkeypatch):
     passes = []
     real_pair_values = maslov._pair_values
 
-    def recording(space, frame, q, first, second):
+    def recording(space, q, first, second):
         passes.append((q, list(zip(first, second))))
-        return real_pair_values(space, frame, q, first, second)
+        return real_pair_values(space, q, first, second)
 
     monkeypatch.setattr(maslov, "_pair_values", recording)
     assert hs.eta_correction_rhs(vx, vy, wx, wy) == expected
@@ -635,8 +648,8 @@ def test_stacked_pairs_are_bit_identical_to_m_invariant(k, monkeypatch):
     passes = []
     real_pair_values = maslov._pair_values
 
-    def recording(space, frame, q, first, second):
-        result = real_pair_values(space, frame, q, first, second)
+    def recording(space, q, first, second):
+        result = real_pair_values(space, q, first, second)
         passes.append((q, result[0]))
         return result
 

@@ -20,6 +20,7 @@ from hermsymp.errors import (
 )
 from hermsymp.linalg import gram_mgs
 from hermsymp.spaces import (
+    _check_span,
     _graph_map,
     _phase_fixed,
     _principal_sines,
@@ -732,6 +733,33 @@ def test_subspace_distance_is_the_largest_sine_bit_for_bit(rng):
             # the residual's largest singular value, spelled out: equal to the bit
             expected = linalg.singular_values(q2 - q1 @ (q1.conj().T @ q2)).max(initial=0.0)
             assert hs.subspace_distance(v, w) == float(expected)
+
+
+def test_a_nan_residual_exceeds_the_alg_rule():
+    # every comparison with NaN is false, so the rule reads "not within"
+    space = hs.standard_space(1)
+    assert space._exceeds_alg(np.float64(np.nan))
+    assert space._exceeds_alg(np.array([np.nan, 0.0, np.nan])).tolist() == [True, False, True]
+    with pytest.raises(LagrangianValidationError, match="residual nan$"):
+        _check_span(space, np.intp(1), np.full((2, 1), np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_a_hand_built_basis_of_another_shape_is_rejected(columns):
+    space = hs.standard_space(2)
+    lagr = hs.lagrangian_from_basis(space, np.eye(4, 2))
+    bad = hs.Lagrangian(space, np.eye(4, columns, dtype=complex))
+    message = rf"^basis has shape \(4, {columns}\), not \(4, 2\)$"
+    for call in (
+        lambda: hs.subspace_distance(lagr, bad),
+        lambda: hs.m_details(bad, lagr),
+        lambda: hs.intersection_dim(lagr, bad),
+        lambda: hs.triple_index(lagr, lagr, bad),
+        lambda: hs.eta_correction_rhs(lagr, lagr, lagr, bad),
+        lambda: hs.phi_of(bad),
+    ):
+        with pytest.raises(LagrangianValidationError, match=message):
+            call()
 
 
 def test_mixed_tolerances_rejected():
