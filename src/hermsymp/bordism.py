@@ -30,6 +30,7 @@ from .spaces import (
     HermitianSymplecticSpace,
     Lagrangian,
     _block_sum,
+    _raise_if_not_finite,
     direct_sum,
     gamma_image,
     lagrangian_from_basis,
@@ -135,7 +136,11 @@ def reduce(rel: BordismRelation, w: Lagrangian) -> Lagrangian:
     d0, upper = rel.source.dim, rel.source._upper
     graph = rel.graph.basis
     q_w, b = upper @ w.basis, upper @ graph[:d0]
-    c = linalg.nullspace(b - q_w @ (adjoint(q_w) @ b), rel.target.tol.rank)
+    try:
+        c = linalg.nullspace(b - q_w @ (adjoint(q_w) @ b), rel.target.tol.rank)
+    except np.linalg.LinAlgError:
+        _raise_if_not_finite(q_w, b)
+        raise
     return lagrangian_from_basis(rel.target, graph[d0:] @ c)
 
 
@@ -151,7 +156,12 @@ def compose(rel1: BordismRelation, rel2: BordismRelation) -> BordismRelation:
         raise ValidationError("relations are not composable: middle spaces differ")
     d0, d1, upper = rel1.source.dim, rel1.target.dim, rel1.target._upper
     b1, b2 = rel1.graph.basis, rel2.graph.basis
-    c1, c2 = linalg.span_intersection(upper @ b1[d0:], upper @ b2[:d1], rel1.target.tol.rank)
+    m1, m2 = upper @ b1[d0:], upper @ b2[:d1]  # the whitened middle blocks
+    try:
+        c1, c2 = linalg.span_intersection(m1, m2, rel1.target.tol.rank)
+    except np.linalg.LinAlgError:
+        _raise_if_not_finite(m1, m2)
+        raise
     basis = np.concatenate([b1[:d0] @ c1, b2[d1:] @ c2])
     return relation_from_graph(rel1.source, rel2.target, basis)
 

@@ -88,16 +88,23 @@ def _positive_float(value, rule: str) -> float:
     """``float(value)`` if it is finite and positive, else :class:`ValidationError`
     worded ``rule``.  Text, byte buffers and booleans, numpy's by their dtype,
     are not numbers here, though ``float`` reads them.  A value with no float
-    is named by its type: the ``repr`` of an integer past 4300 digits raises."""
-    if (
+    is named by its type: the ``repr`` of an integer past 4300 digits raises.
+    A ``float``, ``numpy.float64`` included, skips the type checks: a grid of
+    stretches reads one per point."""
+    if isinstance(value, float):
+        number = float(value)
+    elif (
         isinstance(value, (str, bytes, bytearray, memoryview, bool))
         or getattr(getattr(value, "dtype", None), "kind", None) == "b"
     ):
         raise ValidationError(f"{rule}, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):  # no float at all, or none in range
-        raise ValidationError(f"{rule}, got {type(value).__name__} with no float value") from None
+    else:
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):  # no float at all, or none in range
+            raise ValidationError(
+                f"{rule}, got {type(value).__name__} with no float value"
+            ) from None
     if not 0.0 < number < math.inf:
         raise ValidationError(f"{rule}, got {number!r}")
     return number

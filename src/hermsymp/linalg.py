@@ -107,7 +107,8 @@ NORM_RANGE = (2.0**-250, 2.0**250)
 
 # span_qr's products overflow, and a non-finite column's norm turns invalid,
 # without a warning: the norm test below catches both.  All four flags are
-# set, so that they do not depend on the ones in force at import.
+# set, so that they do not depend on the ones in force at import.  The torus
+# matrices and closed form take a token of it for their own overflows.
 _QUIET = _make_extobj(all="ignore")
 
 

@@ -32,7 +32,8 @@ eigensolve of its two triples, and :func:`m_stack` on a stack of spaces.
 ``m_stack``'s batch is only a fast path: when any of its checks fails, it is
 rerun as the loop of the scalar route that it stands for.
 
-The pair and triple kernels skip numpy's Python wrappers, which cost about a
+The pair and triple kernels, and :func:`m_stack` with the checks of the
+stacked space it builds, skip numpy's Python wrappers, which cost about a
 microsecond a call against a few of LAPACK on a small pair: they stack with
 ``np.array`` and ``np.concatenate``, count and sum with ``np.add.reduce``,
 and hand a check's whole flag array to
@@ -65,6 +66,7 @@ from .spaces import (
     _check_span,
     _graph_map,
     _raise_at_first,
+    _raise_if_not_finite,
     _shared_space,
     lagrangian_from_basis,
 )
@@ -217,7 +219,11 @@ def _inertia(space, q) -> np.ndarray:
     An eigenvalue within ``tol.eig/2`` of 0 is null, and one in
     ``(tol.eig/2, 50 tol.eig)`` raises: the pair kernel's bands, halved.
     """
-    mu = linalg.eigvalsh(adjoint(q) @ (space._gamma_w @ q) * _block_signs(q.shape[-1] // 3))
+    try:
+        mu = linalg.eigvalsh(adjoint(q) @ (space._gamma_w @ q) * _block_signs(q.shape[-1] // 3))
+    except np.linalg.LinAlgError:
+        _raise_if_not_finite(q)
+        raise
     tau = space.tol.eig / 2.0
     size = np.abs(mu)
     ambiguous = (size < 100.0 * tau) > (size <= tau)  # inside the band, not null

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .bordism import BordismRelation, _flipped_product
-from .errors import ValidationError
+from .errors import ValidationError, _positive_float
 from .spaces import HermitianSymplecticSpace, Lagrangian, lagrangian_from_graph, standard_space
 
 
@@ -22,7 +22,14 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_invertible(n: int, rng: np.random.Generator, spread: float = 4.0) -> np.ndarray:
-    """Random matrix with singular values log-uniform in [1/sqrt(spread), sqrt(spread)]."""
+    """Random matrix with singular values log-uniform in [1/sqrt(spread), sqrt(spread)].
+
+    ``spread`` must be a finite number of at least 1, else :class:`ValidationError`.
+    """
+    rule = "spread must be finite and at least 1"
+    spread = _positive_float(spread, rule)
+    if spread < 1.0:
+        raise ValidationError(f"{rule}, got {spread!r}")
     half = math.log(spread) / 2.0
     d = np.exp(rng.uniform(-half, half, n))
     return random_unitary(n, rng) @ np.diag(d) @ random_unitary(n, rng)
@@ -34,7 +41,8 @@ def random_space(
     """Pull the standard model back through a random invertible map.
 
     The pullback has gram T^H T and complex structure T^{-1} gamma0 T, which
-    satisfies every space invariant exactly in exact arithmetic.
+    satisfies every space invariant exactly in exact arithmetic.  ``spread`` is
+    that of :func:`random_invertible`, which checks it before any draw.
     """
     n = 2 * half_dim
     tmat = random_invertible(n, rng, spread)

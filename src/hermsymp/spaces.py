@@ -104,10 +104,9 @@ class HermitianSymplecticSpace:
     def __post_init__(self) -> None:
         gram, gamma = as_complex(self.gram, "gram"), as_complex(self.gamma, "gamma")
         _check_shapes(gram, gamma)
-        finite = np.isfinite(gram).all(axis=(-2, -1)) & np.isfinite(gamma).all(axis=(-2, -1))
+        finite = np.logical_and.reduce(np.isfinite(gram) & np.isfinite(gamma), axis=(-2, -1))
         _raise_at_first(~finite, SpaceValidationError, "gram and gamma must have finite entries")
-        skew = np.abs(gram - adjoint(gram)).max(axis=(-2, -1), initial=0.0)
-        scale = np.abs(gram).max(axis=(-2, -1), initial=0.0)
+        skew, scale = max_abs(gram - adjoint(gram)), max_abs(gram)
         _raise_at_first(skew > 1e-12 * scale, SpaceValidationError, "gram must be Hermitian")
         try:
             upper = adjoint(linalg.cholesky(gram))
@@ -188,12 +187,12 @@ class HermitianSymplecticSpace:
         the counts of eigenvalues of ``i gamma_w`` above ``tol.rank``, below
         ``-tol.rank`` and between.  :func:`validate_space` reports them."""
         gamma_w, ident, rank = self._gamma_w, np.eye(self.dim), self.tol.rank
-        residuals = np.stack(
+        residuals = np.array(
             [max_abs(gamma_w @ gamma_w + ident), max_abs(adjoint(gamma_w) @ gamma_w - ident)]
         )
         evals = self._igamma[0]
-        above, below = (evals > rank).sum(axis=-1), (evals < -rank).sum(axis=-1)
-        return residuals, np.stack([above, below, self.dim - above - below])
+        above, below = np.add.reduce(evals > rank, axis=-1), np.add.reduce(evals < -rank, axis=-1)
+        return residuals, np.array([above, below, self.dim - above - below])
 
     @cached_property
     def _evecs(self) -> np.ndarray:
@@ -204,7 +203,7 @@ class HermitianSymplecticSpace:
         k = self.half_dim
         residuals, counts = self._structure
         _raise_at_first(
-            (counts[0] != k) | (counts[1] != k) | self._exceeds_alg(residuals).any(axis=0),
+            (counts[0] != k) | (counts[1] != k) | np.logical_or.reduce(self._exceeds_alg(residuals)),
             EigensplitError,
             lambda j: "eigenspaces not separated within tolerance: i gamma_w has "
             "({}, {}, {}) eigenvalues above, below and within tol.rank of 0, expected "
@@ -287,6 +286,18 @@ def _check_span(space, kept, q_w) -> None:
     )
 
 
+def _raise_if_not_finite(*whitened) -> None:
+    """The failure path of a LAPACK call on whitened bases: an entry that is not
+    finite, which no checked Lagrangian has, makes the routine fail, and is
+    reported as the input's fault, :class:`LagrangianValidationError`, not as
+    numpy's ``LinAlgError``.  Called only once the routine has failed."""
+    for x in whitened:
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):
+            raise LagrangianValidationError(
+                "basis has non-finite entries in the space's whitened frame"
+            ) from None
+
+
 def _graph_map(space, frame_h, q_w) -> np.ndarray:
     """The unitary ``phi = c a^-1`` whose graph is a Lagrangian, or each of a stack:
     ``a`` and ``c`` are the products of the +i and the -i half of the whitened
@@ -300,7 +311,9 @@ def _graph_map(space, frame_h, q_w) -> np.ndarray:
     fail while ``tol.rank < 1/2``.  On a valid Lagrangian ``a^H a`` is close to
     ``I/2``, since ``[a; c]`` has orthonormal columns and omega vanishes on
     them, ``a^H a - c^H c = 0``; the bound holds for any input.  Where it is
-    inconclusive on some item, the SVD decides, and its value is quoted.
+    inconclusive on some item, the SVD decides, and its value is quoted.  A
+    non-finite basis, whose bound is NaN, fails that SVD: see
+    :func:`_raise_if_not_finite`.
     """
     k, tol = space.half_dim, space.tol
     coords = frame_h @ q_w
@@ -309,7 +322,12 @@ def _graph_map(space, frame_h, q_w) -> np.ndarray:
     # one reduce over every item decides the bound for all of them
     largest = np.maximum.reduce(np.abs(gram_off), axis=None, initial=0.0)
     if not (tol.rank < 0.5 and k * largest <= 0.25):
-        s_min = np.minimum.reduce(linalg.singular_values(a), axis=-1, initial=np.inf)
+        try:
+            s = linalg.singular_values(a)
+        except np.linalg.LinAlgError:
+            _raise_if_not_finite(q_w)
+            raise
+        s_min = np.minimum.reduce(s, axis=-1, initial=np.inf)
         _raise_at_first(
             s_min <= tol.rank,
             LagrangianValidationError,
@@ -329,7 +347,11 @@ def _graph_map(space, frame_h, q_w) -> np.ndarray:
 def _principal_sines(q_v, q_w):
     """Descending principal-angle sines of two whitened orthonormal bases, or of
     each pair of a stack: the singular values of ``q_w`` minus its projection on ``q_v``."""
-    return linalg.singular_values(q_w - q_v @ (adjoint(q_v) @ q_w))
+    try:
+        return linalg.singular_values(q_w - q_v @ (adjoint(q_v) @ q_w))
+    except np.linalg.LinAlgError:
+        _raise_if_not_finite(q_v, q_w)
+        raise
 
 
 def same_space(a: HermitianSymplecticSpace, b: HermitianSymplecticSpace) -> bool:

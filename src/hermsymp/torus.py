@@ -41,8 +41,10 @@ from itertools import islice
 from numbers import Integral
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar
 
 from .errors import BranchCut, HermsympError, ValidationError, _positive_float
+from .linalg import _QUIET
 from .maslov import m_stack
 from .spaces import HermitianSymplecticSpace, Lagrangian, Tolerances, lagrangian_from_basis
 
@@ -56,9 +58,12 @@ def torus_gram(t) -> np.ndarray:
     space's finiteness check to report."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape + (4, 4), dtype=np.complex128)
-    with np.errstate(over="ignore", divide="ignore"):
+    token = _extobj_contextvar.set(_QUIET)
+    try:
         for i, scale in enumerate((t, t, 1.0 / t, 1.0 / t)):
             out[..., i, i] = TORUS_AREA * scale
+    finally:
+        _extobj_contextvar.reset(token)
     return out
 
 
@@ -66,8 +71,11 @@ def torus_gamma(t) -> np.ndarray:
     """Hodge-star complex structure at stretch t; stacked like :func:`torus_gram`."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape + (4, 4), dtype=np.complex128)
-    with np.errstate(over="ignore", divide="ignore"):
+    token = _extobj_contextvar.set(_QUIET)
+    try:
         out[..., 0, 3] = out[..., 1, 2] = -1.0 / t
+    finally:
+        _extobj_contextvar.reset(token)
     out[..., 2, 1] = out[..., 3, 0] = t
     return out
 
@@ -164,13 +172,18 @@ def torus_m_closed_form(a: int, b: int, A: int, B: int, t: float) -> float:
 def _quotient(ar, ai, br, bi):
     """``(ar + i ai) / (br + i bi)`` on real arrays, rounded as Python's complex
     division rounds: Smith's method, dividing through by the larger of |br|, |bi|.
-    (numpy's complex division multiplies by a reciprocal and differs in the last bits.)"""
+    (numpy's complex division multiplies by a reciprocal and differs in the last bits.)
+
+    Where ``|bi|`` is the larger, Smith's second branch is the first one on
+    ``(ai, -ar, bi, -br)`` to the bit, each product and sum being the same up
+    to the order of its operands and exact negations; so the inputs are
+    swapped there, and only the first branch is evaluated."""
     wide = abs(br) >= abs(bi)
-    ratio = np.where(wide, bi / br, br / bi)
-    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-    re = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
-    im = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
+    ar, ai = np.where(wide, ar, ai), np.where(wide, ai, -ar)
+    br, bi = np.where(wide, br, bi), np.where(wide, bi, -br)
+    ratio = bi / br
+    denom = br + bi * ratio
+    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
 
 
 def _closed_form(
@@ -191,7 +204,9 @@ def _closed_form(
     # b and B are negated as integers: a zero entry stays +0.0, as in complex(-b, t * a)
     (a, b), (A, B) = (first.a, first.b), (second.a, second.b)
     tau = tol.eig
-    with np.errstate(all="ignore"):  # an overflow leaves a non-finite argument, raised below
+    # an overflow leaves a non-finite argument, raised below
+    token = _extobj_contextvar.set(_QUIET)
+    try:
         ta, tA = t * float(a), t * float(A)
         za_re, za_im = _quotient(float(b), ta, float(-b), ta)  # (i t a + b) / (i t a - b)
         zb_re, zb_im = _quotient(float(-B), tA, float(B), tA)  # (i t A - B) / (i t A + B)
@@ -199,7 +214,9 @@ def _closed_form(
         arg.real = -(za_re * zb_re - za_im * zb_im)
         arg.imag = -(za_re * zb_im + za_im * zb_re)
         failed = ~np.isfinite(arg) | (np.hypot(arg.real + 1.0, arg.imag) <= tau)
-    if failed.any():
+    finally:
+        _extobj_contextvar.reset(token)
+    if np.count_nonzero(failed):
         j = int(failed.argmax())
         z = complex(arg[j])
         if not cmath.isfinite(z):
@@ -280,7 +297,7 @@ def torus_m_sweep(
     values, rows = iter(t_values), []
     while chunk := [_stretch(t) for t in islice(values, SWEEP_CHUNK)]:
         t = np.array(chunk)
-        bases = (np.broadcast_to(x, (len(chunk),) + x.shape) for x in (v, w))
+        bases = (x[None].repeat(len(chunk), axis=0) for x in (v, w))
         try:
             generic = m_stack(torus_gram(t), torus_gamma(t), *bases, tol)
         except HermsympError as exc:

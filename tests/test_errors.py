@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hermsymp as hs
-from hermsymp import bordism, errors, maslov
+from hermsymp import bordism, errors, maslov, sampling
 
 SRC = pathlib.Path(errors.__file__).parent
 
@@ -143,3 +143,69 @@ def test_none_entries_raise_the_non_finite_errors(entry):
     # None reads as nan, which the finite-entry checks reject
     with pytest.raises(hs.ValidationError, match="finite entries"):
         _entry_points(lambda shape: np.full(shape, None).tolist())[entry]()
+
+
+def _hand_built_entry_points(value):
+    """Each entry point that takes a checked ``Lagrangian`` as given, fed a
+    hand-built one whose basis has ``value`` in one entry."""
+    rng = np.random.default_rng(5)
+    space = hs.standard_space(2)
+    u, v, w, x = (sampling.random_lagrangian(space, rng) for _ in range(4))
+    basis = np.array(v.basis)
+    basis[1, 0] = value
+    bad = hs.Lagrangian(space, basis)
+    rel = sampling.random_bordism_relation(space, hs.standard_space(1), rng)
+    graph = np.array(rel.graph.basis)
+    graph[0, 0] = value
+    bad_rel = bordism.BordismRelation(rel.source, rel.target, hs.Lagrangian(rel.graph.space, graph))
+    back = sampling.random_bordism_relation(hs.standard_space(1), space, rng)
+    return {
+        "m_details": lambda: hs.m_details(u, bad),
+        "intersection_dim": lambda: hs.intersection_dim(bad, u),
+        "phi_of": lambda: hs.phi_of(bad),
+        "triple_index": lambda: hs.triple_index(u, bad, w),
+        # a non-finite VX, VY or WY fails the span check of its gamma image already
+        "eta_correction_rhs": lambda: hs.eta_correction_rhs(u, w, bad, x),
+        "subspace_distance": lambda: hs.subspace_distance(u, bad),
+        "reduce": lambda: bordism.reduce(rel, bad),
+        "reduce_graph": lambda: bordism.reduce(bad_rel, u),
+        "compose": lambda: bordism.compose(back, bad_rel),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_hand_built_entry_points(0.0)))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_hand_built_lagrangian_with_a_non_finite_entry_raises_a_typed_error(entry, value):
+    # not numpy's LinAlgError from the SVD or eigensolve it fails; an infinite
+    # entry times a zero of the Cholesky factor warns in numpy's product first
+    with np.errstate(invalid="ignore"), pytest.raises(
+        hs.LagrangianValidationError, match="non-finite entries"
+    ):
+        _hand_built_entry_points(value)[entry]()
+
+
+@pytest.mark.parametrize("spread", [0, 0.01, 0.999, -4.0, np.nan, np.inf, "4", b"4", True, None])
+def test_sampling_rejects_a_spread_that_is_not_finite_or_below_one(spread):
+    rng = np.random.default_rng(0)
+    with pytest.raises(hs.ValidationError, match="spread must be finite and at least 1"):
+        sampling.random_invertible(2, rng, spread)
+    with pytest.raises(hs.ValidationError, match="spread must be finite and at least 1"):
+        sampling.random_space(1, rng, spread=spread)
+    # checked before any draw
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_sampling_takes_a_spread_of_one():
+    t = sampling.random_invertible(3, np.random.default_rng(0), spread=1)
+    assert np.allclose(np.linalg.svd(t, compute_uv=False), 1.0)
+    assert hs.validate_space(sampling.random_space(2, np.random.default_rng(0), spread=1)).passed
+
+
+def test_positive_float_returns_a_python_float_and_still_checks_a_float():
+    for value in (2.5, np.float64(2.5), 5e-324, np.float64(1.7e308)):
+        got = errors._positive_float(value, "rule")
+        assert type(got) is float and got == value
+    for bad in (0.0, -0.0, -1.0, float("nan"), float("inf"), np.float64("nan"),
+                np.float64("-inf"), np.float64(0.0)):
+        with pytest.raises(hs.ValidationError, match=r"rule, got (-?0\.0|-1\.0|nan|-?inf)$"):
+            errors._positive_float(bad, "rule")

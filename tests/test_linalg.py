@@ -558,22 +558,28 @@ def test_numeric_modules_reach_lapack_only_through_linalg(module):
 # within it: they make the ufunc or array call in place of numpy's wrapper.
 KERNELS = {
     "maslov": ("_pair_values", "m_details", "_inertia", "triple_index", "eta_correction_rhs",
-               "_stacked_m"),
-    "spaces": ("_graph_map", "HermitianSymplecticSpace._exceeds_alg"),
+               "_stacked_m", "m_stack"),
+    "spaces": ("_graph_map", "HermitianSymplecticSpace._exceeds_alg",
+               "HermitianSymplecticSpace.__post_init__", "HermitianSymplecticSpace._structure",
+               "HermitianSymplecticSpace._evecs"),
+    "torus": ("torus_m_sweep", "_closed_form", "_quotient", "torus_gram", "torus_gamma"),
     "linalg": ("eigvals",),
 }
 
 
 def numpy_wrapper_calls(tree):
     """Lines under ``tree`` that call ``np.stack``, ``np.hstack``, ``np.vstack``,
-    ``np.sum/any/all/min/max`` or an ndarray's ``.sum/any/all/min/max``: numpy's
-    Python wrappers, each about a microsecond before the call it makes."""
+    ``np.broadcast_to``, ``np.sum/any/all/min/max`` or an ndarray's
+    ``.sum/any/all/min/max``: numpy's Python wrappers, each about a microsecond
+    before the call it makes; or enter ``np.errstate``, which builds a fresh
+    error state on each call where a token of a prebuilt one would do."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             owner = getattr(node.func.value, "id", None)
             if node.func.attr in ("sum", "any", "all", "min", "max") or (
-                node.func.attr in ("stack", "hstack", "vstack") and owner in ("np", "numpy")
+                node.func.attr in ("stack", "hstack", "vstack", "broadcast_to", "errstate")
+                and owner in ("np", "numpy")
             ):
                 lines.append(node.lineno)
     return lines
@@ -600,11 +606,14 @@ def test_pair_and_triple_kernels_skip_numpy_python_wrappers(module, dotted):
 def test_the_guard_flags_each_numpy_python_wrapper():
     for line in ("np.stack([a, b])", "np.hstack([a, b])", "numpy.vstack([a, b])", "np.sum(a)",
                  "np.any(a)", "np.all(a)", "np.min(a)", "np.max(a)", "a.any()",
-                 "(a > 0).all()", "a.sum(axis=-1)", "a.min(axis=-1, initial=np.inf)", "a.max()"):
+                 "(a > 0).all()", "a.sum(axis=-1)", "a.min(axis=-1, initial=np.inf)", "a.max()",
+                 "np.broadcast_to(a, (3, 2))", "numpy.broadcast_to(a, shape)",
+                 "with np.errstate(all='ignore'):\n    pass", "np.errstate(over='ignore')"):
         assert numpy_wrapper_calls(ast.parse(line)) == [1], line
     for line in ("np.add.reduce(a, axis=-1)", "np.logical_or.reduce(a, axis=None)",
                  "np.maximum.reduce(np.abs(a), axis=None, initial=0.0)", "np.concatenate([a, b])",
-                 "np.array([a, b])", "np.count_nonzero(a)", "max(a, b)", "sum(values)", "x.stack()"):
+                 "np.array([a, b])", "np.count_nonzero(a)", "max(a, b)", "sum(values)", "x.stack()",
+                 "a[None].repeat(3, axis=0)", "_extobj_contextvar.set(_QUIET)", "x.errstate()"):
         assert numpy_wrapper_calls(ast.parse(line)) == [], line
 
 

@@ -470,3 +470,24 @@ def test_sweep_failure_in_a_later_chunk_is_the_per_point_loops(first_fails, monk
     else:
         assert got[0] is loop[0] is EigenvalueAmbiguity
         assert got[1].endswith(loop[1]) and got[2] == 6
+
+
+def test_quotient_is_python_complex_division_to_the_bit_on_both_branches():
+    # one branch on swapped inputs where |bi| > |br|: random magnitudes over
+    # the double range, signed zeros in the numerator, ties |br| = |bi|
+    rng = np.random.default_rng(17)
+    size = 4000
+
+    def draw():
+        x = np.exp(rng.uniform(-700.0, 700.0, size)) * rng.choice((-1.0, 1.0), size)
+        return np.where(rng.random(size) < 0.1, rng.choice((-0.0, 0.0), size), x)
+
+    ar, ai, br = draw(), draw(), draw()
+    bi = np.where(rng.random(size) < 0.1, -br, draw())
+    br, bi = np.where(br == 0.0, 1.0, br), np.where(bi == 0.0, -1.0, bi)
+    with np.errstate(all="ignore"):  # as the closed form calls it; Python's division overflows quietly
+        re, im = torus._quotient(ar, ai, br, bi)
+    quotients = map(complex.__truediv__, map(complex, ar, ai), map(complex, br, bi))
+    assert [(x.hex(), y.hex()) for x, y in zip(re.tolist(), im.tolist())] == [
+        (z.real.hex(), z.imag.hex()) for z in quotients
+    ]
