@@ -5,14 +5,18 @@ modeled by a Lagrangian subspace of the product H0^- (+) H1, where H0^- is H0
 with its complex structure reversed.  The sign flip encodes the boundary
 orientation convention under which graphs of symplectic-form-preserving maps
 are Lagrangian; without it they are not, and the composition and reduction
-laws below fail.  :func:`_flipped_product` builds that product, and
-:class:`BordismRelation` checks a graph's space against its blocks.
+laws below fail.  :func:`_flipped_product` builds that product and records
+its factors on it, so :class:`BordismRelation` accepts a graph on the product
+of its own source and target as it stands, and checks any other graph's space
+against the flipped blocks.
 
 Relation composition is defined set-theoretically and never requires
 transversality; the routines only flag numerical (not geometric) degeneracy.
 :func:`reduce` takes the null space of the graph's source parts projected off
 W, :func:`compose` intersects spans with :func:`linalg.span_intersection`, and
 both orthonormalize the raw result once, in :func:`lagrangian_from_basis`.
+A relation whitens its graph's source and target blocks on first use and
+keeps them, so a relation reused along chains whitens them once.
 Product spaces take their Cholesky factor, its inverse and their whitened
 ``gamma`` from their factors' blocks, so the direct sums of checked bases in
 :func:`glued_boundary_lagrangian` and :func:`lagrangian_relation` stand as built.
@@ -20,6 +24,7 @@ Product spaces take their Cholesky factor, its inverse and their whitened
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +58,13 @@ class BordismRelation:
 
     ``graph`` is a Lagrangian in ``_flipped_product(source, target)``; its space
     must equal the flipped blocks and tolerances exactly, or construction raises.
+    A space that ``_flipped_product`` built from these very ``source`` and
+    ``target`` objects holds that by construction and is not compared again;
+    any other space, equal-valued ones included, is compared block by block.
+
+    The whitened graph blocks ``source._upper @ graph.basis[:d0]`` and
+    ``target._upper @ graph.basis[d0:]``, which :func:`reduce` and
+    :func:`compose` read, are computed on first use and kept.
     """
 
     source: HermitianSymplecticSpace
@@ -61,10 +73,23 @@ class BordismRelation:
 
     def __post_init__(self) -> None:
         space, src, tgt = self.graph.space, self.source, self.target
+        factors = space._factors
+        if factors is not None and factors[0] is src and factors[1] is tgt and factors[2] < 0:
+            return
         gram, gamma = linalg.block_diag((src.gram, -src.gamma), (tgt.gram, tgt.gamma))
         blocks = np.array_equal(space.gram, gram) and np.array_equal(space.gamma, gamma)
         if not (space.tol == src.tol == tgt.tol and blocks):
             raise ValidationError("graph must live in the flipped-source product space")
+
+    @cached_property
+    def _source_w(self) -> np.ndarray:
+        """The graph's source block in the source's whitened frame."""
+        return linalg.whiten(self.source._upper, self.graph.basis[: self.source.dim])
+
+    @cached_property
+    def _target_w(self) -> np.ndarray:
+        """The graph's target block in the target's whitened frame."""
+        return linalg.whiten(self.target._upper, self.graph.basis[self.source.dim :])
 
 
 def relation_from_graph(
@@ -133,15 +158,13 @@ def reduce(rel: BordismRelation, w: Lagrangian) -> Lagrangian:
     """
     if not same_space(w.space, rel.source):
         raise ValidationError("Lagrangian does not live in the relation's source")
-    d0, upper = rel.source.dim, rel.source._upper
-    graph = rel.graph.basis
-    q_w, b = upper @ w.basis, upper @ graph[:d0]
+    q_w, b = linalg.whiten(rel.source._upper, w.basis), rel._source_w
     try:
         c = linalg.nullspace(b - q_w @ (adjoint(q_w) @ b), rel.target.tol.rank)
     except np.linalg.LinAlgError:
         _raise_if_not_finite(q_w, b)
         raise
-    return lagrangian_from_basis(rel.target, graph[d0:] @ c)
+    return lagrangian_from_basis(rel.target, rel.graph.basis[rel.source.dim :] @ c)
 
 
 def compose(rel1: BordismRelation, rel2: BordismRelation) -> BordismRelation:
@@ -154,9 +177,15 @@ def compose(rel1: BordismRelation, rel2: BordismRelation) -> BordismRelation:
     """
     if not same_space(rel1.target, rel2.source):
         raise ValidationError("relations are not composable: middle spaces differ")
-    d0, d1, upper = rel1.source.dim, rel1.target.dim, rel1.target._upper
+    d0, d1 = rel1.source.dim, rel1.target.dim
     b1, b2 = rel1.graph.basis, rel2.graph.basis
-    m1, m2 = upper @ b1[d0:], upper @ b2[:d1]  # the whitened middle blocks
+    # the whitened middle blocks, both in rel1.target's factor: rel2 keeps its
+    # block in its own source's, which is that factor when the spaces are one
+    m1 = rel1._target_w
+    if rel2.source is rel1.target:
+        m2 = rel2._source_w
+    else:
+        m2 = linalg.whiten(rel1.target._upper, b2[:d1])
     try:
         c1, c2 = linalg.span_intersection(m1, m2, rel1.target.tol.rank)
     except np.linalg.LinAlgError:

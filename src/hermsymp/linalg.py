@@ -20,8 +20,8 @@ LAPACK itself on the small matrices of a pair invariant: at k = 1 about
 11 us against 3 us for an ``svd``, 10 against 2 for ``eigvals`` and 8 against
 2 for ``inv`` (timeit minima, numpy 2.4.6).
 
-Each error state, the quiet one of :func:`span_qr` and the ``LinAlgError`` one
-of each routine, is built once, at import, with numpy's private
+Each error state, the quiet one of :func:`span_qr` and :func:`whiten` and the
+``LinAlgError`` one of each routine, is built once, at import, with numpy's private
 ``_make_extobj``; a call sets it on numpy's ``_extobj_contextvar`` and resets
 that token on the way out, as ``numpy.errstate`` does, so the caller's state
 is back in force after a return or a raise, thread by thread.  Building the
@@ -107,9 +107,21 @@ NORM_RANGE = (2.0**-250, 2.0**250)
 
 # span_qr's products overflow, and a non-finite column's norm turns invalid,
 # without a warning: the norm test below catches both.  All four flags are
-# set, so that they do not depend on the ones in force at import.  The torus
-# matrices and closed form take a token of it for their own overflows.
+# set, so that they do not depend on the ones in force at import.  whiten,
+# the torus matrices and the closed form take a token of it too.
 _QUIET = _make_extobj(all="ignore")
+
+
+def whiten(upper: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``U basis`` under the quiet error state: the whitened basis of a
+    hand-built ``Lagrangian`` with an infinite entry takes a NaN where the
+    entry meets a zero of ``U``, without a warning, and the caller's check
+    raises its typed error on it."""
+    token = _extobj_contextvar.set(_QUIET)
+    try:
+        return upper @ basis
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
@@ -145,8 +157,11 @@ def span_qr(upper: np.ndarray, basis: np.ndarray, drop_tol: float):
     try:
         whitened = upper @ basis
         norms = _column_norms(whitened)
-        # min and max propagate a nan norm, which fails the test
-        if not (lo <= norms.min(initial=hi) and norms.max(initial=lo) <= hi):
+        # minimum and maximum propagate a nan norm, which fails the test
+        if not (
+            lo <= np.minimum.reduce(norms, axis=None, initial=hi)
+            and np.maximum.reduce(norms, axis=None, initial=lo) <= hi
+        ):
             whitened = whitened_columns(upper, basis)
             norms = _column_norms(whitened)
     finally:
@@ -259,13 +274,14 @@ def cholesky(a):
 
 
 def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the right null space, singular values below ``tol``."""
+    """Orthonormal basis of the right null space, taking singular values at
+    most ``tol`` as zero."""
     mat = as_complex_matrix(mat)
     rows, cols = mat.shape
     if rows == 0:  # the SVD's vh is I here, but its conj() has -0.0 imaginary parts
         return np.eye(cols, dtype=np.complex128)
     _, s, vh = svd(mat)
-    rank = np.count_nonzero(s > tol)
+    rank = np.add.reduce(s > tol)
     return vh[rank:].conj().T
 
 

@@ -120,7 +120,7 @@ def _pair_values(space, q, first, second):
 def m_details(v: Lagrangian, w: Lagrangian) -> PairSpectrum:
     """Pair invariant of (V, W) with eigenvalues sorted by angle."""
     space = _shared_space(v, w)
-    q = space._upper @ np.array([v.basis, w.basis])
+    q = linalg.whiten(space._upper, np.array([v.basis, w.basis]))
     value, count, eigs = _pair_values(space, q, 0, 1)
     ordered = tuple(
         sorted(eigs.tolist(), key=lambda z: (math.atan2(z.imag, z.real), z.real, z.imag))
@@ -249,7 +249,7 @@ def triple_index(u: Lagrangian, v: Lagrangian, w: Lagrangian) -> int:
     meet, at a principal-angle sine of about ``(tol.eig/2, 50 tol.eig)``.
     """
     space = _shared_space(u, v, w)
-    q = space._upper @ np.concatenate((u.basis, v.basis, w.basis), axis=-1)
+    q = linalg.whiten(space._upper, np.concatenate((u.basis, v.basis, w.basis), axis=-1))
     return int(_inertia(space, q))
 
 
@@ -273,7 +273,7 @@ def eta_correction_rhs(
     :class:`NonIntegerSum`: two independent routes to one integer.
     """
     space = _shared_space(vx, vy, wx, wy)
-    q = space._upper @ np.array([vx.basis, vy.basis, wx.basis, wy.basis])
+    q = linalg.whiten(space._upper, np.array([vx.basis, vy.basis, wx.basis, wy.basis]))
     gamma_q = space._gamma_w @ q[[0, 1, 3]]
     _check_span(space, np.intp(space.half_dim), gamma_q)
     # VX, VY, WX, WY, gamma VX, gamma VY, gamma WY; the triples (VX, VY, gamma WY)

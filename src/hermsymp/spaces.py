@@ -101,6 +101,9 @@ class HermitianSymplecticSpace:
     gamma: np.ndarray
     tol: Tolerances = Tolerances()
 
+    # ``(a, b, sign)`` on a product that :func:`_block_sum` built, else None
+    _factors = None
+
     def __post_init__(self) -> None:
         gram, gamma = as_complex(self.gram, "gram"), as_complex(self.gamma, "gamma")
         _check_shapes(gram, gamma)
@@ -414,7 +417,9 @@ def _block_sum(
     construction would repeat (finite entries, Hermitian and positive-definite
     gram) hold exactly for a block diagonal of checked spaces.  The five blocks
     are read-only views of one :func:`~hermsymp.linalg.block_diag` of the
-    factors' stacks.  The factors' tolerances must agree.
+    factors' stacks.  The factors' tolerances must agree.  The product keeps
+    ``(a, b, sign)`` as ``_factors``, the factor objects themselves, so that
+    a bordism relation built on it knows its blocks without comparing them.
     """
     if a.tol != b.tol:
         raise ValidationError("operands carry different tolerances")
@@ -427,6 +432,7 @@ def _block_sum(
     gram, gamma, upper, upper_inv, gamma_w = blocks
     space = object.__new__(HermitianSymplecticSpace)
     space._set_fields(gram, gamma, a.tol, upper)
+    object.__setattr__(space, "_factors", (a, b, sign))
     # seeds the cached properties
     space.__dict__["_upper_inv"] = upper_inv
     space.__dict__["_gamma_w"] = gamma_w
@@ -597,7 +603,7 @@ def phi_of(lagr: Lagrangian) -> np.ndarray:
     """
     space, splitting = _shared_space(lagr), eigensplit(lagr.space)
     frame = space._upper @ np.hstack([splitting.plus_basis, splitting.minus_basis])
-    return _frozen(_graph_map(space, adjoint(frame), space._upper @ lagr.basis))
+    return _frozen(_graph_map(space, adjoint(frame), linalg.whiten(space._upper, lagr.basis)))
 
 
 def lagrangian_from_graph(space: HermitianSymplecticSpace, unitary) -> Lagrangian:
@@ -619,5 +625,5 @@ def subspace_distance(v: Lagrangian, w: Lagrangian) -> float:
     of projecting the second onto the first, so small angles resolve to roundoff.
     """
     space = _shared_space(v, w)
-    q1, q2 = space._upper @ v.basis, space._upper @ w.basis
+    q1, q2 = linalg.whiten(space._upper, v.basis), linalg.whiten(space._upper, w.basis)
     return float(_principal_sines(q1, q2).max(initial=0.0))

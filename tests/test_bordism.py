@@ -279,8 +279,13 @@ def _mixed_factor_tolerances(h0, h1, rel, rng):
     return bordism.relation_from_graph(h0, other, rel.graph.basis)
 
 
+def _other_target(h0, h1, rel, rng):
+    # a flipped product of the very source object, but of another target
+    return bordism.BordismRelation(source=h0, target=sampling.random_space(2, rng), graph=rel.graph)
+
+
 @pytest.mark.parametrize(
-    "build", [_unflipped_graph, _swapped, _other_tolerances, _mixed_factor_tolerances]
+    "build", [_unflipped_graph, _swapped, _other_tolerances, _mixed_factor_tolerances, _other_target]
 )
 def test_relation_rejects_graph_outside_flipped_product(rng, build):
     # Every graph here is a Lagrangian of its own space; only the space is wrong.
@@ -320,6 +325,99 @@ def test_each_relation_builds_its_product_space_once(rng, monkeypatch):
         products.clear()
         build()
         assert (len(inits), len(products)) == (expected_inits, expected_products)
+
+
+def test_relations_on_their_own_flipped_product_make_no_block_comparison(rng, monkeypatch):
+    # The product records its factor objects, so the relation built on it
+    # skips the block_diag of its comparison: the one block_diag left is the
+    # product's own.
+    h0 = sampling.random_space(2, rng)
+    h1 = sampling.random_space(1, rng)
+    rel1 = sampling.random_bordism_relation(h0, h1, rng)
+    rel2 = sampling.random_bordism_relation(h1, h0, rng)
+    w = sampling.random_lagrangian(h1, rng)
+    diags = _counted(monkeypatch, linalg.block_diag)
+    products = _counted(monkeypatch, hs.spaces._block_sum)
+    cases = [
+        lambda: bordism.relation_from_graph(h0, h1, rel1.graph.basis),
+        lambda: bordism.compose(rel1, rel2),
+        lambda: bordism.identity_relation(h0),
+        lambda: bordism.lagrangian_relation(w),
+    ]
+    for build in cases:
+        diags.clear()
+        products.clear()
+        build()
+        assert (len(diags), len(products)) == (1, 1)
+
+
+def test_a_flipped_product_of_equal_valued_distinct_factors_is_compared_and_passes(rng, monkeypatch):
+    h0 = sampling.random_space(2, rng)
+    h1 = sampling.random_space(1, rng)
+    rel = sampling.random_bordism_relation(h0, h1, rng)
+    twin0, twin1 = (hs.HermitianSymplecticSpace(h.gram, h.gamma) for h in (h0, h1))
+    diags = _counted(monkeypatch, linalg.block_diag)
+    got = bordism.BordismRelation(source=twin0, target=twin1, graph=rel.graph)
+    assert len(diags) == 1  # the comparison's
+    assert got.graph is rel.graph and rel.graph.space._factors == (h0, h1, -1)
+    # a product of the twins themselves records them, and holds rel's graph too
+    graph = hs.Lagrangian(bordism._flipped_product(twin0, twin1), rel.graph.basis)
+    diags.clear()
+    bordism.BordismRelation(source=h0, target=h1, graph=graph)
+    assert len(diags) == 1
+
+
+def test_a_copied_product_is_compared_again(rng, monkeypatch):
+    # dataclasses.replace builds a new space from matrices, with no factors
+    h0 = sampling.random_space(2, rng)
+    h1 = sampling.random_space(1, rng)
+    rel = sampling.random_bordism_relation(h0, h1, rng)
+    copy = dataclasses.replace(rel.graph.space)
+    assert copy._factors is None
+    diags = _counted(monkeypatch, linalg.block_diag)
+    bordism.BordismRelation(source=h0, target=h1, graph=hs.Lagrangian(copy, rel.graph.basis))
+    assert len(diags) == 1
+
+
+def test_kept_whitened_blocks_are_the_products_bit_for_bit(rng):
+    h0 = sampling.random_space(2, rng, spread=1e3)
+    h1 = sampling.random_space(3, rng, spread=1e3)
+    rel1 = sampling.random_bordism_relation(h0, h1, rng)
+    rel2 = sampling.random_bordism_relation(h1, h0, rng)
+    for rel in (rel1, rel2, bordism.compose(rel1, rel2), bordism.identity_relation(h1),
+                bordism.lagrangian_relation(sampling.random_lagrangian(h1, rng))):
+        d0, basis = rel.source.dim, rel.graph.basis
+        source_w, target_w = rel._source_w, rel._target_w
+        assert source_w.tobytes() == (rel.source._upper @ basis[:d0]).tobytes()
+        assert target_w.tobytes() == (rel.target._upper @ basis[d0:]).tobytes()
+        assert rel._source_w is source_w and rel._target_w is target_w
+
+
+def test_reduce_and_compose_whiten_a_relations_blocks_once(rng, monkeypatch):
+    h0 = sampling.random_space(2, rng)
+    h1 = sampling.random_space(1, rng)
+    rel1 = sampling.random_bordism_relation(h0, h1, rng)
+    rel2 = sampling.random_bordism_relation(h1, h0, rng)
+    w = sampling.random_lagrangian(h0, rng)
+    whiten = _counted(monkeypatch, linalg.whiten)
+    first = bordism.reduce(rel1, w)
+    # W's basis and the graph's source block
+    assert len(whiten) == 2
+    whiten.clear()
+    again = bordism.reduce(rel1, w)
+    assert len(whiten) == 1 and again.basis.tobytes() == first.basis.tobytes()
+    composite = bordism.compose(rel1, rel2)
+    whiten.clear()
+    assert bordism.compose(rel1, rel2).graph.basis.tobytes() == composite.graph.basis.tobytes()
+    assert len(whiten) == 0
+    # a middle space equal in value but another object: rel2's kept block is
+    # whitened in its own factor, so the middle block is whitened afresh
+    twin = bordism.relation_from_graph(
+        hs.HermitianSymplecticSpace(h1.gram, h1.gamma), h0, rel2.graph.basis
+    )
+    whiten.clear()
+    bordism.compose(rel1, twin)
+    assert len(whiten) == 1
 
 
 def test_prebuilt_factors_leave_compose_and_gluing_without_factorizations(rng, monkeypatch):

@@ -176,11 +176,10 @@ def _hand_built_entry_points(value):
 @pytest.mark.parametrize("entry", sorted(_hand_built_entry_points(0.0)))
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_a_hand_built_lagrangian_with_a_non_finite_entry_raises_a_typed_error(entry, value):
-    # not numpy's LinAlgError from the SVD or eigensolve it fails; an infinite
-    # entry times a zero of the Cholesky factor warns in numpy's product first
-    with np.errstate(invalid="ignore"), pytest.raises(
-        hs.LagrangianValidationError, match="non-finite entries"
-    ):
+    # not numpy's LinAlgError from the SVD or eigensolve it fails, nor the
+    # RuntimeWarning of an infinite entry times a zero of the Cholesky factor,
+    # which the whitening product keeps quiet: warnings are errors here
+    with pytest.raises(hs.LagrangianValidationError, match="non-finite entries"):
         _hand_built_entry_points(value)[entry]()
 
 

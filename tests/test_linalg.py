@@ -454,6 +454,29 @@ def test_span_qr_rescues_an_overflowing_product_quietly_and_restores_the_state(m
     assert_state(before)
 
 
+def test_whiten_is_the_product_quietly_and_restores_the_state():
+    # an infinite entry meets a zero of U: a NaN, and no warning or raise
+    upper = factor(positive_definite(random_basis(4, 4, np.random.default_rng(3))))
+    basis = random_basis(4, 2, np.random.default_rng(4))
+    assert linalg.whiten(upper, basis).tobytes() == (upper @ basis).tobytes()
+    basis[1, 0] = np.inf
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            got = linalg.whiten(upper, basis)
+            assert_state(RAISE)
+    assert np.isnan(got[:, 0]).any() and np.isfinite(got[:, 1]).all()
+    assert_state(before)
+
+
+def test_nullspace_takes_singular_values_at_most_tol_as_zero():
+    mat = np.diag([1.0, 0.25]).astype(np.complex128)
+    assert linalg.nullspace(mat, 0.25).shape == (2, 1)
+    assert linalg.nullspace(mat, np.nextafter(0.25, 0.0)).shape == (2, 0)
+    assert linalg.nullspace(np.zeros((0, 3)), 0.25).shape == (3, 3)
+
+
 @pytest.mark.parametrize("name", ["eigh", "eigvalsh"])
 def test_hermitian_eigensolvers_pass_non_finite_input_as_numpy_does(name):
     # numpy's eigh and eigvalsh check no entry and raise nothing on a nan: the
@@ -554,8 +577,9 @@ def test_numeric_modules_reach_lapack_only_through_linalg(module):
     assert numpy_linalg_uses(source) == []
 
 
-# The pair and triple kernels and the graph map, by module, as dotted names
-# within it: they make the ufunc or array call in place of numpy's wrapper.
+# The pair and triple kernels, the graph map, the span and null-space steps
+# and the bordism operations, by module, as dotted names within it: they make
+# the ufunc or array call in place of numpy's wrapper.
 KERNELS = {
     "maslov": ("_pair_values", "m_details", "_inertia", "triple_index", "eta_correction_rhs",
                "_stacked_m", "m_stack"),
@@ -563,7 +587,8 @@ KERNELS = {
                "HermitianSymplecticSpace.__post_init__", "HermitianSymplecticSpace._structure",
                "HermitianSymplecticSpace._evecs"),
     "torus": ("torus_m_sweep", "_closed_form", "_quotient", "torus_gram", "torus_gamma"),
-    "linalg": ("eigvals",),
+    "linalg": ("eigvals", "span_qr", "nullspace"),
+    "bordism": ("reduce", "compose", "BordismRelation.__post_init__"),
 }
 
 
