@@ -13,7 +13,8 @@ mapping torus, so its ``condition`` line always reads true.
 The numeric modules are lazy (see :mod:`hermsymp`): each handler reaches its
 functions through their module, so a module runs when a handler first uses it.
 ``trefoil``, ``rho-diff`` and ``--help`` run on the standard library and
-:mod:`~hermsymp.knotcalc` and never import numpy.
+:mod:`~hermsymp.knotcalc`, and load neither numpy nor ``dataclasses``; the
+numeric commands load no ``fractions``.
 
 Exit codes:
     0  success
@@ -30,10 +31,8 @@ Semantic errors are reported as JSON objects {"error", "message"} on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from . import bordism, knotcalc, maslov, serialization, spaces, torus
 from .errors import (
@@ -64,7 +63,7 @@ def _load_json(path: str):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _rational_arg(text: str) -> Fraction:
+def _rational_arg(text: str) -> knotcalc.Fraction:
     try:
         return knotcalc._rational(text)
     except ValidationError:
@@ -95,7 +94,8 @@ def _cmd_validate(args) -> int:
     space = serialization.space_from_dict(_load_json(args.space), _tolerances(args))
     report = spaces.validate_space(space)
     payload = {"dim": space.dim, "signature": report.signature, "passed": report.passed,
-               "checks": [dataclasses.asdict(c) for c in report.checks]}
+               "checks": [{"name": c.name, "residual": c.residual, "passed": c.passed,
+                           "detail": c.detail} for c in report.checks]}
     lines = [f"dim = {space.dim}"]
     for c in report.checks:
         verdict = "PASS" if c.passed else "FAIL"

@@ -1,10 +1,8 @@
-"""Exception types and the decision thresholds shared across the package.
-
-Neither needs numpy, so the parser of :mod:`hermsymp.cli` reads its tolerance
-defaults without loading the numeric modules.
-"""
+"""Exception types, the decision thresholds shared across the package, and the
+record base of its small frozen value classes.  None needs numpy or
+``dataclasses``, so the CLI parser reads its tolerance defaults, and the exact
+commands run, without loading either."""
 import math
-from dataclasses import dataclass, fields
 
 
 class HermsympError(Exception):
@@ -60,8 +58,30 @@ class ConditionFailed(ValidationError):
     """Holonomy parameters do not extend over the mapping torus."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _Record:
+    """An immutable value whose ``_fields``, set in ``__init__`` by ``object.__setattr__``,
+    give its equality, hash and ``repr`` in order, as a frozen dataclass's fields do."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Tolerances(_Record):
     """Decision thresholds of a space and of everything derived from it.
 
     ``alg`` bounds whitened residuals of algebraic identities, times cond(U),
@@ -73,15 +93,16 @@ class Tolerances:
     :class:`ValidationError` naming the field.
     """
 
+    _fields = ("alg", "rank", "eig", "int")
     alg: float = 1e-10
     rank: float = 1e-8
     eig: float = 1e-8
     int: float = 1e-6
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            rule = f"tolerance {field.name} must be finite and positive"
-            object.__setattr__(self, field.name, _positive_float(getattr(self, field.name), rule))
+    def __init__(self, alg=alg, rank=rank, eig=eig, int=int) -> None:  # the class defaults
+        for name, value in zip(self._fields, (alg, rank, eig, int)):
+            rule = f"tolerance {name} must be finite and positive"
+            object.__setattr__(self, name, _positive_float(value, rule))
 
 
 def _positive_float(value, rule: str) -> float:

@@ -16,11 +16,10 @@ returned by :func:`rho_difference_mod_z`, are used as invariants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
-from .errors import ConditionFailed, OutOfArc, ValidationError
+from .errors import ConditionFailed, OutOfArc, ValidationError, _Record
 
 
 def _rational(value, name: str = "value") -> Fraction:
@@ -42,8 +41,7 @@ def _rational(value, name: str = "value") -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class RepPoint:
+class RepPoint(_Record):
     """Diagonal holonomy parameters of the two commuting torus generators.
 
     The first generator maps to diag(e^{2 pi i phi}, e^{-2 pi i phi}) and the
@@ -51,23 +49,24 @@ class RepPoint:
     rationals; floats are rejected to keep the mod-Z arithmetic drift-free.
     """
 
+    _fields = ("phi", "psi")
     phi: Fraction
     psi: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", _rational(self.phi, "phi"))
-        object.__setattr__(self, "psi", _rational(self.psi, "psi"))
+    def __init__(self, phi, psi) -> None:
+        object.__setattr__(self, "phi", _rational(phi, "phi"))
+        object.__setattr__(self, "psi", _rational(psi, "psi"))
 
 
-@dataclass(frozen=True)
-class GluingMatrix:
+class GluingMatrix(_Record):
     """2x2 integer matrix with determinant one, acting on the torus lattice."""
 
+    _fields = ("rows",)
     rows: tuple[tuple[int, int], tuple[int, int]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows) -> None:
         try:
-            entries = tuple(tuple(row) for row in self.rows)
+            entries = tuple(tuple(row) for row in rows)
         except TypeError:  # rows, or a row, that cannot be iterated
             raise ValidationError("gluing matrix must be 2x2") from None
         for x in (x for row in entries for x in row):

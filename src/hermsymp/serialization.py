@@ -17,7 +17,7 @@ import numbers
 
 import numpy as np
 
-from .bordism import BordismRelation, relation_from_graph
+from . import bordism  # lazy: validate, m and triple never run it
 from .errors import SpaceValidationError, ValidationError
 from .linalg import max_abs
 from .spaces import HermitianSymplecticSpace, Lagrangian, Tolerances, lagrangian_from_basis
@@ -103,7 +103,7 @@ def lagrangian_from_dict(space: HermitianSymplecticSpace, data) -> Lagrangian:
     return lagrangian_from_basis(space, basis)
 
 
-def relation_to_dict(rel: BordismRelation) -> dict:
+def relation_to_dict(rel: bordism.BordismRelation) -> dict:
     return {
         "source_dim": rel.source.dim,
         "target_dim": rel.target.dim,
@@ -112,7 +112,7 @@ def relation_to_dict(rel: BordismRelation) -> dict:
     }
 
 
-def relation_from_dict(data, tol: Tolerances = Tolerances()) -> BordismRelation:
+def relation_from_dict(data, tol: Tolerances = Tolerances()) -> bordism.BordismRelation:
     """Parse a relation document; its source, target and graph carry ``tol``.
 
     Its product matrices must be finite and block diagonal within ``tol.alg``.
@@ -137,4 +137,4 @@ def relation_from_dict(data, tol: Tolerances = Tolerances()) -> BordismRelation:
     source = HermitianSymplecticSpace(gram[:d0, :d0], -gamma[:d0, :d0], tol)
     target = HermitianSymplecticSpace(gram[d0:, d0:], gamma[d0:, d0:], tol)
     basis = obj_to_matrix(data.get("basis"), d0 + d1, (d0 + d1) // 2, "basis")
-    return relation_from_graph(source, target, basis)
+    return bordism.relation_from_graph(source, target, basis)

@@ -618,6 +618,75 @@ def test_exact_commands_do_not_load_numpy():
     assert out.stdout.startswith("usage: hermsymp") and out.stderr == "False\n"
 
 
+# Runs one command in-process, then prints on stderr the loaded modules and, on
+# a second line, the package's lazy modules whose code has not run.
+MODULES_PROBE = (
+    "import sys, hermsymp, hermsymp.cli; code = hermsymp.cli.main(sys.argv[1:]); "
+    "print(*sys.modules, file=sys.stderr); print(*(name for name, module in "
+    "sys.modules.items() if type(module) is hermsymp._LazyModule), file=sys.stderr); "
+    "sys.exit(code)"
+)
+NUMERIC_MODULES = {f"hermsymp.{name}" for name in
+                   ("linalg", "spaces", "maslov", "bordism", "torus", "serialization")}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # Outside the package, the exact path loads what the standard library
+    # loads to import json and parse the same flags with argparse, and, to
+    # compute, fractions; in particular no dataclasses, whose import chain once
+    # cost more than the package itself.  __future__ is the annotations flag of
+    # the package's modules.  Of the numeric commands, none reads a rational,
+    # and those that read no relation leave bordism's code unrun.
+    from hermsymp import bordism
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+
+    def modules(*args):
+        """The modules a process loaded, and the package's modules still lazy."""
+        out = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, (args, out.stderr)
+        loaded, _, lazy = out.stderr.partition("\n")
+        outside = {name for name in loaded.split() if name.split(".")[0] != "hermsymp"}
+        return outside, set(lazy.split())
+
+    def standard(imports, *argv):
+        """The modules a parse of ``argv`` by a bare argparse parser loads, after ``imports``."""
+        code = (f"import sys, argparse, __future__, {imports}\n"
+                "try: argparse.ArgumentParser().parse_args(sys.argv[1:])\n"
+                "except SystemExit: pass\n"
+                "print(*sys.modules, file=sys.stderr)")
+        return modules("-c", code, *argv)[0]
+
+    plain = standard("json")
+    for target in ("hermsymp", "hermsymp.cli"):
+        loaded = modules("-c", f"import sys, {target}; print(*sys.modules, file=sys.stderr)")[0]
+        assert "dataclasses" not in loaded and loaded <= plain, (target, loaded - plain)
+    for argv, allowed in (
+        (["--help"], standard("json", "--help")),
+        (["trefoil", "--t", "1/5"], standard("fractions, json")),
+        (["--json", "rho-diff", "--t1", "1/5", "--t2", "2/5"], standard("fractions, json")),
+    ):
+        loaded, lazy = modules("-c", MODULES_PROBE, *argv)
+        assert "dataclasses" not in loaded and loaded <= allowed, (argv, loaded - allowed)
+        assert NUMERIC_MODULES <= lazy, argv
+
+    space, u, v, w = (str(FIXTURES / f"{name}.json") for name in ("space", "u", "v", "w"))
+    document = json.loads(pathlib.Path(space).read_text())
+    identity = bordism.identity_relation(ser.space_from_dict(document))
+    rel = write_json(tmp_path / "rel.json", ser.relation_to_dict(identity))
+    for argv in (
+        ["validate", space],
+        ["m", space, v, w],
+        ["triple", space, u, v, w],
+        ["reduce", rel, w],
+        ["compose", rel, rel],
+        ["torus-sweep", "1", "2", "3", "4", "0.5", "2", "5"],
+    ):
+        loaded, lazy = modules("-c", MODULES_PROBE, *argv)
+        assert "fractions" not in loaded, argv
+        assert ("hermsymp.bordism" in lazy) == (argv[0] not in ("reduce", "compose")), argv
+
+
 def test_m_on_an_ill_conditioned_space_prints_the_stacked_value(tmp_path):
     # The space validates with cond(U) about 6.4e6
     # (test_spaces.ill_conditioned_split_space): as a process, m prints the

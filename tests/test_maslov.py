@@ -555,6 +555,54 @@ def test_triple_index_is_a_cocycle(k):
     assert len(values) > 1
 
 
+@pytest.mark.parametrize("spread", [4.0, 1e2, 1e3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_m_is_the_eta_invariant_of_the_interval(k, spread):
+    # D = -gamma d/dx on [0, L] with f(0) in V and f(L) in W has
+    # eta(D; V, W) = (2/pi) sum arctan eig(X Y^-1), independently of L, with
+    # X = q_v^H q_w and Y = (gamma_w q_v)^H q_w for orthonormal whitened frames
+    # q_v, q_w.  A direction of V & W would have an infinite eigenvalue, so the
+    # pairs are transversal.  Built from gram and gamma with numpy alone: no
+    # split, no graph map, no unitary eigensolve.
+    rng = np.random.default_rng([k, int(spread), 36])
+    for _ in range(10):
+        space = sampling.random_space(k, rng, spread=spread)
+        v, w = sampling.random_lagrangian_pair(space, rng, 0)
+        upper = np.linalg.cholesky(space.gram).conj().T  # gram = U^H U
+        gamma_w = upper @ space.gamma @ np.linalg.inv(upper)
+        q_v, q_w = (np.linalg.qr(upper @ x.basis)[0] for x in (v, w))
+        x_mat, y_mat = q_v.conj().T @ q_w, (gamma_w @ q_v).conj().T @ q_w
+        eta = 2.0 / np.pi * np.arctan(np.linalg.eigvalsh(x_mat @ np.linalg.inv(y_mat))).sum()
+        assert abs(eta - hs.m_invariant(v, w)) < 1e-11
+
+
+@pytest.mark.parametrize("spread", [4.0, 1e2, 1e3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_correction_integer_is_a_cocycle_up_to_the_triple_indices(k, spread):
+    # With I(X, Y) the integer of eta_correction_rhs(VX, VY, WX, WY), the gamma
+    # terms of its chain cancel in I(X, Y) + I(Y, Z) - I(X, Z), which leaves
+    # sigma(VX, VY, VZ) - sigma(WX, WY, WZ); and m(W, V) = -m(V, W) gives
+    # I(Y, X) = -I(X, Y).  Every third draw has VX and VY meeting in dimension 1.
+    rng = np.random.default_rng([k, int(spread), 37])
+    lefts = set()
+    for draw in range(10):
+        space = sampling.random_space(k, rng, spread=spread)
+        vx, vy = (sampling.random_lagrangian_pair(space, rng, 1) if draw % 3 == 0
+                  else (sampling.random_lagrangian(space, rng) for _ in range(2)))
+        v = {"X": vx, "Y": vy, "Z": sampling.random_lagrangian(space, rng)}
+        w = {x: sampling.random_lagrangian(space, rng) for x in "XYZ"}
+
+        def integer(a, b):
+            return hs.eta_correction_rhs(v[a], v[b], w[a], w[b])[1]
+
+        left = integer("X", "Y") + integer("Y", "Z") - integer("X", "Z")
+        right = hs.triple_index(*v.values()) - hs.triple_index(*w.values())
+        assert left == right
+        assert integer("Y", "X") == -integer("X", "Y")
+        lefts.add(left)
+    assert lefts != {0}
+
+
 def test_first_failing_pair_wins_over_an_earlier_check_of_a_later_pair(rng):
     # Pair 0 fails the eigenvalue band of the pair tail, and pair 1 the check
     # that both operands share a space.  The loop meets pair 0 first;
