@@ -35,7 +35,7 @@ from .spaces import (
     HermitianSymplecticSpace,
     Lagrangian,
     _block_sum,
-    _raise_if_not_finite,
+    _lapack_on_whitened,
     direct_sum,
     gamma_image,
     lagrangian_from_basis,
@@ -159,11 +159,8 @@ def reduce(rel: BordismRelation, w: Lagrangian) -> Lagrangian:
     if not same_space(w.space, rel.source):
         raise ValidationError("Lagrangian does not live in the relation's source")
     q_w, b = linalg.whiten(rel.source._upper, w.basis), rel._source_w
-    try:
-        c = linalg.nullspace(b - q_w @ (adjoint(q_w) @ b), rel.target.tol.rank)
-    except np.linalg.LinAlgError:
-        _raise_if_not_finite(q_w, b)
-        raise
+    residual = b - q_w @ (adjoint(q_w) @ b)
+    c = _lapack_on_whitened((q_w, b), linalg.nullspace, residual, rel.target.tol.rank)
     return lagrangian_from_basis(rel.target, rel.graph.basis[rel.source.dim :] @ c)
 
 
@@ -186,11 +183,8 @@ def compose(rel1: BordismRelation, rel2: BordismRelation) -> BordismRelation:
         m2 = rel2._source_w
     else:
         m2 = linalg.whiten(rel1.target._upper, b2[:d1])
-    try:
-        c1, c2 = linalg.span_intersection(m1, m2, rel1.target.tol.rank)
-    except np.linalg.LinAlgError:
-        _raise_if_not_finite(m1, m2)
-        raise
+    rank = rel1.target.tol.rank
+    c1, c2 = _lapack_on_whitened((m1, m2), linalg.span_intersection, m1, m2, rank)
     basis = np.concatenate([b1[:d0] @ c1, b2[d1:] @ c2])
     return relation_from_graph(rel1.source, rel2.target, basis)
 

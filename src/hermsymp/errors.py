@@ -66,6 +66,8 @@ class _Record:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
+        if other is self:  # a shared instance, as a space's tolerances mostly are
+            return True
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:

@@ -20,14 +20,17 @@ LAPACK itself on the small matrices of a pair invariant: at k = 1 about
 11 us against 3 us for an ``svd``, 10 against 2 for ``eigvals`` and 8 against
 2 for ``inv`` (timeit minima, numpy 2.4.6).
 
-Each error state, the quiet one of :func:`span_qr` and :func:`whiten` and the
-``LinAlgError`` one of each routine, is built once, at import, with numpy's private
-``_make_extobj``; a call sets it on numpy's ``_extobj_contextvar`` and resets
-that token on the way out, as ``numpy.errstate`` does, so the caller's state
-is back in force after a return or a raise, thread by thread.  Building the
-state anew on each call, as entering an ``np.errstate`` does, cost about a
-fifth of a k = 2 LAPACK call.  ``numpy>=2.0`` provides these private names
-and the gufunc names.
+Every error state of the package is built once, at import, with numpy's
+private ``_make_extobj``, and set by one decorator, :func:`_under`: a call
+sets it on numpy's ``_extobj_contextvar`` and resets that token on the way
+out, as ``numpy.errstate`` does, so the caller's state is back in force after
+a return or a raise, thread by thread.  The ``LinAlgError`` state of each
+routine is one; the other is :func:`quiet`, all four flags ignored, under
+which :func:`whiten`, the product and norms of :func:`span_qr`, and the
+overflowing or invalid arithmetic of ``spaces`` and ``torus`` run.  Building
+the state anew on each call, as entering a ``numpy.errstate`` does, cost about
+a fifth of a k = 2 LAPACK call.  ``numpy>=2.0`` provides these private names
+and the gufunc names; no other module imports them.
 """
 from __future__ import annotations
 
@@ -105,23 +108,39 @@ def whitened_columns(upper: np.ndarray, basis: np.ndarray) -> np.ndarray:
 # 3.5%.
 NORM_RANGE = (2.0**-250, 2.0**250)
 
-# span_qr's products overflow, and a non-finite column's norm turns invalid,
-# without a warning: the norm test below catches both.  All four flags are
-# set, so that they do not depend on the ones in force at import.  whiten,
-# the torus matrices and the closed form take a token of it too.
-_QUIET = _make_extobj(all="ignore")
+
+def _under(state):
+    """A decorator that runs a function under the prebuilt error ``state``,
+    positional arguments only, and hands the caller's state back after a
+    return or a raise."""
+
+    def decorate(func):
+        @functools.wraps(func)
+        def under_state(*args):
+            token = _extobj_contextvar.set(state)
+            try:
+                return func(*args)
+            finally:
+                _extobj_contextvar.reset(token)
+
+        return under_state
+
+    return decorate
 
 
+# Overflow, and an invalid value from a non-finite entry, without a warning:
+# the caller's finiteness or norm test catches both.  All four flags are set,
+# so that they do not depend on the ones in force at import.
+quiet = _under(_make_extobj(all="ignore"))
+
+
+@quiet
 def whiten(upper: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """``U basis`` under the quiet error state: the whitened basis of a
     hand-built ``Lagrangian`` with an infinite entry takes a NaN where the
     entry meets a zero of ``U``, without a warning, and the caller's check
     raises its typed error on it."""
-    token = _extobj_contextvar.set(_QUIET)
-    try:
-        return upper @ basis
-    finally:
-        _extobj_contextvar.reset(token)
+    return upper @ basis
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
@@ -129,6 +148,7 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-2))
 
 
+@quiet
 def span_qr(upper: np.ndarray, basis: np.ndarray, drop_tol: float):
     """One QR of ``U basis``, on a matrix of at most ``rows`` columns or a
     stack of them, ``upper`` broadcasting against ``basis``: the step of
@@ -144,28 +164,23 @@ def span_qr(upper: np.ndarray, basis: np.ndarray, drop_tol: float):
     :func:`whitened_columns`.  A column with a non-finite entry is never kept,
     and raises no warning.
 
-    The product and the norms run under a quiet error state built once at
-    import, and the caller's state is back in force for the QR and after a
-    return or a raise.
+    The call runs under the :func:`quiet` state, for the product and the
+    norms; the QR sets no flag (``geqrf`` fails only on invalid arguments).
 
     These are the two LAPACK calls of ``numpy.linalg.qr`` (``geqrf`` leaves R in
     the upper triangle of its argument), without its Python wrapper: that
     costs about 18 us a call, half of a k = 1 Lagrangian construction.
     """
     lo, hi = NORM_RANGE
-    token = _extobj_contextvar.set(_QUIET)
-    try:
-        whitened = upper @ basis
+    whitened = upper @ basis
+    norms = _column_norms(whitened)
+    # minimum and maximum propagate a nan norm, which fails the test
+    if not (
+        lo <= np.minimum.reduce(norms, axis=None, initial=hi)
+        and np.maximum.reduce(norms, axis=None, initial=lo) <= hi
+    ):
+        whitened = whitened_columns(upper, basis)
         norms = _column_norms(whitened)
-        # minimum and maximum propagate a nan norm, which fails the test
-        if not (
-            lo <= np.minimum.reduce(norms, axis=None, initial=hi)
-            and np.maximum.reduce(norms, axis=None, initial=lo) <= hi
-        ):
-            whitened = whitened_columns(upper, basis)
-            norms = _column_norms(whitened)
-    finally:
-        _extobj_contextvar.reset(token)
     tau = _umath_linalg.qr_r_raw(whitened, signature="D->D")
     q = _umath_linalg.qr_reduced(whitened, tau, signature="DD->D")
     diag = whitened.diagonal(axis1=-2, axis2=-1).real
@@ -206,19 +221,7 @@ def _lapack(failure: str):
         raise np.linalg.LinAlgError(failure)
 
     state = _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
-
-    def decorate(func):
-        @functools.wraps(func)
-        def under_state(*args):
-            token = _extobj_contextvar.set(state)
-            try:
-                return func(*args)
-            finally:
-                _extobj_contextvar.reset(token)
-
-        return under_state
-
-    return decorate
+    return _under(state)
 
 
 @_lapack("SVD did not converge")

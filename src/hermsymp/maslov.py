@@ -65,8 +65,8 @@ from .spaces import (
     _check_shapes,
     _check_span,
     _graph_map,
+    _lapack_on_whitened,
     _raise_at_first,
-    _raise_if_not_finite,
     _shared_space,
     lagrangian_from_basis,
 )
@@ -219,11 +219,8 @@ def _inertia(space, q) -> np.ndarray:
     An eigenvalue within ``tol.eig/2`` of 0 is null, and one in
     ``(tol.eig/2, 50 tol.eig)`` raises: the pair kernel's bands, halved.
     """
-    try:
-        mu = linalg.eigvalsh(adjoint(q) @ (space._gamma_w @ q) * _block_signs(q.shape[-1] // 3))
-    except np.linalg.LinAlgError:
-        _raise_if_not_finite(q)
-        raise
+    form = adjoint(q) @ (space._gamma_w @ q) * _block_signs(q.shape[-1] // 3)
+    mu = _lapack_on_whitened((q,), linalg.eigvalsh, form)
     tau = space.tol.eig / 2.0
     size = np.abs(mu)
     ambiguous = (size < 100.0 * tau) > (size <= tau)  # inside the band, not null

@@ -44,6 +44,11 @@ of :func:`eigensplit`, which raises unless each keeps k columns.  One rank
 rule decides every span, whatever its column count:
 :func:`~hermsymp.linalg.gram_mgs`, Gram-Schmidt's drops on the QR of
 :func:`~hermsymp.linalg.span_qr`, in :func:`lagrangian_from_basis`.
+
+A floating-point failure is a typed error, never a warning: a space forms
+``gamma_w`` and its check's figures under :func:`~hermsymp.linalg.quiet`, where
+an overflow or a failed ``eigh`` is a failing figure, and a LAPACK call on
+whitened bases fails through :func:`_lapack_on_whitened`.
 """
 from __future__ import annotations
 
@@ -148,14 +153,15 @@ class HermitianSymplecticSpace:
         return 0.5 * self._identity
 
     @cached_property
+    @linalg.quiet  # as numpy.linalg.cond
     def _cond(self):
         s = linalg.singular_values(self._upper)
         if not s.shape[-1]:  # a zero-dimensional space: the neutral scale
             return 1.0
-        with np.errstate(all="ignore"):  # as numpy.linalg.cond
-            return s[..., 0] / s[..., -1]
+        return s[..., 0] / s[..., -1]
 
     @cached_property
+    @linalg.quiet
     def _gamma_w(self) -> np.ndarray:
         """``gamma`` in the whitened frame, ``U gamma U^-1``, from one solve."""
         upper = self._upper
@@ -176,13 +182,20 @@ class HermitianSymplecticSpace:
         return not (residual <= alg or residual <= alg * self._cond)
 
     @cached_property
+    @linalg.quiet
     def _igamma(self):
         """``(evals, evecs)`` of the whitened ``i gamma_w``: the one eigensolve
-        of the structure check and of the frame of every pair invariant."""
+        of the structure check and of the frame of every pair invariant.  An
+        ``eigh`` that fails, on a non-finite ``gamma_w``, gives NaN figures,
+        which count no eigenvalue above or below ``tol.rank`` and fail the check."""
         gamma_w = self._gamma_w
-        return linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
+        try:
+            return linalg.eigh(0.5j * (gamma_w - adjoint(gamma_w)))
+        except np.linalg.LinAlgError:
+            return np.full(gamma_w.shape[:-1], np.nan), np.full_like(gamma_w, np.nan)
 
     @cached_property
+    @linalg.quiet
     def _structure(self):
         """``(residuals, counts)`` that decide that ``gamma`` is a complex
         structure, for a space or each of a stack, on a new first axis: the
@@ -289,16 +302,21 @@ def _check_span(space, kept, q_w) -> None:
     )
 
 
-def _raise_if_not_finite(*whitened) -> None:
-    """The failure path of a LAPACK call on whitened bases: an entry that is not
-    finite, which no checked Lagrangian has, makes the routine fail, and is
-    reported as the input's fault, :class:`LagrangianValidationError`, not as
-    numpy's ``LinAlgError``.  Called only once the routine has failed."""
-    for x in whitened:
-        if not np.logical_and.reduce(np.isfinite(x), axis=None):
-            raise LagrangianValidationError(
-                "basis has non-finite entries in the space's whitened frame"
-            ) from None
+def _lapack_on_whitened(whitened, routine, *args):
+    """``routine(*args)``, a LAPACK function of :mod:`~hermsymp.linalg` on
+    figures of the whitened bases ``whitened``.  An entry of those bases that
+    is not finite, which no checked Lagrangian has, makes the routine fail, and
+    is then reported as the input's fault, :class:`LagrangianValidationError`,
+    not as numpy's ``LinAlgError``; any other failure raises as it is."""
+    try:
+        return routine(*args)
+    except np.linalg.LinAlgError:
+        for x in whitened:
+            if not np.logical_and.reduce(np.isfinite(x), axis=None):
+                raise LagrangianValidationError(
+                    "basis has non-finite entries in the space's whitened frame"
+                ) from None
+        raise
 
 
 def _graph_map(space, frame_h, q_w) -> np.ndarray:
@@ -316,7 +334,7 @@ def _graph_map(space, frame_h, q_w) -> np.ndarray:
     them, ``a^H a - c^H c = 0``; the bound holds for any input.  Where it is
     inconclusive on some item, the SVD decides, and its value is quoted.  A
     non-finite basis, whose bound is NaN, fails that SVD: see
-    :func:`_raise_if_not_finite`.
+    :func:`_lapack_on_whitened`.
     """
     k, tol = space.half_dim, space.tol
     coords = frame_h @ q_w
@@ -325,11 +343,7 @@ def _graph_map(space, frame_h, q_w) -> np.ndarray:
     # one reduce over every item decides the bound for all of them
     largest = np.maximum.reduce(np.abs(gram_off), axis=None, initial=0.0)
     if not (tol.rank < 0.5 and k * largest <= 0.25):
-        try:
-            s = linalg.singular_values(a)
-        except np.linalg.LinAlgError:
-            _raise_if_not_finite(q_w)
-            raise
+        s = _lapack_on_whitened((q_w,), linalg.singular_values, a)
         s_min = np.minimum.reduce(s, axis=-1, initial=np.inf)
         _raise_at_first(
             s_min <= tol.rank,
@@ -350,11 +364,7 @@ def _graph_map(space, frame_h, q_w) -> np.ndarray:
 def _principal_sines(q_v, q_w):
     """Descending principal-angle sines of two whitened orthonormal bases, or of
     each pair of a stack: the singular values of ``q_w`` minus its projection on ``q_v``."""
-    try:
-        return linalg.singular_values(q_w - q_v @ (adjoint(q_v) @ q_w))
-    except np.linalg.LinAlgError:
-        _raise_if_not_finite(q_v, q_w)
-        raise
+    return _lapack_on_whitened((q_v, q_w), linalg.singular_values, q_w - q_v @ (adjoint(q_v) @ q_w))
 
 
 def same_space(a: HermitianSymplecticSpace, b: HermitianSymplecticSpace) -> bool:

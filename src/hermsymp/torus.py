@@ -30,7 +30,9 @@ Lagrangians of one model share it.  :func:`torus_m_sweep` builds no model: it
 stacks the matrices of a chunk of grid points and evaluates the generic route
 for all of them in one :func:`~hermsymp.maslov.m_stack` call, with the sweep's
 tolerances (the defaults unless given) and every check of the per-model route,
-and the closed form for the same chunk in one array pass.
+and the closed form for the same chunk in one array pass.  The torus matrices
+and the closed form run under :func:`~hermsymp.linalg.quiet`: an overflow is
+a non-finite entry or log argument, which raises its typed error, not a warning.
 """
 from __future__ import annotations
 
@@ -41,10 +43,9 @@ from itertools import islice
 from numbers import Integral
 
 import numpy as np
-from numpy._core.umath import _extobj_contextvar
 
 from .errors import BranchCut, HermsympError, ValidationError, _positive_float
-from .linalg import _QUIET
+from .linalg import quiet
 from .maslov import m_stack
 from .spaces import HermitianSymplecticSpace, Lagrangian, Tolerances, lagrangian_from_basis
 
@@ -52,30 +53,24 @@ TORUS_AREA = 4.0 * math.pi ** 2  # both circles have circumference 2 pi
 SWEEP_CHUNK = 1024  # grid points per m_stack call; bounds the sweep's temporaries
 
 
+@quiet
 def torus_gram(t) -> np.ndarray:
     """Gram matrix at stretch t; a ``(T, 4, 4)`` stack for an array of T values.
     Past the double range an entry is infinite, without a warning, for the
     space's finiteness check to report."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape + (4, 4), dtype=np.complex128)
-    token = _extobj_contextvar.set(_QUIET)
-    try:
-        for i, scale in enumerate((t, t, 1.0 / t, 1.0 / t)):
-            out[..., i, i] = TORUS_AREA * scale
-    finally:
-        _extobj_contextvar.reset(token)
+    for i, scale in enumerate((t, t, 1.0 / t, 1.0 / t)):
+        out[..., i, i] = TORUS_AREA * scale
     return out
 
 
+@quiet
 def torus_gamma(t) -> np.ndarray:
     """Hodge-star complex structure at stretch t; stacked like :func:`torus_gram`."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape + (4, 4), dtype=np.complex128)
-    token = _extobj_contextvar.set(_QUIET)
-    try:
-        out[..., 0, 3] = out[..., 1, 2] = -1.0 / t
-    finally:
-        _extobj_contextvar.reset(token)
+    out[..., 0, 3] = out[..., 1, 2] = -1.0 / t
     out[..., 2, 1] = out[..., 3, 0] = t
     return out
 
@@ -186,6 +181,7 @@ def _quotient(ar, ai, br, bi):
     return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
 
 
+@quiet
 def _closed_form(
     first: IntegerPairLagrangian, second: IntegerPairLagrangian, t: np.ndarray, tol=Tolerances()
 ):
@@ -205,17 +201,13 @@ def _closed_form(
     (a, b), (A, B) = (first.a, first.b), (second.a, second.b)
     tau = tol.eig
     # an overflow leaves a non-finite argument, raised below
-    token = _extobj_contextvar.set(_QUIET)
-    try:
-        ta, tA = t * float(a), t * float(A)
-        za_re, za_im = _quotient(float(b), ta, float(-b), ta)  # (i t a + b) / (i t a - b)
-        zb_re, zb_im = _quotient(float(-B), tA, float(B), tA)  # (i t A - B) / (i t A + B)
-        arg = np.empty(t.shape, np.complex128)  # -(za * zb), as Python's complex product
-        arg.real = -(za_re * zb_re - za_im * zb_im)
-        arg.imag = -(za_re * zb_im + za_im * zb_re)
-        failed = ~np.isfinite(arg) | (np.hypot(arg.real + 1.0, arg.imag) <= tau)
-    finally:
-        _extobj_contextvar.reset(token)
+    ta, tA = t * float(a), t * float(A)
+    za_re, za_im = _quotient(float(b), ta, float(-b), ta)  # (i t a + b) / (i t a - b)
+    zb_re, zb_im = _quotient(float(-B), tA, float(B), tA)  # (i t A - B) / (i t A + B)
+    arg = np.empty(t.shape, np.complex128)  # -(za * zb), as Python's complex product
+    arg.real = -(za_re * zb_re - za_im * zb_im)
+    arg.imag = -(za_re * zb_im + za_im * zb_re)
+    failed = ~np.isfinite(arg) | (np.hypot(arg.real + 1.0, arg.imag) <= tau)
     if np.count_nonzero(failed):
         j = int(failed.argmax())
         z = complex(arg[j])

@@ -79,6 +79,24 @@ def test_validate_honours_tol_rank(capsys):
     )
 
 
+def test_validate_fails_a_space_whose_whitened_gamma_overflows():
+    # gram diag(1e308, 1e308, 1e-320, 1e-320) with the standard gamma: U gamma U^-1
+    # overflows and eigh fails on it, which reads as failing checks, not a traceback
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "hermsymp.cli", "validate", str(FIXTURES / "overflow_space.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stderr) == (2, "")
+    assert out.stdout.splitlines() == [
+        "dim = 4",
+        "gamma_squares_to_minus_identity: residual=nan FAIL",
+        "gamma_gram_unitary: residual=nan FAIL",
+        "igamma_signature_zero: residual=4 positive=0 negative=0 null=4 FAIL",
+        "result = FAIL",
+    ]
+
+
 def test_m_equal_lagrangians(capsys, standard_files):
     code, out, _ = run_cli(
         capsys, ["m", standard_files["space"], standard_files["v"], standard_files["v"]]

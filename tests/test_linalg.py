@@ -533,6 +533,50 @@ def test_every_private_numpy_name_linalg_imports_exists():
     assert missing == []
 
 
+def private_numpy_uses(source, *, private=True):
+    """Lines that call ``np.errstate``, and with ``private`` lines that import
+    from or reach ``numpy._core`` or name ``_extobj_contextvar``,
+    ``_make_extobj`` or ``_umath_linalg``: numpy's error state is linalg's,
+    set through its decorators, and only linalg binds numpy's private names."""
+    names = {"_extobj_contextvar", "_make_extobj", "_umath_linalg", "_core"} if private else set()
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "id", None)
+            if node.attr in names or node.attr == "errstate" and owner in ("np", "numpy"):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in names:
+            lines.add(node.lineno)
+        elif private and isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            modules += [alias.name for alias in node.names]
+            if any(m.startswith("numpy._core") or m.split(".")[-1] in names for m in modules):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_guard_flags_each_private_numpy_use():
+    for line in ("from numpy._core.umath import _extobj_contextvar", "from numpy._core import umath",
+                 "import numpy._core.umath as um", "np._core.umath.geterrobj()",
+                 "token = _extobj_contextvar.set(state)", "umath._make_extobj(all='ignore')",
+                 "from numpy.linalg import _umath_linalg", "with np.errstate(all='ignore'):\n    pass",
+                 "numpy.errstate(over='ignore')"):
+        assert private_numpy_uses(line) == [1], line
+    assert private_numpy_uses("np.errstate(over='ignore')", private=False) == [1]
+    for line in ("@linalg.quiet\ndef f():\n    pass", "np.geterr()", "x.errstate()",
+                 "from numpy.linalg import LinAlgError", "from .linalg import quiet"):
+        assert private_numpy_uses(line) == [], line
+
+
+MODULES = sorted(p.stem for p in pathlib.Path(linalg.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_linalg_binds_numpys_private_names_and_no_module_enters_errstate(module):
+    source = (pathlib.Path(linalg.__file__).parent / f"{module}.py").read_text()
+    assert private_numpy_uses(source, private=module != "linalg") == []
+
+
 NUMERIC = ("spaces", "maslov", "bordism", "torus")
 
 

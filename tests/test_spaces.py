@@ -195,6 +195,26 @@ def test_a_space_that_fails_validation_fails_every_pair_kernel():
         hs.m_stack(*stack)
 
 
+def test_a_space_whose_whitened_gamma_overflows_fails_its_checks_quietly():
+    # cond(U) ~ 1e314: U gamma U^-1 overflows, and eigh fails on the
+    # non-finite i gamma_w.  Warnings are errors here: no RuntimeWarning, no
+    # LinAlgError, but failing figures and the split's typed error
+    gram = np.diag([1e308, 1e308, 1e-320, 1e-320]).astype(complex)
+    space = hs.HermitianSymplecticSpace(gram, hs.standard_space(2).gamma)
+    report = hs.validate_space(space)
+    assert [c.passed for c in report.checks] == [False] * 3
+    assert report.checks[2].detail == "positive=0 negative=0 null=4"
+    message = "eigenspaces not separated within tolerance"
+    basis = np.eye(4)[:, :2]
+    for call in (
+        lambda: hs.eigensplit(space),
+        lambda: hs.phi_of(hs.Lagrangian(space, basis)),
+        lambda: hs.lagrangian_from_graph(space, np.eye(2)),
+    ):
+        with pytest.raises(EigensplitError, match=message):
+            call()
+
+
 def test_the_split_holds_exactly_where_validate_space_passes():
     # gamma perturbed additively, entrywise and by scaling, at sizes across
     # tol.alg: the split and validate_space decide alike on every draw
@@ -866,6 +886,14 @@ def test_tolerances_are_stored_as_floats():
     tol = hs.Tolerances(alg=1, rank=np.float32(0.5), eig=10**300)
     assert [type(getattr(tol, name)) for name in ("alg", "rank", "eig", "int")] == [float] * 4
     assert tol == hs.Tolerances(alg=1.0, rank=0.5, eig=1e300) and repr(tol)
+
+
+def test_tolerances_compare_by_value_and_answer_themselves_first():
+    tol, same, other = hs.Tolerances(), hs.Tolerances(), hs.Tolerances(rank=1e-12)
+    assert tol == tol and not tol != tol
+    assert tol == same and hash(tol) == hash(same) and repr(tol) == repr(same)
+    assert tol != other and other != tol
+    assert tol.__eq__((1e-10, 1e-8, 1e-8, 1e-6)) is NotImplemented and tol != "tol"
 
 
 def test_signature_zero_for_sampled_spaces(rng):
