@@ -24,7 +24,6 @@ Product spaces take their Cholesky factor, its inverse and their whitened
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .spaces import (
     Lagrangian,
     _block_sum,
     _lapack_on_whitened,
+    _lazy,
     direct_sum,
     gamma_image,
     lagrangian_from_basis,
@@ -81,12 +81,12 @@ class BordismRelation:
         if not (space.tol == src.tol == tgt.tol and blocks):
             raise ValidationError("graph must live in the flipped-source product space")
 
-    @cached_property
+    @_lazy
     def _source_w(self) -> np.ndarray:
         """The graph's source block in the source's whitened frame."""
         return linalg.whiten(self.source._upper, self.graph.basis[: self.source.dim])
 
-    @cached_property
+    @_lazy
     def _target_w(self) -> np.ndarray:
         """The graph's target block in the target's whitened frame."""
         return linalg.whiten(self.target._upper, self.graph.basis[self.source.dim :])

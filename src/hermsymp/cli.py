@@ -4,7 +4,9 @@ Commands: validate, m, triple, reduce, compose, torus-sweep, trefoil,
 rho-diff.  All outputs are deterministic: identical inputs produce
 byte-identical stdout.  Rationals are read and written as "p/q" strings.
 Plain output prints floats with 15 significant digits; ``--json`` output and
-the JSON that reduce and compose print use Python's shortest round-trip repr.
+the JSON that reduce and compose print use Python's shortest round-trip repr,
+and are RFC 8259 JSON: a figure that is NaN or infinite (a residual of a space
+whose whitened ``gamma`` overflows) is written ``null``.
 ``--json`` applies to validate, m, triple, trefoil and rho-diff; reduce and
 compose always print JSON, and torus-sweep always prints CSV.  trefoil exits 2
 (ConditionFailed) at an arc point whose parameters do not extend over the
@@ -70,8 +72,19 @@ def _rational_arg(text: str) -> knotcalc.Fraction:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from None
 
 
+def _json(payload) -> str:
+    """``payload`` as RFC 8259 JSON, keys sorted: a NaN or infinite float,
+    which that JSON cannot hold, raises ``ValueError``."""
+    return json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
+def _finite(x: float):
+    """A figure for JSON output: ``x``, or None where it is NaN or infinite."""
+    return x if abs(x) < float("inf") else None
+
+
 def _emit(args, payload: dict, plain_lines: list[str]) -> int:
-    print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(plain_lines))
+    print(_json(payload) if args.json else "\n".join(plain_lines))
     return 0
 
 
@@ -94,7 +107,7 @@ def _cmd_validate(args) -> int:
     space = serialization.space_from_dict(_load_json(args.space), _tolerances(args))
     report = spaces.validate_space(space)
     payload = {"dim": space.dim, "signature": report.signature, "passed": report.passed,
-               "checks": [{"name": c.name, "residual": c.residual, "passed": c.passed,
+               "checks": [{"name": c.name, "residual": _finite(c.residual), "passed": c.passed,
                            "detail": c.detail} for c in report.checks]}
     lines = [f"dim = {space.dim}"]
     for c in report.checks:
@@ -136,7 +149,7 @@ def _cmd_reduce(args) -> int:
     rel = serialization.relation_from_dict(_load_json(args.relation), _tolerances(args))
     w = serialization.lagrangian_from_dict(rel.source, _load_json(args.w))
     result = bordism.reduce(rel, w)
-    print(json.dumps(serialization.lagrangian_to_dict(result), sort_keys=True))
+    print(_json(serialization.lagrangian_to_dict(result)))
     return 0
 
 
@@ -145,7 +158,7 @@ def _cmd_compose(args) -> int:
     rel1 = serialization.relation_from_dict(_load_json(args.rel1), tol)
     rel2 = serialization.relation_from_dict(_load_json(args.rel2), tol)
     result = bordism.compose(rel1, rel2)
-    print(json.dumps(serialization.relation_to_dict(result), sort_keys=True))
+    print(_json(serialization.relation_to_dict(result)))
     return 0
 
 

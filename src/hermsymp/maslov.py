@@ -29,8 +29,9 @@ pass over a stack of whitened bases, in the eigenvectors of the space's split,
 then one ``eigvals`` over the pairs it names.  :func:`m_details` runs it on one
 pair, :func:`eta_correction_rhs` on the 4 pairs of its chain beside one
 eigensolve of its two triples, and :func:`m_stack` on a stack of spaces.
-``m_stack``'s batch is only a fast path: when any of its checks fails, it is
-rerun as the loop of the scalar route that it stands for.
+``m_stack`` gives the values of the loop of the scalar route that it stands
+for: a check that fails on its batch is bisected to the lowest failing item,
+and only that item is rerun through the scalar route, which names its failure.
 
 The pair and triple kernels, and :func:`m_stack` with the checks of the
 stacked space it builds, skip numpy's Python wrappers, which cost about a
@@ -68,6 +69,7 @@ from .spaces import (
     _lapack_on_whitened,
     _raise_at_first,
     _shared_space,
+    _stack_space,
     lagrangian_from_basis,
 )
 
@@ -152,10 +154,14 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
     :func:`~hermsymp.linalg.gram_mgs`) and omega on it, the k/k split, the
     graph maps in its eigenvectors, and the eigenvalue band at -1 of the pair
     kernel.  V and W go through each check together, stacked on a leading
-    axis, in one span check and one graph-map pass.  That pass is only a
-    fast path: if any check fails, the items are rerun in order through the
-    scalar route, and its first failure is raised with the message prefixed
-    ``item j: `` and the error's ``item`` set to ``j``.
+    axis, in one span check and one graph-map pass.  A check that fails on a
+    stack names no item, so a failing pass is bisected, by passes on halves
+    of the failing range, to the lowest item that fails on its own.  Only
+    that item is rerun through the scalar route: its failure is raised with
+    the message prefixed ``item j: `` and the error's ``item`` set to ``j``,
+    and if it passes there, its scalar value is kept and the items after it
+    are evaluated the same way.  A failure at item j costs at most
+    ``1 + ceil(log2 T)`` passes over at most 2T items, and item j's scalar route.
     """
     gram, gamma = as_complex(gram, "gram"), as_complex(gamma, "gamma")
     if gram.ndim != 3:
@@ -163,35 +169,50 @@ def m_stack(gram, gamma, v_basis, w_basis, tol: Tolerances = Tolerances()) -> np
             f"gram must be a stack of square matrices, got shape {gram.shape}"
         )
     n = _check_shapes(gram, gamma)
-    bases = []
+    columns = [gram, gamma]
     for name, basis in (("V", v_basis), ("W", w_basis)):
         basis = as_complex(basis, f"{name} bases")
         if basis.shape != (len(gram), n, n // 2):
             raise LagrangianValidationError(
                 f"{name} bases must have shape {(len(gram), n, n // 2)}, got {basis.shape}"
             )
-        bases.append(basis)
-    try:
-        return _stacked_m(gram, gamma, *bases, tol)
-    except HermsympError:
-        pass
-    values = []
-    for j, (g, gam, v, w) in enumerate(zip(gram, gamma, *bases)):
+        columns.append(basis)
+    values, start = np.empty(len(gram)), 0
+
+    def passes(lo, hi):
+        """Whether items ``lo`` to ``hi`` pass as one stack, keeping their values."""
+        try:
+            values[lo:hi] = _stacked_m(*(x[lo:hi] for x in columns), tol)
+        except HermsympError:
+            return False
+        return True
+
+    # items before ``start`` have their values
+    while start < len(gram) and not passes(start, len(gram)):
+        stop = len(gram)  # the items from ``start`` to ``stop`` fail as a stack
+        while stop - start > 1:
+            mid = (start + stop) // 2
+            if passes(start, mid):
+                start = mid
+            else:
+                stop = mid
+        g, gam, v, w = (x[start] for x in columns)
         try:
             space = HermitianSymplecticSpace(g, gam, tol)
             pair = [lagrangian_from_basis(space, x) for x in (v, w)]
-            values.append(m_details(*pair).value)
+            values[start] = m_details(*pair).value
         except HermsympError as exc:
-            error = type(exc)(f"item {j}: {exc}")
-            error.item = j
+            error = type(exc)(f"item {start}: {exc}")
+            error.item = start
             raise error from None
-    return np.array(values)
+        start += 1
+    return values
 
 
 def _stacked_m(gram, gamma, v_basis, w_basis, tol: Tolerances) -> np.ndarray:
-    """The fast path of :func:`m_stack`: each check runs once on all items,
+    """The stacked pass of :func:`m_stack`: each check runs once on all items,
     both sides of each pair as one stack, and raises if any item fails it."""
-    stack = HermitianSymplecticSpace(gram, gamma, tol)
+    stack = _stack_space(gram, gamma, tol)
     # both sides in one QR, V and W on the leading axis: whitened bases q,
     # their columns kept under the drop rule (a non-finite column never is),
     # and omega vanishing on them.  Only spans are needed, so the columns keep

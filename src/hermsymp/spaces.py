@@ -52,8 +52,8 @@ whitened bases fails through :func:`_lapack_on_whitened`.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -73,6 +73,34 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.complex128)
     out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int, scale: float = 1.0) -> np.ndarray:
+    """The real ``scale I`` of size n, read-only and shared by every space."""
+    out = scale * np.eye(n)
+    out.setflags(write=False)
+    return out
+
+
+class _lazy:
+    """``functools.cached_property`` without the lock that Python 3.11 takes on
+    each first access: the value is kept in the instance's ``__dict__``, which
+    later reads find first.  Threads racing on a first access may each compute
+    it; the values are equal, being pure functions of an immutable object."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +123,12 @@ class HermitianSymplecticSpace:
     Dimension zero is allowed and carries the unique empty Lagrangian.
 
     ``(T, n, n)`` stacks of ``gram`` and ``gamma`` make a stack of T spaces
-    sharing ``tol``, as :func:`~hermsymp.maslov.m_stack` builds it: the same
-    checks and one stacked Cholesky make ``_upper`` a stack of factors.  A
-    failing check on a stack names no item; ``m_stack`` reruns its items one
-    by one to find it.  The public functions of this module take single
-    spaces; the private checks take either.
+    sharing ``tol``: the same checks and one stacked Cholesky make ``_upper``
+    a stack of factors.  :func:`~hermsymp.maslov.m_stack` builds its stack
+    with :func:`_stack_space`, on its own arrays.  A failing check on a stack
+    names no item; ``m_stack`` bisects the stack to the lowest failing item
+    and reruns only that one.  The public functions of this module take
+    single spaces; the private checks take either.
     """
 
     gram: np.ndarray
@@ -112,47 +141,29 @@ class HermitianSymplecticSpace:
     def __post_init__(self) -> None:
         gram, gamma = as_complex(self.gram, "gram"), as_complex(self.gamma, "gamma")
         _check_shapes(gram, gamma)
-        finite = np.logical_and.reduce(np.isfinite(gram) & np.isfinite(gamma), axis=(-2, -1))
-        _raise_at_first(~finite, SpaceValidationError, "gram and gamma must have finite entries")
-        skew, scale = max_abs(gram - adjoint(gram)), max_abs(gram)
-        _raise_at_first(skew > 1e-12 * scale, SpaceValidationError, "gram must be Hermitian")
-        try:
-            upper = adjoint(linalg.cholesky(gram))
-        except np.linalg.LinAlgError:
-            raise SpaceValidationError("gram must be positive definite") from None
+        upper = _checked_factor(gram, gamma)
         self._set_fields(_frozen(gram), _frozen(gamma), self.tol, _frozen(upper))
 
     def _set_fields(self, gram, gamma, tol, upper) -> None:
-        """The stored fields of a checked space, from read-only arrays it owns,
-        and the derived ones every pass reads."""
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "_upper", upper)
-        object.__setattr__(self, "dim", gram.shape[-1])
-        object.__setattr__(self, "half_dim", gram.shape[-1] // 2)
-        object.__setattr__(self, "_basis_shape", (self.dim, self.half_dim))
+        """The stored fields of a checked space, from arrays it owns, and the
+        derived ones every pass reads, in one write to its ``__dict__``."""
+        n = gram.shape[-1]
+        self.__dict__.update(
+            gram=gram, gamma=gamma, tol=tol, _upper=upper, dim=n, half_dim=n // 2,
+            _basis_shape=(n, n // 2),
+        )
 
     def omega(self) -> np.ndarray:
         """Matrix of the symplectic form: omega(x, y) = x^H @ omega() @ y."""
         return self.gram @ self.gamma
 
-    @cached_property
+    @_lazy
     def _upper_inv(self) -> np.ndarray:
         """``U^-1``: one product maps a whitened basis back, where a solve
         would cost a k = 1 Lagrangian construction a fifth of its time."""
         return linalg.inv(self._upper)
 
-    @cached_property
-    def _identity(self) -> np.ndarray:
-        return np.eye(self.half_dim)
-
-    @cached_property
-    def _half_identity(self) -> np.ndarray:
-        """``I/2``, what the Gram block of a Lagrangian's graph map is close to."""
-        return 0.5 * self._identity
-
-    @cached_property
+    @_lazy
     @linalg.quiet  # as numpy.linalg.cond
     def _cond(self):
         s = linalg.singular_values(self._upper)
@@ -160,7 +171,7 @@ class HermitianSymplecticSpace:
             return 1.0
         return s[..., 0] / s[..., -1]
 
-    @cached_property
+    @_lazy
     @linalg.quiet
     def _gamma_w(self) -> np.ndarray:
         """``gamma`` in the whitened frame, ``U gamma U^-1``, from one solve."""
@@ -181,7 +192,7 @@ class HermitianSymplecticSpace:
             return past
         return not (residual <= alg or residual <= alg * self._cond)
 
-    @cached_property
+    @_lazy
     @linalg.quiet
     def _igamma(self):
         """``(evals, evecs)`` of the whitened ``i gamma_w``: the one eigensolve
@@ -194,7 +205,7 @@ class HermitianSymplecticSpace:
         except np.linalg.LinAlgError:
             return np.full(gamma_w.shape[:-1], np.nan), np.full_like(gamma_w, np.nan)
 
-    @cached_property
+    @_lazy
     @linalg.quiet
     def _structure(self):
         """``(residuals, counts)`` that decide that ``gamma`` is a complex
@@ -202,7 +213,7 @@ class HermitianSymplecticSpace:
         largest entries of ``gamma_w^2 + I`` and ``gamma_w^H gamma_w - I``, and
         the counts of eigenvalues of ``i gamma_w`` above ``tol.rank``, below
         ``-tol.rank`` and between.  :func:`validate_space` reports them."""
-        gamma_w, ident, rank = self._gamma_w, np.eye(self.dim), self.tol.rank
+        gamma_w, ident, rank = self._gamma_w, _identity(self.dim), self.tol.rank
         residuals = np.array(
             [max_abs(gamma_w @ gamma_w + ident), max_abs(adjoint(gamma_w) @ gamma_w - ident)]
         )
@@ -210,7 +221,7 @@ class HermitianSymplecticSpace:
         above, below = np.add.reduce(evals > rank, axis=-1), np.add.reduce(evals < -rank, axis=-1)
         return residuals, np.array([above, below, self.dim - above - below])
 
-    @cached_property
+    @_lazy
     def _evecs(self) -> np.ndarray:
         """The k/k split: the eigenvectors of ``i gamma_w``, those of -1 (the
         +i eigenspace of ``gamma_w``) first.  :class:`EigensplitError` where
@@ -230,13 +241,13 @@ class HermitianSymplecticSpace:
         )
         return self._igamma[1]
 
-    @cached_property
+    @_lazy
     def _evecs_h(self) -> np.ndarray:
         """The adjoint of :attr:`_evecs`, which maps a whitened basis into the
         split frame of every pair invariant."""
         return adjoint(self._evecs)
 
-    @cached_property
+    @_lazy
     def _splitting(self) -> EigenSplitting:
         k, upper, evecs = self.half_dim, self._upper, self._evecs
         # the coordinate vectors projected onto an eigenspace, U^-1 E E^H U e_j:
@@ -244,8 +255,8 @@ class HermitianSymplecticSpace:
         # factor makes gram_mgs's whitened basis the basis itself), which keeps
         # at most k (fewer only past cond(U) ~ 1/tol.rank), and mapped back
         raw, coeffs = linalg.solve(upper, evecs), adjoint(evecs) @ upper
-        plus = raw[:, :k] @ gram_mgs(self._identity, coeffs[:k], drop_tol=self.tol.rank)
-        minus = raw[:, k:] @ gram_mgs(self._identity, coeffs[k:], drop_tol=self.tol.rank)
+        plus = raw[:, :k] @ gram_mgs(_identity(k), coeffs[:k], drop_tol=self.tol.rank)
+        minus = raw[:, k:] @ gram_mgs(_identity(k), coeffs[k:], drop_tol=self.tol.rank)
         columns = (plus.shape[1], minus.shape[1])
         if columns != (k, k):
             raise EigensplitError(f"pinned eigenbases have {columns} columns, expected {(k, k)}")
@@ -268,6 +279,29 @@ def _check_shapes(gram: np.ndarray, gamma: np.ndarray) -> int:
     if n % 2 != 0:
         raise SpaceValidationError(f"dimension must be even, got {n}")
     return n
+
+
+def _checked_factor(gram: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The checks of a space's matrices, or of each of a stack, whose shapes
+    :func:`_check_shapes` passed: finite entries, a Hermitian and a positive
+    definite ``gram``; returns its Cholesky factor ``U``, ``gram = U^H U``."""
+    finite = np.logical_and.reduce(np.isfinite(gram) & np.isfinite(gamma), axis=(-2, -1))
+    _raise_at_first(~finite, SpaceValidationError, "gram and gamma must have finite entries")
+    skew, scale = max_abs(gram - adjoint(gram)), max_abs(gram)
+    _raise_at_first(skew > 1e-12 * scale, SpaceValidationError, "gram must be Hermitian")
+    try:
+        return adjoint(linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        raise SpaceValidationError("gram must be positive definite") from None
+
+
+def _stack_space(gram, gamma, tol: Tolerances) -> HermitianSymplecticSpace:
+    """The stack of spaces of :func:`~hermsymp.maslov.m_stack`, on complex
+    stacks whose shapes it has checked, with the checks of construction; it
+    keeps the arrays as they are, with no read-only copies, for one call."""
+    space = object.__new__(HermitianSymplecticSpace)
+    space._set_fields(gram, gamma, tol, _checked_factor(gram, gamma))
+    return space
 
 
 def _raise_at_first(bad, error: type, describe) -> None:
@@ -339,7 +373,7 @@ def _graph_map(space, frame_h, q_w) -> np.ndarray:
     k, tol = space.half_dim, space.tol
     coords = frame_h @ q_w
     a, c = coords[..., :k, :], coords[..., k:, :]
-    gram_off = adjoint(a) @ a - space._half_identity
+    gram_off = adjoint(a) @ a - _identity(k, 0.5)
     # one reduce over every item decides the bound for all of them
     largest = np.maximum.reduce(np.abs(gram_off), axis=None, initial=0.0)
     if not (tol.rank < 0.5 and k * largest <= 0.25):
@@ -352,7 +386,7 @@ def _graph_map(space, frame_h, q_w) -> np.ndarray:
             f"valid Lagrangian (smallest singular value {s_min[j]:.3e})",
         )
     phi = c @ linalg.inv(a)
-    residual = max_abs(adjoint(phi) @ phi - space._identity)
+    residual = max_abs(adjoint(phi) @ phi - _identity(k))
     _raise_at_first(
         space._exceeds_alg(residual),
         LagrangianValidationError,
@@ -443,7 +477,7 @@ def _block_sum(
     space = object.__new__(HermitianSymplecticSpace)
     space._set_fields(gram, gamma, a.tol, upper)
     object.__setattr__(space, "_factors", (a, b, sign))
-    # seeds the cached properties
+    # seeds the lazy attributes
     space.__dict__["_upper_inv"] = upper_inv
     space.__dict__["_gamma_w"] = gamma_w
     return space

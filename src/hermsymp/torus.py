@@ -60,8 +60,8 @@ def torus_gram(t) -> np.ndarray:
     space's finiteness check to report."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape + (4, 4), dtype=np.complex128)
-    for i, scale in enumerate((t, t, 1.0 / t, 1.0 / t)):
-        out[..., i, i] = TORUS_AREA * scale
+    out[..., 0, 0] = out[..., 1, 1] = TORUS_AREA * t
+    out[..., 2, 2] = out[..., 3, 3] = TORUS_AREA * (1.0 / t)
     return out
 
 
@@ -246,6 +246,18 @@ class SweepRow:
         return abs(self.m_closed - self.m_generic)
 
 
+def _sweep_rows(t, closed, generic) -> list[SweepRow]:
+    """The rows of three lists of floats, each row's fields written to its
+    ``__dict__`` in one update, where a frozen dataclass's ``__init__`` makes
+    one ``object.__setattr__`` call per field."""
+    new, rows = object.__new__, []
+    for t_j, closed_j, generic_j in zip(t, closed, generic):
+        row = new(SweepRow)
+        row.__dict__.update(t=t_j, m_closed=closed_j, m_generic=generic_j)
+        rows.append(row)
+    return rows
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
@@ -299,5 +311,5 @@ def torus_m_sweep(
             error.item = len(rows) + exc.item
             raise error from None
         closed = _closed_form(first, second, t, tol)
-        rows.extend(map(SweepRow, chunk, closed.tolist(), generic.tolist()))
+        rows += _sweep_rows(chunk, closed.tolist(), generic.tolist())
     return SweepResult(rows=tuple(rows))

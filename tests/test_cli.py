@@ -525,6 +525,55 @@ def test_json_flag_outputs_parse(capsys, standard_files):
     assert json.loads(out)["rho_diff"] == "3/5"
 
 
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_the_strict_parse_rejects_each_non_finite_constant():
+    for text in ('{"x": NaN}', '[Infinity]', '[-Infinity]'):
+        with pytest.raises(ValueError, match="not JSON"):
+            strict_json(text)
+
+
+def test_every_json_output_is_strict_json(capsys, tmp_path):
+    # each command that prints JSON, on the fixtures; a figure that is not
+    # finite, as the overflowing space's residuals, is written null
+    from hermsymp import bordism
+
+    space = ser.space_from_dict(json.loads((FIXTURES / "space.json").read_text()))
+    rel = write_json(tmp_path / "rel.json", ser.relation_to_dict(bordism.identity_relation(space)))
+    files = FIXTURE_FILES
+    for argv, expected in (
+        (["validate", files["space"]], 0),
+        (["validate", str(FIXTURES / "overflow_space.json")], 2),
+        (["m", files["space"], files["v"], files["w"]], 0),
+        (["triple", files["space"], files["u"], files["v"], files["w"]], 0),
+        (["reduce", rel, files["w"]], 0),
+        (["compose", rel, rel], 0),
+        (["trefoil", "--t", "1/5"], 0),
+        (["rho-diff", "--t1", "1/5", "--t2", "2/5"], 0),
+    ):
+        code, out, err = run_cli(capsys, ["--json", *argv])
+        assert (code, err) == (expected, ""), argv
+        strict_json(out)
+    code, out, _ = run_cli(capsys, ["--json", "validate", str(FIXTURES / "overflow_space.json")])
+    residuals = [check["residual"] for check in strict_json(out)["checks"]]
+    assert residuals == [None, None, 4.0]
+
+
+def test_json_output_refuses_a_non_finite_float(capsys, monkeypatch):
+    # a later figure that is not finite and not written null raises, rather
+    # than printing NaN
+    monkeypatch.setattr(cli, "_finite", lambda x: x)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli.main(["--json", "validate", str(FIXTURES / "overflow_space.json")])
+
+
 def test_json_flag_leaves_the_csv_and_document_outputs_as_they_are(capsys, tmp_path):
     from hermsymp import bordism
 

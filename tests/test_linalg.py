@@ -629,7 +629,7 @@ KERNELS = {
                "_stacked_m", "m_stack"),
     "spaces": ("_graph_map", "HermitianSymplecticSpace._exceeds_alg",
                "HermitianSymplecticSpace.__post_init__", "HermitianSymplecticSpace._structure",
-               "HermitianSymplecticSpace._evecs"),
+               "HermitianSymplecticSpace._evecs", "_checked_factor", "_stack_space"),
     "torus": ("torus_m_sweep", "_closed_form", "_quotient", "torus_gram", "torus_gamma"),
     "linalg": ("eigvals", "span_qr", "nullspace"),
     "bordism": ("reduce", "compose", "BordismRelation.__post_init__"),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hermsymp as hs
-from hermsymp import linalg, maslov, sampling
+from hermsymp import linalg, maslov, sampling, torus
 from hermsymp.linalg import span_qr
 from hermsymp.errors import (
     EigensplitError,
@@ -503,6 +503,79 @@ def test_failure_is_the_first_of_a_scalar_loop(rng):
     assert_fails_like_scalar(columns, 1, EigenvalueAmbiguity)
     with pytest.raises(SpaceValidationError, match="^item 1: gram must be positive definite$"):
         hs.m_stack(*(column[2:] for column in columns))
+
+
+def count_passes(monkeypatch):
+    """The item counts of the stacked passes of ``m_stack``, and the number of
+    items it sends through the scalar route (one space built for each)."""
+    passes, scalar = [], []
+    real_stacked, real_space = maslov._stacked_m, maslov.HermitianSymplecticSpace
+
+    def stacked(gram, *args):
+        passes.append(len(gram))
+        return real_stacked(gram, *args)
+
+    def space(*args):
+        scalar.append(1)
+        return real_space(*args)
+
+    monkeypatch.setattr(maslov, "_stacked_m", stacked)
+    monkeypatch.setattr(maslov, "HermitianSymplecticSpace", space)
+    return passes, scalar
+
+
+def torus_columns(count):
+    t = np.logspace(-3.0, 3.0, count)
+    v, w = (torus.IntegerPairLagrangian(*pair).basis() for pair in ((1, 2), (3, -1)))
+    return [torus.torus_gram(t), torus.torus_gamma(t), *(x[None].repeat(count, axis=0) for x in (v, w))]
+
+
+@pytest.mark.parametrize("j", [0, 1, 511, 700, 1022, 1023])
+def test_a_failing_item_is_found_by_bisection(monkeypatch, j):
+    # 1024 torus points with item j's V rank deficient: the full pass, at most
+    # ceil(log2 T) = 10 passes over halves of the failing range, together at
+    # most 2T items, and item j alone through the scalar route, which names
+    # it as the scalar loop would
+    columns = torus_columns(1024)
+    columns[2][j] = columns[2][j] @ np.array([[1.0, 2.0], [1.0, 2.0]])
+    with pytest.raises(LagrangianValidationError) as scalar:
+        scalar_m(*(column[j] for column in columns))
+    passes, built = count_passes(monkeypatch)
+    with pytest.raises(LagrangianValidationError) as stacked:
+        hs.m_stack(*columns)
+    assert (str(stacked.value), stacked.value.item) == (f"item {j}: {scalar.value}", j)
+    assert len(passes) <= 1 + 10 and sum(passes) <= 2 * 1024
+    assert passes[0] == 1024 and len(built) == 1
+
+
+def test_an_item_only_its_stack_fails_keeps_its_scalar_value(rng, monkeypatch):
+    # A stacked pass that fails on every range holding item j, which the
+    # scalar route passes: item j gets its scalar value, every other item the
+    # value of the stacked pass, and nothing raises.
+    pairs, columns = random_pairs(rng, 2, 1, 9)
+    expected = maslov._stacked_m(*columns, hs.Tolerances())
+    real = maslov._stacked_m
+    for j in (0, 4, 8):
+        expected_j = expected.copy()
+        expected_j[j] = scalar_m(*(column[j] for column in columns))
+
+        def failing(gram, *args, _j=j):
+            if np.shares_memory(gram, columns[0][_j]):
+                raise EigenvalueAmbiguity("the stacked pass fails on item j")
+            return real(gram, *args)
+
+        monkeypatch.setattr(maslov, "_stacked_m", failing)
+        assert hs.m_stack(*columns).tobytes() == expected_j.tobytes()
+
+
+@pytest.mark.parametrize("first,second", [(5, 40), (0, 63), (31, 32), (62, 63)])
+def test_of_two_bad_items_in_64_the_lower_is_raised(first, second):
+    columns = torus_columns(64)
+    for j in (second, first):
+        columns[2][j] = columns[2][j] @ np.array([[1.0, 2.0], [1.0, 2.0]])
+    with pytest.raises(LagrangianValidationError, match=f"^item {first}: basis spans") as exc:
+        hs.m_stack(*columns)
+    assert exc.value.item == first
 
 
 def test_single_space_errors_name_no_item():

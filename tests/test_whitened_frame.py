@@ -92,8 +92,9 @@ def _attribute_readers(attr: str, skip_owner: str | None = None) -> set[str]:
 
 
 def test_one_factorization_and_one_threshold_rule():
-    # The space factors its gram once; gram_mgs takes that factor.
-    assert _attribute_readers("cholesky") == {"spaces.HermitianSymplecticSpace.__post_init__"}
+    # The space factors its gram once, in the checks that construction and
+    # the stack of m_stack share; gram_mgs takes that factor.
+    assert _attribute_readers("cholesky") == {"spaces._checked_factor"}
     # Residuals meet tol.alg only through the space's rule; the relation
     # document's block check is the one input check that reads it.  The CLI
     # reads the class default ``Tolerances.alg`` for its flag.
@@ -150,6 +151,8 @@ def test_each_shared_check_has_one_implementation():
     # both the kernel and a scalar function call, directly or through the
     # pair kernel that every route calls.
     sites, callers = _message_sites_and_calls()
+    # the stacked kernel builds its stack of spaces through _stack_space
+    callers["HermitianSymplecticSpace"] |= callers["_stack_space"]
     for fragment in SHARED_CHECKS:
         owners = [scope for text, scope in sites if fragment in text]
         assert len(owners) == 1, (fragment, owners)
